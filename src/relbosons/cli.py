@@ -8,8 +8,7 @@ self-check table).
 
 Output files are written atomically (temp file + rename) and floats are
 printed with 9 significant digits, so repeated runs with identical flags
-and seed produce byte-identical files.  RELBOSONS_THREADS caps the
-worker count of the gamma sweep.
+and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -228,8 +227,7 @@ def _cmd_gamma(args) -> int:
     channel = args.channel or ("scalar" if args.spin == 0 else "longitudinal")
     template = PotentialSpec(args.spin, channel, 0.0, args.l)
     grid = eigensolver.RadialGrid(n=args.grid_n)
-    workers = max(1, int(os.environ.get("RELBOSONS_THREADS", "1")))
-    curve = eigensolver.gamma_curve(template, args.d, grid, workers=workers)
+    curve = eigensolver.gamma_curve(template, args.d, grid)
     if args.fmt == "csv":
         rows = [(p.d, p.gamma, p.residual, p.method if p.ok else f"failed:{p.message}")
                 for p in curve.points]

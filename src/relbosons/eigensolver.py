@@ -5,17 +5,25 @@ other: Numerov shooting with a power-series start at the origin, and a
 dense finite-difference matrix whose lowest eigenvalue is extracted by
 Sturm-sequence bisection (with Richardson extrapolation over h and h/2).
 
+Each Numerov sweep is one lower-triangular banded solve (LAPACK
+``dtbtrs``, forward substitution without pivoting, so the same
+recurrence as a loop over q), and the eigenvalue is the root of the
+matching mismatch found by Brent's method.  The origin series is a
+Taylor expansion in (d q)^2, so the outward sweep starts at
+``_SERIES_EDGE / max(1, d)`` for finite d.
+
 Only gamma = lam / 2 crosses module boundaries.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
+from scipy.optimize import brentq
 
 from .numkernel import BracketError, TridiagProblem, tridiag_ground, tridiag_ground_vector
 from .potentials import (INFINITY, OriginBehavior, PotentialSpec, effective_potential,
@@ -25,8 +33,12 @@ GOLDEN_GAMMA = 1.0 + math.sqrt(5.0) / 2.0          # massless limit, both spins
 ALPHA_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))        # origin exponent at d = inf
 
 # shooting starts its outward Numerov sweep no closer to the origin than
-# this; below it the series expansion of u is used directly
+# this (divided by d for finite d > 1, where the series in (d q)^2 is
+# accurate only for d q small); below it the series expansion of u is
+# used directly
 _SERIES_EDGE = 0.05
+# shooting and FD must agree this closely at every point of a gamma sweep
+CROSS_METHOD_TOL = 1e-6
 # discrete residuals of origin-singular eigenfunctions are reported away
 # from the coordinate singularity, where u'''' is bounded
 _RESIDUAL_EDGE = 0.2
@@ -121,32 +133,52 @@ def _series_start(spec: PotentialSpec, q: np.ndarray, lam: float) -> np.ndarray:
     return q**a * (1.0 + b2 * q * q + b4 * q**4)
 
 
+def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
+    """Numerov recurrence along ``T`` = W - lam from the start values u0, u1.
+
+    With both start values fixed the recurrence
+    (1 - f T[k]) u[k] = 2 (1 + 5 f T[k-1]) u[k-1] - (1 - f T[k-2]) u[k-2]
+    is a lower-triangular system of bandwidth 2 whose first two rows are
+    identity rows; ``dtbtrs`` solves it by forward substitution without
+    pivoting, i.e. it runs the same recurrence in one compiled call.
+    """
+    a = 1.0 - f * T
+    ab = np.empty((3, len(T)), order="F")
+    ab[0] = a
+    ab[0, :2] = 1.0
+    ab[1] = -2.0 * (1.0 + 5.0 * f * T)
+    ab[1, 0] = 0.0
+    ab[2] = a
+    rhs = np.zeros((len(T), 1), order="F")
+    rhs[:2, 0] = u0, u1
+    u, info = dtbtrs(ab, rhs, uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Numerov sweep is singular at step {info}")
+    return u[:, 0]
+
+
 def _numerov_mismatch(spec: PotentialSpec, grid: RadialGrid, lam: float,
                       W: np.ndarray, i0: int, im: int):
     """Cross mismatch uL[im] uR[im+1] - uL[im+1] uR[im] of the two sweeps.
 
     Zero exactly when one Numerov solution satisfies both boundary
-    conditions, i.e. at the discretized eigenvalues.
+    conditions, i.e. at the discretized eigenvalues.  ``uL`` holds the
+    outward solution on q[:im+2], ``uR`` the inward one on q[im-1:]
+    (NaN below).
     """
     q = grid.q
     n = grid.n
-    h = grid.step
-    f = h * h / 12.0
+    f = grid.step ** 2 / 12.0
     T = W - lam
 
-    uL = np.empty(im + 2)
-    uL[: i0 + 2] = _series_start(spec, q[: i0 + 2], lam)
-    for i in range(i0 + 1, im + 1):
-        uL[i + 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uL[i]
-                     - (1.0 - f * T[i - 1]) * uL[i - 1]) / (1.0 - f * T[i + 1])
+    head = _series_start(spec, q[: i0 + 2], lam)
+    uL = np.concatenate(
+        [head[:i0], _numerov_sweep(T[i0: im + 2], f, head[i0], head[i0 + 1])])
 
     nu = 0.5 * (lam - 1.0)
-    uR = np.empty(n)
-    uR[-1] = q[-1] ** nu * math.exp(-0.5 * q[-1] ** 2)
-    uR[-2] = q[-2] ** nu * math.exp(-0.5 * q[-2] ** 2)
-    for i in range(n - 2, im - 1, -1):
-        uR[i - 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uR[i]
-                     - (1.0 - f * T[i + 1]) * uR[i + 1]) / (1.0 - f * T[i - 1])
+    tail = q[-2:] ** nu * np.exp(-0.5 * q[-2:] ** 2)
+    uR = np.full(n, math.nan)
+    uR[im - 1:] = _numerov_sweep(T[im - 1:][::-1], f, tail[1], tail[0])[::-1]
 
     return uL[im] * uR[im + 1] - uL[im + 1] * uR[im], uL, uR
 
@@ -157,20 +189,25 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
 
     The outward sweep starts from the origin power series, the inward
     sweep from the Gaussian envelope q^((lam-1)/2) exp(-q^2/2); lam is
-    bisected on the sign change of the matching mismatch until the
-    bracket is narrower than ``tol``.  The initial bracket comes from a
-    coarse finite-difference estimate +- 0.5.
+    the root of the matching mismatch, found by Brent's method
+    (``brentq`` with ``xtol=tol``) on a bracket of a coarse
+    finite-difference estimate +- 0.5.  ``meta`` records Brent's
+    iteration count, the number of Numerov mismatch evaluations and the
+    tightest sign-change bracket among them.
 
     Raises
     ------
     BracketError
         If the bracket fails to straddle a sign change.
+    RuntimeError
+        If Brent's method does not converge.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = grid.q
     W = effective_potential(q, spec)
-    i0 = max(1, int(np.searchsorted(q, max(grid.q_min, _SERIES_EDGE))))
+    edge = _SERIES_EDGE if math.isinf(spec.d) else _SERIES_EDGE / max(1.0, spec.d)
+    i0 = max(1, int(np.searchsorted(q, max(grid.q_min, edge))))
     im = int(np.argmin(W))
     if q[im] < 0.5 or q[im] > 0.5 * grid.q_max:
         im = int(np.searchsorted(q, 1.0))
@@ -185,28 +222,24 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
             "inward sweep starts in the Gaussian-decay region")
     lo, hi = lam_est - 0.5, lam_est + 0.5
 
-    g_lo, _, _ = _numerov_mismatch(spec, grid, lo, W, i0, im)
-    g_hi, _, _ = _numerov_mismatch(spec, grid, hi, W, i0, im)
-    if g_lo == 0.0:
-        lo, hi = lo, lo
-    elif g_hi == 0.0:
-        lo, hi = hi, hi
-    elif g_lo * g_hi > 0.0:
+    values = {}  # lam -> mismatch, one Numerov evaluation each
+
+    def mismatch(x):
+        if x not in values:
+            values[x] = _numerov_mismatch(spec, grid, x, W, i0, im)[0]
+        return values[x]
+
+    g_lo, g_hi = mismatch(lo), mismatch(hi)
+    if g_lo * g_hi > 0.0:
         raise BracketError(
             f"mismatch does not change sign on [{lo:.6f}, {hi:.6f}] "
             f"for {spec} (values {g_lo:.3e}, {g_hi:.3e})")
-    iters = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid, _, _ = _numerov_mismatch(spec, grid, mid, W, i0, im)
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        iters += 1
-        if iters > 200:
-            break
-    lam = 0.5 * (lo + hi)
+    lam, info = brentq(mismatch, lo, hi, xtol=tol, full_output=True)
+    if values[lam] == 0.0:
+        bracket = (lam, lam)
+    else:
+        bracket = (max(x for x, g in values.items() if g * g_lo > 0.0),
+                   min(x for x, g in values.items() if g * g_lo < 0.0))
 
     _, uL, uR = _numerov_mismatch(spec, grid, lam, W, i0, im)
     u = np.empty(grid.n)
@@ -217,7 +250,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         u = -u
 
     resid = _discrete_residual(q, u, W, lam, origin_behavior(spec))
-    meta = {"bracket": (lo, hi), "bisections": iters, "q_match": q[im],
+    meta = {"bracket": bracket, "brent_iterations": info.iterations,
+            "mismatch_evaluations": len(values), "q_match": q[im],
             "fd_estimate": lam_est, "series_start": q[i0]}
     return EigenResult(lam / 2.0, lam, q, u, resid, "shooting", spec, meta)
 
@@ -260,12 +294,14 @@ class GammaCurve:
 
 
 def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
-                grid: RadialGrid = RadialGrid(), workers: int = 1) -> GammaCurve:
+                grid: RadialGrid = RadialGrid()) -> GammaCurve:
     """gamma(d) for a family of potentials, shooting with FD cross-check.
 
     Each point records gamma from shooting, the Richardson FD value, and
-    their difference as the per-point residual.  Failures are recorded
-    per point and the sweep continues; results are ordered by d.
+    their difference as the per-point residual.  A point whose two
+    values differ by more than ``CROSS_METHOD_TOL`` is marked failed.
+    Failures are recorded per point and the sweep continues; results are
+    ordered by d.
     """
     ds = list(d_values)
     if any((not math.isinf(d)) and d < 0 for d in ds):
@@ -285,13 +321,15 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
         except Exception as exc:  # recorded, sweep continues
             point.ok = False
             point.message = str(exc)
+            return point
+        if not point.residual <= CROSS_METHOD_TOL:
+            point.ok = False
+            point.message = (f"shooting gamma {sh.gamma:.12g} and FD gamma "
+                             f"{fd.gamma:.12g} differ by {point.residual:.3e} "
+                             f"> {CROSS_METHOD_TOL:g}")
         return point
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_one, ds))
-    else:
-        points = [solve_one(d) for d in ds]
+    points = [solve_one(d) for d in ds]
     points.sort(key=lambda p: (math.inf if math.isinf(p.d) else p.d))
     return GammaCurve(spec_template, points)
 

@@ -326,6 +326,9 @@ def scan_density(params: WavepacketParams, radii,
 
 def default_radii(r_max: float = 6.0, dr: float = 0.01) -> np.ndarray:
     """The (0, r_max] grid of the density demonstration."""
+    if not 0.0 < dr <= r_max:
+        raise ValueError(f"need 0 < dr <= r_max for a nonempty radius grid, "
+                         f"got r_max = {r_max:g} and dr = {dr:g}")
     n = int(round(r_max / dr))
     return dr * np.arange(1, n + 1)
 

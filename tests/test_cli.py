@@ -68,6 +68,14 @@ class TestDensity:
         assert code == 0
         assert "no negative charge-density shell" in capsys.readouterr().err
 
+    def test_empty_radius_grid_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--rmax", "0.001", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("relbosons density: ")
+        assert "r_max = 0.001" in err and "dr = 0.01" in err
+        assert not out.exists()
+
 
 class TestPotential:
     def test_single_d_two_columns(self, tmp_path):
@@ -115,8 +123,7 @@ class TestGamma:
         assert payload["channel"] == "longitudinal"
         assert payload["points"][0]["gamma"] == pytest.approx(2.5, abs=1e-5)
 
-    def test_thread_cap_env_keeps_results(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RELBOSONS_THREADS", "2")
+    def test_two_point_sweep_values(self, tmp_path):
         out = tmp_path / "g.csv"
         code = run(["gamma", "--spin", "0", "--d", "0,0.5", "--grid-n", "4000",
                     "--out", str(out)])
@@ -124,6 +131,26 @@ class TestGamma:
         lines = read(out).splitlines()
         assert float(lines[1].split(",")[1]) == pytest.approx(1.5, abs=1e-5)
         assert float(lines[2].split(",")[1]) == pytest.approx(1.6312585, abs=1e-5)
+
+    def test_cross_method_disagreement_exits_nonzero(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import relbosons.eigensolver as es
+
+        fd = es.solve_ground_fd
+
+        def shifted_fd(spec, grid):
+            res = fd(spec, grid)
+            res.gamma += 1e-5
+            return res
+
+        monkeypatch.setattr(es, "solve_ground_fd", shifted_fd)
+        out = tmp_path / "g.csv"
+        code = run(["gamma", "--spin", "0", "--d", "0", "--grid-n", "4000",
+                    "--out", str(out)])
+        assert code == 1
+        row = read(out).splitlines()[1].split(",")
+        assert len(row) == 4 and row[3].startswith("failed:shooting gamma 1.5")
+        assert "FD gamma 1.50000999" in capsys.readouterr().err
 
 
 class TestRayleigh:

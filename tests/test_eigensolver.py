@@ -1,16 +1,37 @@
 """Tests for the radial ground-state solver."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import relbosons.eigensolver as es
 from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid,
                                    analytic_cases, expectation_q2, gamma_curve,
                                    solve_ground_fd, solve_ground_shooting,
                                    verify_analytic_limits)
 from relbosons.numkernel import BracketError
-from relbosons.potentials import INFINITY, spec_spin0, spec_spin1
+from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
+
+
+def reference_sweeps(spec, grid, lam, W, i0, im):
+    """The Numerov recurrence as a plain loop over q, outward and inward."""
+    q, n = grid.q, grid.n
+    f = grid.step ** 2 / 12.0
+    T = W - lam
+    uL = np.empty(im + 2)
+    uL[: i0 + 2] = es._series_start(spec, q[: i0 + 2], lam)
+    for i in range(i0 + 1, im + 1):
+        uL[i + 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uL[i]
+                     - (1.0 - f * T[i - 1]) * uL[i - 1]) / (1.0 - f * T[i + 1])
+    nu = 0.5 * (lam - 1.0)
+    uR = np.empty(n)
+    uR[-2:] = q[-2:] ** nu * np.exp(-0.5 * q[-2:] ** 2)
+    for i in range(n - 2, im - 1, -1):
+        uR[i - 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uR[i]
+                     - (1.0 - f * T[i + 1]) * uR[i + 1]) / (1.0 - f * T[i - 1])
+    return uL, uR[im - 1:]
 
 
 class TestShooting:
@@ -46,6 +67,57 @@ class TestShooting:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             solve_ground_shooting(spec_spin0(0.0), tol=-1.0)
+
+    @pytest.mark.parametrize("spec", [spec_spin0(1.0), spec_spin1(1.0)],
+                             ids=["spin0-regular", "spin1-singular"])
+    def test_banded_sweep_matches_loop(self, spec):
+        grid = RadialGrid()
+        q = grid.q
+        W = effective_potential(q, spec)
+        i0 = int(np.searchsorted(q, 0.05))
+        im = int(np.searchsorted(q, 1.0))
+        lam = solve_ground_fd(spec, grid).lam + 0.01
+        g, uL, uR = es._numerov_mismatch(spec, grid, lam, W, i0, im)
+        refL, refR = reference_sweeps(spec, grid, lam, W, i0, im)
+        assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
+        assert np.max(np.abs(uR[im - 1:] - refR)) <= 1e-11 * np.max(np.abs(refR))
+        ref_g = refL[im] * refR[2] - refL[im + 1] * refR[1]
+        assert g == pytest.approx(ref_g, rel=1e-9)
+
+    def test_large_d_agrees_with_fd(self):
+        # the origin series is an expansion in (d q)^2; its edge scales
+        # with 1/d, so shooting keeps matching FD at large d
+        gammas = {}
+        for mk, ds in ((spec_spin0, (8.0, 16.0, 32.0)), (spec_spin1, (16.0, 32.0))):
+            for d in ds:
+                sh = solve_ground_shooting(mk(d))
+                assert abs(sh.gamma - solve_ground_fd(mk(d)).gamma) <= 1e-6
+                gammas[mk, d] = sh.gamma
+        assert gammas[spec_spin0, 8.0] < gammas[spec_spin0, 16.0] < gammas[spec_spin0, 32.0]
+        assert gammas[spec_spin1, 16.0] > gammas[spec_spin1, 32.0]
+
+    def test_brent_metadata(self):
+        res = solve_ground_shooting(spec_spin0(1.0))
+        lo, hi = res.meta["bracket"]
+        # brentq's stopping width is xtol + 4 eps |lam|
+        assert lo <= res.lam <= hi
+        assert hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * res.lam
+        assert 0 < res.meta["brent_iterations"] < res.meta["mismatch_evaluations"] <= 20
+
+    def test_tiny_tolerance_converges_or_raises(self):
+        try:
+            res = solve_ground_shooting(spec_spin0(1.0), tol=1e-20)
+        except RuntimeError:
+            return  # Brent's own non-convergence error
+        lo, hi = res.meta["bracket"]
+        assert lo <= res.lam <= hi
+        # brentq stops at a relative width of 4 eps: the double floor
+        assert hi - lo <= 4.0 * np.finfo(float).eps * res.lam
+
+    def test_nonconvergence_propagates(self, monkeypatch):
+        monkeypatch.setattr(es, "brentq", functools.partial(es.brentq, maxiter=2))
+        with pytest.raises(RuntimeError, match="converge"):
+            solve_ground_shooting(spec_spin0(1.0))
 
     def test_bracket_failure_names_bracket(self, monkeypatch):
         import relbosons.eigensolver as es
@@ -106,6 +178,22 @@ class TestGammaCurve:
             for p in curve.points:
                 assert p.ok
                 assert abs(p.gamma_shooting - p.gamma_fd) <= 1e-6
+
+    def test_cross_method_disagreement_marks_point(self, monkeypatch):
+        fd = es.solve_ground_fd
+
+        def shifted_fd(spec, grid):
+            res = fd(spec, grid)
+            res.gamma += 2.0 * es.CROSS_METHOD_TOL
+            return res
+
+        monkeypatch.setattr(es, "solve_ground_fd", shifted_fd)
+        curve = gamma_curve(spec_spin0(0.0), [0.0], grid=RadialGrid(n=4000))
+        (p,) = curve.points
+        assert not curve.all_ok and not p.ok
+        assert p.gamma == p.gamma_shooting
+        assert f"{p.gamma_shooting:.12g}" in p.message
+        assert f"{p.gamma_fd:.12g}" in p.message
 
     def test_failures_recorded_not_raised(self):
         # a grid too coarse for the contract still yields a curve object
