@@ -186,9 +186,12 @@ def _cmd_density(args) -> int:
               zip(fieldmap.radii, fieldmap.rho, fieldmap.eps))
     if args.map_out:
         x, z, rho = kg_fields.planar_map(fieldmap, args.map_n)
-        rows = [(xv, zv, rho[i, j]) for i, xv in enumerate(x)
-                for j, zv in enumerate(z)]
-        write_csv(args.map_out, ["x", "z", "rho"], rows)
+        zs = [_fmt(zv) for zv in z]
+        lines = ["x,z,rho"]
+        for xv, row in zip(x, rho):
+            xs = _fmt(xv)
+            lines.extend(f"{xs},{zv},{_fmt(v)}" for zv, v in zip(zs, row.tolist()))
+        atomic_write(args.map_out, "\n".join(lines) + "\n")
     if args.shells_out:
         atomic_write(args.shells_out, kg_fields.shells_json(fieldmap) + "\n")
     shells = fieldmap.negative_shells

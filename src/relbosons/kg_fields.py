@@ -11,6 +11,14 @@ positive energy density eps = |dphi/dt|^2 + |dphi/dr|^2 + m^2 |phi|^2,
 scans them on radial grids, detects negative-charge shells, and provides
 the position-space dispersion that cross-checks the momentum-space
 formulas in :mod:`relbosons.variational`.
+
+On a radial grid the fields are sine and cosine transforms in p,
+computed by the trapezoid rule on a uniform p grid: one DST-I or DCT-I
+per field.  The weights are even in p and analytic in a strip of
+half-width m, so the rule converges exponentially as the p step shrinks.
+The grid must be the lattice r_k = k dr (integer k >= 1, evenly spaced)
+that :func:`default_radii` makes; :func:`field_sample` evaluates single
+points by adaptive quadrature and is the independent check.
 """
 
 from __future__ import annotations
@@ -20,12 +28,16 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
+from scipy.fft import dct, dst
 from scipy.interpolate import CubicSpline
 
-from .numkernel import QuadratureSpec, integrate_damped
+from .numkernel import QuadratureError, QuadratureSpec, integrate_damped
+
+# tolerances of the radial transforms behind every field scan
+_FIELD_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
 
 # strict-sign dead band for shell detection; suppresses spurious shells
 # at quadrature-roundoff scale
@@ -75,7 +87,6 @@ class TabulatedProfile:
         if p_nodes.ndim != 1 or np.any(np.diff(p_nodes) <= 0):
             raise ValueError("p_nodes must be strictly increasing")
         self._spline = CubicSpline(p_nodes, f_nodes, extrapolate=False)
-        self._p_hi = p_nodes[-1]
 
     def __call__(self, p):
         out = self._spline(np.asarray(p, dtype=float))
@@ -169,59 +180,69 @@ def energy_density(sample: FieldSample, mass: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# vectorized radial transforms
+# radial transforms on a radius lattice
 # ----------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# radial distance the packet's fields must fall off over before the
+# trapezoid rule's periodic images (period 2 M h in r) come back
+_ALIAS_MARGIN = 30.0
+_MAX_DOUBLINGS = 6
 
 
-def _panel_nodes(p_max: float, panels: int):
-    edges = np.linspace(0.0, p_max, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * _GL_X[None, :]).ravel()
-    wts = (half * np.broadcast_to(_GL_W, (panels, 15))).ravel()
-    return nodes, wts
+def _radius_lattice(radii):
+    """(dr, k) with radii = k dr for ascending integers k >= 1.
+
+    The transforms return the fields on the lattice r = k dr only, so a
+    grid that is not evenly spaced from a multiple of its step is
+    rejected rather than evaluated elsewhere.
+    """
+    if radii.size == 0:
+        raise ValueError("radii must be nonempty")
+    dr = (float(radii[-1] - radii[0]) / (radii.size - 1) if radii.size > 1
+          else float(radii[0]))
+    k = np.rint(radii / dr).astype(np.int64)
+    if k[0] < 1 or np.any(np.abs(radii - k * dr) > 1e-12 * float(radii[-1])):
+        raise ValueError("radii must lie on a lattice r_k = k dr (integer k >= 1, "
+                         "evenly spaced), as default_radii makes them")
+    return dr, k
 
 
-def _sin_cos_transforms(weights, radii, p_max, need_cos, quad: QuadratureSpec,
-                        base_panels=None, chunk=400):
-    """I_sin[k](r) = int w_k(p) sin(pr) dp and optionally the cos partner.
+def _sin_cos_transforms(weights, radii, p_max, need_cos, quad: QuadratureSpec):
+    """I_sin[k](r) = int_0^p_max w_k(p) sin(pr) dp and optionally the cos partner.
 
-    GL-15 composite panels, doubled until every output is stable within
-    the quadrature tolerances.  Radii whose entries fail to settle are
-    reported back (the caller records them and carries on).
+    The trapezoid rule on p_j = j dp with dp = pi / (M h): on the radius
+    lattice r = n h it is one DST-I (sine) or DCT-I (cosine) of the
+    sampled weights.  The step h = dr / s is the largest divisor of the
+    lattice step with pi / h >= p_max.  dp is halved (M doubled) until
+    every output is stable within the quadrature tolerances; radii whose
+    entries fail to settle are reported back (the caller records them
+    and carries on).
     """
     radii = np.asarray(radii, dtype=float)
-    freq = max(float(np.max(radii)), 1.0)
-    if quad.oscillation_wavelength is not None:
-        freq = max(freq, 2.0 * math.pi / quad.oscillation_wavelength)
-    if base_panels is None:
-        base_panels = max(8, int(math.ceil(p_max * freq / 4.0)))
+    dr, k = _radius_lattice(radii)
+    s = max(1, math.ceil(p_max * dr / math.pi))
+    h = dr / s
+    n = k * s
+    m_min = max(int(n[-1]) + 1, math.ceil((float(radii[-1]) + _ALIAS_MARGIN) / h))
+    m = 1 << (m_min - 1).bit_length()  # the next power of two >= m_min
 
-    def evaluate(panels):
-        p, w = _panel_nodes(p_max, panels)
-        wk = [np.asarray(wfun(p), dtype=complex) * w for wfun in weights]
-        sins = [np.empty(len(radii), dtype=complex) for _ in weights]
-        coss = [np.empty(len(radii), dtype=complex) for _ in weights] if need_cos else None
-        for lo in range(0, len(radii), chunk):
-            sl = slice(lo, lo + chunk)
-            pr = np.outer(radii[sl], p)
-            s = np.sin(pr)
-            for k, wv in enumerate(wk):
-                sins[k][sl] = s @ wv
+    def evaluate(m):
+        dp = math.pi / (m * h)
+        p = dp * np.arange(m + 1)
+        inside = int(np.searchsorted(p, p_max, side="right"))
+        sins, coss = [], []
+        for wfun in weights:
+            w = np.zeros(m + 1, dtype=complex)
+            w[:inside] = wfun(p[:inside])
+            sins.append(0.5 * dp * dst(w[1:m], type=1)[n - 1])
             if need_cos:
-                c = np.cos(pr)
-                for k, wv in enumerate(wk):
-                    coss[k][sl] = c @ (p * wv)
-            del pr, s
-        return sins, coss
+                coss.append(0.5 * dp * dct(p * w, type=1)[n])
+        return sins, (coss if need_cos else None)
 
-    prev_s, prev_c = evaluate(base_panels)
-    panels = base_panels
-    for _ in range(6):
-        panels *= 2
-        cur_s, cur_c = evaluate(panels)
+    prev_s, prev_c = evaluate(m)
+    for _ in range(_MAX_DOUBLINGS):
+        m *= 2
+        cur_s, cur_c = evaluate(m)
         diffs = [np.abs(a - b) for a, b in zip(cur_s, prev_s)]
         if need_cos:
             diffs += [np.abs(a - b) for a, b in zip(cur_c, prev_c)]
@@ -236,11 +257,12 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos, quad: QuadratureSpec,
 
 
 def packet_fields(params: WavepacketParams, radii,
-                  quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9),
+                  quad: QuadratureSpec = _FIELD_QUAD,
                   need_dr: bool = True):
-    """(phi, dt_phi, dr_phi, failed_radii) on an array of radii.
+    """(phi, dt_phi, dr_phi, failed_radii) on radii r_k = k dr.
 
-    ``need_dr=False`` skips the cosine transform behind the radial
+    The radii must be evenly spaced from a multiple of their step, as
+    :func:`default_radii` makes them.  ``need_dr=False`` skips the cosine transform behind the radial
     derivative (halves the cost of charge-only scans) and returns None
     in its place.
     """
@@ -312,7 +334,7 @@ def find_negative_shells(radii, rho, deadband: float = RHO_DEADBAND) -> list:
 
 
 def scan_density(params: WavepacketParams, radii,
-                 quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+                 quad: QuadratureSpec = _FIELD_QUAD
                  ) -> DensityField:
     """Sample rho and eps on a radial grid and detect negative shells."""
     phi, dt_phi, dr_phi, failed = packet_fields(params, radii, quad)
@@ -369,7 +391,7 @@ def _tail_check(radii, integrand, total, rel_tol, what):
 
 
 def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6,
-                 quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+                 quad: QuadratureSpec = _FIELD_QUAD
                  ) -> float:
     """Q = int rho 4 pi r^2 dr over the grid (default reaches r = 45).
 
@@ -430,39 +452,48 @@ def packet_momentum_profile(params: WavepacketParams) -> Callable:
     return ftil
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+
+
+def _panel_nodes(p_max: float, panels: int):
+    edges = np.linspace(0.0, p_max, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = (mid + half * _GL_X[None, :]).ravel()
+    wts = (half * np.broadcast_to(_GL_W, (panels, 15))).ravel()
+    return nodes, wts
+
+
 def momentum_norm(f: Callable, p_max: float = 60.0, n: int = 6000) -> float:
     """N^2 = int |f|^2 d^3p for a radial profile by panel quadrature."""
     p, w = _panel_nodes(p_max, max(8, n // 15))
     return float(4.0 * np.pi * np.sum(w * p * p * np.asarray(f(p)) ** 2))
 
 
-def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 60.0,
-                               panels: Optional[int] = None, chunk: int = 400):
+def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 60.0):
     """Position-space (phi, pi, dphi/dr) of the state defined by f~ at t = 0.
 
-    Panels are sized so each holds under one sin(p r_max) oscillation;
-    radii are processed in chunks to bound the kernel-matrix memory.
+    f~ is taken as zero beyond ``p_max``.  Raises :class:`QuadratureError`
+    when the radial transforms do not settle at some radius.
     """
     radii = np.asarray(radii, dtype=float)
-    if panels is None:
-        panels = max(64, int(math.ceil(p_max * float(radii[-1]) / 4.0)))
-    p, w = _panel_nodes(p_max, panels)
-    E = np.sqrt(mass**2 + p * p)
     kap = 1.0 / math.sqrt(math.pi)
-    a_phi = w * p * np.asarray(f(p)) / E
-    a_pi = w * p * np.asarray(f(p))
-    phi = np.empty(len(radii))
-    pi = np.empty(len(radii))
-    dphi = np.empty(len(radii))
-    for lo in range(0, len(radii), chunk):
-        sl = slice(lo, lo + chunk)
-        pr = np.outer(radii[sl], p)
-        s, c = np.sin(pr), np.cos(pr)
-        s_phi = s @ a_phi
-        phi[sl] = kap * s_phi / radii[sl]
-        pi[sl] = kap * (s @ a_pi) / radii[sl]
-        dphi[sl] = kap * ((c @ (p * a_phi)) / radii[sl] - s_phi / radii[sl] ** 2)
-        del pr, s, c
+
+    def a_phi(p):
+        return p * np.asarray(f(p)) / np.sqrt(mass**2 + p * p)
+
+    def a_pi(p):
+        return p * np.asarray(f(p))
+
+    (s_phi, s_pi), (c_phi, _), failed = _sin_cos_transforms(
+        [a_phi, a_pi], radii, p_max, True, _FIELD_QUAD)
+    if len(failed):
+        raise QuadratureError(
+            f"radial transforms did not settle at {len(failed)} radii "
+            f"(first r = {failed[0]:g})", None, None)
+    phi = kap * s_phi.real / radii
+    pi = kap * s_pi.real / radii
+    dphi = kap * (c_phi.real / radii - s_phi.real / radii**2)
     return phi, -1j * pi, dphi
 
 

@@ -78,10 +78,6 @@ class QuadratureResult:
     n_eval: int
     p_max: float
 
-    def __iter__(self):
-        yield self.value
-        yield self.error
-
 
 def _envelope_peak(kernel, damping_rate, probe_span):
     """Estimate max of |kernel(p)| * exp(damping*p) on a coarse probe grid."""

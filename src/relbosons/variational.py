@@ -601,9 +601,6 @@ def _connection_residual(momenta, mass, phi_t, pi_t):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
-
-
 def _spherical_grid(p_max, n_p, n_mu):
     xp, wp = np.polynomial.legendre.leggauss(n_p)
     p = 0.5 * p_max * (xp + 1.0)

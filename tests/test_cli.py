@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from relbosons import kg_fields
 from relbosons.cli import parse_d_list, parse_range, run
 
 
@@ -60,6 +61,20 @@ class TestDensity:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
+
+    def test_map_matches_row_formatting(self, tmp_path):
+        planar = tmp_path / "map.csv"
+        assert run(["density", "--rmax", "2", "--dr", "0.05", "--out",
+                    str(tmp_path / "rho.csv"), "--map-out", str(planar),
+                    "--map-n", "9"]) == 0
+        fieldmap = kg_fields.scan_density(kg_fields.demo_packet(),
+                                          kg_fields.default_radii(2.0, 0.05))
+        x, z, rho = kg_fields.planar_map(fieldmap, 9)
+        rows = [(xv, zv, rho[i, j]) for i, xv in enumerate(x)
+                for j, zv in enumerate(z)]
+        expect = "x,z,rho\n" + "".join(
+            ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+        assert read(planar) == expect
 
     def test_gaussian_profile_no_shell(self, tmp_path, capsys):
         out = tmp_path / "rho.csv"

@@ -173,6 +173,20 @@ class TestGammaCurve:
         for p in sweep_curves[1].points:
             assert GOLDEN_GAMMA - 1e-9 <= p.gamma <= 2.5 + 1e-9
 
+    @pytest.mark.parametrize("spin", [0, 1])
+    def test_dense_d_monotone_inside_interval(self, spin):
+        # gamma(d) rises from 3/2 (spin 0) or falls from 5/2 (spin 1)
+        # towards 1 + sqrt(5)/2, strictly, over the whole d range
+        d_values = [0.0, *np.geomspace(0.05, 32.0, 23).tolist(), INFINITY]
+        curve = gamma_curve(spec_spin0(0.0) if spin == 0 else spec_spin1(0.0),
+                            d_values)
+        assert curve.all_ok, [p.message for p in curve.points if not p.ok]
+        gammas = np.array([p.gamma for p in curve.points])
+        steps = np.diff(gammas) if spin == 0 else -np.diff(gammas)
+        assert np.all(steps > 0)
+        lo, hi = (1.5, GOLDEN_GAMMA) if spin == 0 else (GOLDEN_GAMMA, 2.5)
+        assert np.all((gammas >= lo - 1e-9) & (gammas <= hi + 1e-9))
+
     def test_two_method_agreement(self, sweep_curves):
         for curve in sweep_curves.values():
             for p in curve.points:

@@ -14,8 +14,9 @@ from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
                                  energy_position_space, field_sample,
                                  find_negative_shells, momentum_norm, packet_fields,
                                  packet_momentum_profile, demo_packet, planar_map,
-                                 position_dispersion_direct, scan_density, shells_json)
-from relbosons.numkernel import QuadratureSpec
+                                 position_dispersion_direct, scan_density, shells_json,
+                                 state_fields_from_momentum)
+from relbosons.numkernel import QuadratureError, QuadratureSpec, integrate_damped
 
 
 class TestFieldSample:
@@ -56,14 +57,31 @@ class TestFieldSample:
 
     def test_scan_consistent_with_pointwise(self):
         params = demo_packet()
-        radii = np.array([0.5, 0.98, 2.0])
+        radii = default_radii(2.0, 0.02)
+        self._check_scan_at(params, radii, (0.5, 0.98, 2.0))
+
+    def test_oversampled_scan_consistent_with_pointwise(self):
+        # pi / dr < p_max: the transform runs on a finer internal step
+        params = demo_packet()
+        radii = default_radii(2.0, 0.2)
+        self._check_scan_at(params, radii, (0.2, 1.0, 2.0))
+
+    @staticmethod
+    def _check_scan_at(params, radii, check):
         phi, dtp, drp, failed = packet_fields(params, radii)
         assert len(failed) == 0
-        for k, r in enumerate(radii):
-            s = field_sample(float(r), params)
+        for r in check:
+            k = int(np.argmin(np.abs(radii - r)))
+            s = field_sample(float(radii[k]), params)
             assert phi[k] == pytest.approx(s.phi, abs=1e-9)
             assert dtp[k] == pytest.approx(s.dt_phi, abs=1e-9)
             assert drp[k] == pytest.approx(s.dr_phi, abs=1e-9)
+
+    def test_rejects_radii_off_the_lattice(self):
+        with pytest.raises(ValueError, match="lattice"):
+            packet_fields(demo_packet(), np.array([0.5, 0.98, 2.0]))
+        with pytest.raises(ValueError, match="lattice"):
+            packet_fields(demo_packet(), np.array([0.15, 0.25, 0.35]))
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
@@ -218,6 +236,38 @@ class TestEnergyNorm:
         n2_mom = momentum_norm(ftil)
         assert e_pos == pytest.approx(n2_mom, rel=1e-6)
         assert n2_mom == pytest.approx(energy_momentum_space(params), rel=1e-8)
+
+
+class TestStateFields:
+    def test_matches_pointwise_quadrature(self):
+        # phi = kap/r int p f/E sin(pr), pi = kap/r int p f sin(pr),
+        # dphi/dr = kap (int p^2 f/E cos(pr) / r - int p f/E sin(pr) / r^2)
+        params = demo_packet(time_t=0.0)
+        ftil = packet_momentum_profile(params)
+        radii = default_radii(6.0, 0.01)
+        phi, pi, dphi = state_fields_from_momentum(ftil, params.mass, radii)
+        kap = 1.0 / math.sqrt(math.pi)
+        for r in (0.5, 0.98, 4.0):
+            k = int(np.argmin(np.abs(radii - r)))
+            r = float(radii[k])
+            quad = QuadratureSpec(oscillation_wavelength=2.0 * math.pi / max(r, 1.0))
+
+            def integral(kern):
+                return integrate_damped(kern, params.damping_a, quad).value.real
+
+            s_phi = integral(lambda p: p * ftil(p) / params.energy(p) * np.sin(p * r))
+            s_pi = integral(lambda p: p * ftil(p) * np.sin(p * r))
+            c_phi = integral(lambda p: p * p * ftil(p) / params.energy(p) * np.cos(p * r))
+            assert phi[k] == pytest.approx(kap * s_phi / r, abs=1e-9)
+            assert pi[k] == pytest.approx(-1j * kap * s_pi / r, abs=1e-9)
+            assert dphi[k] == pytest.approx(kap * (c_phi / r - s_phi / r**2), abs=1e-9)
+
+    def test_unsettled_transform_raises(self):
+        # f~ = 1 cut off at p_max: the jump keeps the trapezoid rule from
+        # settling within the tolerances
+        with pytest.raises(QuadratureError, match="did not settle"):
+            state_fields_from_momentum(lambda p: np.ones_like(p), 1.0,
+                                       default_radii(5.0, 0.05), p_max=5.0)
 
 
 class TestPositionDispersion:
