@@ -18,8 +18,8 @@ from .kg_fields import (DensityField, FieldSample, GaussianProfile, CosineProfil
                         energy_density, field_sample, demo_packet, scan_density,
                         total_charge)
 from .numkernel import (BracketError, MinimizationError, QuadratureError,
-                        QuadratureSpec, StepControl, TridiagProblem,
-                        integrate_damped, minimize_functional, tridiag_ground)
+                        QuadratureSpec, TridiagProblem, integrate_damped,
+                        tridiag_ground)
 from .potentials import (INFINITY, OriginBehavior, PotentialSpec, d_parameter,
                          effective_potential, origin_behavior, spec_spin0,
                          spec_spin1)

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -53,6 +52,20 @@ def write_csv(path: str, header, rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def write_grid_csv(path: str, header, x, y, values) -> None:
+    """CSV with one row (x[i], y[j], values[i, j]) per grid point, x slowest.
+
+    Same text as :func:`write_csv` on those rows, but each axis value is
+    formatted once and the values are read row by row as Python floats.
+    """
+    ys = [_fmt(yv) for yv in y]
+    lines = [",".join(header)]
+    for xv, row in zip(x, values):
+        xs = _fmt(xv)
+        lines.extend(f"{xs},{yv},{_fmt(v)}" for yv, v in zip(ys, row.tolist()))
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
 def parse_d_list(text: str):
     """Comma list of d values; the token 'inf' maps to the exact limit."""
     out = []
@@ -82,32 +95,6 @@ def parse_range(text: str):
         raise argparse.ArgumentTypeError("need 0 < min < max and step > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
-
-
-@dataclass
-class RunConfig:
-    """One validated invocation: subcommand plus its parsed flags."""
-
-    subcommand: str
-    out: str = ""
-    fmt: str = "csv"
-    seed: int = 0
-    options: dict = dc_field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        options = vars(args).copy()
-        return cls(subcommand=options.pop("subcommand"),
-                   out=options.get("out", "") or "",
-                   fmt=options.get("fmt", "csv"),
-                   seed=options.get("seed", 0),
-                   options=options)
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,12 +173,7 @@ def _cmd_density(args) -> int:
               zip(fieldmap.radii, fieldmap.rho, fieldmap.eps))
     if args.map_out:
         x, z, rho = kg_fields.planar_map(fieldmap, args.map_n)
-        zs = [_fmt(zv) for zv in z]
-        lines = ["x,z,rho"]
-        for xv, row in zip(x, rho):
-            xs = _fmt(xv)
-            lines.extend(f"{xs},{zv},{_fmt(v)}" for zv, v in zip(zs, row.tolist()))
-        atomic_write(args.map_out, "\n".join(lines) + "\n")
+        write_grid_csv(args.map_out, ["x", "z", "rho"], x, z, rho)
     if args.shells_out:
         atomic_write(args.shells_out, kg_fields.shells_json(fieldmap) + "\n")
     shells = fieldmap.negative_shells
@@ -310,10 +292,8 @@ def _cmd_rayleigh(args) -> int:
         sys.stdout.write(text)
     if args.samples_out and samples is not None:
         grid = samples.geometry
-        rows = [(qp, qz, samples.f_samples[i, j])
-                for i, qp in enumerate(grid.q_perp)
-                for j, qz in enumerate(grid.q_z)]
-        write_csv(args.samples_out, ["q_perp", "q_z", "f"], rows)
+        write_grid_csv(args.samples_out, ["q_perp", "q_z", "f"],
+                       grid.q_perp, grid.q_z, samples.f_samples)
     return 0
 
 
@@ -338,11 +318,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for flag errors
         return int(exc.code or 0)
-    config = RunConfig.from_args(args)
     try:
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except Exception as exc:
-        print(f"relbosons {config.subcommand}: {exc}", file=sys.stderr)
+        print(f"relbosons {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -6,8 +6,8 @@ Three building blocks used throughout the package:
   integrands on the half line,
 * extraction of the lowest eigenvalues of symmetric tridiagonal matrices
   by Sturm-sequence bisection,
-* projected gradient descent with a backtracking line search for
-  normalized discrete functionals.
+* the lowest eigenpair of a symmetric operator given only as a function
+  (matrix-free block-1 LOBPCG with a caller-supplied preconditioner).
 
 Everything here is a pure function of its inputs and safe to call from
 concurrent workers.
@@ -16,11 +16,11 @@ concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh, eigh_tridiagonal, solve_banded
 
 
 class QuadratureError(RuntimeError):
@@ -37,7 +37,7 @@ class BracketError(RuntimeError):
 
 
 class MinimizationError(RuntimeError):
-    """Descent stagnated before the gradient tolerance was reached."""
+    """An iteration stopped before its residual tolerance was reached."""
 
     def __init__(self, message, state, grad_norm):
         super().__init__(message)
@@ -269,111 +269,84 @@ def tridiag_ground_vector(problem: TridiagProblem, eigenvalue: float,
 
 
 # ----------------------------------------------------------------------
-# projected descent for normalized functionals
+# lowest eigenpair of a symmetric operator (block-1 LOBPCG)
 # ----------------------------------------------------------------------
 
-@dataclass
-class StepControl:
-    init_step: float = 1.0
-    grad_tol: float = 1e-6
-    max_iter: int = 2000
-    min_step: float = 1e-15
-    grow: float = 2.0
-    max_step: float = 8.0
-    fd_probe: bool = True
+@dataclass(frozen=True)
+class EigenPair:
+    """Eigenvalue, unit eigenvector, final residual norm, iteration count."""
 
-
-@dataclass
-class MinimizeResult:
-    state: np.ndarray
     value: float
-    grad_norm: float
+    vector: np.ndarray
+    residual: float
     iterations: int
-    history: list = field(default_factory=list, repr=False)
 
 
-def minimize_functional(energy: Callable, gradient: Callable, init: np.ndarray,
-                        control: StepControl = None,
-                        inner: Callable = None,
-                        precondition: Callable = None) -> MinimizeResult:
-    """Minimize a normalized functional by projected gradient descent.
+def lowest_eigenpair(apply: Callable, precondition: Callable, x0: np.ndarray,
+                     tol: float, max_iter: int) -> EigenPair:
+    """Lowest eigenpair of a symmetric operator by block-1 LOBPCG.
 
-    ``energy(u)`` maps a state to a float; ``gradient(u)`` must return the
-    metric gradient, i.e. d energy = inner(gradient(u), du).  The iterate
-    is kept on the unit sphere of ``inner`` at every step, the functional
-    value decreases monotonically (backtracking halving line search), and
-    iteration stops once the projected gradient norm drops below
-    ``control.grad_tol``.
-
-    ``precondition``, when given, must be symmetric positive definite in
-    ``inner``; the preconditioned gradient is then still a descent
-    direction, so the monotone-decrease contract is unchanged.
+    ``apply(x)`` returns A x for a symmetric A, ``precondition(r)`` an
+    SPD approximation of A^-1 r; both act on arrays of the shape of
+    ``x0`` and return new arrays.  Each iteration is a Rayleigh-Ritz
+    step on span{x, P r, p} (Knyazev, SIAM J. Sci. Comput. 23 (2001)
+    517-541), with p the previous update; A x and A p are carried as the
+    same linear combinations, so an iteration costs one ``apply`` and one
+    ``precondition``.  Iteration stops once ||A x - lambda x|| <= ``tol``
+    with ||x|| = 1 (Euclidean norms over all entries).
 
     Raises
     ------
     MinimizationError
-        On stagnation (line search underflow or iteration budget) before
-        the gradient tolerance is met; carries the last state.
+        If the residual is still above ``tol`` after ``max_iter``
+        iterations; carries the last (normalized) iterate and residual.
     """
-    control = control or StepControl()
-    if inner is None:
-        inner = lambda a, b: float(np.vdot(a, b).real)
-
-    def _normalize(u):
-        return u / math.sqrt(inner(u, u))
-
-    u = _normalize(np.asarray(init, dtype=float))
-
-    if control.fd_probe:
-        _probe_gradient(energy, gradient, u, inner)
-
-    e = energy(u)
-    step = control.init_step
-    history = []
-    g_norm = math.inf
-    for it in range(control.max_iter):
-        g = gradient(u)
-        g = g - inner(g, u) * u
-        g_norm = math.sqrt(inner(g, g))
-        history.append((e, g_norm))
-        if g_norm <= control.grad_tol:
-            return MinimizeResult(u, e, g_norm, it, history)
-        d = precondition(g) if precondition is not None else g
-        d = d - inner(d, u) * u
-        slope = inner(g, d)  # > 0 for an SPD preconditioner
-        ls = step
-        while ls >= control.min_step:
-            candidate = _normalize(u - ls * d)
-            e_new = energy(candidate)
-            # sufficient decrease; the stiff constant rejects the
-            # sign-flipping steps near ls = 2/curvature that stall
-            # plain backtracking on quadratics
-            if e_new <= e - 0.2 * ls * slope:
-                break
-            ls *= 0.5
-        else:
-            raise MinimizationError(
-                f"line search stagnated at iteration {it} "
-                f"(gradient norm {g_norm:.3e} > tol {control.grad_tol:.1e})",
-                u, g_norm)
-        u, e = candidate, e_new
-        step = min(ls * control.grow, control.max_step)
+    x = np.array(x0, dtype=float)
+    x /= np.linalg.norm(x)
+    ax = apply(x)
+    lam = float(np.vdot(x, ax))
+    p = ap = None
+    for it in range(max_iter + 1):
+        r = ax - lam * x
+        res = float(np.linalg.norm(r))
+        if res <= tol:
+            return EigenPair(lam, x, res, it)
+        if it == max_iter:
+            break
+        w = precondition(r)
+        del r  # one grid-sized array fewer alive while apply(w) runs
+        w -= float(np.vdot(x, w)) * x
+        w /= np.linalg.norm(w)
+        aw = apply(w)
+        k = 2 if p is None else 3
+        a = _gram((x, w, p)[:k], (ax, aw, ap)[:k])
+        b = _gram((x, w, p)[:k], (x, w, p)[:k])
+        vals, vecs = eigh(0.5 * (a + a.T), b)
+        # the sign that keeps x pointing the way it did
+        c = vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0]
+        # p <- c_w w + c_p p, then x <- c_x x + p; images alike, in place
+        w *= c[1]
+        aw *= c[1]
+        if p is not None:
+            w += c[2] * p
+            aw += c[2] * ap
+        p, ap = w, aw
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+        scale = 1.0 / np.linalg.norm(x)
+        x *= scale
+        ax *= scale
+        pn = 1.0 / np.linalg.norm(p)
+        p *= pn
+        ap *= pn
+        lam = float(vals[0])
     raise MinimizationError(
-        f"no convergence in {control.max_iter} iterations "
-        f"(gradient norm {g_norm:.3e} > tol {control.grad_tol:.1e})",
-        u, g_norm)
+        f"no convergence in {max_iter} iterations "
+        f"(residual {res:.3e} > tol {tol:.1e})", x, res)
 
 
-def _probe_gradient(energy, gradient, u, inner, rel_tol=1e-3):
-    """Finite-difference consistency check of gradient against energy."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(np.shape(u))
-    v = v / math.sqrt(inner(v, v))
-    eps = 1e-6
-    fd = (energy(u + eps * v) - energy(u - eps * v)) / (2.0 * eps)
-    an = inner(gradient(u), v)
-    scale = max(abs(fd), abs(an), 1e-12)
-    if abs(fd - an) > rel_tol * scale + 1e-12:
-        raise ValueError(
-            f"gradient inconsistent with energy: directional derivative "
-            f"{an:.6e} vs finite difference {fd:.6e}")
+def _gram(us, vs) -> np.ndarray:
+    """Matrix of the inner products <u_i, v_j>."""
+    return np.array([[float(np.vdot(u, v)) for v in vs] for u in us])

@@ -8,11 +8,16 @@ quantities appear only in the helpers used by the cross checks against
 
 The anisotropic transverse massless case is minimized directly on a
 cylindrical grid.  The product functional is scale invariant there, so
-descent is run on the equivalent arithmetic-mean functional
-(Delta q^2 + Delta r_q^2)/2: by the AM-GM inequality and the virial
-theorem both functionals share the same minimum and the same (balanced)
+the equivalent arithmetic-mean functional (Delta q^2 + Delta r_q^2)/2
+is minimized instead: by the AM-GM inequality and the virial theorem
+both functionals share the same minimum and the same (balanced)
 minimizer, but the mean is an ordinary Rayleigh quotient without the
-flat scale direction that stalls descent on the product.
+flat scale direction of the product.  Its minimum is therefore the
+lowest eigenpair of the discrete operator -Lap + 1/q_perp^2 + q^2,
+which is a Kronecker sum of two tridiagonals once the samples are
+scaled by the square root of the measure; block-1 LOBPCG with a
+factored tridiagonal-product preconditioner finds it in a few
+operator applications.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import numkernel
-from .numkernel import StepControl, minimize_functional
 
 KIND_SPIN0 = "spin0"
 KIND_LONGITUDINAL = "spin1_longitudinal"
@@ -240,79 +244,62 @@ def rayleigh_gamma(state, functional: DispersionFunctional) -> float:
 # transverse massless minimization (cylindrical grid)
 # ----------------------------------------------------------------------
 
-class _CylindricalOps:
-    """Discrete quadratic forms and preconditioner on a cylindrical grid.
+class _TransverseOperator:
+    """H = -Lap + 1/q_perp^2 + q^2 in the W metric, as a Kronecker sum.
 
-    Descent uses the compact staggered-difference gradient form: the
-    centered stencil's quadratic form is blind to odd-even modes and has
-    spurious discrete minima well below the physical one.  Evaluation of
-    results still goes through :func:`dispersion_pair` (centered), per
-    that contract; the two differ by O(h^2).
+    The Laplacian is the compact staggered-difference form with zero
+    ghosts: the centered stencil's quadratic form is blind to odd-even
+    modes and has spurious discrete minima well below the physical one.
+    Evaluation of results still goes through :func:`dispersion_pair`
+    (centered); the two differ by O(h^2).
+
+    W = w_i (row weight 2 pi h^2 q_perp_i), so in g = sqrt(w) f the
+    operator is the symmetric T_perp (x) I + I (x) T_z: T_perp carries the
+    half-point weights w_{i+1/2} and 1/q_perp^2 + q_perp^2, T_z the q_z
+    Laplacian (half weight at the two ends) and q_z^2.  ``apply`` and
+    the preconditioner act on (n_perp, n_z) arrays of g.
     """
 
     def __init__(self, grid: CylindricalGrid):
-        self.grid = grid
-        self.qp = grid.q_perp
-        self.qz = grid.q_z
-        self.h = grid.step
-        self.W = grid.measure
-        self.Q2 = self.qp[:, None] ** 2 + self.qz[None, :] ** 2
-        self.CW = 1.0 / self.qp[:, None] ** 2
-        W = self.W
-        self._Wp = np.empty((len(self.qp) + 1, len(self.qz)))
-        self._Wp[1:-1] = 0.5 * (W[1:] + W[:-1])
-        self._Wp[0] = 0.5 * W[0]
-        self._Wp[-1] = 0.5 * W[-1]
-        self._Wz = np.empty((len(self.qp), len(self.qz) + 1))
-        self._Wz[:, 1:-1] = 0.5 * (W[:, 1:] + W[:, :-1])
-        self._Wz[:, 0] = 0.5 * W[:, 0]
-        self._Wz[:, -1] = 0.5 * W[:, -1]
+        h, qp, qz = grid.step, grid.q_perp, grid.q_z
+        w = 2.0 * math.pi * h**2 * qp
+        w_half = np.concatenate(([0.5 * w[0]], 0.5 * (w[1:] + w[:-1]), [0.5 * w[-1]]))
+        self.sqrt_w = np.sqrt(w)[:, None]
+        self.d_perp = (w_half[:-1] + w_half[1:]) / (h**2 * w) + 1.0 / qp**2 + qp**2
+        self.e_perp = -w_half[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
+        c = np.ones(len(qz) + 1)
+        c[0] = c[-1] = 0.5
+        self.d_z = (c[:-1] + c[1:]) / h**2 + qz**2
+        self.e_z = -1.0 / h**2          # every q_z off-diagonal entry
 
-    def inner(self, a, b):
-        return float(np.sum(a * b * self.W))
+    def apply(self, g):
+        """(T_perp (x) I + I (x) T_z) g."""
+        out = self.d_z * g
+        out += self.d_perp[:, None] * g
+        e_perp = self.e_perp[:, None]
+        out[1:] += e_perp * g[:-1]
+        out[:-1] += e_perp * g[1:]
+        out[:, 1:] += self.e_z * g[:, :-1]
+        out[:, :-1] += self.e_z * g[:, 1:]
+        return out
 
-    def quads(self, f):
-        dp = np.diff(f, axis=0, prepend=0.0, append=0.0) / self.h
-        dz = np.diff(f, axis=1, prepend=0.0, append=0.0) / self.h
-        n2 = float(np.sum(f * f * self.W))
-        a = float(np.sum(self.Q2 * f * f * self.W))
-        b = (float(np.sum(dp * dp * self._Wp)) + float(np.sum(dz * dz * self._Wz))
-             + float(np.sum(self.CW * f * f * self.W)))
-        return n2, a, b
+    def preconditioner(self):
+        """(I + tau T_perp)^-1 (I + tau T_z)^-1, tau = 0.5; commuting SPD factors.
 
-    def apply_h(self, f):
-        """(-Lap + 1/q_perp^2 + q^2) f in the W metric (staggered Lap)."""
-        dp = np.diff(f, axis=0, prepend=0.0, append=0.0) / self.h
-        dz = np.diff(f, axis=1, prepend=0.0, append=0.0) / self.h
-        lap = (-np.diff(dp * self._Wp, axis=0) / self.h
-               - np.diff(dz * self._Wz, axis=1) / self.h) / self.W
-        return lap + (self.CW + self.Q2) * f
+        Each tridiagonal is factored once (LAPACK ?pttrf, LDL^T) and
+        solved along its own axis (?pttrs) on every application.
+        """
+        tau = 0.5
+        d_p, e_p, info_p = dpttrf(1.0 + tau * self.d_perp, tau * self.e_perp)
+        d_z, e_z, info_z = dpttrf(1.0 + tau * self.d_z,
+                                  np.full(len(self.d_z) - 1, tau * self.e_z))
+        if info_p or info_z:
+            raise ValueError("transverse preconditioner is not positive definite")
 
-    def energy_mean(self, f):
-        n2, a, b = self.quads(f)
-        return 0.5 * (a + b) / n2
-
-    def grad_mean(self, f):
-        n2, a, b = self.quads(f)
-        return (self.apply_h(f) - ((a + b) / n2) * f) / n2
-
-    def preconditioner(self, tau: float = 0.5):
-        """(I + tau H_perp)^-1 (I + tau H_z)^-1; commuting SPD factors."""
-        h = self.h
-
-        def banded(pot, n):
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -tau / h**2
-            ab[1] = 1.0 + 2.0 * tau / h**2 + tau * pot
-            ab[2, :-1] = -tau / h**2
-            return ab
-
-        ab_p = banded(1.0 / self.qp**2 + self.qp**2, len(self.qp))
-        ab_z = banded(self.qz**2, len(self.qz))
-
-        def apply(g):
-            x = solve_banded((1, 1), ab_p, g)
-            return solve_banded((1, 1), ab_z, x.T).T
+        def apply(r):
+            x, _ = dpttrs(d_p, e_p, r)
+            x, _ = dpttrs(d_z, e_z, x.T, overwrite_b=1)
+            return x.T
 
         return apply
 
@@ -324,37 +311,25 @@ def default_transverse_init(grid: CylindricalGrid) -> np.ndarray:
 
 
 def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid(),
-                                 init: Optional[np.ndarray] = None,
-                                 control: Optional[StepControl] = None
-                                 ) -> RayleighState:
+                                 init: Optional[np.ndarray] = None) -> RayleighState:
     """Minimize the transverse massless uncertainty product.
 
-    Runs :func:`relbosons.numkernel.minimize_functional` (normalized
-    descent, monotone, preconditioned) on the arithmetic-mean functional
-    and rebalances the converged state so that Delta q^2 = Delta r_q^2;
-    the product is invariant under that rescaling.  The returned state
-    carries gamma evaluated by :func:`dispersion_pair` and the iteration
-    count in ``meta``.
+    The arithmetic-mean functional is half the Rayleigh quotient of
+    H = -Lap + 1/q_perp^2 + q^2 in the W metric, so its minimizer is the
+    lowest eigenvector of H; :func:`relbosons.numkernel.lowest_eigenpair`
+    finds it on the symmetric Kronecker-sum form of H, stopping at
+    ||H f - lambda f||_W <= 1e-6 with ||f||_W = 1.  The converged state is
+    rebalanced so that Delta q^2 = Delta r_q^2; the product is invariant
+    under that rescaling.  The returned state carries gamma evaluated by
+    :func:`dispersion_pair`, and the iteration count, final residual
+    (``grad_norm``) and lambda/2 (``mean_value``) in ``meta``.
     """
-    ops = _CylindricalOps(grid)
     f0 = default_transverse_init(grid) if init is None else np.asarray(init, float)
     if f0.shape != (len(grid.q_perp), len(grid.q_z)):
         raise ValueError("init has the wrong shape for this grid")
     _check_axis_vanishing(grid, f0)
-    control = control or StepControl(grad_tol=1e-6, max_iter=600)
-    pre = ops.preconditioner()
-
-    # smooth rough initializers; a few SPD preconditioner applications
-    # strip the high modes that make the first line searches tiny
-    f0 = f0 / math.sqrt(ops.inner(f0, f0))
-    for _ in range(8):
-        f0 = pre(f0)
-        f0 = f0 / math.sqrt(ops.inner(f0, f0))
-
-    result = minimize_functional(ops.energy_mean, ops.grad_mean, f0,
-                                 control=control, inner=ops.inner,
-                                 precondition=pre)
-    f = result.state
+    f, meta = _lowest_mode(grid, f0)
+    W = grid.measure
     functional = transverse_massless_functional()
     for _ in range(2):
         dq2, drq2 = dispersion_pair((grid, f), functional)
@@ -362,11 +337,29 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid(),
         if abs(s - 1.0) < 1e-9:
             break
         f = _rescale_cylindrical(grid, f, s)
-        f = f / math.sqrt(ops.inner(f, f))
+        f = f / math.sqrt(float(np.sum(f * f * W)))
     state = evaluate_state(grid, f, functional)
-    state.meta.update(iterations=result.iterations, grad_norm=result.grad_norm,
-                      mean_value=result.value)
+    state.meta.update(meta)
     return state
+
+
+def _lowest_mode(grid: CylindricalGrid, f0):
+    """Lowest eigenvector of H as f samples, and the solver's record.
+
+    A function of its own so that the solver's arrays are freed before
+    the evaluation passes, which set the peak memory otherwise.
+    """
+    op = _TransverseOperator(grid)
+    pre = op.preconditioner()
+    # smooth rough initializers: the product preconditioner barely damps
+    # modes that are high in both directions, and left in the start
+    # vector they stall the iteration just above its tolerance
+    g = f0 * op.sqrt_w
+    for _ in range(8):
+        g = pre(g / np.linalg.norm(g))
+    pair = numkernel.lowest_eigenpair(op.apply, pre, g, tol=1e-6, max_iter=600)
+    return pair.vector / op.sqrt_w, dict(
+        iterations=pair.iterations, grad_norm=pair.residual, mean_value=0.5 * pair.value)
 
 
 def _rescale_cylindrical(grid: CylindricalGrid, f, s: float) -> np.ndarray:
@@ -386,13 +379,14 @@ def euler_lagrange_residual(state: RayleighState) -> float:
     grid = state.geometry
     if not isinstance(grid, CylindricalGrid):
         raise ValueError("Euler-Lagrange residual is defined on the cylindrical grid")
-    ops = _CylindricalOps(grid)
+    op = _TransverseOperator(grid)
     f = state.f_samples
-    n2 = ops.inner(f, f)
+    q2 = grid.q_perp[:, None] ** 2 + grid.q_z[None, :] ** 2
     dq2, drq2 = state.delta_q2, state.delta_rq2
-    hpart = ops.apply_h(f) - ops.Q2 * f  # (-Lap + 1/q_perp^2) f
-    el = dq2 * hpart + drq2 * ops.Q2 * f - 2.0 * dq2 * drq2 * f
-    return math.sqrt(ops.inner(el, el)) / (2.0 * dq2 * drq2 * math.sqrt(n2))
+    hpart = op.apply(f * op.sqrt_w) / op.sqrt_w - q2 * f  # (-Lap + 1/q_perp^2) f
+    el = dq2 * hpart + drq2 * q2 * f - 2.0 * dq2 * drq2 * f
+    return (float(np.linalg.norm(el * op.sqrt_w))
+            / (2.0 * dq2 * drq2 * float(np.linalg.norm(f * op.sqrt_w))))
 
 
 def separation_oracle(n: int = 8000) -> float:

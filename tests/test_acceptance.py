@@ -73,8 +73,8 @@ def test_criterion_4_transverse_massless_minimization(transverse_state):
         * np.exp(-0.3 * (qp**2 + qz**2))
     state2 = variational.minimize_transverse_massless(grid, random_init)
     oracle = variational.separation_oracle()
-    ok = (abs(transverse_state.gamma - 2.5) <= 1e-2
-          and abs(state2.gamma - 2.5) <= 1e-2
+    ok = (abs(transverse_state.gamma - 2.5) <= 1e-3
+          and abs(state2.gamma - 2.5) <= 1e-3
           and abs(oracle - 2.5) <= 1e-6)
     _report(4, ok, f"transverse massless gamma: {transverse_state.gamma:.6f} "
                    f"(default init), {state2.gamma:.6f} (random init), "

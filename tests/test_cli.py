@@ -204,13 +204,25 @@ class TestRayleigh:
         assert run(["rayleigh", "--case", "trans-massless", "--out", str(out),
                     "--samples-out", str(samples)]) == 0
         payload = json.loads(read(out))
-        assert payload["gamma"] == pytest.approx(2.5, abs=1e-2)
+        assert payload["gamma"] == pytest.approx(2.5, abs=1e-3)
         assert payload["separation_oracle"] == pytest.approx(2.5, abs=1e-6)
         assert payload["euler_lagrange_residual"] <= 1e-3
         readings = payload["closed_form_readings"]
         assert readings["qperp_times_full_gaussian"] == pytest.approx(2.5, abs=1e-3)
         assert "divergent" in readings["spherical_magnitude"]
         assert read(samples).splitlines()[0] == "q_perp,q_z,f"
+
+    def test_samples_match_row_formatting(self, tmp_path, transverse_state):
+        samples = tmp_path / "f.csv"
+        assert run(["rayleigh", "--case", "trans-massless", "--out",
+                    str(tmp_path / "r.json"), "--samples-out", str(samples)]) == 0
+        grid = transverse_state.geometry
+        rows = [(qp, qz, transverse_state.f_samples[i, j])
+                for i, qp in enumerate(grid.q_perp)
+                for j, qz in enumerate(grid.q_z)]
+        expect = "q_perp,q_z,f\n" + "".join(
+            ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+        assert read(samples) == expect
 
     def test_computational_failure_exit_code(self, tmp_path):
         # an unwritable output directory surfaces as exit 1 with a message

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbosons.numkernel import (MinimizationError, QuadratureError,
-                                 QuadratureSpec, StepControl, TridiagProblem,
-                                 integrate_damped, minimize_functional, sturm_count,
-                                 tridiag_ground, tridiag_ground_vector)
+                                 QuadratureSpec, TridiagProblem, integrate_damped,
+                                 lowest_eigenpair, sturm_count, tridiag_ground,
+                                 tridiag_ground_vector)
 
 # independent refinement oracle for the relativistic-envelope integral,
 # frozen from uniform Simpson sums doubled until stable at 1e-13
@@ -164,15 +164,15 @@ class TestTridiagGround:
 
 
 class TestMinimizeFunctional:
+    """Rayleigh-quotient minima by :func:`lowest_eigenpair`."""
+
     def test_quadratic_form_ground(self):
         a = np.array([1.0, 2.0, 3.0])
-        energy = lambda u: float(u @ (a * u) / (u @ u))
-        gradient = lambda u: 2.0 * (a * u - energy(u) * u) / (u @ u)
-        init = np.array([1.0, 1.0, 1.0])
-        res = minimize_functional(energy, gradient, init,
-                                  StepControl(grad_tol=1e-10, max_iter=500))
+        res = lowest_eigenpair(lambda u: a * u, lambda r: r.copy(),
+                               np.array([1.0, 1.0, 1.0]), tol=1e-10, max_iter=500)
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert abs(res.state[0]) == pytest.approx(1.0, abs=1e-4)
+        assert abs(res.vector[0]) == pytest.approx(1.0, abs=1e-4)
+        assert res.residual <= 1e-10
 
     def test_oscillator_rayleigh_quotient(self):
         from scipy.linalg import solve_banded
@@ -188,8 +188,6 @@ class TestMinimizeFunctional:
             lap[-1] = (u[-2] - 2.0 * u[-1]) / h**2
             return -0.5 * lap + pot * u
 
-        energy = lambda u: float(u @ apply_h(u) / (u @ u))
-        gradient = lambda u: 2.0 * (apply_h(u) - energy(u) * u) / (u @ u)
         init = np.exp(-((x - 1.0) ** 2))
 
         # (I + tau H)^-1: SPD shift of the operator, solved as a banded system
@@ -200,36 +198,21 @@ class TestMinimizeFunctional:
         ab[2, :-1] = -0.5 * tau / h**2
         precondition = lambda g: solve_banded((1, 1), ab, g)
 
-        res = minimize_functional(energy, gradient, init,
-                                  StepControl(grad_tol=5e-8, max_iter=4000),
-                                  precondition=precondition)
+        res = lowest_eigenpair(apply_h, precondition, init, tol=2.5e-8, max_iter=4000)
         assert res.value == pytest.approx(0.5, abs=1e-6)
-
-    def test_monotone_decrease(self):
-        a = np.arange(1.0, 6.0)
-        energy = lambda u: float(u @ (a * u) / (u @ u))
-        gradient = lambda u: 2.0 * (a * u - energy(u) * u) / (u @ u)
-        res = minimize_functional(energy, gradient, np.ones(5),
-                                  StepControl(grad_tol=1e-9, max_iter=500))
-        values = [v for v, _ in res.history]
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        resid = apply_h(res.vector) - res.value * res.vector
+        assert np.linalg.norm(resid) == pytest.approx(res.residual, rel=1e-6, abs=1e-12)
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
 
     def test_transverse_massless_value(self, transverse_state):
         # the cylindrical dispersion-product minimization lands on 5/2
-        assert transverse_state.gamma == pytest.approx(2.5, abs=1e-2)
-
-    def test_inconsistent_gradient_rejected(self):
-        energy = lambda u: float(u @ u)
-        bad_gradient = lambda u: np.zeros_like(u)
-        with pytest.raises(ValueError, match="inconsistent"):
-            minimize_functional(energy, bad_gradient, np.array([1.0, 2.0]))
+        assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
 
     def test_stagnation_carries_state(self):
-        a = np.array([1.0, 2.0])
-        energy = lambda u: float(u @ (a * u) / (u @ u))
-        gradient = lambda u: 2.0 * (a * u - energy(u) * u) / (u @ u)
+        a = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(MinimizationError) as err:
-            minimize_functional(energy, gradient, np.array([1.0, 0.5]),
-                                StepControl(grad_tol=1e-30, max_iter=3))
-        assert err.value.state is not None
+            lowest_eigenpair(lambda u: a * u, lambda r: r.copy(),
+                             np.array([1.0, 0.5, 0.25, 0.125]), tol=1e-30, max_iter=1)
+        assert err.value.state.shape == (4,)
+        assert np.linalg.norm(err.value.state) == pytest.approx(1.0, rel=1e-12)
         assert err.value.grad_norm > 0
