@@ -125,19 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_pot = sub.add_parser(
         "potential", help="effective potential curves (CSV q,W; d,q,W for sweeps)")
     p_pot.add_argument("--spin", type=int, choices=[0, 1], required=True)
-    p_pot.add_argument("--d", type=parse_d_list, default=None,
+    p_pot.add_argument("--d", type=parse_d_list, default="0,0.5,1,2,inf",
                        help="comma list of d values; 'inf' allowed "
                             "(default sweep 0,0.5,1,2,inf)")
     p_pot.add_argument("--l", type=int, default=0, help="angular index")
-    p_pot.add_argument("--q", type=parse_range, default=None,
+    p_pot.add_argument("--q", type=parse_range, default="0.05:6:0.05",
                        help="q grid as min:max:step (default 0.05:6:0.05)")
     p_pot.add_argument("--out", required=True)
 
     p_gam = sub.add_parser(
         "gamma", help="gamma(d) sweep (CSV d,gamma,residual,method)")
     p_gam.add_argument("--spin", type=int, choices=[0, 1], required=True)
-    p_gam.add_argument("--channel", choices=["scalar", "longitudinal"], default=None,
-                       help="defaults to the channel of the chosen spin")
     p_gam.add_argument("--d", type=parse_d_list, required=True)
     p_gam.add_argument("--l", type=int, default=0)
     p_gam.add_argument("--grid-n", type=int, default=8000)
@@ -193,15 +191,11 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    d_values = args.d if args.d is not None else [0.0, 0.5, 1.0, 2.0, INFINITY]
-    q = args.q if args.q is not None else parse_range("0.05:6:0.05")
-    channel = "scalar" if args.spin == 0 else "longitudinal"
     rows = []
-    for d in d_values:
-        spec = PotentialSpec(args.spin, channel, d, args.l)
-        w = potentials.effective_potential(q, spec)
-        rows.extend((d, qv, wv) for qv, wv in zip(q, w))
-    if len(d_values) == 1:
+    for d in args.d:
+        w = potentials.effective_potential(args.q, PotentialSpec(args.spin, d, args.l))
+        rows.extend((d, qv, wv) for qv, wv in zip(args.q, w))
+    if len(args.d) == 1:
         write_csv(args.out, ["q", "W"], [(r[1], r[2]) for r in rows])
     else:
         write_csv(args.out, ["d", "q", "W"], rows)
@@ -209,8 +203,7 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    channel = args.channel or ("scalar" if args.spin == 0 else "longitudinal")
-    template = PotentialSpec(args.spin, channel, 0.0, args.l)
+    template = PotentialSpec(args.spin, 0.0, args.l)
     grid = eigensolver.RadialGrid(n=args.grid_n)
     curve = eigensolver.gamma_curve(template, args.d, grid)
     if args.fmt == "csv":
@@ -224,7 +217,7 @@ def _cmd_gamma(args) -> int:
             return None if math.isnan(x) else x
 
         payload = {
-            "spin": args.spin, "channel": channel, "angular_index": args.l,
+            "spin": args.spin, "channel": template.channel, "angular_index": args.l,
             "grid": {"q_min": grid.q_min, "q_max": grid.q_max, "n": grid.n},
             "points": [{"d": ("inf" if math.isinf(p.d) else p.d),
                         "gamma": num(p.gamma), "residual": num(p.residual),

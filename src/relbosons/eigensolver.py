@@ -17,6 +17,7 @@ Only gamma = lam / 2 crosses module boundaries.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,8 +26,9 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
-from .numkernel import BracketError, TridiagProblem, tridiag_ground, tridiag_ground_vector
-from .potentials import (INFINITY, OriginBehavior, PotentialSpec, effective_potential,
+from .numkernel import (BracketError, TridiagProblem, dirichlet_problem, richardson_ground,
+                        tridiag_ground, tridiag_ground_vector)
+from .potentials import (INFINITY, PotentialSpec, effective_potential,
                          origin_behavior, regular_expansion, spec_spin0, spec_spin1)
 
 GOLDEN_GAMMA = 1.0 + math.sqrt(5.0) / 2.0          # massless limit, both spins
@@ -81,39 +83,25 @@ class EigenResult:
     q_samples: np.ndarray
     u_samples: np.ndarray
     residual: float
-    method: str
-    spec: PotentialSpec
     meta: dict = field(default_factory=dict)
-
-
-def _fd_problem(spec: PotentialSpec, q_max: float, n: int) -> tuple:
-    """Three-point discretization with Dirichlet walls at 0 and q_max."""
-    q = np.linspace(0.0, q_max, n)
-    h = q[1] - q[0]
-    qi = q[1:-1]
-    diag = 2.0 / h**2 + effective_potential(qi, spec)
-    off = np.full(len(qi) - 1, -1.0 / h**2)
-    return TridiagProblem(diag, off, h), qi
 
 
 def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> EigenResult:
     """Lowest eigenvalue via the finite-difference matrix.
 
-    ``gamma`` is the Richardson extrapolation of the h and h/2 matrices;
-    both raw values are kept in ``meta``.  The eigenvector (computed at
-    the base resolution) is normalized to sum(u^2) h = 1.
+    The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is the
+    Richardson extrapolation of the h and h/2 matrices; both raw values
+    are kept in ``meta``.  The eigenvector (computed at the base
+    resolution) is normalized to sum(u^2) h = 1.
     """
-    prob, qi = _fd_problem(spec, grid.q_max, grid.n)
-    lam_h = float(tridiag_ground(prob, 1)[0])
-    prob2, _ = _fd_problem(spec, grid.q_max, 2 * (grid.n - 1) + 1)
-    lam_h2 = float(tridiag_ground(prob2, 1)[0])
-    lam = (4.0 * lam_h2 - lam_h) / 3.0
-
+    level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
+                              grid.q_max, grid.n)
+    prob, lam_h = level.problem, level.lam_h
     u = tridiag_ground_vector(prob, lam_h)
     resid = _matrix_residual(prob, lam_h, u)
-    meta = {"lambda_h": lam_h, "lambda_h_half": lam_h2,
-            "richardson": lam, "h": prob.grid_step}
-    return EigenResult(lam / 2.0, lam, qi, u, resid, "fd_matrix", spec, meta)
+    meta = {"lambda_h": lam_h, "lambda_h_half": level.lam_h_half,
+            "richardson": level.value, "h": prob.grid_step}
+    return EigenResult(level.value / 2.0, level.value, level.nodes, u, resid, meta)
 
 
 def _matrix_residual(prob: TridiagProblem, lam: float, u: np.ndarray) -> float:
@@ -213,7 +201,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         im = int(np.searchsorted(q, 1.0))
     im = min(max(im, i0 + 2), grid.n - 3)
 
-    coarse = _fd_problem(spec, grid.q_max, 1600)[0]
+    coarse, _ = dirichlet_problem(lambda x: effective_potential(x, spec), 0.0,
+                                  grid.q_max, 1600)
     lam_est = float(tridiag_ground(coarse, 1)[0])
     if W[-1] < lam_est + 20.0:
         raise ValueError(
@@ -249,26 +238,23 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
 
-    resid = _discrete_residual(q, u, W, lam, origin_behavior(spec))
+    # for origin-singular channels (c > 0) the first points are excluded:
+    # u ~ q^alpha with fractional alpha has unbounded u'''' there and the
+    # three-point defect is dominated by that, not by solution quality
+    singular = origin_behavior(spec).singular_strength > 0
+    resid = _discrete_residual(q, u, W, lam, _RESIDUAL_EDGE if singular else q[0])
     meta = {"bracket": bracket, "brent_iterations": info.iterations,
             "mismatch_evaluations": len(values), "q_match": q[im],
             "fd_estimate": lam_est, "series_start": q[i0]}
-    return EigenResult(lam / 2.0, lam, q, u, resid, "shooting", spec, meta)
+    return EigenResult(lam / 2.0, lam, q, u, resid, meta)
 
 
-def _discrete_residual(q, u, W, lam, ob: OriginBehavior) -> float:
-    """Max |(-D^2 + W - lam) u| / (lam max|u|) over admissible interior points.
-
-    For origin-singular channels (c > 0) the first points are excluded:
-    u ~ q^alpha with fractional alpha has unbounded u'''' there and the
-    three-point defect is dominated by that, not by solution quality.
-    """
+def _discrete_residual(q, u, W, lam, edge) -> float:
+    """Max |(-D^2 + W - lam) u| / (lam max|u|) over the interior points q >= edge."""
     h = q[1] - q[0]
     d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
     res = -d2 + (W[1:-1] - lam) * u[1:-1]
-    qi = q[1:-1]
-    mask = qi >= (_RESIDUAL_EDGE if ob.singular_strength > 0 else q[0])
-    return float(np.max(np.abs(res[mask])) / (abs(lam) * np.max(np.abs(u))))
+    return float(np.max(np.abs(res[q[1:-1] >= edge])) / (abs(lam) * np.max(np.abs(u))))
 
 
 @dataclass
@@ -285,7 +271,6 @@ class GammaPoint:
 
 @dataclass
 class GammaCurve:
-    spec_template: PotentialSpec
     points: list
 
     @property
@@ -308,8 +293,7 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
         raise ValueError("d values must be nonnegative")
 
     def solve_one(d):
-        spec = PotentialSpec(spec_template.spin, spec_template.channel, d,
-                             spec_template.angular_index)
+        spec = dataclasses.replace(spec_template, d=d)
         point = GammaPoint(d=d)
         try:
             fd = solve_ground_fd(spec, grid)
@@ -331,7 +315,7 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
 
     points = [solve_one(d) for d in ds]
     points.sort(key=lambda p: (math.inf if math.isinf(p.d) else p.d))
-    return GammaCurve(spec_template, points)
+    return GammaCurve(points)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +329,6 @@ class AnalyticCase:
     gamma: float
     u: Callable  # canonical u(q) = q * f(q), unnormalized
     q_min: float  # residual grid start (offset for singular exponents)
-    tol: float
 
 
 def analytic_cases() -> list:
@@ -353,45 +336,30 @@ def analytic_cases() -> list:
     phi = ALPHA_GOLDEN
     return [
         AnalyticCase("spin0 d=0", spec_spin0(0.0), 1.5,
-                     lambda q: q * np.exp(-q * q / 2.0), 1e-4, 1e-6),
+                     lambda q: q * np.exp(-q * q / 2.0), 1e-4),
         AnalyticCase("spin0 d=inf", spec_spin0(INFINITY), GOLDEN_GAMMA,
-                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE, 1e-5),
+                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE),
         AnalyticCase("spin1 d=0", spec_spin1(0.0), 2.5,
-                     lambda q: q * q * np.exp(-q * q / 2.0), 1e-4, 1e-6),
+                     lambda q: q * q * np.exp(-q * q / 2.0), 1e-4),
         AnalyticCase("spin1 d=inf", spec_spin1(INFINITY), GOLDEN_GAMMA,
-                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE, 1e-5),
+                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE),
     ]
 
 
-@dataclass
-class AnalyticCheck:
-    label: str
-    residual: float
-    tol: float
-    passed: bool
-    n: int
+def closed_form_residual(case: AnalyticCase, n: int = 8000, q_max: float = 12.0) -> float:
+    """max |(-D^2 + W - lam) u| / (lam max|u|) of one closed form on n points.
 
-
-def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> list:
-    """Apply the discrete operator to each closed-form eigenfunction.
-
-    Reports max |(-D^2 + W - lam) u| / (lam max|u|) on a uniform grid of
-    ``n`` points; the d = inf cases start at an origin offset because
-    their fractional power makes u'''' blow up at q = 0.  Residuals
-    decrease as h^2 under grid refinement.
+    The d = inf cases start at an origin offset, where u'''' is bounded;
+    the residual decreases as h^2 under grid refinement.
     """
-    checks = []
-    for case in analytic_cases():
-        q = np.linspace(case.q_min, q_max, n)
-        u = case.u(q)
-        W = effective_potential(q, case.spec)
-        lam = 2.0 * case.gamma
-        h = q[1] - q[0]
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        res = np.max(np.abs(-d2 + (W[1:-1] - lam) * u[1:-1]))
-        res = float(res / (lam * np.max(np.abs(u))))
-        checks.append(AnalyticCheck(case.label, res, case.tol, res <= case.tol, n))
-    return checks
+    q = np.linspace(case.q_min, q_max, n)
+    return _discrete_residual(q, case.u(q), effective_potential(q, case.spec),
+                              2.0 * case.gamma, q[0])
+
+
+def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> dict:
+    """{label: :func:`closed_form_residual`} of the four analytic cases."""
+    return {case.label: closed_form_residual(case, n, q_max) for case in analytic_cases()}
 
 
 def expectation_q2(result: EigenResult) -> float:

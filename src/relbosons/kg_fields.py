@@ -55,8 +55,6 @@ class TailWarning(UserWarning):
 class CosineProfile:
     """f(p) = cos(p/m) / sqrt(m^2 + p^2), the packet behind the density map."""
 
-    name = "cosine"
-
     def __init__(self, mass: float = 1.0):
         self.mass = mass
 
@@ -67,8 +65,6 @@ class CosineProfile:
 class GaussianProfile:
     """f(p) = exp(-p^2 / (2 sigma^2))."""
 
-    name = "gaussian"
-
     def __init__(self, sigma: float = 1.0):
         self.sigma = sigma
 
@@ -78,8 +74,6 @@ class GaussianProfile:
 
 class TabulatedProfile:
     """Cubic interpolation of (p, f) samples, zero beyond the last node."""
-
-    name = "tabulated"
 
     def __init__(self, p_nodes, f_nodes):
         p_nodes = np.asarray(p_nodes, dtype=float)
@@ -500,7 +494,7 @@ def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 6
 def energy_position_space(f: Callable, mass: float, r_max: float = 45.0,
                           dr: float = 0.01, p_max: float = 60.0) -> float:
     """int eps 4 pi r^2 dr of the f~ state; equals int |f~|^2 d^3p."""
-    radii = dr * np.arange(1, int(round(r_max / dr)) + 1)
+    radii = default_radii(r_max, dr)
     phi, pi, dphi = state_fields_from_momentum(f, mass, radii, p_max)
     eps = np.abs(pi) ** 2 + np.abs(dphi) ** 2 + mass**2 * np.abs(phi) ** 2
     integrand = 4.0 * np.pi * eps * radii**2
@@ -518,7 +512,7 @@ def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
     (see :func:`relbosons.variational.position_dispersion_momentum`);
     N^2 is evaluated in momentum space.  Warns on unconverged tails.
     """
-    radii = dr * np.arange(1, int(round(r_max / dr)) + 1)
+    radii = default_radii(r_max, dr)
     phi, pi, dphi = state_fields_from_momentum(f, mass, radii, p_max)
     eps = np.abs(pi) ** 2 + np.abs(dphi) ** 2 + mass**2 * np.abs(phi) ** 2
     integrand = 4.0 * np.pi * radii**4 * eps

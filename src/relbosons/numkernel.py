@@ -5,7 +5,8 @@ Three building blocks used throughout the package:
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
 * extraction of the lowest eigenvalues of symmetric tridiagonal matrices
-  by Sturm-sequence bisection,
+  by Sturm-sequence bisection, with the three-point Dirichlet matrix of
+  -u'' + V u and its Richardson-extrapolated ground level,
 * the lowest eigenpair of a symmetric operator given only as a function
   (matrix-free block-1 LOBPCG with a caller-supplied preconditioner).
 
@@ -75,8 +76,6 @@ class QuadratureSpec:
 class QuadratureResult:
     value: complex
     error: float
-    n_eval: int
-    p_max: float
 
 
 def _envelope_peak(kernel, damping_rate, probe_span):
@@ -113,7 +112,7 @@ def integrate_damped(kernel: Callable, damping_rate: float,
         raise ValueError("damping_rate must be positive")
     peak = _envelope_peak(kernel, damping_rate, 60.0 / damping_rate)
     if peak == 0.0:
-        return QuadratureResult(0.0, 0.0, 257, 0.0)
+        return QuadratureResult(0.0, 0.0)
     p_max = math.log(peak / spec.abs_tol) / damping_rate if peak > spec.abs_tol else 1.0 / damping_rate
     width = p_max / 8.0
     if spec.oscillation_wavelength is not None:
@@ -126,7 +125,6 @@ def integrate_damped(kernel: Callable, damping_rate: float,
     edges_a = np.linspace(0.0, p_max, n0 + 1)[:-1]
     edges_b = np.linspace(0.0, p_max, n0 + 1)[1:]
 
-    n_eval = 257
     total = 0.0 + 0.0j
     err_accepted = 0.0
 
@@ -141,11 +139,10 @@ def integrate_damped(kernel: Callable, damping_rate: float,
         h = b - a
         coarse = h / 6.0 * (fa + 4.0 * fm + fb)
         fine = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
-        return coarse, fine, len(pts)
+        return coarse, fine
 
     for _ in range(64):
-        coarse, fine, used = _simpson_pair(edges_a, edges_b)
-        n_eval += used
+        coarse, fine = _simpson_pair(edges_a, edges_b)
         # |fine - coarse| is ~15x the asymptotic error of the fine sum;
         # budgeting on it keeps the reported error safely conservative
         # even on panels where the Richardson assumption fails
@@ -157,7 +154,7 @@ def integrate_damped(kernel: Callable, damping_rate: float,
         err_accepted += panel_err[ok].sum()
         if np.all(ok):
             err = err_accepted + tail_bound
-            return QuadratureResult(_as_scalar(total), float(err), n_eval, p_max)
+            return QuadratureResult(_as_scalar(total), float(err))
         edges_a, edges_b = edges_a[~ok], edges_b[~ok]
         # split every rejected panel in two
         mid = 0.5 * (edges_a + edges_b)
@@ -202,28 +199,6 @@ class TridiagProblem:
             raise ValueError("grid_step must be positive")
 
 
-def sturm_count(problem: TridiagProblem, shift: float) -> int:
-    """Number of eigenvalues strictly below ``shift`` (Sturm sequence).
-
-    Reference implementation of the negative-pivot count of the shifted
-    LDL^T recurrence; used to cross-check the LAPACK bisection backend.
-    """
-    d = problem.diagonal
-    e2 = problem.off_diagonal ** 2
-    count = 0
-    t = d[0] - shift
-    if t < 0:
-        count += 1
-    tiny = np.finfo(float).tiny
-    for i in range(1, len(d)):
-        if t == 0.0:
-            t = tiny
-        t = (d[i] - shift) - e2[i - 1] / t
-        if t < 0:
-            count += 1
-    return count
-
-
 def tridiag_ground(problem: TridiagProblem, count: int = 1) -> np.ndarray:
     """Lowest ``count`` eigenvalues, ascending.
 
@@ -241,6 +216,36 @@ def tridiag_ground(problem: TridiagProblem, count: int = 1) -> np.ndarray:
         select="i", select_range=(0, count - 1),
         lapack_driver="stebz", tol=0.0)
     return np.sort(vals)
+
+
+def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tuple:
+    """(matrix, interior nodes) of the three-point -u'' + V u on n uniform
+    nodes of [lo, hi] with u = 0 at both ends."""
+    q = np.linspace(lo, hi, n)
+    h = q[1] - q[0]
+    qi = q[1:-1]
+    return TridiagProblem(2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2), h), qi
+
+
+@dataclass(frozen=True)
+class RichardsonLevel:
+    """Lowest Dirichlet level at steps h and h/2 and their extrapolation."""
+
+    value: float
+    lam_h: float
+    lam_h_half: float
+    problem: TridiagProblem  # the step-h matrix
+    nodes: np.ndarray        # its interior nodes
+
+
+def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
+    """Lowest level of :func:`dirichlet_problem` at n and 2 (n - 1) + 1 nodes;
+    ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error."""
+    prob, nodes = dirichlet_problem(potential, lo, hi, n)
+    lam_h = float(tridiag_ground(prob, 1)[0])
+    fine, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
+    lam_h2 = float(tridiag_ground(fine, 1)[0])
+    return RichardsonLevel((4.0 * lam_h2 - lam_h) / 3.0, lam_h, lam_h2, prob, nodes)
 
 
 def tridiag_ground_vector(problem: TridiagProblem, eigenvalue: float,

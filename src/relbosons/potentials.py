@@ -21,8 +21,6 @@ INFINITY = math.inf
 
 SPIN0 = 0
 SPIN1 = 1
-CHANNEL_SCALAR = "scalar"
-CHANNEL_LONGITUDINAL = "longitudinal"
 
 
 @dataclass(frozen=True)
@@ -31,35 +29,33 @@ class PotentialSpec:
 
     ``angular_index`` is l for spin 0 and j for spin 1; only the 0 value
     matters for the uncertainty bound (the centrifugal barrier raises
-    every level) but any value is accepted.
+    every level) but any value is accepted.  The spin fixes the channel:
+    scalar for spin 0, longitudinal for spin 1.
     """
 
     spin: int
-    channel: str
     d: float
     angular_index: int = 0
 
     def __post_init__(self):
         if self.spin not in (SPIN0, SPIN1):
             raise ValueError("spin must be 0 or 1")
-        if self.channel not in (CHANNEL_SCALAR, CHANNEL_LONGITUDINAL):
-            raise ValueError("channel must be 'scalar' or 'longitudinal'")
-        if self.spin == SPIN0 and self.channel != CHANNEL_SCALAR:
-            raise ValueError("spin 0 supports only the scalar channel")
-        if self.spin == SPIN1 and self.channel != CHANNEL_LONGITUDINAL:
-            raise ValueError("spin 1 supports only the longitudinal channel")
         if not (self.d >= 0.0):
             raise ValueError("d must be nonnegative (or INFINITY)")
         if self.angular_index < 0 or self.angular_index != int(self.angular_index):
             raise ValueError("angular_index must be a nonnegative integer")
 
+    @property
+    def channel(self) -> str:
+        return "scalar" if self.spin == SPIN0 else "longitudinal"
+
 
 def spec_spin0(d: float, l: int = 0) -> PotentialSpec:
-    return PotentialSpec(SPIN0, CHANNEL_SCALAR, d, l)
+    return PotentialSpec(SPIN0, d, l)
 
 
 def spec_spin1(d: float, j: int = 0) -> PotentialSpec:
-    return PotentialSpec(SPIN1, CHANNEL_LONGITUDINAL, d, j)
+    return PotentialSpec(SPIN1, d, j)
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,7 @@ class RadialMomentumGrid:
 
     @property
     def q(self) -> np.ndarray:
-        h = self.q_max / self.n
-        return h * np.arange(1, self.n + 1)
+        return self.step * np.arange(1, self.n + 1)
 
     @property
     def step(self) -> float:
@@ -398,21 +397,9 @@ def separation_oracle(n: int = 8000) -> float:
     problems with Richardson extrapolation; returns their sum, 5/2 up to
     O(h^4).
     """
-    def ground(diag_fun, lo, hi, n):
-        q = np.linspace(lo, hi, n)[1:-1]
-        h = q[1] - q[0]
-        prob = numkernel.TridiagProblem(2.0 / h**2 + diag_fun(q),
-                                        np.full(len(q) - 1, -1.0 / h**2), h)
-        return float(numkernel.tridiag_ground(prob, 1)[0])
-
-    def richardson(diag_fun, lo, hi):
-        e1 = ground(diag_fun, lo, hi, n)
-        e2 = ground(diag_fun, lo, hi, 2 * (n - 1) + 1)
-        return (4.0 * e2 - e1) / 3.0
-
-    planar = richardson(lambda q: 0.75 / q**2 + q**2, 0.0, 12.0)
-    line = richardson(lambda q: q**2, -12.0, 12.0)
-    return 0.5 * planar + 0.5 * line
+    planar = numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2, 0.0, 12.0, n)
+    line = numkernel.richardson_ground(lambda q: q**2, -12.0, 12.0, n)
+    return 0.5 * planar.value + 0.5 * line.value
 
 
 def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
@@ -499,7 +486,6 @@ def rescaled_profile(f: Callable, mass: float, d: float) -> Callable:
 
 @dataclass
 class ConnectionReport:
-    ansatz: str
     max_residual: float
     norm_fields: float = math.nan
     norm_reduced: float = math.nan
@@ -531,7 +517,7 @@ def check_connection(ansatz: str, momenta, mass: float,
             raise ValueError("longitudinal ansatz carries 1/m; need mass > 0")
         phi_t, pi_t = _longitudinal_fields(momenta, mass, f)
         resid = _connection_residual(momenta, mass, phi_t, pi_t)
-        report = ConnectionReport("longitudinal", resid, pi_tilde=pi_t)
+        report = ConnectionReport(resid, pi_tilde=pi_t)
         report.norm_fields = _longitudinal_norm_quadrature(mass, f)
         report.norm_plain, report.dp2_plain = _plain_norm_dp2(f)
         report.norm_reduced = report.norm_plain  # exact for this ansatz
@@ -542,7 +528,7 @@ def check_connection(ansatz: str, momenta, mass: float,
     phi_t = _transverse_phi(momenta, mass, f)
     pi_t = _pi_from_connection(momenta, mass, phi_t)
     resid = _connection_residual(momenta, mass, phi_t, pi_t)
-    report = ConnectionReport("transverse", resid, pi_tilde=pi_t)
+    report = ConnectionReport(resid, pi_tilde=pi_t)
 
     # reduction of the energy norm: field route vs direct quadratures
     report.norm_fields = _transverse_norm_quadrature(mass, f, reduced=False)
@@ -577,20 +563,22 @@ def _transverse_phi(momenta, mass, f):
     return phi_t
 
 
-def _pi_from_connection(momenta, mass, phi_t):
+def _connection_rhs(momenta, mass, phi_t):
+    """E_p and the right-hand side p x (p x phi~) - m^2 phi~."""
     E = np.sqrt(mass**2 + np.sum(momenta**2, axis=1))
     double_cross = (momenta * np.sum(momenta * phi_t, axis=1)[:, None]
                     - phi_t * np.sum(momenta**2, axis=1)[:, None])
-    rhs = double_cross - mass**2 * phi_t
+    return E, double_cross - mass**2 * phi_t
+
+
+def _pi_from_connection(momenta, mass, phi_t):
+    E, rhs = _connection_rhs(momenta, mass, phi_t)
     return rhs / (-1j * E[:, None])
 
 
 def _connection_residual(momenta, mass, phi_t, pi_t):
-    E = np.sqrt(mass**2 + np.sum(momenta**2, axis=1))
-    double_cross = (momenta * np.sum(momenta * phi_t, axis=1)[:, None]
-                    - phi_t * np.sum(momenta**2, axis=1)[:, None])
+    E, rhs = _connection_rhs(momenta, mass, phi_t)
     lhs = -1j * E[:, None] * pi_t
-    rhs = double_cross - mass**2 * phi_t
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -626,7 +614,6 @@ def _transverse_norm_quadrature(mass, f, reduced: bool, moment: int = 0,
         pts = np.stack([px.ravel(), np.zeros(px.size), pz.ravel()], axis=1)
         phi_t = _transverse_phi(pts, mass, f)
         pi_t = _pi_from_connection(pts, mass, phi_t)
-        E2 = mass**2 + np.sum(pts**2, axis=1)
         div_pi = np.sum(pts * pi_t, axis=1)
         curl_phi2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) * np.abs(phi_t[:, 2]) ** 2
         dens = (np.sum(np.abs(pi_t) ** 2, axis=1)
@@ -642,19 +629,22 @@ def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0, n_p: int = 128):
     |pi~|^2 + |p . pi~|^2/m^2 + m^2 |phi~|^2 (no curl term: phi~ || p);
     collapses to |f|^2 / 2 * (m^2/E^2 + p^2/E^2 + 1) = |f|^2 identically.
     """
-    xp, wp = np.polynomial.legendre.leggauss(n_p)
-    p = 0.5 * p_max * (xp + 1.0)
-    w = 0.5 * p_max * wp * 4.0 * math.pi * p * p
+    p, w = _radial_nodes(p_max, n_p)
     E2 = mass**2 + p * p
     fv = np.asarray(f(p), dtype=float) ** 2 / 2.0
     dens = fv * (mass**2 / E2 + p * p / E2 + 1.0)
     return float(np.sum(w * dens))
 
 
-def _plain_norm_dp2(f, p_max: float = 12.0, n_p: int = 96):
+def _radial_nodes(p_max, n_p):
+    """Gauss-Legendre nodes on [0, p_max] and their weights for d^3p = 4 pi p^2 dp."""
     xp, wp = np.polynomial.legendre.leggauss(n_p)
     p = 0.5 * p_max * (xp + 1.0)
-    w = 0.5 * p_max * wp * 4.0 * math.pi * p * p
+    return p, 0.5 * p_max * wp * 4.0 * math.pi * p * p
+
+
+def _plain_norm_dp2(f, p_max: float = 12.0, n_p: int = 96):
+    p, w = _radial_nodes(p_max, n_p)
     fv = np.asarray(f(p), dtype=float)
     n2 = float(np.sum(w * fv * fv))
     return n2, float(np.sum(w * p * p * fv * fv)) / n2

@@ -1,24 +1,61 @@
-"""Self-check suite behind ``relbosons verify``.
+"""The registry of anchored checks, shared by ``relbosons verify`` and the
+acceptance tests.
 
-Every anchored numeric claim of the library is re-run here: the exact
-nonrelativistic and massless endpoints for both spin channels, the
-closed-form eigenfunction residuals, the negative-charge-density
-demonstration, the dispersion-functional values, and the transverse
-minimization with its independent separation oracle.  Each check prints
-one pass/fail line; the process exit code is 0 only if all pass.
+Each row of ``CHECKS`` holds a name, a compute ``(seed, grid_n) ->
+(values, detail)`` and one pass condition per value: a :class:`Target`
+with a tolerance or a one-sided :class:`Bound`.  :func:`passes` alone
+decides PASS or FAIL.  Each row prints one line; the process exit code
+is 0 only if all pass.  Rows named ``(algebra)`` hold by construction
+and cannot catch a discretization fault.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import eigensolver, kg_fields, potentials, variational
-from .eigensolver import GOLDEN_GAMMA, RadialGrid
-from .numkernel import TridiagProblem, tridiag_ground
+from .eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA, RadialGrid
+from .numkernel import dirichlet_problem, tridiag_ground
 from .potentials import INFINITY, spec_spin0, spec_spin1
+
+
+@dataclass(frozen=True)
+class Target:
+    """Holds when |x - value| <= tol."""
+
+    value: float
+    tol: float
+
+    def holds(self, x) -> bool:
+        return abs(x - self.value) <= self.tol
+
+
+@dataclass(frozen=True)
+class Bound:
+    """Holds when ``x op value`` for op one of <, <=, >, >=."""
+
+    op: str
+    value: float
+
+    def holds(self, x) -> bool:
+        v = self.value
+        return {"<": x < v, "<=": x <= v, ">": x > v, ">=": x >= v}[self.op]
+
+
+def passes(conditions, values) -> bool:
+    """The PASS/FAIL decision: each value meets its own condition."""
+    return all(c.holds(x) for c, x in zip(conditions, values, strict=True))
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    compute: Callable
+    conditions: tuple
 
 
 @dataclass
@@ -26,149 +63,18 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    values: tuple = ()
 
 
-def _check(name, passed, detail):
-    return CheckResult(name, bool(passed), detail)
-
-
-def _approx(value, expected, tol):
-    return abs(value - expected) <= tol
+def evaluate(check: Check, seed: int = 0, grid_n: int = 8000) -> CheckResult:
+    """Run one row on its own."""
+    values, detail = check.compute(seed, grid_n)
+    return CheckResult(check.name, passes(check.conditions, values), detail, values)
 
 
 def run_verify(seed: int = 0, grid_n: int = 8000) -> list:
-    """Run every anchored check; returns the list of CheckResults."""
-    rng = np.random.default_rng(seed)
-    checks = []
-    grid = RadialGrid(n=grid_n)
-
-    # --- tridiagonal oracle on the massless-limit potential -----------
-    q = np.linspace(0.0, 12.0, 8000)[1:-1]
-    h = q[1] - q[0]
-    prob = TridiagProblem(2.0 / h**2 + 1.0 / q**2 + q**2,
-                          np.full(len(q) - 1, -1.0 / h**2), h)
-    lam = float(tridiag_ground(prob, 1)[0])
-    checks.append(_check(
-        "tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
-        _approx(lam, 2.0 + math.sqrt(5.0), 1e-4),
-        f"lambda0 = {lam:.8f}"))
-
-    # --- potentials ----------------------------------------------------
-    w = potentials.effective_potential(1.0, spec_spin1(0.0))
-    checks.append(_check("longitudinal W(1; d=0) = 3",
-                         _approx(w, 3.0, 1e-14), f"W = {w:.14f}"))
-    ob = potentials.origin_behavior(spec_spin0(INFINITY))
-    checks.append(_check(
-        "massless-limit origin exponent alpha = (1 + sqrt 5)/2",
-        _approx(ob.exponent_alpha, 0.5 * (1 + math.sqrt(5)), 1e-14),
-        f"alpha = {ob.exponent_alpha:.14f}"))
-    ob1 = potentials.origin_behavior(spec_spin1(0.0))
-    checks.append(_check("spin-1 d=0 origin exponent alpha = 2",
-                         _approx(ob1.exponent_alpha, 2.0, 1e-14),
-                         f"alpha = {ob1.exponent_alpha:.14f}"))
-    ds = [potentials.d_parameter(1.0, 1.0, m) for m in (1.0, 10.0, 100.0, 1000.0)]
-    checks.append(_check("d -> 0 as mass -> inf at fixed dispersions",
-                         all(a > b for a, b in zip(ds, ds[1:])) and ds[-1] < 1e-2,
-                         f"d(m=1000) = {ds[-1]:.2e}"))
-
-    # --- eigensolver endpoints ------------------------------------------
-    targets = [
-        ("scalar gamma(d=0) = 3/2 (shooting)", spec_spin0(0.0), 1.5, "shooting", 1e-6),
-        ("scalar gamma(d=inf) = 1 + sqrt(5)/2 (shooting)", spec_spin0(INFINITY),
-         GOLDEN_GAMMA, "shooting", 1e-6),
-        ("longitudinal gamma(d=0) = 5/2 (shooting)", spec_spin1(0.0), 2.5,
-         "shooting", 1e-6),
-        ("longitudinal gamma(d=inf) = 1 + sqrt(5)/2 (fd)", spec_spin1(INFINITY),
-         GOLDEN_GAMMA, "fd", 1e-5),
-    ]
-    for name, spec, expected, method, tol in targets:
-        if method == "shooting":
-            res = eigensolver.solve_ground_shooting(spec, grid)
-        else:
-            res = eigensolver.solve_ground_fd(spec, grid)
-        checks.append(_check(name, _approx(res.gamma, expected, tol),
-                             f"gamma = {res.gamma:.9f} (target {expected:.9f})"))
-
-    # --- analytic eigenfunction residuals --------------------------------
-    for chk in eigensolver.verify_analytic_limits(n=grid_n):
-        checks.append(_check(
-            f"closed-form eigenfunction residual: {chk.label}",
-            chk.passed, f"residual = {chk.residual:.2e} (tol {chk.tol:.0e})"))
-
-    # --- charge and energy densities --------------------------------------
-    params = kg_fields.demo_packet()
-    fieldmap = kg_fields.scan_density(params, kg_fields.default_radii())
-    checks.append(_check(
-        "charge density goes negative for the demonstration packet",
-        float(np.min(fieldmap.rho)) < 0.0,
-        f"min rho = {np.min(fieldmap.rho):.3e}"))
-    checks.append(_check(
-        "negative-density region forms at least one spherical shell",
-        len(fieldmap.negative_shells) >= 1,
-        f"{len(fieldmap.negative_shells)} shell(s): "
-        + ", ".join(f"[{s.r_min:.2f}, {s.r_max:.2f}]" for s in fieldmap.negative_shells)))
-    checks.append(_check(
-        "energy density nonnegative at every sample",
-        float(np.min(fieldmap.eps)) >= 0.0,
-        f"min eps = {np.min(fieldmap.eps):.3e}"))
-
-    # --- dispersion functional anchors --------------------------------
-    rgrid = variational.RadialMomentumGrid()
-    qv = rgrid.q
-    dq2, drq2 = variational.dispersion_pair(
-        (rgrid, np.exp(-qv * qv / 2.0)), variational.spin0_functional(0.0))
-    checks.append(_check(
-        "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)",
-        _approx(dq2, 1.5, 1e-5) and _approx(drq2, 1.5, 1e-5),
-        f"({dq2:.7f}, {drq2:.7f})"))
-    fq = qv ** (eigensolver.ALPHA_GOLDEN - 1.0) * np.exp(-qv * qv / 2.0)
-    gam = variational.rayleigh_gamma((rgrid, fq), variational.spin0_functional(INFINITY))
-    checks.append(_check(
-        "massless-limit profile gives gamma = 1 + sqrt(5)/2",
-        _approx(gam, GOLDEN_GAMMA, 1e-4), f"gamma = {gam:.7f}"))
-
-    # nonrelativistic limit of the position-space dispersion
-    fgauss = lambda p: np.exp(-np.asarray(p) ** 2 / 2.0)
-    dr2 = kg_fields.position_dispersion_direct(fgauss, mass=200.0, r_max=30.0,
-                                               p_max=12.0)
-    _, dp2 = variational.norm_and_dp2(fgauss, p_max=12.0)
-    checks.append(_check(
-        "position-space product tends to 3/2 in the nonrelativistic regime",
-        _approx(math.sqrt(dp2 * dr2), 1.5, 1e-3),
-        f"gamma = {math.sqrt(dp2 * dr2):.6f}"))
-
-    # --- transverse massless minimization ---------------------------------
-    state = variational.minimize_transverse_massless()
-    checks.append(_check(
-        "transverse massless minimization lands on gamma = 5/2",
-        _approx(state.gamma, 2.5, 1e-3),
-        f"gamma = {state.gamma:.6f} after {state.meta['iterations']} iterations"))
-    oracle = variational.separation_oracle()
-    checks.append(_check(
-        "separation oracle (planar level 2 + line level 1/2) = 5/2",
-        _approx(oracle, 2.5, 1e-6), f"oracle = {oracle:.8f}"))
-    report = variational.closed_form_readings()
-    gam_orbit = report["qperp_times_full_gaussian"]
-    checks.append(_check(
-        "closed-form minimizer readings recorded",
-        _approx(gam_orbit, 2.5, 1e-3) and "divergent" in str(report["spherical_magnitude"]),
-        f"transverse-prefactor reading gamma = {gam_orbit:.6f}; "
-        f"literal transverse-only gamma = {report['qperp_dependence_only']:.3f}; "
-        f"spherical reading divergent"))
-
-    # --- Fourier connection -------------------------------------------
-    momenta = rng.normal(scale=2.0, size=(100, 3))
-    rep = variational.check_connection("longitudinal", momenta, 1.0)
-    checks.append(_check(
-        "longitudinal fields satisfy the Fourier connection",
-        rep.max_residual <= 1e-13, f"residual = {rep.max_residual:.2e}"))
-    rep_t = variational.check_connection("transverse", momenta, 1.0)
-    agree = abs(rep_t.norm_fields - rep_t.norm_reduced) / rep_t.norm_reduced
-    checks.append(_check(
-        "transverse energy norm: field route matches direct quadrature",
-        agree <= 1e-8, f"relative difference = {agree:.2e}"))
-
-    return checks
+    """Run every row in table order; returns the list of CheckResults."""
+    return [evaluate(check, seed, grid_n) for check in CHECKS]
 
 
 def format_report(checks) -> str:
@@ -180,3 +86,151 @@ def format_report(checks) -> str:
     n_pass = sum(c.passed for c in checks)
     lines.append(f"{n_pass}/{len(checks)} checks passed")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the rows
+# ----------------------------------------------------------------------
+
+def _show(fmt, *values):
+    """(values, detail) with the detail formatted from the values."""
+    return values, fmt.format(*values)
+
+
+def _level(name, spec, method, target, tol):
+    """Row: the ground gamma of ``spec`` by one solver route."""
+    def compute(seed, grid_n):
+        solve = getattr(eigensolver, f"solve_ground_{method}")
+        gamma = solve(spec, RadialGrid(n=grid_n)).gamma
+        return (gamma,), f"gamma = {gamma:.9f} (target {target:.9f})"
+    return Check(f"{name} ({method})", compute, (Target(target, tol),))
+
+
+def _residual(label, tol):
+    """Row: the discrete residual of the closed-form eigenfunction ``label``."""
+    case = next(c for c in eigensolver.analytic_cases() if c.label == label)
+
+    def compute(seed, grid_n):
+        res = eigensolver.closed_form_residual(case, grid_n)
+        return (res,), f"residual = {res:.2e} (tol {tol:.0e})"
+    return Check(f"closed-form eigenfunction residual: {label}", compute,
+                 (Bound("<=", tol),))
+
+
+def _d_falls_with_mass(seed, grid_n):
+    # strictly falling with the mass (largest step < 0), small at m = 1000
+    ds = [potentials.d_parameter(1.0, 1.0, m) for m in (1.0, 10.0, 100.0, 1000.0)]
+    return _show("d(m=1000) = {1:.2e}", float(np.max(np.diff(ds))), ds[-1])
+
+
+def _demo_scan():
+    return kg_fields.scan_density(kg_fields.demo_packet(), kg_fields.default_radii())
+
+
+def _shells(seed, grid_n):
+    shells = _demo_scan().negative_shells
+    return (len(shells),), f"{len(shells)} shell(s): " + ", ".join(
+        f"[{s.r_min:.2f}, {s.r_max:.2f}]" for s in shells)
+
+
+def _radial_trial(power):
+    """q^power exp(-q^2/2) on the default radial momentum grid."""
+    grid = variational.RadialMomentumGrid()
+    return grid, grid.q ** power * np.exp(-grid.q * grid.q / 2.0)
+
+
+def _position_product(seed, grid_n):
+    f = kg_fields.GaussianProfile(sigma=1.0)
+    dr2 = kg_fields.position_dispersion_direct(f, mass=200.0, r_max=30.0, p_max=12.0)
+    _, dp2 = variational.norm_and_dp2(f, p_max=12.0)
+    return _show("gamma = {:.6f}", math.sqrt(dp2 * dr2))
+
+
+def _transverse(seed, grid_n):
+    state = variational.minimize_transverse_massless()
+    return (state.gamma,), (f"gamma = {state.gamma:.6f} after "
+                            f"{state.meta['iterations']} iterations")
+
+
+def _readings(seed, grid_n):
+    # the orbit reading lands on 5/2, the literal one lies above it, and
+    # the spherical one is rejected as divergent (flag 1)
+    report = variational.closed_form_readings()
+    divergent = "divergent" in str(report["spherical_magnitude"])
+    return _show("transverse-prefactor reading gamma = {:.6f}; literal transverse-only "
+                 "gamma = {:.3f}; spherical reading "
+                 + ("divergent" if divergent else "converged"),
+                 report["qperp_times_full_gaussian"], report["qperp_dependence_only"],
+                 float(divergent))
+
+
+def _connection(ansatz, seed):
+    momenta = np.random.default_rng(seed).normal(scale=2.0, size=(100, 3))
+    return variational.check_connection(ansatz, momenta, 1.0)
+
+
+def _transverse_norm(seed, grid_n):
+    rep = _connection("transverse", seed)
+    return _show("relative difference = {:.2e}",
+                 abs(rep.norm_fields - rep.norm_reduced) / rep.norm_reduced)
+
+
+CHECKS = [
+    Check("tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
+          lambda seed, n: _show("lambda0 = {:.8f}", float(tridiag_ground(dirichlet_problem(
+              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[0], 1)[0])),
+          (Target(2.0 + math.sqrt(5.0), 1e-4),)),
+    Check("longitudinal W(1; d=0) = 3",
+          lambda seed, n: _show("W = {:.14f}",
+                                potentials.effective_potential(1.0, spec_spin1(0.0))),
+          (Target(3.0, 1e-14),)),
+    Check("massless-limit origin exponent alpha = (1 + sqrt 5)/2",
+          lambda seed, n: _show("alpha = {:.14f}", potentials.origin_behavior(
+              spec_spin0(INFINITY)).exponent_alpha),
+          (Target(ALPHA_GOLDEN, 1e-14),)),
+    Check("spin-1 d=0 origin exponent alpha = 2",
+          lambda seed, n: _show("alpha = {:.14f}", potentials.origin_behavior(
+              spec_spin1(0.0)).exponent_alpha),
+          (Target(2.0, 1e-14),)),
+    Check("d -> 0 as mass -> inf at fixed dispersions", _d_falls_with_mass,
+          (Bound("<", 0.0), Bound("<", 1e-2))),
+    _level("scalar gamma(d=0) = 3/2", spec_spin0(0.0), "shooting", 1.5, 1e-6),
+    _level("scalar gamma(d=inf) = 1 + sqrt(5)/2", spec_spin0(INFINITY), "shooting",
+           GOLDEN_GAMMA, 1e-6),
+    _level("longitudinal gamma(d=0) = 5/2", spec_spin1(0.0), "shooting", 2.5, 1e-6),
+    _level("longitudinal gamma(d=inf) = 1 + sqrt(5)/2", spec_spin1(INFINITY), "fd",
+           GOLDEN_GAMMA, 1e-6),
+    *(_residual(label, tol) for label, tol in (
+        ("spin0 d=0", 1e-6), ("spin0 d=inf", 1e-5), ("spin1 d=0", 1e-6), ("spin1 d=inf", 1e-5))),
+    Check("charge density goes negative for the demonstration packet",
+          lambda seed, n: _show("min rho = {:.3e}", float(np.min(_demo_scan().rho))),
+          (Bound("<", 0.0),)),
+    Check("negative-density region forms at least one spherical shell", _shells,
+          (Bound(">=", 1),)),
+    Check("energy density nonnegative at every sample",
+          lambda seed, n: _show("min eps = {:.3e}", float(np.min(_demo_scan().eps))),
+          (Bound(">=", 0.0),)),
+    Check("Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)",
+          lambda seed, n: _show("({:.7f}, {:.7f})", *variational.dispersion_pair(
+              _radial_trial(0.0), variational.spin0_functional(0.0))),
+          (Target(1.5, 1e-5), Target(1.5, 1e-5))),
+    Check("massless-limit profile gives gamma = 1 + sqrt(5)/2",
+          lambda seed, n: _show("gamma = {:.7f}", variational.rayleigh_gamma(
+              _radial_trial(ALPHA_GOLDEN - 1.0), variational.spin0_functional(INFINITY))),
+          (Target(GOLDEN_GAMMA, 1e-4),)),
+    Check("position-space product tends to 3/2 in the nonrelativistic regime",
+          _position_product, (Target(1.5, 2e-4),)),
+    Check("transverse massless minimization lands on gamma = 5/2", _transverse,
+          (Target(2.5, 1e-3),)),
+    Check("separation oracle (planar level 2 + line level 1/2) = 5/2",
+          lambda seed, n: _show("oracle = {:.8f}", variational.separation_oracle()),
+          (Target(2.5, 1e-6),)),
+    Check("closed-form minimizer readings recorded", _readings,
+          (Target(2.5, 1e-3), Bound(">", 2.5), Bound(">", 0.0))),
+    Check("longitudinal fields satisfy the Fourier connection (algebra)",
+          lambda seed, n: _show("residual = {:.2e}",
+                                _connection("longitudinal", seed).max_residual),
+          (Bound("<=", 1e-13),)),
+    Check("transverse energy norm: field route matches direct quadrature (algebra)",
+          _transverse_norm, (Bound("<=", 1e-8),)),
+]

@@ -1,16 +1,22 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: the registry of anchored checks, plus the criteria
+that no other test checks.
 
-Each criterion prints one `[PASS]`/`[FAIL]` line (visible with
-``pytest tests/test_acceptance.py -s``) and asserts the same condition.
+Every row of ``relbosons.verify.CHECKS`` is one test here, read from one
+run of ``run_verify``; each row must pass, must turn red once its target
+or bound moves just past the value it recorded, and the rows on the
+paper's numbers must turn red under a planted fault.  The numbered
+criteria check the endpoints by both solver routes, the shells under
+grid halving and the CLI's figure data.
 """
 
-import math
+import functools
 
 import numpy as np
+import pytest
 
-from relbosons import eigensolver, kg_fields, variational
+from relbosons import eigensolver, kg_fields, numkernel, variational, verify
 from relbosons.cli import run
-from relbosons.eigensolver import GOLDEN_GAMMA, RadialGrid, expectation_q2
+from relbosons.eigensolver import GOLDEN_GAMMA, RadialGrid
 from relbosons.potentials import INFINITY, spec_spin0, spec_spin1
 
 GOLD_TOL = 1e-6
@@ -35,149 +41,131 @@ GOLDEN_GAMMAS = {
     (1, INFINITY): 2.118033989,
 }
 
-
-def _report(num, passed, detail):
-    print(f"[{'PASS' if passed else 'FAIL'}] acceptance {num}: {detail}")
-    assert passed, f"acceptance criterion {num} failed: {detail}"
+ROWS = {check.name: check for check in verify.CHECKS}
 
 
-def test_criterion_1_nonrelativistic_scalar_limit():
-    sh = eigensolver.solve_ground_shooting(spec_spin0(0.0))
-    fd = eigensolver.solve_ground_fd(spec_spin0(0.0))
-    ok = abs(sh.gamma - 1.5) <= GOLD_TOL and abs(fd.gamma - 1.5) <= GOLD_TOL
-    _report(1, ok, f"gamma(spin0, d=0): shooting {sh.gamma:.9f}, "
-                   f"fd Richardson {fd.gamma:.9f} (target 1.5 +- 1e-6)")
+@pytest.fixture(scope="session")
+def verify_results():
+    return {result.name: result for result in verify.run_verify()}
 
 
-def test_criterion_2_massless_scalar_limit():
-    sh = eigensolver.solve_ground_shooting(spec_spin0(INFINITY))
-    fd = eigensolver.solve_ground_fd(spec_spin0(INFINITY))
-    ok = abs(sh.gamma - 2.1180340) <= GOLD_TOL and abs(fd.gamma - 2.1180340) <= GOLD_TOL
-    _report(2, ok, f"gamma(spin0, d=inf): shooting {sh.gamma:.9f}, "
-                   f"fd Richardson {fd.gamma:.9f} (target 2.1180340 +- 1e-6)")
+@pytest.mark.parametrize("name", list(ROWS))
+def test_row(name, verify_results):
+    result = verify_results[name]
+    print(verify.format_report([result]).splitlines()[0])
+    assert result.passed, result.detail
 
 
-def test_criterion_3_longitudinal_endpoints():
-    g0 = eigensolver.solve_ground_shooting(spec_spin1(0.0)).gamma
-    ginf = eigensolver.solve_ground_shooting(spec_spin1(INFINITY)).gamma
-    ok = abs(g0 - 2.5) <= GOLD_TOL and abs(ginf - 2.1180340) <= GOLD_TOL
-    _report(3, ok, f"gamma(spin1): d=0 {g0:.9f} (target 2.5), "
-                   f"d=inf {ginf:.9f} (target 2.1180340), each +- 1e-6")
+def _past(condition, x):
+    """``condition`` moved just past the recorded value ``x``."""
+    if isinstance(condition, verify.Target):
+        return verify.Target(x + 2.0 * condition.tol, condition.tol)
+    edge = {"<": x, ">": x, "<=": np.nextafter(x, -np.inf),
+            ">=": np.nextafter(x, np.inf)}[condition.op]
+    return verify.Bound(condition.op, edge)
 
 
-def test_criterion_4_transverse_massless_minimization(transverse_state):
-    grid = variational.CylindricalGrid()
-    rng = np.random.default_rng(7)
-    qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
-    random_init = qp * (0.5 + rng.random((len(grid.q_perp), len(grid.q_z)))) \
-        * np.exp(-0.3 * (qp**2 + qz**2))
-    state2 = variational.minimize_transverse_massless(grid, random_init)
-    oracle = variational.separation_oracle()
-    ok = (abs(transverse_state.gamma - 2.5) <= 1e-3
-          and abs(state2.gamma - 2.5) <= 1e-3
-          and abs(oracle - 2.5) <= 1e-6)
-    _report(4, ok, f"transverse massless gamma: {transverse_state.gamma:.6f} "
-                   f"(default init), {state2.gamma:.6f} (random init), "
-                   f"separation oracle {oracle:.8f}")
+def test_each_condition_moved_past_its_value_fails(verify_results):
+    for name, check in ROWS.items():
+        values = verify_results[name].values
+        assert len(values) == len(check.conditions), name
+        for i, x in enumerate(values):
+            moved = list(check.conditions)
+            moved[i] = _past(moved[i], x)
+            assert not verify.passes(moved, values), f"{name}: condition {i}"
+
+
+# ----------------------------------------------------------------------
+# planted faults: one per row on the paper's numbers
+# ----------------------------------------------------------------------
+
+def _stiffer_potential(monkeypatch, results):
+    # W + 1e-3 q^2 in both solver routes
+    potential = eigensolver.effective_potential
+    monkeypatch.setattr(eigensolver, "effective_potential",
+                        lambda q, spec: potential(q, spec) + 1e-3 * np.asarray(q) ** 2)
+
+
+def _doubled_axis_weight(monkeypatch, results):
+    # 2 / q_perp^2 in place of 1 / q_perp^2 in the minimized operator
+    init = variational._TransverseOperator.__init__
+
+    def faulty(self, grid):
+        init(self, grid)
+        self.d_perp = self.d_perp + 1.0 / grid.q_perp**2
+
+    monkeypatch.setattr(variational._TransverseOperator, "__init__", faulty)
+
+
+def _full_planar_axis_weight(monkeypatch, results):
+    # the planar oracle problem with 1 / q^2 in place of (1 - 1/4) / q^2
+    ground = numkernel.richardson_ground
+
+    def faulty(potential, lo, hi, n):
+        if lo == 0.0:
+            return ground(lambda q: potential(q) + 0.25 / q**2, lo, hi, n)
+        return ground(potential, lo, hi, n)
+
+    monkeypatch.setattr(numkernel, "richardson_ground", faulty)
+
+
+def _deadband_above_min_rho(monkeypatch, results):
+    min_rho = results["charge density goes negative for the demonstration packet"].values[0]
+    monkeypatch.setattr(kg_fields, "find_negative_shells", functools.partial(
+        kg_fields.find_negative_shells, deadband=2.0 * abs(min_rho)))
+
+
+PLANTED_FAULTS = {
+    "scalar gamma(d=0) = 3/2 (shooting)": _stiffer_potential,
+    "scalar gamma(d=inf) = 1 + sqrt(5)/2 (shooting)": _stiffer_potential,
+    "longitudinal gamma(d=0) = 5/2 (shooting)": _stiffer_potential,
+    "longitudinal gamma(d=inf) = 1 + sqrt(5)/2 (fd)": _stiffer_potential,
+    "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
+    "separation oracle (planar level 2 + line level 1/2) = 5/2": _full_planar_axis_weight,
+    "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_FAULTS))
+def test_planted_fault_turns_row_red(name, monkeypatch, verify_results):
+    PLANTED_FAULTS[name](monkeypatch, verify_results)
+    result = verify.evaluate(ROWS[name])
+    line = verify.format_report([result]).splitlines()[0]
+    print(line)
+    assert line.startswith("[FAIL]")
+
+
+# ----------------------------------------------------------------------
+# criteria beyond the registry
+# ----------------------------------------------------------------------
+
+def _assert_endpoint_by_both_routes(sweep_curves, spin, d, exact):
+    point = next(p for p in sweep_curves[spin].points if p.d == d)
+    assert abs(point.gamma_shooting - exact) <= GOLD_TOL, point
+    assert abs(point.gamma_fd - exact) <= GOLD_TOL, point
+
+
+def test_criterion_1_nonrelativistic_scalar_limit(sweep_curves):
+    _assert_endpoint_by_both_routes(sweep_curves, 0, 0.0, 1.5)
+
+
+def test_criterion_2_massless_scalar_limit(sweep_curves):
+    _assert_endpoint_by_both_routes(sweep_curves, 0, INFINITY, GOLDEN_GAMMA)
+
+
+def test_criterion_3_longitudinal_endpoints(sweep_curves):
+    _assert_endpoint_by_both_routes(sweep_curves, 1, 0.0, 2.5)
+    _assert_endpoint_by_both_routes(sweep_curves, 1, INFINITY, GOLDEN_GAMMA)
 
 
 def test_criterion_5_negative_density_shells(demo_scan):
-    params = kg_fields.demo_packet()
-    fine = kg_fields.scan_density(params, kg_fields.default_radii(6.0, 0.005))
-    ok = (len(demo_scan.negative_shells) >= 1
-          and float(np.min(demo_scan.eps)) >= 0.0
-          and float(np.min(fine.eps)) >= 0.0
-          and len(fine.negative_shells) == len(demo_scan.negative_shells))
-    max_shift = 0.0
+    # the shells survive halving the radius step, and barely move
+    fine = kg_fields.scan_density(kg_fields.demo_packet(),
+                                  kg_fields.default_radii(6.0, 0.005))
+    assert float(np.min(fine.eps)) >= 0.0
+    assert len(fine.negative_shells) == len(demo_scan.negative_shells)
     for a, b in zip(demo_scan.negative_shells, fine.negative_shells):
-        max_shift = max(max_shift, abs(a.r_min - b.r_min), abs(a.r_max - b.r_max))
-    ok = ok and max_shift < 0.02
-    _report(5, ok, f"{len(demo_scan.negative_shells)} negative shell(s), "
-                   f"eps >= 0 at every sample, boundary shift under grid "
-                   f"halving {max_shift:.4f} < 0.02")
-
-
-def test_criterion_6_oracle_agreement(sweep_curves):
-    worst = 0.0
-    for curve in sweep_curves.values():
-        for p in curve.points:
-            assert p.ok, p.message
-            worst = max(worst, abs(p.gamma_shooting - p.gamma_fd))
-    rng = np.random.default_rng(5)
-    worst_disp = 0.0
-    for _ in range(3):
-        b = rng.uniform(0.6, 1.4)
-        a = rng.uniform(0.0, 1.0)
-        mass = rng.uniform(0.7, 2.0)
-        f = lambda p: (1.0 + a * np.asarray(p) ** 2) * np.exp(
-            -np.asarray(p) ** 2 / (2.0 * b * b))
-        direct = kg_fields.position_dispersion_direct(f, mass, r_max=40.0,
-                                                      p_max=16.0 * b)
-        mom = variational.position_dispersion_momentum(f, mass, p_max=16.0 * b)
-        worst_disp = max(worst_disp, abs(direct - mom) / mom)
-    ok = worst <= 1e-6 and worst_disp <= 1e-5
-    _report(6, ok, f"shooting vs fd across d sweep: max |diff| {worst:.2e} "
-                   f"<= 1e-6; position vs momentum dispersion on 3 profiles: "
-                   f"max rel {worst_disp:.2e} <= 1e-5")
-
-
-def test_criterion_7_interval_bounds(sweep_curves):
-    ok = True
-    for p in sweep_curves[0].points:
-        ok = ok and (1.5 - 1e-9 <= p.gamma <= GOLDEN_GAMMA + 1e-9)
-    for p in sweep_curves[1].points:
-        ok = ok and (GOLDEN_GAMMA - 1e-9 <= p.gamma <= 2.5 + 1e-9)
-    lo0 = min(p.gamma for p in sweep_curves[0].points)
-    hi0 = max(p.gamma for p in sweep_curves[0].points)
-    lo1 = min(p.gamma for p in sweep_curves[1].points)
-    hi1 = max(p.gamma for p in sweep_curves[1].points)
-    _report(7, ok, f"scalar sweep in [{lo0:.6f}, {hi0:.6f}] within "
-                   f"[1.5, {GOLDEN_GAMMA:.6f}]; longitudinal sweep in "
-                   f"[{lo1:.6f}, {hi1:.6f}] within [{GOLDEN_GAMMA:.6f}, 2.5]")
-
-
-def test_criterion_8_scaling_balance_identity(sweep_curves):
-    # the identity <q^2> = gamma is exact where the potential's
-    # non-oscillator part is homogeneous of degree -2, i.e. the four
-    # d in {0, inf} cases with their analytic anchors 3/2 and (2+sqrt5)/2;
-    # at finite d the virial term shifts <q^2> away from gamma and the
-    # deviation is reported, not asserted (see the decisions ledger)
-    anchors = {
-        ("spin0 d=0", 1.5), ("spin0 d=inf", (2.0 + math.sqrt(5.0)) / 2.0),
-    }
-    ok = True
-    details = []
-    for case in eigensolver.analytic_cases():
-        res = eigensolver.solve_ground_shooting(case.spec)
-        q2 = expectation_q2(res)
-        ok = ok and abs(q2 - res.gamma) <= 1e-5
-        details.append(f"{case.label}: <q^2> - gamma = {q2 - res.gamma:+.2e}")
-    for label, value in anchors:
-        case = next(c for c in eigensolver.analytic_cases() if c.label == label)
-        res = eigensolver.solve_ground_shooting(case.spec)
-        ok = ok and abs(expectation_q2(res) - value) <= 1e-5
-    finite_d = []
-    for spin, curve in sweep_curves.items():
-        for p in curve.points:
-            if p.d in (0.25, 1.0):
-                spec = spec_spin0(p.d) if spin == 0 else spec_spin1(p.d)
-                res = eigensolver.solve_ground_shooting(spec)
-                finite_d.append(
-                    f"spin{spin} d={p.d}: {expectation_q2(res) - res.gamma:+.3f}")
-    _report(8, ok, "limit-case identity <q^2> = gamma to 1e-5 ("
-            + "; ".join(details) + "); informational finite-d imbalance: "
-            + ", ".join(finite_d))
-
-
-def test_criterion_9_analytic_eigenfunction_residuals():
-    fine = eigensolver.verify_analytic_limits(n=8000)
-    coarse = eigensolver.verify_analytic_limits(n=4000)
-    ok = all(c.passed and c.residual <= 1e-5 for c in fine)
-    ratios = [c.residual / f.residual for c, f in zip(coarse, fine)]
-    ok = ok and all(r >= 3.0 for r in ratios)
-    _report(9, ok, "residuals " + ", ".join(f"{c.label} {c.residual:.2e}"
-                                            for c in fine)
-            + f"; refinement ratios {['%.2f' % r for r in ratios]} (h^2)")
+        assert max(abs(a.r_min - b.r_min), abs(a.r_max - b.r_max)) < 0.02
 
 
 def test_criterion_10_figure_data_emission(tmp_path, sweep_curves):
@@ -190,33 +178,15 @@ def test_criterion_10_figure_data_emission(tmp_path, sweep_curves):
     lines = gam_csv.read_text().splitlines()
     g0 = float(lines[1].split(",")[1])
     ginf = float(lines[2].split(",")[1])
-    ok = (code_pot == 0 and code_gam == 0
-          and pot_csv.read_text().splitlines()[0] == "d,q,W"
-          and abs(g0 - 1.5) <= 1e-6 and abs(ginf - GOLDEN_GAMMA) <= 1e-6)
+    assert code_pot == 0 and code_gam == 0
+    assert pot_csv.read_text().splitlines()[0] == "d,q,W"
+    assert abs(g0 - 1.5) <= 1e-6 and abs(ginf - GOLDEN_GAMMA) <= 1e-6
     # golden curve: frozen values, plus two-resolution agreement at the
     # intermediate d where no closed form exists
-    worst_gold = 0.0
     for spin, curve in sweep_curves.items():
         for p in curve.points:
-            worst_gold = max(worst_gold, abs(p.gamma - GOLDEN_GAMMAS[(spin, p.d)]))
-    ok = ok and worst_gold <= 1e-6
-    worst_res = 0.0
+            assert abs(p.gamma - GOLDEN_GAMMAS[(spin, p.d)]) <= 1e-6, (spin, p.d)
     for spin, mk in ((0, spec_spin0), (1, spec_spin1)):
         for d in (0.5, 1.0, 2.0):
-            g1 = GOLDEN_GAMMAS[(spin, d)]
             g2 = eigensolver.solve_ground_shooting(mk(d), RadialGrid(n=12000)).gamma
-            worst_res = max(worst_res, abs(g1 - g2))
-    ok = ok and worst_res <= 1e-6
-    _report(10, ok, f"CLI emits potential curves and levels; endpoints match "
-                    f"analytic values to 1e-6; golden levels reproduced to "
-                    f"{worst_gold:.2e}; two-resolution agreement {worst_res:.2e}"
-                    f" <= 1e-6")
-
-
-def test_verify_subcommand_aggregates_all_checks(capsys):
-    from relbosons.verify import format_report, run_verify
-
-    checks = run_verify()
-    report = format_report(checks)
-    print(report)
-    assert all(c.passed for c in checks), report
+            assert abs(GOLDEN_GAMMAS[(spin, d)] - g2) <= 1e-6, (spin, d)

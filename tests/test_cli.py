@@ -30,6 +30,8 @@ class TestParsing:
     def test_flag_error_exit_code(self, capsys):
         assert run(["potential", "--spin", "7", "--out", "x.csv"]) == 2
         assert run(["nonsense"]) == 2
+        # the spin fixes the channel; there is no --channel flag
+        assert run(["gamma", "--spin", "0", "--channel", "scalar", "--d", "0"]) == 2
 
 
 class TestDensity:
@@ -166,6 +168,21 @@ class TestGamma:
         row = read(out).splitlines()[1].split(",")
         assert len(row) == 4 and row[3].startswith("failed:shooting gamma 1.5")
         assert "FD gamma 1.50000999" in capsys.readouterr().err
+
+
+class TestVerify:
+    def test_report_contract(self, capsys):
+        # the report layout that benchmarks/checks.py parses
+        assert run(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line.startswith("[")]
+        assert checks and all(line.startswith("[PASS]") for line in checks)
+        assert lines[-1] == "24/24 checks passed"
+        for fragment in ("scalar gamma(d=0) =", "scalar gamma(d=inf) =",
+                         "longitudinal gamma(d=0) =", "longitudinal gamma(d=inf) ="):
+            hits = [line for line in checks if fragment in line]
+            assert len(hits) == 1, fragment
+            assert float(hits[0].split("gamma = ")[1].split()[0]) > 0.0
 
 
 class TestRayleigh:

@@ -115,12 +115,6 @@ class TestDensities:
         assert charge_density(s) == 0.0
         assert energy_density(s, 1.0) == 0.0
 
-    def test_demo_packet_goes_negative(self, demo_scan):
-        assert float(np.min(demo_scan.rho)) < 0.0
-
-    def test_energy_density_nonnegative_everywhere(self, demo_scan):
-        assert float(np.min(demo_scan.eps)) >= 0.0
-
     def test_pointwise_energy_density_nonnegative(self):
         params = demo_packet()
         for r in (0.1, 0.98, 4.0):
@@ -271,12 +265,6 @@ class TestStateFields:
 
 
 class TestPositionDispersion:
-    def test_nonrelativistic_limit_is_three_halves(self):
-        f = lambda p: np.exp(-np.asarray(p) ** 2 / 2.0)
-        dr2 = position_dispersion_direct(f, mass=200.0, r_max=30.0, p_max=12.0)
-        _, dp2 = variational.norm_and_dp2(f, p_max=12.0)
-        assert math.sqrt(dr2 * dp2) == pytest.approx(1.5, abs=2e-4)
-
     @pytest.mark.parametrize("mass,sigma", [(1.0, 1.0), (3.0, 0.8), (0.6, 1.3)])
     def test_agrees_with_momentum_space_formula(self, mass, sigma):
         f = lambda p: np.exp(-np.asarray(p) ** 2 / (2.0 * sigma**2))
@@ -288,10 +276,17 @@ class TestPositionDispersion:
         assert direct == pytest.approx(mom, rel=1e-6)
 
     def test_five_random_profiles_match_momentum_route(self):
+        # five profiles drawn from seed 11, and three more from seed 5
         rng = np.random.default_rng(11)
+        params = []
         for _ in range(5):
             a, b = rng.uniform(0.2, 1.5), rng.uniform(0.5, 1.5)
-            mass = rng.uniform(0.5, 3.0)
+            params.append((a, b, rng.uniform(0.5, 3.0)))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            b, a = rng.uniform(0.6, 1.4), rng.uniform(0.0, 1.0)
+            params.append((a, b, rng.uniform(0.7, 2.0)))
+        for a, b, mass in params:
             f = lambda p: (1.0 + a * np.asarray(p) ** 2) * np.exp(
                 -np.asarray(p) ** 2 / (2.0 * b**2))
             direct = position_dispersion_direct(f, mass, r_max=40.0, p_max=16.0 * b)

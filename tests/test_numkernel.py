@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbosons.numkernel import (MinimizationError, QuadratureError,
-                                 QuadratureSpec, TridiagProblem, integrate_damped,
-                                 lowest_eigenpair, sturm_count, tridiag_ground,
+                                 QuadratureSpec, TridiagProblem, dirichlet_problem,
+                                 integrate_damped, lowest_eigenpair, tridiag_ground,
                                  tridiag_ground_vector)
 
 # independent refinement oracle for the relativistic-envelope integral,
@@ -89,9 +89,29 @@ class TestIntegrateDamped:
 
 
 def oscillator_problem(pot, lo, hi, n):
-    q = np.linspace(lo, hi, n)[1:-1]
-    h = q[1] - q[0]
-    return TridiagProblem(2.0 / h**2 + pot(q), np.full(len(q) - 1, -1.0 / h**2), h)
+    return dirichlet_problem(pot, lo, hi, n)[0]
+
+
+def sturm_count(problem, shift):
+    """Number of eigenvalues strictly below ``shift`` (Sturm sequence).
+
+    Reference for the LAPACK bisection backend: the negative-pivot count
+    of the shifted LDL^T recurrence.
+    """
+    d = problem.diagonal
+    e2 = problem.off_diagonal ** 2
+    count = 0
+    t = d[0] - shift
+    if t < 0:
+        count += 1
+    tiny = np.finfo(float).tiny
+    for i in range(1, len(d)):
+        if t == 0.0:
+            t = tiny
+        t = (d[i] - shift) - e2[i - 1] / t
+        if t < 0:
+            count += 1
+    return count
 
 
 OSCILLATOR_CASES = [

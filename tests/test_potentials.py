@@ -40,13 +40,11 @@ class TestEffectivePotential:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            PotentialSpec(0, "longitudinal", 1.0)
+            PotentialSpec(2, 1.0)
         with pytest.raises(ValueError):
-            PotentialSpec(1, "scalar", 1.0)
+            PotentialSpec(0, -1.0)
         with pytest.raises(ValueError):
-            PotentialSpec(0, "scalar", -1.0)
-        with pytest.raises(ValueError):
-            PotentialSpec(0, "scalar", 1.0, angular_index=-2)
+            PotentialSpec(0, 1.0, angular_index=-2)
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.floats(1e-3, 20.0), d=st.floats(1e-6, 50.0))

@@ -15,8 +15,7 @@ from relbosons.variational import (CylindricalGrid, DispersionFunctional,
                                    longitudinal_functional,
                                    minimize_transverse_massless, norm_and_dp2,
                                    position_dispersion_momentum, rayleigh_gamma,
-                                   rescaled_profile, separation_oracle,
-                                   spin0_functional, closed_form_readings,
+                                   rescaled_profile, spin0_functional,
                                    transverse_massless_functional,
                                    transverse_nonrel_functional,
                                    _TransverseOperator)
@@ -82,20 +81,6 @@ class TestWeights:
 
 
 class TestDispersionPair:
-    def test_gaussian_nonrelativistic(self):
-        grid = RadialMomentumGrid()
-        q = grid.q
-        dq2, drq2 = dispersion_pair((grid, np.exp(-q * q / 2)), spin0_functional(0.0))
-        assert dq2 == pytest.approx(1.5, abs=1e-5)
-        assert drq2 == pytest.approx(1.5, abs=1e-5)
-
-    def test_massless_limit_profile(self):
-        grid = RadialMomentumGrid()
-        q = grid.q
-        f = q ** (ALPHA_GOLDEN - 1.0) * np.exp(-q * q / 2)
-        gam = rayleigh_gamma((grid, f), spin0_functional(INFINITY))
-        assert gam == pytest.approx(GOLDEN_GAMMA, abs=1e-4)
-
     def test_transverse_massless_product_state(self):
         # q_perp Gaussian: separable planar level 2 plus line level 1/2
         grid = CylindricalGrid()
@@ -283,15 +268,6 @@ class TestTransverseMinimization:
         got = op.apply(f * op.sqrt_w) / op.sqrt_w
         want = staggered_apply_h(grid, f)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_separation_oracle_value(self):
-        assert separation_oracle() == pytest.approx(2.5, abs=1e-6)
-
-    def test_closed_form_readings(self):
-        report = closed_form_readings()
-        assert report["qperp_times_full_gaussian"] == pytest.approx(2.5, abs=1e-3)
-        assert report["qperp_dependence_only"] > 2.5
-        assert "divergent" in report["spherical_magnitude"]
 
     def test_rejects_divergent_init(self):
         grid = CylindricalGrid(q_max=4.0, step=0.1)
