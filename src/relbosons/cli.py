@@ -9,6 +9,10 @@ self-check table).
 Output files are written atomically (temp file + rename) and floats are
 printed with 9 significant digits, so repeated runs with identical flags
 and seed produce byte-identical files.
+
+Only :mod:`relbosons.potentials` (numpy alone) is imported here; each
+``_cmd_*`` imports the modules it runs, so building the parser loads no
+scipy and a subcommand loads only the scipy modules on its own path.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from . import eigensolver, kg_fields, potentials, variational, verify
+from . import potentials
 from .potentials import INFINITY, PotentialSpec
 
 
@@ -97,6 +101,14 @@ def parse_range(text: str):
     return lo + step * np.arange(n)
 
 
+def parse_map_n(text: str) -> int:
+    """Points per axis of the planar map; the map spans both corners."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("the planar map needs at least 2 points per axis")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relbosons",
@@ -117,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="width of the gaussian profile")
     p_dens.add_argument("--out", required=True, help="CSV output (r,rho,eps)")
     p_dens.add_argument("--map-out", default="", help="planar map CSV (x,z,rho)")
-    p_dens.add_argument("--map-n", type=int, default=121,
+    p_dens.add_argument("--map-n", type=parse_map_n, default=121,
                         help="points per axis of the planar map")
     p_dens.add_argument("--shells-out", default="",
                         help="negative-shell JSON ([{r_min,r_max,rho_min}])")
@@ -160,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_density(args) -> int:
+    from . import kg_fields
+
     if args.profile == "cosine":
         profile = kg_fields.CosineProfile(args.m)
     else:
@@ -203,6 +217,8 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from . import eigensolver
+
     template = PotentialSpec(args.spin, 0.0, args.l)
     grid = eigensolver.RadialGrid(n=args.grid_n)
     curve = eigensolver.gamma_curve(template, args.d, grid)
@@ -238,6 +254,14 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_rayleigh(args) -> int:
+    from . import eigensolver, variational
+
+    if args.d is not None:
+        if args.case not in ("spin0", "long"):
+            raise ValueError(f"--d applies only to --case spin0 and long, not {args.case}")
+        if len(args.d) != 1:
+            raise ValueError(f"--d takes one value for --case {args.case}, "
+                             f"got {len(args.d)}")
     payload = {"case": args.case}
     samples = None
     if args.case in ("spin0", "long"):
@@ -291,6 +315,8 @@ def _cmd_rayleigh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     checks = verify.run_verify(seed=args.seed, grid_n=args.grid_n)
     print(verify.format_report(checks))
     return 0 if all(c.passed for c in checks) else 1

@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.fft import dct, dst
-from scipy.interpolate import CubicSpline
 
 from .numkernel import QuadratureError, QuadratureSpec, integrate_damped
 
@@ -80,6 +79,8 @@ class TabulatedProfile:
         f_nodes = np.asarray(f_nodes, dtype=float)
         if p_nodes.ndim != 1 or np.any(np.diff(p_nodes) <= 0):
             raise ValueError("p_nodes must be strictly increasing")
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(p_nodes, f_nodes, extrapolate=False)
 
     def __call__(self, p):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, solve_banded
 
 
 class QuadratureError(RuntimeError):
@@ -206,6 +205,8 @@ def tridiag_ground(problem: TridiagProblem, count: int = 1) -> np.ndarray:
     Sturm-sequence bisection; the requested interval width is
     1e-12 * max(1, |eigenvalue scale|).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = len(problem.diagonal)
     if count < 1 or count > n:
         raise ValueError("count must be in [1, matrix dimension]")
@@ -255,6 +256,8 @@ def tridiag_ground_vector(problem: TridiagProblem, eigenvalue: float,
     Returned vector is normalized to sum(u^2) * grid_step = 1 and made
     nonnegative at its largest component (ground states are nodeless).
     """
+    from scipy.linalg import solve_banded
+
     n = len(problem.diagonal)
     ab = np.zeros((3, n))
     # small shift off the eigenvalue keeps the factorization regular
@@ -306,6 +309,8 @@ def lowest_eigenpair(apply: Callable, precondition: Callable, x0: np.ndarray,
         If the residual is still above ``tol`` after ``max_iter``
         iterations; carries the last (normalized) iterate and residual.
     """
+    from scipy.linalg import eigh
+
     x = np.array(x0, dtype=float)
     x /= np.linalg.norm(x)
     ax = apply(x)

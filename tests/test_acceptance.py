@@ -14,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from relbosons import eigensolver, kg_fields, numkernel, variational, verify
+from relbosons import eigensolver, kg_fields, numkernel, potentials, variational, verify
 from relbosons.cli import run
 from relbosons.eigensolver import GOLDEN_GAMMA, RadialGrid
 from relbosons.potentials import INFINITY, spec_spin0, spec_spin1
@@ -80,10 +80,34 @@ def test_each_condition_moved_past_its_value_fails(verify_results):
 # ----------------------------------------------------------------------
 
 def _stiffer_potential(monkeypatch, results):
-    # W + 1e-3 q^2 in both solver routes
-    potential = eigensolver.effective_potential
-    monkeypatch.setattr(eigensolver, "effective_potential",
-                        lambda q, spec: potential(q, spec) + 1e-3 * np.asarray(q) ** 2)
+    # W + 1e-3 q^2 in both solver routes, the closed-form residuals and
+    # the direct readings of W
+    potential = potentials.effective_potential
+
+    def stiffer(q, spec):
+        return potential(q, spec) + 1e-3 * np.asarray(q) ** 2
+
+    monkeypatch.setattr(eigensolver, "effective_potential", stiffer)
+    monkeypatch.setattr(potentials, "effective_potential", stiffer)
+
+
+def _irregular_origin_root(monkeypatch, results):
+    # alpha (alpha - 1) = c has the roots alpha and 1 - alpha; take the
+    # irregular one
+    behavior = potentials.origin_behavior
+
+    def faulty(spec):
+        b = behavior(spec)
+        return potentials.OriginBehavior(b.singular_strength, 1.0 - b.exponent_alpha)
+
+    monkeypatch.setattr(potentials, "origin_behavior", faulty)
+
+
+def _fencepost_radial_nodes(monkeypatch, results):
+    # nodes linspace(0, q_max, n), spaced q_max / (n - 1), while
+    # dispersion_pair differentiates with the step q_max / n
+    monkeypatch.setattr(variational.RadialMomentumGrid, "q", property(
+        lambda grid: np.linspace(0.0, grid.q_max, grid.n)))
 
 
 def _doubled_axis_weight(monkeypatch, results):
@@ -116,13 +140,19 @@ def _deadband_above_min_rho(monkeypatch, results):
 
 
 PLANTED_FAULTS = {
+    "longitudinal W(1; d=0) = 3": _stiffer_potential,
+    "massless-limit origin exponent alpha = (1 + sqrt 5)/2": _irregular_origin_root,
+    "spin-1 d=0 origin exponent alpha = 2": _irregular_origin_root,
     "scalar gamma(d=0) = 3/2 (shooting)": _stiffer_potential,
     "scalar gamma(d=inf) = 1 + sqrt(5)/2 (shooting)": _stiffer_potential,
     "longitudinal gamma(d=0) = 5/2 (shooting)": _stiffer_potential,
     "longitudinal gamma(d=inf) = 1 + sqrt(5)/2 (fd)": _stiffer_potential,
+    **{f"closed-form eigenfunction residual: {label}": _stiffer_potential
+       for label in ("spin0 d=0", "spin0 d=inf", "spin1 d=0", "spin1 d=inf")},
     "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
     "separation oracle (planar level 2 + line level 1/2) = 5/2": _full_planar_axis_weight,
     "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
+    "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _fencepost_radial_nodes,
 }
 
 

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relbosons
 from relbosons import kg_fields
-from relbosons.cli import parse_d_list, parse_range, run
+from relbosons.cli import parse_d_list, parse_map_n, parse_range, run
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(relbosons.__file__)))
 
 
 def read(path):
@@ -32,6 +38,16 @@ class TestParsing:
         assert run(["nonsense"]) == 2
         # the spin fixes the channel; there is no --channel flag
         assert run(["gamma", "--spin", "0", "--channel", "scalar", "--d", "0"]) == 2
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_map_n_below_two_rejected(self, n, tmp_path, capsys):
+        with pytest.raises(Exception):
+            parse_map_n(n)
+        out, planar = tmp_path / "rho.csv", tmp_path / "map.csv"
+        assert run(["density", "--rmax", "2", "--dr", "0.05", "--out", str(out),
+                    "--map-out", str(planar), "--map-n", n]) == 2
+        assert "--map-n" in capsys.readouterr().err
+        assert not out.exists() and not planar.exists()
 
 
 class TestDensity:
@@ -241,7 +257,67 @@ class TestRayleigh:
             ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
         assert read(samples) == expect
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "spin0", "--d", "0.5,7"],
+        ["--case", "long", "--d", "0.5,7"],
+        ["--case", "trans-nonrel", "--d", "0.5"],
+        ["--case", "trans-massless", "--d", "0.5"],
+    ])
+    def test_ignored_d_values_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["rayleigh", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("relbosons rayleigh: --d ")
+        assert not out.exists()
+
     def test_computational_failure_exit_code(self, tmp_path):
         # an unwritable output directory surfaces as exit 1 with a message
         assert run(["rayleigh", "--case", "spin0", "--d", "0",
                     "--out", str(tmp_path / "no" / "dir" / "r.json")]) == 1
+
+
+def run_fresh(code: str):
+    """JSON-decoded last stdout line of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n"
+                           + code], capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code: str) -> set:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    return set(run_fresh(code + "\nimport json\nprint(json.dumps(sorted(\n"
+                         "    m for m in sys.modules if m.split('.')[0] == 'scipy')))"))
+
+
+class TestImports:
+    """Each subcommand loads only the scipy modules on its own path."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_after("import relbosons.cli\nrelbosons.cli.build_parser()") \
+            == set()
+
+    def test_potential_loads_no_scipy(self, tmp_path):
+        argv = ["potential", "--spin", "0", "--d", "1", "--out", str(tmp_path / "w.csv")]
+        assert scipy_modules_after(
+            f"from relbosons.cli import run\nassert run({argv!r}) == 0") == set()
+
+    def test_density_loads_only_fft(self, tmp_path):
+        argv = ["density", "--rmax", "2", "--dr", "0.05", "--out", str(tmp_path / "rho.csv")]
+        loaded = scipy_modules_after(f"from relbosons.cli import run\nassert run({argv!r}) == 0")
+        assert "scipy.fft" in loaded
+        assert not loaded & {"scipy.linalg", "scipy.optimize", "scipy.interpolate"}
+
+    def test_lazy_exports_resolve(self):
+        # in a fresh interpreter, where a submodule not yet imported
+        # resolves through the package's __getattr__
+        unlisted, modules = run_fresh(
+            "import json, relbosons\n"
+            "names = [*relbosons._SUBMODULES, *relbosons._EXPORTS]\n"
+            "print(json.dumps([[n for n in names if n not in dir(relbosons)],\n"
+            "                  {n: getattr(relbosons, n).__name__ for n in relbosons._SUBMODULES}]))")
+        assert unlisted == []
+        assert modules == {n: f"relbosons.{n}" for n in relbosons._SUBMODULES}
+        for name, module in relbosons._EXPORTS.items():
+            assert getattr(relbosons, name) is getattr(getattr(relbosons, module), name)
+        with pytest.raises(AttributeError):
+            relbosons.no_such_name
