@@ -2,8 +2,8 @@
 
 Two independent routes are provided and cross-checked against each
 other: Numerov shooting with a power-series start at the origin, and a
-dense finite-difference matrix whose lowest eigenvalue is extracted by
-Sturm-sequence bisection (with Richardson extrapolation over h and h/2).
+finite-difference matrix whose lowest eigenpair is found by certified
+shifted inverse iteration (with Richardson extrapolation over h and h/2).
 
 Each Numerov sweep is one lower-triangular banded solve (LAPACK
 ``dtbtrs``, forward substitution without pivoting, so the same
@@ -26,8 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
-from .numkernel import (BracketError, TridiagProblem, dirichlet_problem, richardson_ground,
-                        tridiag_ground, tridiag_ground_vector)
+from .numkernel import BracketError, dirichlet_problem, richardson_ground, tridiag_ground
 from .potentials import (INFINITY, PotentialSpec, effective_potential,
                          origin_behavior, regular_expansion, spec_spin0, spec_spin1)
 
@@ -91,24 +90,16 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
 
     The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is the
     Richardson extrapolation of the h and h/2 matrices; both raw values
-    are kept in ``meta``.  The eigenvector (computed at the base
-    resolution) is normalized to sum(u^2) h = 1.
+    are kept in ``meta``.  ``u_samples`` (sum(u^2) h = 1) and ``residual``
+    (||T v - lam_h v||_2, v unit) come from the step-h kernel solve.
     """
     level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
                               grid.q_max, grid.n)
-    prob, lam_h = level.problem, level.lam_h
-    u = tridiag_ground_vector(prob, lam_h)
-    resid = _matrix_residual(prob, lam_h, u)
-    meta = {"lambda_h": lam_h, "lambda_h_half": level.lam_h_half,
-            "richardson": level.value, "h": prob.grid_step}
-    return EigenResult(level.value / 2.0, level.value, level.nodes, u, resid, meta)
-
-
-def _matrix_residual(prob: TridiagProblem, lam: float, u: np.ndarray) -> float:
-    au = prob.diagonal * u
-    au[:-1] += prob.off_diagonal * u[1:]
-    au[1:] += prob.off_diagonal * u[:-1]
-    return float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
+    ground, h = level.ground, level.problem.grid_step
+    meta = {"lambda_h": ground.value, "lambda_h_half": level.lam_h_half,
+            "richardson": level.value, "h": h}
+    return EigenResult(level.value / 2.0, level.value, level.nodes,
+                       ground.vector / math.sqrt(h), ground.residual, meta)
 
 
 def _series_start(spec: PotentialSpec, q: np.ndarray, lam: float) -> np.ndarray:
@@ -145,18 +136,16 @@ def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
     return u[:, 0]
 
 
-def _numerov_mismatch(spec: PotentialSpec, grid: RadialGrid, lam: float,
+def _numerov_mismatch(spec: PotentialSpec, q: np.ndarray, step: float, lam: float,
                       W: np.ndarray, i0: int, im: int):
     """Cross mismatch uL[im] uR[im+1] - uL[im+1] uR[im] of the two sweeps.
 
     Zero exactly when one Numerov solution satisfies both boundary
     conditions, i.e. at the discretized eigenvalues.  ``uL`` holds the
     outward solution on q[:im+2], ``uR`` the inward one on q[im-1:]
-    (NaN below).
+    (NaN below); ``step`` is the spacing of the uniform nodes ``q``.
     """
-    q = grid.q
-    n = grid.n
-    f = grid.step ** 2 / 12.0
+    f = step ** 2 / 12.0
     T = W - lam
 
     head = _series_start(spec, q[: i0 + 2], lam)
@@ -165,7 +154,7 @@ def _numerov_mismatch(spec: PotentialSpec, grid: RadialGrid, lam: float,
 
     nu = 0.5 * (lam - 1.0)
     tail = q[-2:] ** nu * np.exp(-0.5 * q[-2:] ** 2)
-    uR = np.full(n, math.nan)
+    uR = np.full(len(q), math.nan)
     uR[im - 1:] = _numerov_sweep(T[im - 1:][::-1], f, tail[1], tail[0])[::-1]
 
     return uL[im] * uR[im + 1] - uL[im + 1] * uR[im], uL, uR
@@ -201,9 +190,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         im = int(np.searchsorted(q, 1.0))
     im = min(max(im, i0 + 2), grid.n - 3)
 
-    coarse, _ = dirichlet_problem(lambda x: effective_potential(x, spec), 0.0,
-                                  grid.q_max, 1600)
-    lam_est = float(tridiag_ground(coarse, 1)[0])
+    lam_est = tridiag_ground(dirichlet_problem(lambda x: effective_potential(x, spec),
+                                               0.0, grid.q_max, 1600)[0]).value
     if W[-1] < lam_est + 20.0:
         raise ValueError(
             f"q_max = {grid.q_max} too small: W(q_max) = {W[-1]:.3f} must "
@@ -215,7 +203,7 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
 
     def mismatch(x):
         if x not in values:
-            values[x] = _numerov_mismatch(spec, grid, x, W, i0, im)[0]
+            values[x] = _numerov_mismatch(spec, q, grid.step, x, W, i0, im)[0]
         return values[x]
 
     g_lo, g_hi = mismatch(lo), mismatch(hi)
@@ -230,7 +218,7 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         bracket = (max(x for x, g in values.items() if g * g_lo > 0.0),
                    min(x for x, g in values.items() if g * g_lo < 0.0))
 
-    _, uL, uR = _numerov_mismatch(spec, grid, lam, W, i0, im)
+    _, uL, uR = _numerov_mismatch(spec, q, grid.step, lam, W, i0, im)
     u = np.empty(grid.n)
     u[: im + 1] = uL[: im + 1]
     u[im:] = uR[im:] * (uL[im] / uR[im])

@@ -4,8 +4,8 @@ Three building blocks used throughout the package:
 
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
-* extraction of the lowest eigenvalues of symmetric tridiagonal matrices
-  by Sturm-sequence bisection, with the three-point Dirichlet matrix of
+* the certified lowest eigenpair of a symmetric tridiagonal matrix by
+  shifted inverse iteration, with the three-point Dirichlet matrix of
   -u'' + V u and its Richardson-extrapolated ground level,
 * the lowest eigenpair of a symmetric operator given only as a function
   (matrix-free block-1 LOBPCG with a caller-supplied preconditioner).
@@ -176,7 +176,7 @@ def _as_scalar(z):
 
 
 # ----------------------------------------------------------------------
-# symmetric tridiagonal ground eigenvalues
+# symmetric tridiagonal ground level
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -198,25 +198,80 @@ class TridiagProblem:
             raise ValueError("grid_step must be positive")
 
 
-def tridiag_ground(problem: TridiagProblem, count: int = 1) -> np.ndarray:
-    """Lowest ``count`` eigenvalues, ascending.
+@dataclass(frozen=True)
+class EigenPair:
+    """Eigenvalue, unit eigenvector, final residual norm, iteration count.
 
-    Backed by LAPACK's ?stebz, which brackets each eigenvalue by
-    Sturm-sequence bisection; the requested interval width is
-    1e-12 * max(1, |eigenvalue scale|).
+    ``lower`` is a proven lower bound of the eigenvalue (none: -inf) and
+    ``factorizations`` the number of shifted factorizations tried.
     """
-    from scipy.linalg import eigh_tridiagonal
 
-    n = len(problem.diagonal)
-    if count < 1 or count > n:
-        raise ValueError("count must be in [1, matrix dimension]")
-    # tol = 0 lets LAPACK bisect each bracket down to ulp width, well
-    # inside the contractual 1e-12 * eigenvalue scale
-    vals = eigh_tridiagonal(
-        problem.diagonal, problem.off_diagonal, eigvals_only=True,
-        select="i", select_range=(0, count - 1),
-        lapack_driver="stebz", tol=0.0)
-    return np.sort(vals)
+    value: float
+    vector: np.ndarray
+    residual: float
+    iterations: int
+    lower: float = -math.inf
+    factorizations: int = 0
+
+
+def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
+                   max_iter: int = 50) -> EigenPair:
+    """Lowest eigenpair by shifted inverse iteration on L D L^T factors.
+
+    Each iteration solves (T - sigma I) y = v by LAPACK ``dpttrf``/``dpttrs``
+    (v = 1 at first), normalizes v = y / ||y|| (largest entry positive)
+    and takes mu = v^T T v, r = T v - mu v.  Certificate: a shift sigma is
+    kept only when ``dpttrf`` succeeds, i.e. T - sigma I is positive
+    definite and sigma < lambda_0; an eigenvalue lies within ||r|| of mu;
+    so lower = sigma < lambda_0 <= value + residual.  The next shift tried
+    is mu - ||r||; ``shift`` is a first guess (say a coarser grid's
+    level), else the Gershgorin lower bound.  Stops at ||r|| <= 4 eps
+    ||T||_inf, the rounding level of r.
+
+    Raises
+    ------
+    MinimizationError
+        After ``max_iter`` iterations above that tolerance, with the last
+        vector and residual.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    d, e = problem.diagonal, problem.off_diagonal
+    radius = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)]
+    norm = float(np.max(np.abs(d) + radius))  # ||T||_inf
+    tol = 4.0 * np.finfo(float).eps * norm
+    tried = []
+
+    def factor(sigma):
+        tried.append(sigma)
+        df, ef, info = dpttrf(d - sigma, e)
+        return (sigma, df, ef) if info == 0 else None
+
+    # the Gershgorin bound, lowered far beyond rounding so that it factors
+    accepted = ((shift is not None and factor(shift))
+                or factor(float(np.min(d - radius)) - 1e-9 * norm))
+    v = np.ones_like(d)
+    # einsum, not BLAS ddot: OpenBLAS threads it above 1e4 entries for no wall-time gain
+    for it in range(1, max_iter + 1):
+        sigma, df, ef = accepted
+        v = dpttrs(df, ef, v)[0]
+        v /= math.sqrt(np.einsum("i,i", v, v))
+        r = d * v
+        r[:-1] += e * v[1:]
+        r[1:] += e * v[:-1]
+        mu = float(np.einsum("i,i", v, r))
+        r -= mu * v
+        res = math.sqrt(np.einsum("i,i", r, r))
+        v *= math.copysign(1.0, v[np.argmax(np.abs(v))])
+        if res <= tol:
+            return EigenPair(mu, v, res, it, sigma, len(tried))
+        if mu - res > sigma:
+            accepted = factor(mu - res) or accepted
+    raise MinimizationError(
+        f"inverse iteration: no convergence in {max_iter} iterations "
+        f"(residual {res:.3e} > tol {tol:.1e}, shift {sigma:.15g})", v, res)
 
 
 def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tuple:
@@ -233,62 +288,26 @@ class RichardsonLevel:
     """Lowest Dirichlet level at steps h and h/2 and their extrapolation."""
 
     value: float
-    lam_h: float
     lam_h_half: float
+    ground: EigenPair        # the step-h eigenpair, value lam_h
     problem: TridiagProblem  # the step-h matrix
     nodes: np.ndarray        # its interior nodes
 
 
 def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
     """Lowest level of :func:`dirichlet_problem` at n and 2 (n - 1) + 1 nodes;
-    ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error."""
+    ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error.
+    The h/2 solve starts from the shift lam_h, O(h^2) from its level."""
     prob, nodes = dirichlet_problem(potential, lo, hi, n)
-    lam_h = float(tridiag_ground(prob, 1)[0])
+    ground = tridiag_ground(prob)
     fine, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
-    lam_h2 = float(tridiag_ground(fine, 1)[0])
-    return RichardsonLevel((4.0 * lam_h2 - lam_h) / 3.0, lam_h, lam_h2, prob, nodes)
-
-
-def tridiag_ground_vector(problem: TridiagProblem, eigenvalue: float,
-                          sweeps: int = 3) -> np.ndarray:
-    """Eigenvector for an isolated eigenvalue by inverse iteration.
-
-    Returned vector is normalized to sum(u^2) * grid_step = 1 and made
-    nonnegative at its largest component (ground states are nodeless).
-    """
-    from scipy.linalg import solve_banded
-
-    n = len(problem.diagonal)
-    ab = np.zeros((3, n))
-    # small shift off the eigenvalue keeps the factorization regular
-    shift = eigenvalue * (1.0 + 1e-13) + 1e-13
-    ab[0, 1:] = problem.off_diagonal
-    ab[1] = problem.diagonal - shift
-    ab[2, :-1] = problem.off_diagonal
-    rng = np.random.default_rng(12345)
-    u = rng.standard_normal(n)
-    for _ in range(sweeps):
-        u = solve_banded((1, 1), ab, u)
-        u /= np.linalg.norm(u)
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
-    u /= math.sqrt(np.sum(u * u) * problem.grid_step)
-    return u
+    lam_h2 = tridiag_ground(fine, shift=ground.value).value
+    return RichardsonLevel((4.0 * lam_h2 - ground.value) / 3.0, lam_h2, ground, prob, nodes)
 
 
 # ----------------------------------------------------------------------
 # lowest eigenpair of a symmetric operator (block-1 LOBPCG)
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue, unit eigenvector, final residual norm, iteration count."""
-
-    value: float
-    vector: np.ndarray
-    residual: float
-    iterations: int
-
 
 def lowest_eigenpair(apply: Callable, precondition: Callable, x0: np.ndarray,
                      tol: float, max_iter: int) -> EigenPair:

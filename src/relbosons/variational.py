@@ -533,9 +533,7 @@ def check_connection(ansatz: str, momenta, mass: float,
     # reduction of the energy norm: field route vs direct quadratures
     report.norm_fields = _transverse_norm_quadrature(mass, f, reduced=False)
     report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)
-    n2, dp2 = _plain_norm_dp2(f)
-    report.norm_plain = n2
-    report.dp2_plain = dp2
+    report.norm_plain, report.dp2_plain = _plain_norm_dp2(f)
     report.dp2_fields = _transverse_norm_quadrature(mass, f, reduced=False,
                                                     moment=2) / report.norm_fields
     return report
@@ -583,14 +581,6 @@ def _connection_residual(momenta, mass, phi_t, pi_t):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def _spherical_grid(p_max, n_p, n_mu):
-    xp, wp = np.polynomial.legendre.leggauss(n_p)
-    p = 0.5 * p_max * (xp + 1.0)
-    wp = 0.5 * p_max * wp
-    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
-    return p, wp, mu, wmu
-
-
 def _transverse_norm_quadrature(mass, f, reduced: bool, moment: int = 0,
                                 p_max: float = 12.0, n_p: int = 96, n_mu: int = 96):
     """d^3p quadrature of the spin-1 energy integrand for the z ansatz.
@@ -600,7 +590,9 @@ def _transverse_norm_quadrature(mass, f, reduced: bool, moment: int = 0,
     closed-form weight |f|^2 (m^2 + p_perp^2)/(2 m^2 + p_perp^2).
     ``moment`` = 2 inserts p^2 for the dispersion numerator.
     """
-    p, wp, mu, wmu = _spherical_grid(p_max, n_p, n_mu)
+    xp, wp = np.polynomial.legendre.leggauss(n_p)
+    p, wp = 0.5 * p_max * (xp + 1.0), 0.5 * p_max * wp
+    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     P, MU = np.meshgrid(p, mu, indexing="ij")
     WT = np.outer(wp, wmu) * (2.0 * math.pi) * P**2
     sin2 = 1.0 - MU**2

@@ -177,8 +177,8 @@ def _transverse_norm(seed, grid_n):
 
 CHECKS = [
     Check("tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
-          lambda seed, n: _show("lambda0 = {:.8f}", float(tridiag_ground(dirichlet_problem(
-              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[0], 1)[0])),
+          lambda seed, n: _show("lambda0 = {:.8f}", tridiag_ground(dirichlet_problem(
+              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[0]).value),
           (Target(2.0 + math.sqrt(5.0), 1e-4),)),
     Check("longitudinal W(1; d=0) = 3",
           lambda seed, n: _show("W = {:.14f}",

@@ -110,6 +110,18 @@ def _fencepost_radial_nodes(monkeypatch, results):
         lambda grid: np.linspace(0.0, grid.q_max, grid.n)))
 
 
+def _fencepost_dirichlet_step(monkeypatch, results):
+    # nodes linspace(lo, hi, n), spaced (hi - lo) / (n - 1), while the
+    # stencil divides by the step (hi - lo) / n
+    def faulty(potential, lo, hi, n):
+        nodes = numkernel.dirichlet_problem(potential, lo, hi, n)[1]
+        h = (hi - lo) / n
+        return numkernel.TridiagProblem(2.0 / h**2 + potential(nodes),
+                                        np.full(n - 3, -1.0 / h**2), h), nodes
+
+    monkeypatch.setattr(verify, "dirichlet_problem", faulty)
+
+
 def _doubled_axis_weight(monkeypatch, results):
     # 2 / q_perp^2 in place of 1 / q_perp^2 in the minimized operator
     init = variational._TransverseOperator.__init__
@@ -140,6 +152,7 @@ def _deadband_above_min_rho(monkeypatch, results):
 
 
 PLANTED_FAULTS = {
+    "tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)": _fencepost_dirichlet_step,
     "longitudinal W(1; d=0) = 3": _stiffer_potential,
     "massless-limit origin exponent alpha = (1 + sqrt 5)/2": _irregular_origin_root,
     "spin-1 d=0 origin exponent alpha = 2": _irregular_origin_root,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestShooting:
         i0 = int(np.searchsorted(q, 0.05))
         im = int(np.searchsorted(q, 1.0))
         lam = solve_ground_fd(spec, grid).lam + 0.01
-        g, uL, uR = es._numerov_mismatch(spec, grid, lam, W, i0, im)
+        g, uL, uR = es._numerov_mismatch(spec, q, grid.step, lam, W, i0, im)
         refL, refR = reference_sweeps(spec, grid, lam, W, i0, im)
         assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
         assert np.max(np.abs(uR[im - 1:] - refR)) <= 1e-11 * np.max(np.abs(refR))
@@ -112,7 +113,7 @@ class TestShooting:
         # plant a seed estimate between levels so [est - 0.5, est + 0.5]
         # straddles no eigenvalue of -u'' + q^2 u (levels 3, 7, 11, ...)
         monkeypatch.setattr(es, "tridiag_ground",
-                            lambda prob, k: np.array([29.0]))
+                            lambda prob: SimpleNamespace(value=29.0))
         with pytest.raises(BracketError, match="28.5"):
             solve_ground_shooting(spec_spin0(0.0))
 

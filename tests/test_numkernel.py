@@ -1,5 +1,6 @@
 """Tests for the shared numeric primitives."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from relbosons.numkernel import (MinimizationError, QuadratureError,
                                  QuadratureSpec, TridiagProblem, dirichlet_problem,
-                                 integrate_damped, lowest_eigenpair, tridiag_ground,
-                                 tridiag_ground_vector)
+                                 integrate_damped, lowest_eigenpair, tridiag_ground)
+from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 # independent refinement oracle for the relativistic-envelope integral,
 # frozen from uniform Simpson sums doubled until stable at 1e-13
@@ -95,8 +96,8 @@ def oscillator_problem(pot, lo, hi, n):
 def sturm_count(problem, shift):
     """Number of eigenvalues strictly below ``shift`` (Sturm sequence).
 
-    Reference for the LAPACK bisection backend: the negative-pivot count
-    of the shifted LDL^T recurrence.
+    Reference for the kernel's certificate: the negative-pivot count of
+    the shifted LDL^T recurrence.
     """
     d = problem.diagonal
     e2 = problem.off_diagonal ** 2
@@ -114,6 +115,21 @@ def sturm_count(problem, shift):
     return count
 
 
+def stebz_levels(problem, count=1):
+    """Reference: the lowest ``count`` eigenvalues by LAPACK ?stebz
+    Sturm bisection down to ulp width."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(problem.diagonal, problem.off_diagonal, eigvals_only=True,
+                            select="i", select_range=(0, count - 1),
+                            lapack_driver="stebz", tol=0.0)
+
+
+def inf_norm(problem):
+    e = np.abs(problem.off_diagonal)
+    return float(np.max(np.abs(problem.diagonal) + np.r_[e, 0.0] + np.r_[0.0, e]))
+
+
 OSCILLATOR_CASES = [
     # (potential on (0, 20), exact ground lambda, tolerance)
     (lambda q: q**2, 3.0, 1e-5),
@@ -121,20 +137,47 @@ OSCILLATOR_CASES = [
     (lambda q: 1.0 / q**2 + q**2, 2.0 + math.sqrt(5.0), 1e-4),
 ]
 
+# (potential, interval) of the three oscillators and of the radial
+# problems at d = 0, 1, 4, inf, the way the eigensolver builds them
+REFERENCE_CASES = [
+    *((pot, 20.0) for pot, _, _ in OSCILLATOR_CASES),
+    *((functools.partial(effective_potential, spec=mk(d)), 12.0)
+      for mk in (spec_spin0, spec_spin1) for d in (0.0, 1.0, 4.0, INFINITY)),
+]
+
 
 class TestTridiagGround:
     @pytest.mark.parametrize("pot,exact,tol", OSCILLATOR_CASES)
     def test_oscillator_ground_levels(self, pot, exact, tol):
         prob = oscillator_problem(pot, 0.0, 20.0, 4000)
-        lam = tridiag_ground(prob, 1)[0]
+        lam = tridiag_ground(prob).value
         assert lam == pytest.approx(exact, abs=tol)
 
-    def test_ascending_and_count(self):
+    @pytest.mark.parametrize("n", [1600, 8000, 15999])
+    def test_matches_stebz_reference(self, n):
+        eps = np.finfo(float).eps
+        for pot, hi in REFERENCE_CASES:
+            prob = oscillator_problem(pot, 0.0, hi, n)
+            ground = tridiag_ground(prob)
+            assert abs(ground.value - stebz_levels(prob)[0]) <= 4.0 * eps * inf_norm(prob)
+
+    def test_enclosure_is_honest(self):
+        for pot, hi in REFERENCE_CASES:
+            prob = oscillator_problem(pot, 0.0, hi, 300)
+            ground = tridiag_ground(prob)
+            upper = ground.value + ground.residual
+            assert ground.lower < ground.value
+            assert sturm_count(prob, ground.lower) == 0
+            assert sturm_count(prob, upper + 1e-12 * abs(upper)) == 1
+
+    def test_ground_below_reference_levels(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
-        vals = tridiag_ground(prob, 3)
+        ground = tridiag_ground(prob)
         # odd levels of the full-line oscillator: 3, 7, 11
-        assert np.all(np.diff(vals) > 0)
-        assert vals == pytest.approx([3.0, 7.0, 11.0], abs=1e-3)
+        ref = stebz_levels(prob, 3)
+        assert np.all(np.diff(ref) > 0)
+        assert ref == pytest.approx([3.0, 7.0, 11.0], abs=1e-3)
+        assert ground.value == pytest.approx(ref[0], abs=1e-12 * inf_norm(prob))
 
     def test_reversal_invariance(self):
         rng = np.random.default_rng(5)
@@ -144,41 +187,91 @@ class TestTridiagGround:
             e = rng.normal(size=n - 1)
             prob = TridiagProblem(d, e, 0.1)
             rev = TridiagProblem(d[::-1].copy(), e[::-1].copy(), 0.1)
-            a = tridiag_ground(prob, 3)
-            b = tridiag_ground(rev, 3)
+            a = tridiag_ground(prob)
+            b = tridiag_ground(rev)
             scale = max(1.0, np.max(np.abs(d)) + 2 * np.max(np.abs(e)))
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+            assert abs(a.value - b.value) <= 1e-12 * scale
+            assert abs(a.value - stebz_levels(prob)[0]) <= 1e-12 * scale
+            # the same eigenvector, read backwards (unit norm, sign fixed)
+            assert np.max(np.abs(a.vector - b.vector[::-1])) <= 1e-8
+            assert a.vector[np.argmax(np.abs(a.vector))] > 0.0
 
     @pytest.mark.parametrize("pot,exact,_tol", OSCILLATOR_CASES)
     def test_h2_convergence_order(self, pot, exact, _tol):
         errs = []
         for n in (1000, 2000, 4000):
-            lam = tridiag_ground(oscillator_problem(pot, 0.0, 20.0, n), 1)[0]
+            lam = tridiag_ground(oscillator_problem(pot, 0.0, 20.0, n)).value
             errs.append(abs(lam - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
 
     def test_sturm_count_matches_lapack(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
-        vals = tridiag_ground(prob, 4)
-        for k, lam in enumerate(vals):
-            assert sturm_count(prob, lam - 1e-9) == k
-            assert sturm_count(prob, lam + 1e-9) == k + 1
+        lam = tridiag_ground(prob).value
+        assert sturm_count(prob, lam - 1e-9) == 0
+        assert sturm_count(prob, lam + 1e-9) == 1
+        for k, ref in enumerate(stebz_levels(prob, 4)):
+            assert sturm_count(prob, ref - 1e-9) == k
+            assert sturm_count(prob, ref + 1e-9) == k + 1
 
     def test_vector_residual(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 3000)
-        lam = tridiag_ground(prob, 1)[0]
-        u = tridiag_ground_vector(prob, lam)
+        ground = tridiag_ground(prob)
+        u, lam = ground.vector, ground.value
         au = prob.diagonal * u
         au[:-1] += prob.off_diagonal * u[1:]
         au[1:] += prob.off_diagonal * u[:-1]
+        assert np.linalg.norm(au - lam * u) == pytest.approx(ground.residual, rel=1e-6)
         assert np.max(np.abs(au - lam * u)) <= 1e-8 * np.max(np.abs(u))
-        assert np.sum(u * u) * prob.grid_step == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+        assert np.all(u > 0.0)  # nodeless ground state, sign fixed
+        # positive off-diagonals: the same level, the vector's signs alternate
+        signs = (-1.0) ** np.arange(len(u))
+        flipped = TridiagProblem(prob.diagonal, -prob.off_diagonal, prob.grid_step)
+        w = tridiag_ground(flipped).vector
+        assert np.max(np.abs(w * signs * signs[np.argmax(u)] - u)) <= 1e-8
+        assert w[np.argmax(np.abs(w))] > 0.0
 
-    def test_count_validation(self):
+    def test_warm_shift_above_ground_is_rejected(self):
+        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        ref = stebz_levels(prob)[0]
+        # above lambda_0 = 3; the last also above lambda_1 = 7
+        for shift in (ref + 1e-6, ref + 2.0, ref + 5.0):
+            ground = tridiag_ground(prob, shift=shift)
+            assert ground.lower < ref
+            assert abs(ground.value - ref) <= 4.0 * np.finfo(float).eps * inf_norm(prob)
+        warm = tridiag_ground(prob, shift=ref - 1e-6)
+        assert ref - 1e-6 <= warm.lower < ref
+        assert warm.factorizations < tridiag_ground(prob).factorizations
+
+    def test_richardson_warm_starts_half_step(self, monkeypatch):
+        from relbosons import numkernel
+
+        ground, calls = numkernel.tridiag_ground, []
+
+        def recording(problem, shift=None):
+            calls.append((shift, ground(problem, shift=shift)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(numkernel, "tridiag_ground", recording)
+        level = numkernel.richardson_ground(lambda q: q**2, 0.0, 20.0, 2000)
+        (cold_shift, coarse), (warm_shift, fine) = calls
+        assert cold_shift is None and warm_shift == coarse.value == level.ground.value
+        # lam_h < lam_{h/2} here, so the warm shift is certified and kept
+        assert fine.lower == warm_shift and fine.factorizations < coarse.factorizations
+
+    def test_iteration_cap_raises_with_state(self):
+        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
+        with pytest.raises(MinimizationError, match="inverse iteration") as err:
+            tridiag_ground(prob, max_iter=1)
+        assert err.value.state.shape == (298,)
+        assert np.linalg.norm(err.value.state) == pytest.approx(1.0, rel=1e-12)
+        assert err.value.grad_norm > 0
+
+    def test_input_validation(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 100)
         with pytest.raises(ValueError):
-            tridiag_ground(prob, 0)
+            tridiag_ground(prob, max_iter=0)
         with pytest.raises(ValueError):
             TridiagProblem(np.ones(5), np.ones(5), 0.1)
 
