@@ -262,8 +262,10 @@ def _cmd_rayleigh(args) -> int:
         if len(args.d) != 1:
             raise ValueError(f"--d takes one value for --case {args.case}, "
                              f"got {len(args.d)}")
+    if args.samples_out and args.case != "trans-massless":
+        raise ValueError(f"--samples-out applies only to --case trans-massless, "
+                         f"not {args.case}")
     payload = {"case": args.case}
-    samples = None
     if args.case in ("spin0", "long"):
         d = (args.d or [0.0])[0]
         functional = (variational.spin0_functional(d) if args.case == "spin0"
@@ -299,7 +301,6 @@ def _cmd_rayleigh(args) -> int:
                        closed_form_readings={
                            k: (v if isinstance(v, str) else float(v))
                            for k, v in variational.closed_form_readings().items()})
-        samples = state
     payload.update(gamma=state.gamma, delta_q2=state.delta_q2,
                    delta_rq2=state.delta_rq2, norm_N2=state.norm_N2)
     text = json.dumps(payload, indent=2) + "\n"
@@ -307,10 +308,10 @@ def _cmd_rayleigh(args) -> int:
         atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-    if args.samples_out and samples is not None:
-        grid = samples.geometry
+    if args.samples_out:
+        grid = state.geometry
         write_grid_csv(args.samples_out, ["q_perp", "q_z", "f"],
-                       grid.q_perp, grid.q_z, samples.f_samples)
+                       grid.q_perp, grid.q_z, state.f_samples)
     return 0
 
 

@@ -1,14 +1,14 @@
 """Shared numeric primitives.
 
-Three building blocks used throughout the package:
+Two building blocks used throughout the package:
 
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
 * the certified lowest eigenpair of a symmetric tridiagonal matrix by
   shifted inverse iteration, with the three-point Dirichlet matrix of
-  -u'' + V u and its Richardson-extrapolated ground level,
-* the lowest eigenpair of a symmetric operator given only as a function
-  (matrix-free block-1 LOBPCG with a caller-supplied preconditioner).
+  -u'' + V u and its Richardson-extrapolated ground level.  It serves
+  the radial FD route and both factors of the transverse minimization
+  in :mod:`relbosons.variational`.
 
 Everything here is a pure function of its inputs and safe to call from
 concurrent workers.
@@ -303,79 +303,3 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
     fine, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
     lam_h2 = tridiag_ground(fine, shift=ground.value).value
     return RichardsonLevel((4.0 * lam_h2 - ground.value) / 3.0, lam_h2, ground, prob, nodes)
-
-
-# ----------------------------------------------------------------------
-# lowest eigenpair of a symmetric operator (block-1 LOBPCG)
-# ----------------------------------------------------------------------
-
-def lowest_eigenpair(apply: Callable, precondition: Callable, x0: np.ndarray,
-                     tol: float, max_iter: int) -> EigenPair:
-    """Lowest eigenpair of a symmetric operator by block-1 LOBPCG.
-
-    ``apply(x)`` returns A x for a symmetric A, ``precondition(r)`` an
-    SPD approximation of A^-1 r; both act on arrays of the shape of
-    ``x0`` and return new arrays.  Each iteration is a Rayleigh-Ritz
-    step on span{x, P r, p} (Knyazev, SIAM J. Sci. Comput. 23 (2001)
-    517-541), with p the previous update; A x and A p are carried as the
-    same linear combinations, so an iteration costs one ``apply`` and one
-    ``precondition``.  Iteration stops once ||A x - lambda x|| <= ``tol``
-    with ||x|| = 1 (Euclidean norms over all entries).
-
-    Raises
-    ------
-    MinimizationError
-        If the residual is still above ``tol`` after ``max_iter``
-        iterations; carries the last (normalized) iterate and residual.
-    """
-    from scipy.linalg import eigh
-
-    x = np.array(x0, dtype=float)
-    x /= np.linalg.norm(x)
-    ax = apply(x)
-    lam = float(np.vdot(x, ax))
-    p = ap = None
-    for it in range(max_iter + 1):
-        r = ax - lam * x
-        res = float(np.linalg.norm(r))
-        if res <= tol:
-            return EigenPair(lam, x, res, it)
-        if it == max_iter:
-            break
-        w = precondition(r)
-        del r  # one grid-sized array fewer alive while apply(w) runs
-        w -= float(np.vdot(x, w)) * x
-        w /= np.linalg.norm(w)
-        aw = apply(w)
-        k = 2 if p is None else 3
-        a = _gram((x, w, p)[:k], (ax, aw, ap)[:k])
-        b = _gram((x, w, p)[:k], (x, w, p)[:k])
-        vals, vecs = eigh(0.5 * (a + a.T), b)
-        # the sign that keeps x pointing the way it did
-        c = vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0]
-        # p <- c_w w + c_p p, then x <- c_x x + p; images alike, in place
-        w *= c[1]
-        aw *= c[1]
-        if p is not None:
-            w += c[2] * p
-            aw += c[2] * ap
-        p, ap = w, aw
-        x *= c[0]
-        x += p
-        ax *= c[0]
-        ax += ap
-        scale = 1.0 / np.linalg.norm(x)
-        x *= scale
-        ax *= scale
-        pn = 1.0 / np.linalg.norm(p)
-        p *= pn
-        ap *= pn
-        lam = float(vals[0])
-    raise MinimizationError(
-        f"no convergence in {max_iter} iterations "
-        f"(residual {res:.3e} > tol {tol:.1e})", x, res)
-
-
-def _gram(us, vs) -> np.ndarray:
-    """Matrix of the inner products <u_i, v_j>."""
-    return np.array([[float(np.vdot(u, v)) for v in vs] for u in us])

@@ -13,11 +13,12 @@ is minimized instead: by the AM-GM inequality and the virial theorem
 both functionals share the same minimum and the same (balanced)
 minimizer, but the mean is an ordinary Rayleigh quotient without the
 flat scale direction of the product.  Its minimum is therefore the
-lowest eigenpair of the discrete operator -Lap + 1/q_perp^2 + q^2,
-which is a Kronecker sum of two tridiagonals once the samples are
-scaled by the square root of the measure; block-1 LOBPCG with a
-factored tridiagonal-product preconditioner finds it in a few
-operator applications.
+lowest eigenpair of the discrete operator -Lap + 1/q_perp^2 + q^2.
+Once the samples are scaled by the square root of the measure, that
+operator is the Kronecker sum T_perp (x) I + I (x) T_z of two
+tridiagonals, so its lowest eigenpair is exactly the sum of their
+ground levels with the outer product of their ground vectors; each
+comes from the certified :func:`relbosons.numkernel.tridiag_ground`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.interpolate import CubicSpline
 
 from . import numkernel
 
@@ -132,9 +132,9 @@ class CylindricalGrid:
         return self.step * np.arange(-n, n + 1)
 
     @property
-    def measure(self) -> np.ndarray:
-        return (2.0 * math.pi * self.step**2) * np.broadcast_to(
-            self.q_perp[:, None], (len(self.q_perp), len(self.q_z))).copy()
+    def row_weight(self) -> np.ndarray:
+        """w_i = 2 pi h^2 q_perp_i, the measure of every node in row i."""
+        return (2.0 * math.pi * self.step**2) * self.q_perp
 
 
 @dataclass
@@ -150,20 +150,12 @@ class RayleighState:
     meta: dict = field(default_factory=dict)
 
 
-def _centered_diff(f, h, axis=0):
-    """Centered differences with zero ghosts outside the array."""
-    padded = np.moveaxis(f, axis, 0)
-    out = np.zeros_like(padded)
-    out[1:-1] = (padded[2:] - padded[:-2]) / (2.0 * h)
-    out[0] = padded[1] / (2.0 * h) if len(padded) > 1 else 0.0
-    out[-1] = -padded[-2] / (2.0 * h) if len(padded) > 1 else 0.0
-    return np.moveaxis(out, 0, axis)
+def _check_axis_vanishing(rows):
+    """Reject states that do not vanish ~ q_perp on the axis.
 
-
-def _check_axis_vanishing(grid: CylindricalGrid, f):
-    """Reject states that do not vanish ~ q_perp on the axis."""
-    e0 = float(np.sum(f[0] ** 2))
-    e1 = float(np.sum(f[1] ** 2))
+    ``rows`` are the q_z row sums of f^2, which grow like q_perp^(2 beta).
+    """
+    e0, e1 = float(rows[0]), float(rows[1])
     if e0 == 0.0:
         return
     beta = 0.5 * math.log2(max(e1, 1e-300) / e0)
@@ -173,15 +165,20 @@ def _check_axis_vanishing(grid: CylindricalGrid, f):
             "the 1/q_perp^2 weighted integral diverges (need ~ q_perp)")
 
 
-def dispersion_pair(state, functional: DispersionFunctional):
-    """(Delta q^2, Delta r_q^2) of a trial state; centered differences.
+def _measure_sum(grid: CylindricalGrid, rows) -> float:
+    """sum_i w_i rows_i: the cylindrical integral of a quantity given by
+    its q_z row sums."""
+    return float(np.einsum("i,i", grid.row_weight, rows))
 
-    ``state`` is a :class:`RayleighState` or a (grid, samples) pair.
-    Radial kinds integrate with the q^2 dq measure; the transverse kinds
-    use the cylindrical measure and, for the massless weight, require
-    the state to vanish linearly on the q_perp = 0 axis.
-    """
-    grid, f = _unpack(state)
+
+def _squared_diff_rows(a, b):
+    """Row sums of (a - b)^2; the difference is the only temporary."""
+    d = a - b
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _moments(grid, f, functional: DispersionFunctional):
+    """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences."""
     if isinstance(grid, RadialMomentumGrid):
         # the nonrelativistic transverse weight vanishes, so that kind is
         # isotropic and admits a radial evaluation as well
@@ -195,24 +192,37 @@ def dispersion_pair(state, functional: DispersionFunctional):
         dq2 = float(np.sum(q * q * f * f * meas)) / n2
         drq2 = float(np.sum(df * df * meas)
                      + np.sum(functional.weight(q) * f * f * meas)) / n2
-        return dq2, drq2
+        return n2, dq2, drq2
 
     if functional.kind in _RADIAL_KINDS:
         raise ValueError("radial functionals need a RadialMomentumGrid")
-    W = grid.measure
-    qp, qz, h = grid.q_perp, grid.q_z, grid.step
-    n2 = float(np.sum(f * f * W))
-    q2 = qp[:, None] ** 2 + qz[None, :] ** 2
-    dq2 = float(np.sum(q2 * f * f * W)) / n2
-    dfp = _centered_diff(f, h, axis=0)
-    dfz = _centered_diff(f, h, axis=1)
-    grad2 = float(np.sum((dfp * dfp + dfz * dfz) * W))
+    # every term is a row sum over q_z, contracted with the row weight
+    qp, h = grid.q_perp, grid.step
+    rows = np.einsum("ij,ij->i", f, f)
     if functional.kind == KIND_TRANSVERSE_MASSLESS:
-        _check_axis_vanishing(grid, f)
-        wterm = float(np.sum(f * f / qp[:, None] ** 2 * W))
-    else:
-        wterm = 0.0
-    return dq2, (grad2 + wterm) / n2
+        _check_axis_vanishing(rows)
+    n2 = _measure_sum(grid, rows)
+    dq2 = _measure_sum(grid, qp**2 * rows
+                       + np.einsum("ij,ij,j->i", f, f, grid.q_z**2)) / n2
+    # |2h x centered difference|^2 with zero ghosts: an edge keeps its one
+    # inner neighbour, whose row sum along q_perp is already in rows
+    grad = np.concatenate(([rows[1]], _squared_diff_rows(f[2:], f[:-2]), [rows[-2]]))
+    grad += _squared_diff_rows(f[:, 2:], f[:, :-2]) + f[:, 1] ** 2 + f[:, -2] ** 2
+    drq2 = grad / (4.0 * h * h)
+    if functional.kind == KIND_TRANSVERSE_MASSLESS:
+        drq2 += rows / qp**2
+    return n2, dq2, _measure_sum(grid, drq2) / n2
+
+
+def dispersion_pair(state, functional: DispersionFunctional):
+    """(Delta q^2, Delta r_q^2) of a trial state; centered differences.
+
+    ``state`` is a :class:`RayleighState` or a (grid, samples) pair.
+    Radial kinds integrate with the q^2 dq measure; the transverse kinds
+    use the cylindrical measure and, for the massless weight, require
+    the state to vanish linearly on the q_perp = 0 axis.
+    """
+    return _moments(*_unpack(state), functional)[1:]
 
 
 def _unpack(state):
@@ -225,11 +235,7 @@ def _unpack(state):
 def evaluate_state(grid, f_samples, functional: DispersionFunctional) -> RayleighState:
     """Build a RayleighState with its dispersions and gamma filled in."""
     f = np.asarray(f_samples, dtype=float)
-    dq2, drq2 = dispersion_pair((grid, f), functional)
-    if isinstance(grid, RadialMomentumGrid):
-        n2 = float(np.sum(f * f * grid.q**2 * grid.step))
-    else:
-        n2 = float(np.sum(f * f * grid.measure))
+    n2, dq2, drq2 = _moments(grid, f, functional)
     return RayleighState(grid, f, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
@@ -255,13 +261,13 @@ class _TransverseOperator:
     W = w_i (row weight 2 pi h^2 q_perp_i), so in g = sqrt(w) f the
     operator is the symmetric T_perp (x) I + I (x) T_z: T_perp carries the
     half-point weights w_{i+1/2} and 1/q_perp^2 + q_perp^2, T_z the q_z
-    Laplacian (half weight at the two ends) and q_z^2.  ``apply`` and
-    the preconditioner act on (n_perp, n_z) arrays of g.
+    Laplacian (half weight at the two ends) and q_z^2.  ``apply`` acts on
+    (n_perp, n_z) arrays of g.
     """
 
     def __init__(self, grid: CylindricalGrid):
         h, qp, qz = grid.step, grid.q_perp, grid.q_z
-        w = 2.0 * math.pi * h**2 * qp
+        w = grid.row_weight
         w_half = np.concatenate(([0.5 * w[0]], 0.5 * (w[1:] + w[:-1]), [0.5 * w[-1]]))
         self.sqrt_w = np.sqrt(w)[:, None]
         self.d_perp = (w_half[:-1] + w_half[1:]) / (h**2 * w) + 1.0 / qp**2 + qp**2
@@ -282,91 +288,64 @@ class _TransverseOperator:
         out[:, :-1] += self.e_z * g[:, 1:]
         return out
 
-    def preconditioner(self):
-        """(I + tau T_perp)^-1 (I + tau T_z)^-1, tau = 0.5; commuting SPD factors.
 
-        Each tridiagonal is factored once (LAPACK ?pttrf, LDL^T) and
-        solved along its own axis (?pttrs) on every application.
-        """
-        tau = 0.5
-        d_p, e_p, info_p = dpttrf(1.0 + tau * self.d_perp, tau * self.e_perp)
-        d_z, e_z, info_z = dpttrf(1.0 + tau * self.d_z,
-                                  np.full(len(self.d_z) - 1, tau * self.e_z))
-        if info_p or info_z:
-            raise ValueError("transverse preconditioner is not positive definite")
-
-        def apply(r):
-            x, _ = dpttrs(d_p, e_p, r)
-            x, _ = dpttrs(d_z, e_z, x.T, overwrite_b=1)
-            return x.T
-
-        return apply
-
-
-def default_transverse_init(grid: CylindricalGrid) -> np.ndarray:
-    """q_perp x Gaussian of deliberately wrong width."""
-    qp, qz = grid.q_perp, grid.q_z
-    return qp[:, None] * np.exp(-(qp[:, None] ** 2 + qz[None, :] ** 2))
-
-
-def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid(),
-                                 init: Optional[np.ndarray] = None) -> RayleighState:
+def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> RayleighState:
     """Minimize the transverse massless uncertainty product.
 
     The arithmetic-mean functional is half the Rayleigh quotient of
     H = -Lap + 1/q_perp^2 + q^2 in the W metric, so its minimizer is the
-    lowest eigenvector of H; :func:`relbosons.numkernel.lowest_eigenpair`
-    finds it on the symmetric Kronecker-sum form of H, stopping at
-    ||H f - lambda f||_W <= 1e-6 with ||f||_W = 1.  The converged state is
-    rebalanced so that Delta q^2 = Delta r_q^2; the product is invariant
-    under that rescaling.  The returned state carries gamma evaluated by
-    :func:`dispersion_pair`, and the iteration count, final residual
-    (``grad_norm``) and lambda/2 (``mean_value``) in ``meta``.
+    lowest eigenvector of H.  H is the Kronecker sum of T_perp and T_z, so
+    that eigenvector is exactly a(q_perp) b(q_z), with sqrt(w) a and b the
+    ground vectors of the two tridiagonals from
+    :func:`relbosons.numkernel.tridiag_ground`, and lambda the sum of
+    their levels.  The state is rebalanced so that Delta q^2 = Delta r_q^2,
+    resampling each factor at s q by a not-a-knot cubic spline; the
+    product is invariant under that rescaling.  The returned state carries
+    gamma evaluated by :func:`dispersion_pair`, and in ``meta`` the two
+    kernels' total iteration count, lambda/2 (``mean_value``) and the 2-D
+    residual ||H g - lambda g|| of the unit g = sqrt(w) a b (``grad_norm``),
+    from one application of the unseparated operator: an a-posteriori
+    check of the separation.
     """
-    f0 = default_transverse_init(grid) if init is None else np.asarray(init, float)
-    if f0.shape != (len(grid.q_perp), len(grid.q_z)):
-        raise ValueError("init has the wrong shape for this grid")
-    _check_axis_vanishing(grid, f0)
-    f, meta = _lowest_mode(grid, f0)
-    W = grid.measure
+    a, b, meta = _lowest_mode(grid)
     functional = transverse_massless_functional()
     for _ in range(2):
-        dq2, drq2 = dispersion_pair((grid, f), functional)
+        dq2, drq2 = dispersion_pair((grid, np.outer(a, b)), functional)
         s = (dq2 / drq2) ** 0.25
         if abs(s - 1.0) < 1e-9:
             break
-        f = _rescale_cylindrical(grid, f, s)
-        f = f / math.sqrt(float(np.sum(f * f * W)))
-    state = evaluate_state(grid, f, functional)
+        a = _rescaled(grid.q_perp, a, s)
+        a /= math.sqrt(_measure_sum(grid, a * a))
+        b = _rescaled(grid.q_z, b, s)
+        b /= math.sqrt(b @ b)
+    state = evaluate_state(grid, np.outer(a, b), functional)
     state.meta.update(meta)
     return state
 
 
-def _lowest_mode(grid: CylindricalGrid, f0):
-    """Lowest eigenvector of H as f samples, and the solver's record.
+def _lowest_mode(grid: CylindricalGrid):
+    """Factors (a, b) of the lowest eigenvector a b of H, and the solvers' record.
 
-    A function of its own so that the solver's arrays are freed before
-    the evaluation passes, which set the peak memory otherwise.
+    Both are normalized: sum_i w_i a_i^2 = sum_j b_j^2 = 1.
     """
     op = _TransverseOperator(grid)
-    pre = op.preconditioner()
-    # smooth rough initializers: the product preconditioner barely damps
-    # modes that are high in both directions, and left in the start
-    # vector they stall the iteration just above its tolerance
-    g = f0 * op.sqrt_w
-    for _ in range(8):
-        g = pre(g / np.linalg.norm(g))
-    pair = numkernel.lowest_eigenpair(op.apply, pre, g, tol=1e-6, max_iter=600)
-    return pair.vector / op.sqrt_w, dict(
-        iterations=pair.iterations, grad_norm=pair.residual, mean_value=0.5 * pair.value)
+    perp = numkernel.tridiag_ground(
+        numkernel.TridiagProblem(op.d_perp, op.e_perp, grid.step))
+    along = numkernel.tridiag_ground(numkernel.TridiagProblem(
+        op.d_z, np.full(len(op.d_z) - 1, op.e_z), grid.step))
+    lam = perp.value + along.value
+    g = np.outer(perp.vector, along.vector)
+    r = op.apply(g)
+    r -= lam * g
+    return perp.vector / op.sqrt_w[:, 0], along.vector, dict(
+        iterations=perp.iterations + along.iterations,
+        grad_norm=math.sqrt(np.einsum("ij,ij", r, r)), mean_value=0.5 * lam)
 
 
-def _rescale_cylindrical(grid: CylindricalGrid, f, s: float) -> np.ndarray:
-    """Resample f(s q); gamma is scale invariant, the balance is not."""
-    sp = RectBivariateSpline(grid.q_perp, grid.q_z, f, kx=3, ky=3)
-    qp = np.clip(grid.q_perp * s, grid.q_perp[0], grid.q_perp[-1])
-    qz = np.clip(grid.q_z * s, grid.q_z[0], grid.q_z[-1])
-    return sp(qp, qz)
+def _rescaled(x, y, s: float) -> np.ndarray:
+    """Samples of y(s x), clamped to the grid; gamma is scale invariant,
+    the balance is not."""
+    return CubicSpline(x, y)(np.clip(x * s, x[0], x[-1]))
 
 
 def euler_lagrange_residual(state: RayleighState) -> float:
@@ -379,13 +358,15 @@ def euler_lagrange_residual(state: RayleighState) -> float:
     if not isinstance(grid, CylindricalGrid):
         raise ValueError("Euler-Lagrange residual is defined on the cylindrical grid")
     op = _TransverseOperator(grid)
-    f = state.f_samples
+    g = state.f_samples * op.sqrt_w
     q2 = grid.q_perp[:, None] ** 2 + grid.q_z[None, :] ** 2
     dq2, drq2 = state.delta_q2, state.delta_rq2
-    hpart = op.apply(f * op.sqrt_w) / op.sqrt_w - q2 * f  # (-Lap + 1/q_perp^2) f
-    el = dq2 * hpart + drq2 * q2 * f - 2.0 * dq2 * drq2 * f
-    return (float(np.linalg.norm(el * op.sqrt_w))
-            / (2.0 * dq2 * drq2 * float(np.linalg.norm(f * op.sqrt_w))))
+    # sqrt(w) times the bracket on f, written with H = -Lap + 1/q_perp^2 + q^2
+    el = dq2 * op.apply(g)
+    el += ((drq2 - dq2) * q2 - 2.0 * dq2 * drq2) * g
+    # einsum, not BLAS norms: OpenBLAS threads those for no wall-time gain
+    return (math.sqrt(np.einsum("ij,ij", el, el) / np.einsum("ij,ij", g, g))
+            / (2.0 * dq2 * drq2))
 
 
 def separation_oracle(n: int = 8000) -> float:

@@ -148,8 +148,8 @@ def _position_product(seed, grid_n):
 
 def _transverse(seed, grid_n):
     state = variational.minimize_transverse_massless()
-    return (state.gamma,), (f"gamma = {state.gamma:.6f} after "
-                            f"{state.meta['iterations']} iterations")
+    return (state.gamma,), (f"gamma = {state.gamma:.6f} after {state.meta['iterations']} "
+                            "inverse iterations (both factors)")
 
 
 def _readings(seed, grid_n):

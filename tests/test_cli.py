@@ -273,6 +273,20 @@ class TestRayleigh:
         assert err.startswith("relbosons rayleigh: --d ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "spin0", "--d", "1"],
+        ["--case", "long", "--d", "1"],
+        ["--case", "trans-nonrel"],
+    ])
+    def test_ignored_samples_out_rejected(self, argv, tmp_path, capsys):
+        out, samples = tmp_path / "r.json", tmp_path / "f.csv"
+        assert run(["rayleigh", *argv, "--out", str(out),
+                    "--samples-out", str(samples)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("relbosons rayleigh: --samples-out ")
+        assert not out.exists()
+        assert not samples.exists()
+
     def test_computational_failure_exit_code(self, tmp_path):
         # an unwritable output directory surfaces as exit 1 with a message
         assert run(["rayleigh", "--case", "spin0", "--d", "0",

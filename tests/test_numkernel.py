@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from relbosons.numkernel import (MinimizationError, QuadratureError,
                                  QuadratureSpec, TridiagProblem, dirichlet_problem,
-                                 integrate_damped, lowest_eigenpair, tridiag_ground)
+                                 integrate_damped, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 # independent refinement oracle for the relativistic-envelope integral,
@@ -277,55 +277,8 @@ class TestTridiagGround:
 
 
 class TestMinimizeFunctional:
-    """Rayleigh-quotient minima by :func:`lowest_eigenpair`."""
-
-    def test_quadratic_form_ground(self):
-        a = np.array([1.0, 2.0, 3.0])
-        res = lowest_eigenpair(lambda u: a * u, lambda r: r.copy(),
-                               np.array([1.0, 1.0, 1.0]), tol=1e-10, max_iter=500)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert abs(res.vector[0]) == pytest.approx(1.0, abs=1e-4)
-        assert res.residual <= 1e-10
-
-    def test_oscillator_rayleigh_quotient(self):
-        from scipy.linalg import solve_banded
-
-        x = np.linspace(-10.0, 10.0, 8001)
-        h = x[1] - x[0]
-        pot = 0.5 * x * x
-
-        def apply_h(u):
-            lap = np.zeros_like(u)
-            lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-            lap[0] = (u[1] - 2.0 * u[0]) / h**2
-            lap[-1] = (u[-2] - 2.0 * u[-1]) / h**2
-            return -0.5 * lap + pot * u
-
-        init = np.exp(-((x - 1.0) ** 2))
-
-        # (I + tau H)^-1: SPD shift of the operator, solved as a banded system
-        tau = 1.0
-        ab = np.zeros((3, len(x)))
-        ab[0, 1:] = -0.5 * tau / h**2
-        ab[1] = 1.0 + tau / h**2 + tau * pot
-        ab[2, :-1] = -0.5 * tau / h**2
-        precondition = lambda g: solve_banded((1, 1), ab, g)
-
-        res = lowest_eigenpair(apply_h, precondition, init, tol=2.5e-8, max_iter=4000)
-        assert res.value == pytest.approx(0.5, abs=1e-6)
-        resid = apply_h(res.vector) - res.value * res.vector
-        assert np.linalg.norm(resid) == pytest.approx(res.residual, rel=1e-6, abs=1e-12)
-        assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
+    """The transverse minimum, whose two factors are tridiagonal ground states."""
 
     def test_transverse_massless_value(self, transverse_state):
         # the cylindrical dispersion-product minimization lands on 5/2
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
-
-    def test_stagnation_carries_state(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(MinimizationError) as err:
-            lowest_eigenpair(lambda u: a * u, lambda r: r.copy(),
-                             np.array([1.0, 0.5, 0.25, 0.125]), tol=1e-30, max_iter=1)
-        assert err.value.state.shape == (4,)
-        assert np.linalg.norm(err.value.state) == pytest.approx(1.0, rel=1e-12)
-        assert err.value.grad_norm > 0

@@ -10,15 +10,43 @@ from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DispersionFunctional,
                                    DivergentWeightError, RadialMomentumGrid,
-                                   check_connection, default_transverse_init,
-                                   dispersion_pair, euler_lagrange_residual,
-                                   longitudinal_functional,
+                                   check_connection, dispersion_pair,
+                                   euler_lagrange_residual, longitudinal_functional,
                                    minimize_transverse_massless, norm_and_dp2,
                                    position_dispersion_momentum, rayleigh_gamma,
                                    rescaled_profile, spin0_functional,
                                    transverse_massless_functional,
                                    transverse_nonrel_functional,
-                                   _TransverseOperator)
+                                   _lowest_mode, _TransverseOperator)
+
+
+def wrong_width_gaussian(grid):
+    """q_perp x Gaussian of deliberately wrong width."""
+    qp, qz = grid.q_perp, grid.q_z
+    return qp[:, None] * np.exp(-(qp[:, None] ** 2 + qz[None, :] ** 2))
+
+
+def cylindrical_measure(grid):
+    """2 pi q_perp h^2 at every node."""
+    qp = np.broadcast_to(grid.q_perp[:, None], (len(grid.q_perp), len(grid.q_z)))
+    return 2.0 * math.pi * grid.step**2 * qp
+
+
+def dense_dispersion_pair(grid, f, massless):
+    """(Delta q^2, Delta r_q^2) on the cylindrical grid from whole 2-D arrays.
+
+    Reference for the row reductions of :func:`dispersion_pair`: centered
+    differences with zero ghosts, every integrand summed against the measure.
+    """
+    W = cylindrical_measure(grid)
+    qp, qz, h = grid.q_perp[:, None], grid.q_z[None, :], grid.step
+    pad = np.pad(f, 1)
+    dfp = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2.0 * h)
+    dfz = (pad[1:-1, 2:] - pad[1:-1, :-2]) / (2.0 * h)
+    n2 = np.sum(f * f * W)
+    weight = 1.0 / qp**2 if massless else 0.0
+    return (np.sum((qp**2 + qz**2) * f * f * W) / n2,
+            np.sum((dfp**2 + dfz**2 + weight * f * f) * W) / n2)
 
 
 def staggered_apply_h(grid, f):
@@ -28,7 +56,7 @@ def staggered_apply_h(grid, f):
     neighbours (zero ghosts outside the grid) weighted by the measure
     averaged onto the half points, halved at the outer half points.
     """
-    h, W = grid.step, grid.measure
+    h, W = grid.step, cylindrical_measure(grid)
     qp, qz = grid.q_perp, grid.q_z
     Wp = np.empty((len(qp) + 1, len(qz)))
     Wp[1:-1] = 0.5 * (W[1:] + W[:-1])
@@ -89,6 +117,19 @@ class TestDispersionPair:
         gam = rayleigh_gamma((grid, f), transverse_massless_functional())
         assert gam == pytest.approx(2.5, abs=1e-3)
 
+    @pytest.mark.parametrize("trial", ["gaussian", "random", "minimizer"])
+    @pytest.mark.parametrize("massless", [True, False])
+    def test_row_reductions_match_dense_reference(self, trial, massless, transverse_state):
+        grid = transverse_state.geometry
+        f = {"gaussian": lambda: wrong_width_gaussian(grid),
+             "random": lambda: grid.q_perp[:, None] * np.random.default_rng(5).random(
+                 (len(grid.q_perp), len(grid.q_z))),
+             "minimizer": lambda: transverse_state.f_samples}[trial]()
+        functional = (transverse_massless_functional() if massless
+                      else transverse_nonrel_functional())
+        got = dispersion_pair((grid, f), functional)
+        assert got == pytest.approx(dense_dispersion_pair(grid, f, massless), rel=1e-14)
+
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
         grid = RadialMomentumGrid()
@@ -110,7 +151,7 @@ class TestDispersionPair:
         with pytest.raises(ValueError):
             dispersion_pair((grid, np.exp(-grid.q)), transverse_massless_functional())
         cyl = CylindricalGrid(q_max=4.0, step=0.1)
-        f = default_transverse_init(cyl)
+        f = wrong_width_gaussian(cyl)
         with pytest.raises(ValueError):
             dispersion_pair((cyl, f), spin0_functional(0.0))
 
@@ -144,7 +185,7 @@ class TestScaleInvariance:
         g1 = CylindricalGrid(q_max=6.0, step=0.05)
         g2 = CylindricalGrid(q_max=6.0 * s, step=0.05 * s)
         fun = transverse_massless_functional()
-        f1 = default_transverse_init(g1)
+        f1 = wrong_width_gaussian(g1)
         qp, qz = g2.q_perp[:, None] / s, g2.q_z[None, :] / s
         f2 = (qp / s) * np.exp(-(qp**2 + qz**2)) * s  # same shape function
         gam1 = rayleigh_gamma((g1, f1), fun)
@@ -221,16 +262,52 @@ class TestCrossModule:
 class TestTransverseMinimization:
     def test_wrong_width_init(self, transverse_state):
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
-        assert transverse_state.meta["iterations"] < 400
+        # both tridiagonal factors together: 6 + 5 inverse iterations here
+        assert transverse_state.meta["iterations"] <= 20
 
-    def test_random_positive_init(self):
-        grid = CylindricalGrid()
-        rng = np.random.default_rng(7)
+    def test_random_positive_init(self, transverse_state):
+        # no trial state has a Rayleigh quotient of the reference operator
+        # below lambda: the random positive start the minimization once
+        # took, two more, and the returned (rebalanced) minimizer
+        grid = transverse_state.geometry
+        lam = 2.0 * transverse_state.meta["mean_value"]
+        W = cylindrical_measure(grid)
         qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
-        init = qp * (0.5 + rng.random((len(grid.q_perp), len(grid.q_z)))) \
-            * np.exp(-0.3 * (qp**2 + qz**2))
-        state = minimize_transverse_massless(grid, init)
-        assert state.gamma == pytest.approx(2.5, abs=1e-3)
+        trials = [transverse_state.f_samples]
+        for seed, width in ((7, 0.3), (8, 0.5), (9, 1.0)):
+            rng = np.random.default_rng(seed)
+            trials.append(qp * (0.5 + rng.random((len(grid.q_perp), len(grid.q_z))))
+                          * np.exp(-width * (qp**2 + qz**2)))
+        for f in trials:
+            rq = np.sum(W * f * staggered_apply_h(grid, f)) / np.sum(W * f * f)
+            assert rq >= lam - 1e-12
+
+    def test_separation_residual(self, transverse_state):
+        # ||H g - lambda g|| of the outer product, from the unseparated operator
+        assert transverse_state.meta["grad_norm"] <= 1e-9
+
+    def test_dense_generalized_eigenproblem(self):
+        # the separated minimum against LAPACK on the assembled reference matrix
+        from scipy.linalg import eigh
+
+        grid = CylindricalGrid(q_max=2.4, step=0.1)
+        shape = (len(grid.q_perp), len(grid.q_z))
+        n = shape[0] * shape[1]
+        H = np.empty((n, n))
+        unit = np.zeros(n)
+        for k in range(n):
+            unit[k] = 1.0
+            H[:, k] = staggered_apply_h(grid, unit.reshape(shape)).ravel()
+            unit[k] = 0.0
+        W = cylindrical_measure(grid).ravel()
+        A = W[:, None] * H
+        assert np.max(np.abs(A - A.T)) <= 1e-13 * np.max(np.abs(A))
+        vals, vecs = eigh(A, np.diag(W), subset_by_index=[0, 0])
+        state = minimize_transverse_massless(grid)
+        assert 2.0 * state.meta["mean_value"] == pytest.approx(vals[0], rel=1e-10)
+        a, b, _ = _lowest_mode(grid)
+        v = vecs[:, 0] * math.copysign(1.0, vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+        assert np.max(np.abs(np.outer(a, b).ravel() - v)) <= 1e-9 * np.max(v)
 
     def test_balance_at_minimum(self, transverse_state):
         assert abs(transverse_state.delta_q2 - transverse_state.delta_rq2) <= 1e-4
@@ -273,7 +350,7 @@ class TestTransverseMinimization:
         grid = CylindricalGrid(q_max=4.0, step=0.1)
         bad = np.ones((len(grid.q_perp), len(grid.q_z)))
         with pytest.raises(DivergentWeightError):
-            minimize_transverse_massless(grid, bad)
+            dispersion_pair((grid, bad), transverse_massless_functional())
 
 
 class TestConnection:
