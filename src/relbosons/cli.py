@@ -31,9 +31,7 @@ from .potentials import INFINITY, PotentialSpec
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return f"{x:.9g}"
+    return "%.9g" % x
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -51,23 +49,28 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Header line plus one ``%.9g`` line per row; the rows are flattened
+    and the whole body is formatted by one ``%`` call."""
+    flat = [v for row in rows for v in row]
+    line = ",".join(["%.9g"] * len(header)) + "\n"
+    body = (line * (len(flat) // len(header))) % tuple(flat)
+    atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def write_grid_csv(path: str, header, x, y, values) -> None:
     """CSV with one row (x[i], y[j], values[i, j]) per grid point, x slowest.
 
-    Same text as :func:`write_csv` on those rows, but each axis value is
-    formatted once and the values are read row by row as Python floats.
+    Same text as :func:`write_csv` on those rows, but the y column is
+    formatted once, and each x row is one template applied to the row's
+    values as Python floats.
     """
-    ys = [_fmt(yv) for yv in y]
-    lines = [",".join(header)]
+    tails = [f",{_fmt(yv)},%.9g\n" for yv in y]
+    lines = [",".join(header) + "\n"]
     for xv, row in zip(x, values):
         xs = _fmt(xv)
-        lines.extend(f"{xs},{yv},{_fmt(v)}" for yv, v in zip(ys, row.tolist()))
-    atomic_write(path, "\n".join(lines) + "\n")
+        # xs + xs.join(tails) puts xs in front of every tail
+        lines.append((xs + xs.join(tails)) % tuple(row.tolist()))
+    atomic_write(path, "".join(lines))
 
 
 def parse_d_list(text: str):
@@ -107,6 +110,27 @@ def parse_map_n(text: str) -> int:
     if n < 2:
         raise argparse.ArgumentTypeError("the planar map needs at least 2 points per axis")
     return n
+
+
+def parse_seed(text: str) -> int:
+    """Seed of the random momenta of ``verify``; numpy takes none below 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be a non-negative integer, not {seed}")
+    return seed
+
+
+def parse_grid_n(text: str) -> int:
+    """Nodes of the radial grid of the eigensolvers; their grid owns the floor.
+
+    Only ``gamma`` and ``verify`` take the flag, and both load the
+    eigensolver anyway."""
+    from .eigensolver import RadialGrid
+
+    try:
+        return RadialGrid(n=int(text)).n
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gam.add_argument("--spin", type=int, choices=[0, 1], required=True)
     p_gam.add_argument("--d", type=parse_d_list, required=True)
     p_gam.add_argument("--l", type=int, default=0)
-    p_gam.add_argument("--grid-n", type=int, default=8000)
+    p_gam.add_argument("--grid-n", type=parse_grid_n, default=8000)
     p_gam.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p_gam.add_argument("--out", default="", help="output file (stdout if omitted)")
 
@@ -165,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV of the minimizer samples (trans-massless)")
 
     p_ver = sub.add_parser("verify", help="run every anchored check; exit 0 iff all pass")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--grid-n", type=int, default=8000)
+    p_ver.add_argument("--seed", type=parse_seed, default=0)
+    p_ver.add_argument("--grid-n", type=parse_grid_n, default=8000)
 
     return parser
 

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dct, dst
 
-from .numkernel import QuadratureError, QuadratureSpec, integrate_damped
+from .numkernel import QuadratureError, QuadratureSpec, gauss_legendre, integrate_damped
 
 # tolerances of the radial transforms behind every field scan
 _FIELD_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
@@ -447,15 +447,15 @@ def packet_momentum_profile(params: WavepacketParams) -> Callable:
     return ftil
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-
-
 def _panel_nodes(p_max: float, panels: int):
+    """Nodes and weights of the 15-point Gauss-Legendre rule on each of
+    ``panels`` equal panels of [0, p_max]."""
+    x, w = gauss_legendre(15)
     edges = np.linspace(0.0, p_max, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * _GL_X[None, :]).ravel()
-    wts = (half * np.broadcast_to(_GL_W, (panels, 15))).ravel()
+    nodes = (mid + half * x[None, :]).ravel()
+    wts = (half * np.broadcast_to(w, (panels, 15))).ravel()
     return nodes, wts
 
 

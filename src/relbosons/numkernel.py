@@ -1,9 +1,13 @@
 """Shared numeric primitives.
 
-Two building blocks used throughout the package:
+Three building blocks used throughout the package:
 
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
+* fixed Gauss-Legendre rules, built once per order and shared read-only
+  (:func:`gauss_legendre`): the 15-point panel rule of
+  :mod:`relbosons.kg_fields` and the 96- and 128-point rules of the
+  field-connection quadratures in :mod:`relbosons.variational`,
 * the certified lowest eigenpair of a symmetric tridiagonal matrix by
   shifted inverse iteration, with the three-point Dirichlet matrix of
   -u'' + V u and its Richardson-extrapolated ground level.  It serves
@@ -16,6 +20,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -173,6 +178,25 @@ def integrate_damped(kernel: Callable, damping_rate: float,
 def _as_scalar(z):
     z = complex(z)
     return z.real if z.imag == 0.0 else z
+
+
+# ----------------------------------------------------------------------
+# fixed Gauss-Legendre rules
+# ----------------------------------------------------------------------
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The bits of ``numpy.polynomial.legendre.leggauss(n)``, built once per
+    order: leggauss runs a dense ``eigvalsh`` (threaded by OpenBLAS, whose
+    workers then spin on) and a Newton polish on every call.  The arrays
+    are read-only, so no caller can corrupt the shared rule.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 # ----------------------------------------------------------------------

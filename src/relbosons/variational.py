@@ -512,11 +512,10 @@ def check_connection(ansatz: str, momenta, mass: float,
     report = ConnectionReport(resid, pi_tilde=pi_t)
 
     # reduction of the energy norm: field route vs direct quadratures
-    report.norm_fields = _transverse_norm_quadrature(mass, f, reduced=False)
-    report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)
+    report.norm_fields, p2_fields = _transverse_norm_quadrature(mass, f, reduced=False)
+    report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)[0]
     report.norm_plain, report.dp2_plain = _plain_norm_dp2(f)
-    report.dp2_fields = _transverse_norm_quadrature(mass, f, reduced=False,
-                                                    moment=2) / report.norm_fields
+    report.dp2_fields = p2_fields / report.norm_fields
     return report
 
 
@@ -562,18 +561,19 @@ def _connection_residual(momenta, mass, phi_t, pi_t):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def _transverse_norm_quadrature(mass, f, reduced: bool, moment: int = 0,
+def _transverse_norm_quadrature(mass, f, reduced: bool,
                                 p_max: float = 12.0, n_p: int = 96, n_mu: int = 96):
-    """d^3p quadrature of the spin-1 energy integrand for the z ansatz.
+    """d^3p quadratures of the spin-1 energy integrand for the z ansatz.
 
     ``reduced`` switches between the field route (assemble phi~, rebuild
     pi~ from the connection, sum the four energy terms) and the direct
     closed-form weight |f|^2 (m^2 + p_perp^2)/(2 m^2 + p_perp^2).
-    ``moment`` = 2 inserts p^2 for the dispersion numerator.
+    Returns the norm and, with p^2 inserted, the dispersion numerator,
+    both summed from one weighted density.
     """
-    xp, wp = np.polynomial.legendre.leggauss(n_p)
+    xp, wp = numkernel.gauss_legendre(n_p)
     p, wp = 0.5 * p_max * (xp + 1.0), 0.5 * p_max * wp
-    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    mu, wmu = numkernel.gauss_legendre(n_mu)
     P, MU = np.meshgrid(p, mu, indexing="ij")
     WT = np.outer(wp, wmu) * (2.0 * math.pi) * P**2
     sin2 = 1.0 - MU**2
@@ -593,7 +593,8 @@ def _transverse_norm_quadrature(mass, f, reduced: bool, moment: int = 0,
                 + np.abs(div_pi) ** 2 / mass**2
                 + curl_phi2
                 + mass**2 * np.sum(np.abs(phi_t) ** 2, axis=1)).reshape(P.shape)
-    return float(np.sum(WT * dens * P**moment))
+    weighted = WT * dens
+    return float(np.sum(weighted)), float(np.sum(weighted * P**2))
 
 
 def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0, n_p: int = 128):
@@ -611,7 +612,7 @@ def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0, n_p: int = 128):
 
 def _radial_nodes(p_max, n_p):
     """Gauss-Legendre nodes on [0, p_max] and their weights for d^3p = 4 pi p^2 dp."""
-    xp, wp = np.polynomial.legendre.leggauss(n_p)
+    xp, wp = numkernel.gauss_legendre(n_p)
     p = 0.5 * p_max * (xp + 1.0)
     return p, 0.5 * p_max * wp * 4.0 * math.pi * p * p
 

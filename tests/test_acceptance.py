@@ -133,6 +133,18 @@ def _doubled_axis_weight(monkeypatch, results):
     monkeypatch.setattr(variational._TransverseOperator, "__init__", faulty)
 
 
+def _squared_transverse_prefactor(monkeypatch, results):
+    # one more factor q_perp in front of every reading's Gaussian (the
+    # transverse prefactor becomes q_perp^2)
+    gamma = variational.rayleigh_gamma
+
+    def faulty(state, functional):
+        grid, f = state
+        return gamma((grid, grid.q_perp[:, None] * f), functional)
+
+    monkeypatch.setattr(variational, "rayleigh_gamma", faulty)
+
+
 def _full_planar_axis_weight(monkeypatch, results):
     # the planar oracle problem with 1 / q^2 in place of (1 - 1/4) / q^2
     ground = numkernel.richardson_ground
@@ -164,6 +176,7 @@ PLANTED_FAULTS = {
        for label in ("spin0 d=0", "spin0 d=inf", "spin1 d=0", "spin1 d=inf")},
     "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
     "separation oracle (planar level 2 + line level 1/2) = 5/2": _full_planar_axis_weight,
+    "closed-form minimizer readings recorded": _squared_transverse_prefactor,
     "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
     "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _fencepost_radial_nodes,
 }

@@ -12,7 +12,8 @@ import pytest
 
 import relbosons
 from relbosons import kg_fields
-from relbosons.cli import parse_d_list, parse_map_n, parse_range, run
+from relbosons.cli import (parse_d_list, parse_map_n, parse_range, run, write_csv,
+                           write_grid_csv)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(relbosons.__file__)))
 
@@ -39,6 +40,35 @@ class TestParsing:
         assert run(["nonsense"]) == 2
         # the spin fixes the channel; there is no --channel flag
         assert run(["gamma", "--spin", "0", "--channel", "scalar", "--d", "0"]) == 2
+        # rejected while parsing, before any row or sweep point runs, with
+        # a message that names the flag
+        for argv, flag in ((["verify", "--seed", "-1"], "--seed"),
+                           (["verify", "--grid-n", "99"], "--grid-n"),
+                           (["gamma", "--spin", "0", "--d", "0", "--grid-n", "50"],
+                            "--grid-n")):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            assert f"argument {flag}: " in capsys.readouterr().err, argv
+
+    def test_write_csv_formats_each_value(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_csv(str(out), ["a", "b", "c", "d", "e"],
+                  [(3, np.float64(0.1), math.inf, -math.inf, math.nan),
+                   (np.float64(-1.5e-12), 10**10, 2.0 / 3.0, -0.0, 7)])
+        assert read(out) == ("a,b,c,d,e\n3,0.1,inf,-inf,nan\n"
+                             "-1.5e-12,1e+10,0.666666667,-0,7\n")
+
+    def test_write_grid_csv_matches_write_csv(self, tmp_path):
+        grid, flat = tmp_path / "grid.csv", tmp_path / "flat.csv"
+        x, y = np.array([-math.inf, 0.25]), np.array([1.0, -2.0, 1e-20])
+        values = np.array([[0.5, math.nan, -math.inf], [1e9, 123456789.5, 3.0]])
+        write_grid_csv(str(grid), ["x", "y", "v"], x, y, values)
+        write_csv(str(flat), ["x", "y", "v"],
+                  [(xv, yv, values[i, j]) for i, xv in enumerate(x)
+                   for j, yv in enumerate(y)])
+        assert read(grid) == read(flat)
+        assert read(grid).splitlines()[1:4] == ["-inf,1,0.5", "-inf,-2,nan",
+                                                "-inf,1e-20,-inf"]
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_map_n_below_two_rejected(self, n, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the shared numeric primitives."""
 
+import collections
 import functools
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relbosons import verify
 from relbosons.numkernel import (MinimizationError, QuadratureError,
                                  QuadratureSpec, TridiagProblem, dirichlet_problem,
-                                 integrate_damped, tridiag_ground)
+                                 gauss_legendre, integrate_damped, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 # independent refinement oracle for the relativistic-envelope integral,
@@ -144,6 +146,36 @@ REFERENCE_CASES = [
     *((functools.partial(effective_potential, spec=mk(d)), 12.0)
       for mk in (spec_spin0, spec_spin1) for d in (0.0, 1.0, 4.0, INFINITY)),
 ]
+
+
+class TestGaussLegendre:
+    """One shared, read-only rule per order."""
+
+    @pytest.mark.parametrize("n", [15, 96, 128])
+    def test_bits_of_leggauss_read_only_and_shared(self, n):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = gauss_legendre(n)
+        assert again[0] is x and again[1] is w
+
+    def test_verify_builds_each_order_once(self, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        calls = collections.Counter()
+
+        def counting(n):
+            calls[n] += 1
+            return leggauss(n)
+
+        gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        for _ in range(2):
+            verify.run_verify()
+        assert calls and max(calls.values()) == 1, calls
 
 
 class TestTridiagGround:
