@@ -8,8 +8,12 @@ shifted inverse iteration (with Richardson extrapolation over h and h/2).
 Each Numerov sweep is one lower-triangular banded solve (LAPACK
 ``dtbtrs``, forward substitution without pivoting, so the same
 recurrence as a loop over q), and the eigenvalue is the root of the
-matching mismatch found by Brent's method.  The origin series is a
-Taylor expansion in (d q)^2, so the outward sweep starts at
+matching mismatch found by Brent's zeroin (:func:`relbosons.numkernel.find_root`).
+Its bracket comes from the paper's closed forms, not from the FD route:
+with y = d^2, W(q; y) is monotone in y at each q for both spins and every
+angular index, so by Courant-Fischer lam(d) lies between the exact d = 0
+and d = inf levels 2 alpha + 1 (:func:`limit_bracket`).  The origin
+series is a Taylor expansion in (d q)^2, so the outward sweep starts at
 ``_SERIES_EDGE / max(1, d)`` for finite d.
 
 Only gamma = lam / 2 crosses module boundaries.
@@ -24,9 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
-from .numkernel import BracketError, dirichlet_problem, richardson_ground, tridiag_ground
+from .numkernel import BracketError, find_root, richardson_ground
 from .potentials import (INFINITY, PotentialSpec, effective_potential,
                          origin_behavior, regular_expansion, spec_spin0, spec_spin1)
 
@@ -40,6 +43,9 @@ ALPHA_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))        # origin exponent at d = inf
 _SERIES_EDGE = 0.05
 # shooting and FD must agree this closely at every point of a gamma sweep
 CROSS_METHOD_TOL = 1e-6
+# the shooting bracket extends the two limit levels by this much: the
+# discrete root can sit just outside an exact endpoint
+_BRACKET_MARGIN = 0.05
 # discrete residuals of origin-singular eigenfunctions are reported away
 # from the coordinate singularity, where u'''' is bounded
 _RESIDUAL_EDGE = 0.2
@@ -160,24 +166,40 @@ def _numerov_mismatch(spec: PotentialSpec, q: np.ndarray, step: float, lam: floa
     return uL[im] * uR[im + 1] - uL[im + 1] * uR[im], uL, uR
 
 
+def limit_bracket(spec: PotentialSpec) -> tuple:
+    """(lo, hi) around lam(d): the d = 0 and d = inf levels 2 alpha + 1 of
+    ``spec``'s channel and angular index, widened by ``_BRACKET_MARGIN``.
+
+    With y = d^2 and x = y q^2 the potential is monotone in y at every q:
+    d/dy [y/(1+x) + y/(2(1+x)^2)] = (3+x)/(2(1+x)^3) > 0 for spin 0 and
+    d/dy [1/(q^2(1+x)) + y/(2(1+x)^2)] = -(1+3x)/(2(1+x)^3) < 0 for spin 1.
+    By Courant-Fischer lam(d) then lies between the two limit levels, the
+    exact ground levels (of q^alpha exp(-q^2/2)) of alpha (alpha-1)/q^2 + q^2.
+    """
+    levels = [2.0 * origin_behavior(dataclasses.replace(spec, d=d)).exponent_alpha + 1.0
+              for d in (0.0, INFINITY)]
+    return min(levels) - _BRACKET_MARGIN, max(levels) + _BRACKET_MARGIN
+
+
 def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
                           tol: float = 1e-10) -> EigenResult:
     """Ground state by bidirectional Numerov shooting.
 
     The outward sweep starts from the origin power series, the inward
     sweep from the Gaussian envelope q^((lam-1)/2) exp(-q^2/2); lam is
-    the root of the matching mismatch, found by Brent's method
-    (``brentq`` with ``xtol=tol``) on a bracket of a coarse
-    finite-difference estimate +- 0.5.  ``meta`` records Brent's
+    the root of the matching mismatch, found by Brent's zeroin
+    (:func:`relbosons.numkernel.find_root` with ``xtol=tol``) on the
+    closed-form bracket of :func:`limit_bracket`.  ``meta`` records the
     iteration count, the number of Numerov mismatch evaluations and the
-    tightest sign-change bracket among them.
+    final sign-change bracket, the tightest among them.
 
     Raises
     ------
     BracketError
-        If the bracket fails to straddle a sign change.
+        If the bracket fails to straddle a sign change: lam(d) is not
+        between its d = 0 and d = inf levels.
     RuntimeError
-        If Brent's method does not converge.
+        If the root search reaches its iteration cap.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -190,33 +212,19 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         im = int(np.searchsorted(q, 1.0))
     im = min(max(im, i0 + 2), grid.n - 3)
 
-    lam_est = tridiag_ground(dirichlet_problem(lambda x: effective_potential(x, spec),
-                                               0.0, grid.q_max, 1600)[0]).value
-    if W[-1] < lam_est + 20.0:
+    lo, hi = limit_bracket(spec)
+    if W[-1] < hi + 20.0:
         raise ValueError(
             f"q_max = {grid.q_max} too small: W(q_max) = {W[-1]:.3f} must "
-            f"exceed the eigenvalue estimate {lam_est:.3f} by 20 so the "
-            "inward sweep starts in the Gaussian-decay region")
-    lo, hi = lam_est - 0.5, lam_est + 0.5
-
-    values = {}  # lam -> mismatch, one Numerov evaluation each
-
-    def mismatch(x):
-        if x not in values:
-            values[x] = _numerov_mismatch(spec, q, grid.step, x, W, i0, im)[0]
-        return values[x]
-
-    g_lo, g_hi = mismatch(lo), mismatch(hi)
-    if g_lo * g_hi > 0.0:
-        raise BracketError(
-            f"mismatch does not change sign on [{lo:.6f}, {hi:.6f}] "
-            f"for {spec} (values {g_lo:.3e}, {g_hi:.3e})")
-    lam, info = brentq(mismatch, lo, hi, xtol=tol, full_output=True)
-    if values[lam] == 0.0:
-        bracket = (lam, lam)
-    else:
-        bracket = (max(x for x, g in values.items() if g * g_lo > 0.0),
-                   min(x for x, g in values.items() if g * g_lo < 0.0))
+            f"exceed the bracket end {hi:.3f} by 20 so the inward sweep "
+            "starts in the Gaussian-decay region")
+    try:
+        root = find_root(lambda x: _numerov_mismatch(spec, q, grid.step, x, W, i0, im)[0],
+                         lo, hi, tol)
+    except BracketError as exc:
+        raise BracketError(f"mismatch: {exc} for {spec}; lam(d) must lie between "
+                           "its d = 0 and d = inf levels") from None
+    lam = root.value
 
     _, uL, uR = _numerov_mismatch(spec, q, grid.step, lam, W, i0, im)
     u = np.empty(grid.n)
@@ -231,9 +239,9 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     # three-point defect is dominated by that, not by solution quality
     singular = origin_behavior(spec).singular_strength > 0
     resid = _discrete_residual(q, u, W, lam, _RESIDUAL_EDGE if singular else q[0])
-    meta = {"bracket": bracket, "brent_iterations": info.iterations,
-            "mismatch_evaluations": len(values), "q_match": q[im],
-            "fd_estimate": lam_est, "series_start": q[i0]}
+    meta = {"bracket": root.bracket, "brent_iterations": root.iterations,
+            "mismatch_evaluations": root.evaluations, "q_match": q[im],
+            "series_start": q[i0]}
     return EigenResult(lam / 2.0, lam, q, u, resid, meta)
 
 

@@ -1,6 +1,6 @@
 """Shared numeric primitives.
 
-Three building blocks used throughout the package:
+Four building blocks used throughout the package:
 
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
@@ -12,7 +12,9 @@ Three building blocks used throughout the package:
   shifted inverse iteration, with the three-point Dirichlet matrix of
   -u'' + V u and its Richardson-extrapolated ground level.  It serves
   the radial FD route and both factors of the transverse minimization
-  in :mod:`relbosons.variational`.
+  in :mod:`relbosons.variational`,
+* a bracketed scalar root by Brent's zeroin (:func:`find_root`), the
+  eigenvalue search of the Numerov shooting route.
 
 Everything here is a pure function of its inputs and safe to call from
 concurrent workers.
@@ -327,3 +329,84 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
     fine, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
     lam_h2 = tridiag_ground(fine, shift=ground.value).value
     return RichardsonLevel((4.0 * lam_h2 - ground.value) / 3.0, lam_h2, ground, prob, nodes)
+
+
+# ----------------------------------------------------------------------
+# bracketed scalar root
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Root:
+    """A root of f, the sign-change bracket around it, and the work done.
+
+    ``evaluations`` counts every call of f, the two bracket ends included;
+    ``iterations`` the calls after those two.
+    """
+
+    value: float
+    bracket: tuple
+    evaluations: int
+    iterations: int
+
+
+def find_root(f: Callable, lo: float, hi: float, xtol: float,
+              max_iter: int = 100) -> Root:
+    """Root of f on [lo, hi] by Brent's zeroin.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4: inverse quadratic or secant steps, each kept only if it stays
+    well inside the bracket and shrinks fast enough, else bisection.
+    Stops once the sign-change bracket [b, c] is at most
+    ``xtol + 4 eps |b|`` wide (or f(b) = 0), like ``scipy.optimize.brentq``.
+    Every evaluated point lies outside or on that bracket, so it is the
+    tightest one seen.
+
+    Raises
+    ------
+    BracketError
+        If f(lo) and f(hi) have the same sign.
+    RuntimeError
+        If the iteration cap ``max_iter`` is reached first.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
+        raise BracketError(f"no sign change on [{lo:.6f}, {hi:.6f}] "
+                           f"(values {fa:.3e}, {fb:.3e})")
+    c, fc = a, fa
+    d = e = b - a
+    for it in range(max_iter + 1):
+        if (fb > 0.0) == (fc > 0.0):          # keep c on the other side of b
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):                 # b is the better estimate
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return Root(b, (b, b) if fb == 0.0 else (min(b, c), max(b, c)), it + 2, it)
+        if it == max_iter:
+            break
+        if abs(e) < tol1 or abs(fa) <= abs(fb):
+            d = e = xm                        # bisection
+        else:
+            s = fb / fa
+            if a == c:                        # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:                             # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q = -q if p > 0.0 else q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q               # the interpolation step is safe
+            else:
+                d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+    raise RuntimeError(
+        f"find_root: no convergence within the iteration cap max_iter = {max_iter} "
+        f"(bracket [{min(b, c):.17g}, {max(b, c):.17g}])")

@@ -19,6 +19,9 @@ operator is the Kronecker sum T_perp (x) I + I (x) T_z of two
 tridiagonals, so its lowest eigenpair is exactly the sum of their
 ground levels with the outer product of their ground vectors; each
 comes from the certified :func:`relbosons.numkernel.tridiag_ground`.
+Such separable states a(q_perp) b(q_z) are evaluated on their factors:
+every moment needs only four q_z row sums, and for a b each is a
+one-dimensional product.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import numkernel
 
@@ -177,8 +179,42 @@ def _squared_diff_rows(a, b):
     return np.einsum("ij,ij->i", d, d)
 
 
+def _centered_diff_squares(x):
+    """(x[k+1] - x[k-1])^2 along a 1-D array, with zero ghosts."""
+    d = np.concatenate((x[1:2], x[2:] - x[:-2], x[-2:-1]))
+    return d * d
+
+
+def _cylindrical_rows(grid, f, massless: bool):
+    """The four q_z row sums the moments need: of f^2, q_z^2 f^2 and the
+    squared centered differences (4 h^2 |grad|^2, zero ghosts) along q_perp
+    and along q_z.  ``f`` is an (n_perp, n_z) array or a pair (a, b) of
+    factors standing for the outer product a b.  For the ``massless``
+    weight the state is checked on the axis before the other three sums."""
+    if isinstance(f, tuple):
+        a, b = f
+        a2 = a * a
+        bb = np.einsum("j,j", b, b)
+        rows = a2 * bb
+        if massless:
+            _check_axis_vanishing(rows)
+        return (rows, a2 * np.einsum("j,j,j", b, b, grid.q_z**2),
+                _centered_diff_squares(a) * bb, a2 * np.sum(_centered_diff_squares(b)))
+    rows = np.einsum("ij,ij->i", f, f)
+    if massless:
+        _check_axis_vanishing(rows)
+    # an edge keeps its one inner neighbour, whose row sum is already in rows
+    d_perp = np.concatenate(([rows[1]], _squared_diff_rows(f[2:], f[:-2]), [rows[-2]]))
+    d_z = _squared_diff_rows(f[:, 2:], f[:, :-2]) + f[:, 1] ** 2 + f[:, -2] ** 2
+    return rows, np.einsum("ij,ij,j->i", f, f, grid.q_z**2), d_perp, d_z
+
+
 def _moments(grid, f, functional: DispersionFunctional):
-    """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences."""
+    """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences.
+
+    On a :class:`CylindricalGrid` ``f`` may be a pair (a, b) of factors,
+    evaluated as the outer product a b without forming it.
+    """
     if isinstance(grid, RadialMomentumGrid):
         # the nonrelativistic transverse weight vanishes, so that kind is
         # isotropic and admits a radial evaluation as well
@@ -198,18 +234,12 @@ def _moments(grid, f, functional: DispersionFunctional):
         raise ValueError("radial functionals need a RadialMomentumGrid")
     # every term is a row sum over q_z, contracted with the row weight
     qp, h = grid.q_perp, grid.step
-    rows = np.einsum("ij,ij->i", f, f)
-    if functional.kind == KIND_TRANSVERSE_MASSLESS:
-        _check_axis_vanishing(rows)
+    massless = functional.kind == KIND_TRANSVERSE_MASSLESS
+    rows, qz2_rows, d_perp, d_z = _cylindrical_rows(grid, f, massless)
     n2 = _measure_sum(grid, rows)
-    dq2 = _measure_sum(grid, qp**2 * rows
-                       + np.einsum("ij,ij,j->i", f, f, grid.q_z**2)) / n2
-    # |2h x centered difference|^2 with zero ghosts: an edge keeps its one
-    # inner neighbour, whose row sum along q_perp is already in rows
-    grad = np.concatenate(([rows[1]], _squared_diff_rows(f[2:], f[:-2]), [rows[-2]]))
-    grad += _squared_diff_rows(f[:, 2:], f[:, :-2]) + f[:, 1] ** 2 + f[:, -2] ** 2
-    drq2 = grad / (4.0 * h * h)
-    if functional.kind == KIND_TRANSVERSE_MASSLESS:
+    dq2 = _measure_sum(grid, qp**2 * rows + qz2_rows) / n2
+    drq2 = (d_perp + d_z) / (4.0 * h * h)
+    if massless:
         drq2 += rows / qp**2
     return n2, dq2, _measure_sum(grid, drq2) / n2
 
@@ -217,7 +247,8 @@ def _moments(grid, f, functional: DispersionFunctional):
 def dispersion_pair(state, functional: DispersionFunctional):
     """(Delta q^2, Delta r_q^2) of a trial state; centered differences.
 
-    ``state`` is a :class:`RayleighState` or a (grid, samples) pair.
+    ``state`` is a :class:`RayleighState` or a (grid, samples) pair; on
+    a cylindrical grid the samples may be a pair (a, b) of factors of a b.
     Radial kinds integrate with the q^2 dq measure; the transverse kinds
     use the cylindrical measure and, for the massless weight, require
     the state to vanish linearly on the q_perp = 0 axis.
@@ -229,6 +260,8 @@ def _unpack(state):
     if isinstance(state, RayleighState):
         return state.geometry, state.f_samples
     grid, f = state
+    if isinstance(f, tuple):
+        return grid, tuple(np.asarray(x, dtype=float) for x in f)
     return grid, np.asarray(f, dtype=float)
 
 
@@ -270,6 +303,7 @@ class _TransverseOperator:
         w = grid.row_weight
         w_half = np.concatenate(([0.5 * w[0]], 0.5 * (w[1:] + w[:-1]), [0.5 * w[-1]]))
         self.sqrt_w = np.sqrt(w)[:, None]
+        self.qp2, self.qz2 = qp**2, qz**2
         self.d_perp = (w_half[:-1] + w_half[1:]) / (h**2 * w) + 1.0 / qp**2 + qp**2
         self.e_perp = -w_half[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
         c = np.ones(len(qz) + 1)
@@ -277,15 +311,17 @@ class _TransverseOperator:
         self.d_z = (c[:-1] + c[1:]) / h**2 + qz**2
         self.e_z = -1.0 / h**2          # every q_z off-diagonal entry
 
-    def apply(self, g):
-        """(T_perp (x) I + I (x) T_z) g."""
-        out = self.d_z * g
-        out += self.d_perp[:, None] * g
-        e_perp = self.e_perp[:, None]
+    def apply(self, g, scale: float = 1.0, c: float = 0.0, shift: float = 0.0):
+        """(scale H + c q^2 - shift) g, itself a Kronecker sum: c q^2 splits
+        into c q_perp^2 and c q_z^2, and the shift goes on the q_perp
+        diagonal.  The plain H g is (T_perp (x) I + I (x) T_z) g."""
+        out = (scale * self.d_z + c * self.qz2) * g
+        out += (scale * self.d_perp + c * self.qp2 - shift)[:, None] * g
+        e_perp, e_z = scale * self.e_perp[:, None], scale * self.e_z
         out[1:] += e_perp * g[:-1]
         out[:-1] += e_perp * g[1:]
-        out[:, 1:] += self.e_z * g[:, :-1]
-        out[:, :-1] += self.e_z * g[:, 1:]
+        out[:, 1:] += e_z * g[:, :-1]
+        out[:, :-1] += e_z * g[:, 1:]
         return out
 
 
@@ -298,27 +334,26 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     that eigenvector is exactly a(q_perp) b(q_z), with sqrt(w) a and b the
     ground vectors of the two tridiagonals from
     :func:`relbosons.numkernel.tridiag_ground`, and lambda the sum of
-    their levels.  The state is rebalanced so that Delta q^2 = Delta r_q^2,
-    resampling each factor at s q by a not-a-knot cubic spline; the
-    product is invariant under that rescaling.  The returned state carries
-    gamma evaluated by :func:`dispersion_pair`, and in ``meta`` the two
-    kernels' total iteration count, lambda/2 (``mean_value``) and the 2-D
-    residual ||H g - lambda g|| of the unit g = sqrt(w) a b (``grad_norm``),
-    from one application of the unseparated operator: an a-posteriori
-    check of the separation.
+    their levels.  The state is balanced (Delta q^2 = Delta r_q^2) by
+    rescaling the grid, not the samples: every term of the moments is
+    homogeneous in q, Delta q^2 scaling as s^2 and Delta r_q^2 as s^-2,
+    so the same samples on ``CylindricalGrid(q_max/s, step/s)``,
+    renormalized, are exactly the state rescaled by s = (Delta q^2 /
+    Delta r_q^2)^(1/4), and gamma is unchanged.  Both evaluations run on
+    the factors.  The returned state, on that rescaled grid, carries gamma
+    and in ``meta`` the two kernels' total iteration count, lambda/2
+    (``mean_value``) and the 2-D residual ||H g - lambda g|| of the unit
+    g = sqrt(w) a b (``grad_norm``), from one application of the
+    unseparated operator: an a-posteriori check of the separation.
     """
     a, b, meta = _lowest_mode(grid)
     functional = transverse_massless_functional()
-    for _ in range(2):
-        dq2, drq2 = dispersion_pair((grid, np.outer(a, b)), functional)
-        s = (dq2 / drq2) ** 0.25
-        if abs(s - 1.0) < 1e-9:
-            break
-        a = _rescaled(grid.q_perp, a, s)
-        a /= math.sqrt(_measure_sum(grid, a * a))
-        b = _rescaled(grid.q_z, b, s)
-        b /= math.sqrt(b @ b)
-    state = evaluate_state(grid, np.outer(a, b), functional)
+    dq2, drq2 = dispersion_pair((grid, (a, b)), functional)
+    s = (dq2 / drq2) ** 0.25
+    grid = CylindricalGrid(grid.q_max / s, grid.step / s)
+    a = a / math.sqrt(_measure_sum(grid, a * a))
+    n2, dq2, drq2 = _moments(grid, (a, b), functional)
+    state = RayleighState(grid, np.outer(a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
     state.meta.update(meta)
     return state
 
@@ -334,18 +369,10 @@ def _lowest_mode(grid: CylindricalGrid):
     along = numkernel.tridiag_ground(numkernel.TridiagProblem(
         op.d_z, np.full(len(op.d_z) - 1, op.e_z), grid.step))
     lam = perp.value + along.value
-    g = np.outer(perp.vector, along.vector)
-    r = op.apply(g)
-    r -= lam * g
+    r = op.apply(np.outer(perp.vector, along.vector), shift=lam)
     return perp.vector / op.sqrt_w[:, 0], along.vector, dict(
         iterations=perp.iterations + along.iterations,
         grad_norm=math.sqrt(np.einsum("ij,ij", r, r)), mean_value=0.5 * lam)
-
-
-def _rescaled(x, y, s: float) -> np.ndarray:
-    """Samples of y(s x), clamped to the grid; gamma is scale invariant,
-    the balance is not."""
-    return CubicSpline(x, y)(np.clip(x * s, x[0], x[-1]))
 
 
 def euler_lagrange_residual(state: RayleighState) -> float:
@@ -359,11 +386,9 @@ def euler_lagrange_residual(state: RayleighState) -> float:
         raise ValueError("Euler-Lagrange residual is defined on the cylindrical grid")
     op = _TransverseOperator(grid)
     g = state.f_samples * op.sqrt_w
-    q2 = grid.q_perp[:, None] ** 2 + grid.q_z[None, :] ** 2
     dq2, drq2 = state.delta_q2, state.delta_rq2
     # sqrt(w) times the bracket on f, written with H = -Lap + 1/q_perp^2 + q^2
-    el = dq2 * op.apply(g)
-    el += ((drq2 - dq2) * q2 - 2.0 * dq2 * drq2) * g
+    el = op.apply(g, scale=dq2, c=drq2 - dq2, shift=2.0 * dq2 * drq2)
     # einsum, not BLAS norms: OpenBLAS threads those for no wall-time gain
     return (math.sqrt(np.einsum("ij,ij", el, el) / np.einsum("ij,ij", g, g))
             / (2.0 * dq2 * drq2))
@@ -395,16 +420,15 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
     (whose weighted integral diverges and is rejected).
     """
     functional = transverse_massless_functional()
-    qp = grid.q_perp[:, None]
-    qz = grid.q_z[None, :]
-    q2 = qp**2 + qz**2
+    qp, qz = grid.q_perp, grid.q_z
+    transverse = qp * np.exp(-1.25 * qp**2)
     report = {}
+    # the first two readings separate and are evaluated on their factors
     report["qperp_times_full_gaussian"] = rayleigh_gamma(
-        (grid, qp * np.exp(-1.25 * q2)), functional)
+        (grid, (transverse, np.exp(-1.25 * qz**2))), functional)
     report["qperp_dependence_only"] = rayleigh_gamma(
-        (grid, np.broadcast_to(qp * np.exp(-1.25 * qp**2),
-                               (len(grid.q_perp), len(grid.q_z))).copy()),
-        functional)
+        (grid, (transverse, np.ones(len(qz)))), functional)
+    q2 = qp[:, None] ** 2 + qz[None, :] ** 2
     try:
         rayleigh_gamma((grid, np.sqrt(q2) * np.exp(-1.25 * q2)), functional)
         report["spherical_magnitude"] = "converged (unexpected)"
@@ -447,6 +471,8 @@ def position_dispersion_momentum(f: Callable, mass: float, p_max: float = 60.0,
     if df is not None:
         dfv = np.asarray(df(p), dtype=float)
     else:
+        from scipy.interpolate import CubicSpline
+
         dfv = CubicSpline(p, fv).derivative()(p)
     meas = 4.0 * math.pi * p * p
     n2 = float(np.trapezoid(fv * fv * meas, p))

@@ -135,11 +135,15 @@ def _doubled_axis_weight(monkeypatch, results):
 
 def _squared_transverse_prefactor(monkeypatch, results):
     # one more factor q_perp in front of every reading's Gaussian (the
-    # transverse prefactor becomes q_perp^2)
+    # transverse prefactor becomes q_perp^2): on the transverse factor of
+    # the separable readings, which moves the orbit reading off 5/2, and
+    # on the rows of the spherical one
     gamma = variational.rayleigh_gamma
 
     def faulty(state, functional):
         grid, f = state
+        if isinstance(f, tuple):
+            return gamma((grid, (grid.q_perp * f[0], f[1])), functional)
         return gamma((grid, grid.q_perp[:, None] * f), functional)
 
     monkeypatch.setattr(variational, "rayleigh_gamma", faulty)

@@ -354,6 +354,21 @@ class TestImports:
         assert "scipy.fft" in loaded
         assert not loaded & {"scipy.linalg", "scipy.optimize", "scipy.interpolate"}
 
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--spin", "0", "--d", "0,1,inf", "--out", "{tmp}/g.csv"],
+        ["rayleigh", "--case", "trans-massless", "--out", "{tmp}/r.json"],
+        ["verify"],
+    ], ids=["gamma", "rayleigh-trans-massless", "verify"])
+    def test_compute_paths_load_no_optimize_or_interpolate(self, argv, tmp_path):
+        # the shooting root is numkernel.find_root and the transverse
+        # balance rescales the grid, so neither module is on these paths
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        loaded = scipy_modules_after(
+            "import contextlib, io\nfrom relbosons.cli import run\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0")
+        assert "scipy.linalg" in loaded
+        assert not {m.split(".")[1] for m in loaded if "." in m} & {"optimize", "interpolate"}
+
     def test_lazy_exports_resolve(self):
         # in a fresh interpreter, where a submodule not yet imported
         # resolves through the package's __getattr__

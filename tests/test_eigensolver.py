@@ -2,7 +2,6 @@
 
 import functools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,7 +86,7 @@ class TestShooting:
     def test_brent_metadata(self):
         res = solve_ground_shooting(spec_spin0(1.0))
         lo, hi = res.meta["bracket"]
-        # brentq's stopping width is xtol + 4 eps |lam|
+        # zeroin's stopping width is xtol + 4 eps |lam|
         assert lo <= res.lam <= hi
         assert hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * res.lam
         assert 0 < res.meta["brent_iterations"] < res.meta["mismatch_evaluations"] <= 20
@@ -96,26 +95,35 @@ class TestShooting:
         try:
             res = solve_ground_shooting(spec_spin0(1.0), tol=1e-20)
         except RuntimeError:
-            return  # Brent's own non-convergence error
+            return  # the root search's iteration cap
         lo, hi = res.meta["bracket"]
         assert lo <= res.lam <= hi
-        # brentq stops at a relative width of 4 eps: the double floor
+        # zeroin stops at a relative width of 4 eps: the double floor
         assert hi - lo <= 4.0 * np.finfo(float).eps * res.lam
 
     def test_nonconvergence_propagates(self, monkeypatch):
-        monkeypatch.setattr(es, "brentq", functools.partial(es.brentq, maxiter=2))
-        with pytest.raises(RuntimeError, match="converge"):
+        monkeypatch.setattr(es, "find_root", functools.partial(es.find_root, max_iter=2))
+        with pytest.raises(RuntimeError, match="iteration cap max_iter = 2"):
             solve_ground_shooting(spec_spin0(1.0))
 
     def test_bracket_failure_names_bracket(self, monkeypatch):
-        import relbosons.eigensolver as es
-
-        # plant a seed estimate between levels so [est - 0.5, est + 0.5]
-        # straddles no eigenvalue of -u'' + q^2 u (levels 3, 7, 11, ...)
-        monkeypatch.setattr(es, "tridiag_ground",
-                            lambda prob: SimpleNamespace(value=29.0))
-        with pytest.raises(BracketError, match="28.5"):
+        # plant a bracket between levels: [28.5, 29.5] straddles no
+        # eigenvalue of -u'' + q^2 u (levels 3, 7, 11, ...)
+        monkeypatch.setattr(es, "limit_bracket", lambda spec: (28.5, 29.5))
+        with pytest.raises(BracketError, match=r"\[28\.500000, 29\.500000\].*d = inf"):
             solve_ground_shooting(spec_spin0(0.0))
+
+    @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
+    def test_limit_bracket_holds_the_level(self, mk):
+        # lam(d) lies between the exact d = 0 and d = inf levels for every
+        # angular index; the margin only absorbs the discretization
+        for l in range(4):
+            lo, hi = es.limit_bracket(mk(1.0, l))
+            ends = sorted(2.0 * gamma for gamma in (solve_ground_fd(mk(0.0, l)).gamma,
+                                                    solve_ground_fd(mk(INFINITY, l)).gamma))
+            assert (lo, hi) == pytest.approx((ends[0] - 0.05, ends[1] + 0.05), abs=1e-5)
+            for d in (0.5, 4.0, 64.0):
+                assert lo + 0.05 - 1e-9 < solve_ground_shooting(mk(d, l)).lam < hi - 0.05 + 1e-9
 
 
 class TestFdMatrix:

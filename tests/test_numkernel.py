@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbosons import verify
-from relbosons.numkernel import (MinimizationError, QuadratureError,
+from relbosons.numkernel import (BracketError, MinimizationError, QuadratureError,
                                  QuadratureSpec, TridiagProblem, dirichlet_problem,
-                                 gauss_legendre, integrate_damped, tridiag_ground)
+                                 find_root, gauss_legendre, integrate_damped,
+                                 tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 # independent refinement oracle for the relativistic-envelope integral,
@@ -306,6 +307,77 @@ class TestTridiagGround:
             tridiag_ground(prob, max_iter=0)
         with pytest.raises(ValueError):
             TridiagProblem(np.ones(5), np.ones(5), 0.1)
+
+
+class TestFindRoot:
+    """Brent's zeroin against scipy's brentq, which implements the same method."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    ], ids=["cos-fixed-point", "wallis-cubic"])
+    def test_matches_brentq_on_smooth_functions(self, f, lo, hi):
+        from scipy.optimize import brentq
+
+        g, calls = self.counted(f)
+        root = find_root(g, lo, hi, 1e-12)
+        want, info = brentq(f, lo, hi, xtol=1e-12, full_output=True)
+        assert root.value == pytest.approx(want, abs=1e-12)
+        assert root.evaluations == len(calls) == info.function_calls
+        b_lo, b_hi = root.bracket
+        assert b_lo <= root.value <= b_hi
+        assert b_hi - b_lo <= 1e-12 + 4.0 * np.finfo(float).eps * abs(root.value)
+        assert f(b_lo) * f(b_hi) <= 0.0
+        # every evaluated point lies outside or on the returned bracket
+        assert all(not b_lo < x < b_hi for x in calls)
+
+    @pytest.mark.parametrize("spec", [spec_spin0(1.0), spec_spin1(INFINITY)],
+                             ids=["spin0-d1", "spin1-dinf"])
+    def test_matches_brentq_on_numerov_mismatch(self, spec):
+        from scipy.optimize import brentq
+
+        from relbosons import eigensolver as es
+
+        grid = es.RadialGrid()
+        q = grid.q
+        W = effective_potential(q, spec)
+        i0 = int(np.searchsorted(q, 0.05))
+        im = int(np.searchsorted(q, 1.0))
+
+        def mismatch(lam):
+            return es._numerov_mismatch(spec, q, grid.step, lam, W, i0, im)[0]
+
+        lo, hi = es.limit_bracket(spec)
+        root = find_root(mismatch, lo, hi, 1e-10)
+        assert root.value == pytest.approx(brentq(mismatch, lo, hi, xtol=1e-10), abs=1e-10)
+        assert 0 < root.iterations == root.evaluations - 2
+
+    def test_root_at_an_end(self):
+        root = find_root(lambda x: x - 1.0, 1.0, 2.0, 1e-12)
+        assert root.value == 1.0 and root.bracket == (1.0, 1.0)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(BracketError, match=r"no sign change on \[2\.000000, 3\.000000\]"):
+            find_root(lambda x: x * x + 1.0, 2.0, 3.0, 1e-12)
+
+    def test_iteration_cap_raises(self):
+        # a triple root makes zeroin bisect every few steps: 124 evaluations
+        # after the two ends at xtol = 1e-12
+        g, calls = self.counted(lambda x: (x - 1.0) ** 3)
+        with pytest.raises(RuntimeError, match="iteration cap max_iter = 20"):
+            find_root(g, 0.0, 3.0, 1e-12, max_iter=20)
+        assert len(calls) == 22
+        assert find_root(lambda x: (x - 1.0) ** 3, 0.0, 3.0, 1e-12,
+                         max_iter=200).value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMinimizeFunctional:

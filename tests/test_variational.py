@@ -8,7 +8,7 @@ import pytest
 from relbosons import kg_fields
 from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
-from relbosons.variational import (CylindricalGrid, DispersionFunctional,
+from relbosons.variational import (KIND_SPIN0, CylindricalGrid, DispersionFunctional,
                                    DivergentWeightError, RadialMomentumGrid,
                                    check_connection, dispersion_pair,
                                    euler_lagrange_residual, longitudinal_functional,
@@ -17,7 +17,7 @@ from relbosons.variational import (CylindricalGrid, DispersionFunctional,
                                    rescaled_profile, spin0_functional,
                                    transverse_massless_functional,
                                    transverse_nonrel_functional,
-                                   _lowest_mode, _TransverseOperator)
+                                   _lowest_mode, _moments, _TransverseOperator)
 
 
 def wrong_width_gaussian(grid):
@@ -129,6 +129,33 @@ class TestDispersionPair:
                       else transverse_nonrel_functional())
         got = dispersion_pair((grid, f), functional)
         assert got == pytest.approx(dense_dispersion_pair(grid, f, massless), rel=1e-14)
+
+    @pytest.mark.parametrize("functional", [transverse_massless_functional(),
+                                            transverse_nonrel_functional(),
+                                            spin0_functional(1.0)],
+                             ids=lambda fn: fn.kind)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factor_pair_matches_outer_product(self, functional, seed):
+        # random separable states, vanishing ~ q_perp on the axis; grid
+        # steps off the default, both q_z ends nonzero
+        rng = np.random.default_rng(seed)
+        grid = CylindricalGrid(q_max=5.0 + rng.random(), step=0.05 + 0.01 * rng.random())
+        a = grid.q_perp * (1.0 + 0.3 * rng.random(len(grid.q_perp)))
+        b = rng.standard_normal(len(grid.q_z))
+        if functional.kind == KIND_SPIN0:
+            for f in ((a, b), np.outer(a, b)):
+                with pytest.raises(ValueError, match="RadialMomentumGrid"):
+                    _moments(grid, f, functional)
+            return
+        got = _moments(grid, (a, b), functional)
+        assert got == pytest.approx(_moments(grid, np.outer(a, b), functional), rel=1e-13)
+        assert dispersion_pair((grid, (a, b)), functional) == pytest.approx(got[1:], rel=0)
+
+    def test_factor_pair_divergent_axis_rejected(self):
+        grid = CylindricalGrid(q_max=4.0, step=0.05)
+        with pytest.raises(DivergentWeightError):
+            dispersion_pair((grid, (np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))),
+                            transverse_massless_functional())
 
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
@@ -310,7 +337,15 @@ class TestTransverseMinimization:
         assert np.max(np.abs(np.outer(a, b).ravel() - v)) <= 1e-9 * np.max(v)
 
     def test_balance_at_minimum(self, transverse_state):
-        assert abs(transverse_state.delta_q2 - transverse_state.delta_rq2) <= 1e-4
+        # the same samples on the rescaled grid balance to rounding, and
+        # the product is that of the unbalanced state on the nominal grid
+        dq2, drq2 = transverse_state.delta_q2, transverse_state.delta_rq2
+        assert abs(dq2 - drq2) <= 1e-12 * max(dq2, drq2)
+        grid = CylindricalGrid()
+        a, b, _ = _lowest_mode(grid)
+        unbalanced = rayleigh_gamma((grid, np.outer(a, b)), transverse_massless_functional())
+        assert transverse_state.gamma == pytest.approx(unbalanced, abs=1e-14)
+        assert transverse_state.norm_N2 == pytest.approx(1.0, rel=1e-14)
 
     def test_euler_lagrange_residual(self, transverse_state):
         assert euler_lagrange_residual(transverse_state) <= 1e-3
@@ -332,11 +367,11 @@ class TestTransverseMinimization:
         assert abs(coarse.gamma - 2.5) / abs(fine.gamma - 2.5) >= 3.0
 
     def test_two_grid_richardson(self, transverse_state):
-        # the gamma error is c h^2, so two grids cancel it
+        # the gamma error is c h^2 in the nominal step h, so two grids
+        # cancel it; each returned grid is that one rescaled to balance
         coarse = minimize_transverse_massless(CylindricalGrid(step=0.04))
-        fine = transverse_state.gamma
-        assert transverse_state.geometry.step == 0.02
-        assert (4.0 * fine - coarse.gamma) / 3.0 == pytest.approx(2.5, abs=1e-6)
+        assert CylindricalGrid().step == 0.02
+        assert (4.0 * transverse_state.gamma - coarse.gamma) / 3.0 == pytest.approx(2.5, abs=1e-6)
 
     def test_kronecker_operator_matches_staggered_form(self):
         grid = CylindricalGrid()
