@@ -104,6 +104,22 @@ def parse_range(text: str):
     return lo + step * np.arange(n)
 
 
+def parse_finite(text: str) -> float:
+    """A finite number: nan and inf would reach the packet transforms."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return value
+
+
+def parse_positive(text: str) -> float:
+    """A finite number above 0: a mass, a damping, a width or a radius."""
+    value = parse_finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+    return value
+
+
 def parse_map_n(text: str) -> int:
     """Points per axis of the planar map; the map spans both corners."""
     n = int(text)
@@ -142,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dens = sub.add_parser(
         "density", help="radial charge/energy density scan (CSV r,rho,eps)")
-    p_dens.add_argument("--m", type=float, default=1.0, help="mass (natural units)")
-    p_dens.add_argument("--a", type=float, default=0.5, help="damping parameter a")
-    p_dens.add_argument("--t", type=float, default=0.05, help="time t")
-    p_dens.add_argument("--rmax", type=float, default=6.0)
-    p_dens.add_argument("--dr", type=float, default=0.01)
+    p_dens.add_argument("--m", type=parse_positive, default=1.0, help="mass (natural units)")
+    p_dens.add_argument("--a", type=parse_positive, default=0.5, help="damping parameter a")
+    p_dens.add_argument("--t", type=parse_finite, default=0.05, help="time t")
+    p_dens.add_argument("--rmax", type=parse_positive, default=6.0)
+    p_dens.add_argument("--dr", type=parse_positive, default=0.01)
     p_dens.add_argument("--profile", choices=["cosine", "gaussian"], default="cosine",
                         help="spectral profile f(p)")
-    p_dens.add_argument("--sigma", type=float, default=1.0,
+    p_dens.add_argument("--sigma", type=parse_positive, default=1.0,
                         help="width of the gaussian profile")
     p_dens.add_argument("--out", required=True, help="CSV output (r,rho,eps)")
     p_dens.add_argument("--map-out", default="", help="planar map CSV (x,z,rho)")
@@ -292,30 +308,23 @@ def _cmd_rayleigh(args) -> int:
     payload = {"case": args.case}
     if args.case in ("spin0", "long"):
         d = (args.d or [0.0])[0]
+        spec = PotentialSpec(0 if args.case == "spin0" else 1, d)
         functional = (variational.spin0_functional(d) if args.case == "spin0"
                       else variational.longitudinal_functional(d))
         grid = variational.RadialMomentumGrid()
-        qv = grid.q
-        if math.isinf(d):
-            alpha = eigensolver.ALPHA_GOLDEN
-            f = qv ** (alpha - 1.0) * np.exp(-qv * qv / 2.0)
-        elif d == 0.0 and args.case == "spin0":
-            f = np.exp(-qv * qv / 2.0)
-        elif d == 0.0:
-            f = qv * np.exp(-qv * qv / 2.0)
-        else:
-            spec = (potentials.spec_spin0(d) if args.case == "spin0"
-                    else potentials.spec_spin1(d))
+        if 0.0 < d < INFINITY:
             res = eigensolver.solve_ground_fd(spec)
-            f = np.interp(qv, res.q_samples, res.u_samples / res.q_samples,
+            f = np.interp(grid.q, res.q_samples, res.u_samples / res.q_samples,
                           right=0.0)
+        else:
+            f = potentials.limit_profile(grid.q, spec)
         state = variational.evaluate_state(grid, f, functional)
         payload.update(d=("inf" if math.isinf(d) else d), iterations=0)
     elif args.case == "trans-nonrel":
         grid = variational.RadialMomentumGrid()
-        qv = grid.q
-        state = variational.evaluate_state(
-            grid, np.exp(-qv * qv / 2.0), variational.transverse_nonrel_functional())
+        # the nonrelativistic transverse weight vanishes: the scalar d = 0 ground state
+        f = potentials.limit_profile(grid.q, potentials.spec_spin0(0.0))
+        state = variational.evaluate_state(grid, f, variational.transverse_nonrel_functional())
         payload.update(iterations=0)
     else:
         state = variational.minimize_transverse_massless()

@@ -24,13 +24,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .numkernel import BracketError, find_root, richardson_ground
-from .potentials import (INFINITY, PotentialSpec, effective_potential,
+from .potentials import (INFINITY, PotentialSpec, effective_potential, limit_profile,
                          origin_behavior, regular_expansion, spec_spin0, spec_spin1)
 
 GOLDEN_GAMMA = 1.0 + math.sqrt(5.0) / 2.0          # massless limit, both spins
@@ -320,25 +320,21 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
 
 @dataclass(frozen=True)
 class AnalyticCase:
+    """A limit case: its ground state q * limit_profile(q, spec) has level 2 gamma."""
+
     label: str
     spec: PotentialSpec
     gamma: float
-    u: Callable  # canonical u(q) = q * f(q), unnormalized
     q_min: float  # residual grid start (offset for singular exponents)
 
 
 def analytic_cases() -> list:
     """The four closed-form ground states of the limiting potentials."""
-    phi = ALPHA_GOLDEN
     return [
-        AnalyticCase("spin0 d=0", spec_spin0(0.0), 1.5,
-                     lambda q: q * np.exp(-q * q / 2.0), 1e-4),
-        AnalyticCase("spin0 d=inf", spec_spin0(INFINITY), GOLDEN_GAMMA,
-                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE),
-        AnalyticCase("spin1 d=0", spec_spin1(0.0), 2.5,
-                     lambda q: q * q * np.exp(-q * q / 2.0), 1e-4),
-        AnalyticCase("spin1 d=inf", spec_spin1(INFINITY), GOLDEN_GAMMA,
-                     lambda q: q**phi * np.exp(-q * q / 2.0), _RESIDUAL_EDGE),
+        AnalyticCase("spin0 d=0", spec_spin0(0.0), 1.5, 1e-4),
+        AnalyticCase("spin0 d=inf", spec_spin0(INFINITY), GOLDEN_GAMMA, _RESIDUAL_EDGE),
+        AnalyticCase("spin1 d=0", spec_spin1(0.0), 2.5, 1e-4),
+        AnalyticCase("spin1 d=inf", spec_spin1(INFINITY), GOLDEN_GAMMA, _RESIDUAL_EDGE),
     ]
 
 
@@ -349,8 +345,8 @@ def closed_form_residual(case: AnalyticCase, n: int = 8000, q_max: float = 12.0)
     the residual decreases as h^2 under grid refinement.
     """
     q = np.linspace(case.q_min, q_max, n)
-    return _discrete_residual(q, case.u(q), effective_potential(q, case.spec),
-                              2.0 * case.gamma, q[0])
+    return _discrete_residual(q, q * limit_profile(q, case.spec),
+                              effective_potential(q, case.spec), 2.0 * case.gamma, q[0])
 
 
 def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> dict:

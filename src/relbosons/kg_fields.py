@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dct, dst
 
-from .numkernel import QuadratureError, QuadratureSpec, gauss_legendre, integrate_damped
+from . import numkernel
+from .numkernel import QuadratureError, QuadratureSpec, integrate_damped
 
 # tolerances of the radial transforms behind every field scan
 _FIELD_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
@@ -65,6 +66,8 @@ class GaussianProfile:
     """f(p) = exp(-p^2 / (2 sigma^2))."""
 
     def __init__(self, sigma: float = 1.0):
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         self.sigma = sigma
 
     def __call__(self, p):
@@ -98,10 +101,10 @@ class WavepacketParams:
     profile: Callable
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.damping_a <= 0:
-            raise ValueError("damping_a must be positive (integral convergence)")
+        if not (0.0 < self.mass < math.inf and math.isfinite(self.time_t)):
+            raise ValueError("mass must be positive and finite, and time_t finite")
+        if not 0.0 < self.damping_a < math.inf:
+            raise ValueError("damping_a must be positive (integral convergence) and finite")
         probe = np.asarray(self.profile(np.array([0.0, 0.7, 2.3])))
         if np.iscomplexobj(probe) and np.any(np.abs(probe.imag) > 0):
             raise ValueError("profile must be real-valued on [0, inf)")
@@ -163,15 +166,17 @@ def field_sample(r: float, params: WavepacketParams,
                        complex(i_cos / r - i_sin / r**2))
 
 
-def charge_density(sample: FieldSample) -> float:
-    """rho = (i/2)(phi* dphi - phi dphi*) computed as -Im(phi* dphi/dt)."""
-    return float(-np.imag(np.conj(sample.phi) * sample.dt_phi))
+def charge_density(sample: FieldSample):
+    """rho = (i/2)(phi* dphi - phi dphi*) computed as -Im(phi* dphi/dt);
+    the fields of ``sample`` may be arrays, one entry per radius."""
+    return -np.imag(np.conj(sample.phi) * sample.dt_phi)
 
 
-def energy_density(sample: FieldSample, mass: float) -> float:
-    """eps = |dphi/dt|^2 + |dphi/dr|^2 + m^2 |phi|^2 (>= 0 by construction)."""
-    return float(abs(sample.dt_phi) ** 2 + abs(sample.dr_phi) ** 2
-                 + mass**2 * abs(sample.phi) ** 2)
+def energy_density(sample: FieldSample, mass: float):
+    """eps = |dphi/dt|^2 + |dphi/dr|^2 + m^2 |phi|^2 (>= 0 by construction),
+    per entry for array fields."""
+    return (abs(sample.dt_phi) ** 2 + abs(sample.dr_phi) ** 2
+            + mass**2 * abs(sample.phi) ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -333,9 +338,9 @@ def scan_density(params: WavepacketParams, radii,
                  ) -> DensityField:
     """Sample rho and eps on a radial grid and detect negative shells."""
     phi, dt_phi, dr_phi, failed = packet_fields(params, radii, quad)
-    rho = -np.imag(np.conj(phi) * dt_phi)
-    eps = (np.abs(dt_phi) ** 2 + np.abs(dr_phi) ** 2
-           + params.mass**2 * np.abs(phi) ** 2)
+    sample = FieldSample(phi, dt_phi, dr_phi)
+    rho = charge_density(sample)
+    eps = energy_density(sample, params.mass)
     shells = find_negative_shells(radii, rho)
     return DensityField(np.asarray(radii, dtype=float), rho, eps, shells,
                         np.asarray(failed))
@@ -397,7 +402,7 @@ def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6,
     if radii is None:
         radii = default_radii(45.0, 0.02)
     phi, dt_phi, _, _ = packet_fields(params, radii, quad, need_dr=False)
-    rho = -np.imag(np.conj(phi) * dt_phi)
+    rho = charge_density(FieldSample(phi, dt_phi, None))
     integrand = 4.0 * np.pi * rho * radii**2
     q = float(np.trapezoid(integrand, radii))
     _tail_check(radii, integrand, q, rel_tol, "total_charge")
@@ -447,24 +452,6 @@ def packet_momentum_profile(params: WavepacketParams) -> Callable:
     return ftil
 
 
-def _panel_nodes(p_max: float, panels: int):
-    """Nodes and weights of the 15-point Gauss-Legendre rule on each of
-    ``panels`` equal panels of [0, p_max]."""
-    x, w = gauss_legendre(15)
-    edges = np.linspace(0.0, p_max, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * x[None, :]).ravel()
-    wts = (half * np.broadcast_to(w, (panels, 15))).ravel()
-    return nodes, wts
-
-
-def momentum_norm(f: Callable, p_max: float = 60.0, n: int = 6000) -> float:
-    """N^2 = int |f|^2 d^3p for a radial profile by panel quadrature."""
-    p, w = _panel_nodes(p_max, max(8, n // 15))
-    return float(4.0 * np.pi * np.sum(w * p * p * np.asarray(f(p)) ** 2))
-
-
 def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 60.0):
     """Position-space (phi, pi, dphi/dr) of the state defined by f~ at t = 0.
 
@@ -496,8 +483,7 @@ def energy_position_space(f: Callable, mass: float, r_max: float = 45.0,
                           dr: float = 0.01, p_max: float = 60.0) -> float:
     """int eps 4 pi r^2 dr of the f~ state; equals int |f~|^2 d^3p."""
     radii = default_radii(r_max, dr)
-    phi, pi, dphi = state_fields_from_momentum(f, mass, radii, p_max)
-    eps = np.abs(pi) ** 2 + np.abs(dphi) ** 2 + mass**2 * np.abs(phi) ** 2
+    eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
     integrand = 4.0 * np.pi * eps * radii**2
     total = float(np.trapezoid(integrand, radii))
     _tail_check(radii, integrand, total, 1e-8, "energy_position_space")
@@ -511,12 +497,13 @@ def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
 
     The independent oracle for the momentum-space dispersion formula
     (see :func:`relbosons.variational.position_dispersion_momentum`);
-    N^2 is evaluated in momentum space.  Warns on unconverged tails.
+    N^2 is evaluated in momentum space by
+    :func:`relbosons.numkernel.radial_rule`.  Warns on unconverged tails.
     """
     radii = default_radii(r_max, dr)
-    phi, pi, dphi = state_fields_from_momentum(f, mass, radii, p_max)
-    eps = np.abs(pi) ** 2 + np.abs(dphi) ** 2 + mass**2 * np.abs(phi) ** 2
+    eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
     integrand = 4.0 * np.pi * radii**4 * eps
     num = float(np.trapezoid(integrand, radii))
     _tail_check(radii, integrand, num, rel_tol, "position_dispersion_direct")
-    return num / momentum_norm(f, p_max)
+    p, w = numkernel.radial_rule(p_max)
+    return num / float(np.sum(w * np.asarray(f(p)) ** 2))

@@ -1,13 +1,13 @@
 """Shared numeric primitives.
 
-Four building blocks used throughout the package:
+Five building blocks used throughout the package:
 
 * adaptive quadrature for exponentially damped (optionally oscillatory)
   integrands on the half line,
 * fixed Gauss-Legendre rules, built once per order and shared read-only
-  (:func:`gauss_legendre`): the 15-point panel rule of
-  :mod:`relbosons.kg_fields` and the 96- and 128-point rules of the
-  field-connection quadratures in :mod:`relbosons.variational`,
+  (:func:`gauss_legendre`),
+* the one rule for int g(p) d^3p of a radial g (:func:`radial_rule`),
+  behind every such norm and dispersion in the package,
 * the certified lowest eigenpair of a symmetric tridiagonal matrix by
   shifted inverse iteration, with the three-point Dirichlet matrix of
   -u'' + V u and its Richardson-extrapolated ground level.  It serves
@@ -199,6 +199,22 @@ def gauss_legendre(n: int) -> tuple:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def radial_rule(p_max: float) -> tuple:
+    """Nodes p and weights w with sum(w g(p)) = int_0^p_max g(p) 4 pi p^2 dp.
+
+    The 15-point Gauss-Legendre rule on ceil(p_max / 0.15) equal panels of
+    half-width h, panel k holding h (2k + 1 + x) for the nodes x on [-1, 1], a
+    width at which it is exact to rounding for the smooth profiles here.
+    """
+    if not p_max > 0.0:
+        raise ValueError(f"p_max must be positive, got {p_max}")
+    x, w = gauss_legendre(15)
+    panels = math.ceil(p_max / 0.15)
+    half = 0.5 * p_max / panels
+    p = (half * (2.0 * np.arange(panels)[:, None] + 1.0 + x)).ravel()
+    return p, np.tile(half * w, panels) * (4.0 * math.pi) * p * p
 
 
 # ----------------------------------------------------------------------

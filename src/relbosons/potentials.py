@@ -8,6 +8,10 @@ so a single solver covers the scalar (spin-0) and longitudinal (spin-1)
 problems.  The relativity parameter ``d`` interpolates between the
 nonrelativistic (d = 0) and massless (d = inf) regimes; the two limits
 use their exact closed forms rather than a large float.
+
+The two formulas every module shares are owned here:
+:func:`dispersion_weight`, the relativistic |f|^2 weight of the position
+dispersion, and :func:`limit_profile`, the d = 0 and d = inf ground states.
 """
 
 from __future__ import annotations
@@ -66,29 +70,44 @@ class OriginBehavior:
     exponent_alpha: float
 
 
-def effective_potential(q, spec: PotentialSpec):
-    """W(q) in the canonical -u'' + W u = lam u form.  Requires q > 0.
+def dispersion_weight(q, spec: PotentialSpec):
+    """w(q; d) = W - q^2 - l (l + 1)/q^2, the |f|^2 weight that the position
+    dispersion adds to |grad f|^2 in rescaled units; vectorized.  At d = INFINITY
+    the exact limit 1/q^2 (either spin); at d = 0 exactly 0 (spin 0) and 2/q^2."""
+    q = np.asarray(q, dtype=float)
+    if math.isinf(spec.d):
+        return 1.0 / q**2
+    x = (spec.d * q) ** 2
+    if spec.spin == SPIN0:
+        return spec.d**2 / (1.0 + x) + spec.d**2 / (2.0 * (1.0 + x) ** 2)
+    return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + spec.d**2 / (2.0 * (1.0 + x) ** 2)
 
-    Vectorized over numpy arrays.  At d = INFINITY the exact limiting
-    forms 1/q^2 + q^2 (either spin) are used; at d = 0 the formulas
-    reduce exactly to q^2 (spin 0) and 2/q^2 + q^2 (spin 1).
-    """
+
+def effective_potential(q, spec: PotentialSpec):
+    """W(q) = w(q; d) + q^2 + l (l + 1)/q^2 in the canonical -u'' + W u = lam u
+    form, w from :func:`dispersion_weight`.  Requires q > 0; vectorized."""
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0):
         raise ValueError("q must be positive")
     lterm = spec.angular_index * (spec.angular_index + 1)
-    if math.isinf(spec.d):
-        w = 1.0 / q**2 + q**2
-    elif spec.spin == SPIN0:
-        x = (spec.d * q) ** 2
-        w = spec.d**2 / (1.0 + x) + spec.d**2 / (2.0 * (1.0 + x) ** 2) + q**2
-    else:
-        x = (spec.d * q) ** 2
-        w = (q**2 + 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x))
-             + spec.d**2 / (2.0 * (1.0 + x) ** 2))
+    w = dispersion_weight(q, spec) + q**2
     if lterm:
         w = w + lterm / q**2
     return w if w.shape else float(w)
+
+
+def limit_profile(q, spec: PotentialSpec):
+    """f = q^(alpha - 1) exp(-q^2/2), the ground state at d = 0 or d = inf.
+
+    There W = q^2 + c/q^2 for every angular index, and u = q f =
+    q^alpha exp(-q^2/2) solves -u'' + W u = (2 alpha + 1) u, with alpha
+    from :func:`origin_behavior`.  Unnormalized; vectorized over q.  Raises
+    ValueError for 0 < d < inf, where no closed form exists.
+    """
+    if 0.0 < spec.d < INFINITY:
+        raise ValueError(f"no closed-form ground state at finite d = {spec.d:g} > 0")
+    q = np.asarray(q, dtype=float)
+    return q ** (origin_behavior(spec).exponent_alpha - 1.0) * np.exp(-q * q / 2.0)
 
 
 def origin_behavior(spec: PotentialSpec) -> OriginBehavior:

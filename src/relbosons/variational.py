@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numkernel
+from . import numkernel, potentials
 
 KIND_SPIN0 = "spin0"
 KIND_LONGITUDINAL = "spin1_longitudinal"
@@ -60,19 +60,15 @@ class DispersionFunctional:
             raise ValueError("radial functionals need d >= 0 (or inf)")
 
     def weight(self, q):
-        """Multiplicative |f|^2 weight added to the gradient term."""
+        """Multiplicative |f|^2 weight added to the gradient term; for the
+        radial kinds :func:`relbosons.potentials.dispersion_weight`."""
         q = np.asarray(q, dtype=float)
         if self.kind == KIND_TRANSVERSE_NONREL:
             return np.zeros_like(q)
         if self.kind == KIND_TRANSVERSE_MASSLESS:
             return 1.0 / q**2          # q is the transverse magnitude here
-        if math.isinf(self.d):
-            return 1.0 / q**2
-        x = (self.d * q) ** 2
-        if self.kind == KIND_LONGITUDINAL:
-            return (1.0 / q**2 + 1.0 / (q**2 * (1.0 + x))
-                    + self.d**2 / (2.0 * (1.0 + x) ** 2))
-        return self.d**2 / (1.0 + x) + self.d**2 / (2.0 * (1.0 + x) ** 2)
+        spin = potentials.SPIN0 if self.kind == KIND_SPIN0 else potentials.SPIN1
+        return potentials.dispersion_weight(q, potentials.PotentialSpec(spin, self.d))
 
 
 def spin0_functional(d: float) -> DispersionFunctional:
@@ -441,32 +437,24 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
 # physical-unit helpers (cross checks against kg_fields)
 # ----------------------------------------------------------------------
 
-def spin0_weight_physical(p, mass: float):
-    """m^2/(2 E^4) + 1/E^2, the position-dispersion weight in physical units."""
-    E2 = mass**2 + np.asarray(p, dtype=float) ** 2
-    return mass**2 / (2.0 * E2**2) + 1.0 / E2
-
-
-def norm_and_dp2(f: Callable, p_max: float = 60.0, n: int = 20001):
+def norm_and_dp2(f: Callable, p_max: float = 60.0):
     """N^2 = int |f|^2 d^3p and Delta p^2 = <p^2> for a radial profile."""
-    p = np.linspace(0.0, p_max, n)
+    p, w = numkernel.radial_rule(p_max)
     fv = np.asarray(f(p), dtype=float)
-    meas = 4.0 * math.pi * p * p
-    n2 = float(np.trapezoid(fv * fv * meas, p))
-    dp2 = float(np.trapezoid(p * p * fv * fv * meas, p)) / n2
-    return n2, dp2
+    n2 = float(np.sum(w * fv * fv))
+    return n2, float(np.sum(w * p * p * fv * fv)) / n2
 
 
 def position_dispersion_momentum(f: Callable, mass: float, p_max: float = 60.0,
-                                 n: int = 20001, df: Optional[Callable] = None) -> float:
+                                 df: Optional[Callable] = None) -> float:
     """Delta r^2 in physical units from the momentum-space formula.
 
     Delta r^2 = (1/N^2) int [ |f'|^2 + (m^2/(2E^4) + 1/E^2) |f|^2 ] d^3p
-    for a radial, real profile at t = 0.  ``df`` may supply the exact
-    derivative; otherwise a spline derivative of the sampled profile is
-    used.
+    for a radial, real profile at t = 0: the spin-0 dispersion weight at
+    d = 1/m and q = p.  ``df`` may supply the exact derivative; otherwise
+    a spline derivative of the sampled profile is used.
     """
-    p = np.linspace(0.0, p_max, n)
+    p, w = numkernel.radial_rule(p_max)
     fv = np.asarray(f(p), dtype=float)
     if df is not None:
         dfv = np.asarray(df(p), dtype=float)
@@ -474,11 +462,8 @@ def position_dispersion_momentum(f: Callable, mass: float, p_max: float = 60.0,
         from scipy.interpolate import CubicSpline
 
         dfv = CubicSpline(p, fv).derivative()(p)
-    meas = 4.0 * math.pi * p * p
-    n2 = float(np.trapezoid(fv * fv * meas, p))
-    num = float(np.trapezoid((dfv * dfv + spin0_weight_physical(p, mass) * fv * fv)
-                             * meas, p))
-    return num / n2
+    weight = potentials.dispersion_weight(p, potentials.spec_spin0(1.0 / mass))
+    return float(np.sum(w * (dfv * dfv + weight * fv * fv))) / float(np.sum(w * fv * fv))
 
 
 def rescaled_profile(f: Callable, mass: float, d: float) -> Callable:
@@ -523,25 +508,21 @@ def check_connection(ansatz: str, momenta, mass: float,
         if mass <= 0:
             raise ValueError("longitudinal ansatz carries 1/m; need mass > 0")
         phi_t, pi_t = _longitudinal_fields(momenta, mass, f)
-        resid = _connection_residual(momenta, mass, phi_t, pi_t)
-        report = ConnectionReport(resid, pi_tilde=pi_t)
-        report.norm_fields = _longitudinal_norm_quadrature(mass, f)
-        report.norm_plain, report.dp2_plain = _plain_norm_dp2(f)
-        report.norm_reduced = report.norm_plain  # exact for this ansatz
-        return report
-    if ansatz != "transverse":
+    elif ansatz == "transverse":
+        phi_t = _transverse_phi(momenta, mass, f)
+        pi_t = _pi_from_connection(momenta, mass, phi_t)
+    else:
         raise ValueError("ansatz must be 'longitudinal' or 'transverse'")
-
-    phi_t = _transverse_phi(momenta, mass, f)
-    pi_t = _pi_from_connection(momenta, mass, phi_t)
-    resid = _connection_residual(momenta, mass, phi_t, pi_t)
-    report = ConnectionReport(resid, pi_tilde=pi_t)
-
-    # reduction of the energy norm: field route vs direct quadratures
-    report.norm_fields, p2_fields = _transverse_norm_quadrature(mass, f, reduced=False)
-    report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)[0]
-    report.norm_plain, report.dp2_plain = _plain_norm_dp2(f)
-    report.dp2_fields = p2_fields / report.norm_fields
+    report = ConnectionReport(_connection_residual(momenta, mass, phi_t, pi_t), pi_tilde=pi_t)
+    report.norm_plain, report.dp2_plain = norm_and_dp2(f, p_max=12.0)
+    if ansatz == "longitudinal":
+        report.norm_fields = _longitudinal_norm_quadrature(mass, f)
+        report.norm_reduced = report.norm_plain  # exact for this ansatz
+    else:
+        # reduction of the energy norm: field route vs direct quadratures
+        report.norm_fields, p2_fields = _transverse_norm_quadrature(mass, f, reduced=False)
+        report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)[0]
+        report.dp2_fields = p2_fields / report.norm_fields
     return report
 
 
@@ -614,37 +595,27 @@ def _transverse_norm_quadrature(mass, f, reduced: bool,
         phi_t = _transverse_phi(pts, mass, f)
         pi_t = _pi_from_connection(pts, mass, phi_t)
         div_pi = np.sum(pts * pi_t, axis=1)
-        curl_phi2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) * np.abs(phi_t[:, 2]) ** 2
         dens = (np.sum(np.abs(pi_t) ** 2, axis=1)
                 + np.abs(div_pi) ** 2 / mass**2
-                + curl_phi2
+                + _curl_squared_z(pts, phi_t)
                 + mass**2 * np.sum(np.abs(phi_t) ** 2, axis=1)).reshape(P.shape)
     weighted = WT * dens
     return float(np.sum(weighted)), float(np.sum(weighted * P**2))
 
 
-def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0, n_p: int = 128):
+def _curl_squared_z(momenta, phi_t):
+    """|p x phi~|^2 of a z-polarized phi~: p_perp^2 |phi~_z|^2."""
+    return (momenta[:, 0] ** 2 + momenta[:, 1] ** 2) * np.abs(phi_t[:, 2]) ** 2
+
+
+def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0):
     """Energy norm of the longitudinal ansatz by momentum quadrature.
 
     |pi~|^2 + |p . pi~|^2/m^2 + m^2 |phi~|^2 (no curl term: phi~ || p);
     collapses to |f|^2 / 2 * (m^2/E^2 + p^2/E^2 + 1) = |f|^2 identically.
     """
-    p, w = _radial_nodes(p_max, n_p)
+    p, w = numkernel.radial_rule(p_max)
     E2 = mass**2 + p * p
     fv = np.asarray(f(p), dtype=float) ** 2 / 2.0
     dens = fv * (mass**2 / E2 + p * p / E2 + 1.0)
     return float(np.sum(w * dens))
-
-
-def _radial_nodes(p_max, n_p):
-    """Gauss-Legendre nodes on [0, p_max] and their weights for d^3p = 4 pi p^2 dp."""
-    xp, wp = numkernel.gauss_legendre(n_p)
-    p = 0.5 * p_max * (xp + 1.0)
-    return p, 0.5 * p_max * wp * 4.0 * math.pi * p * p
-
-
-def _plain_norm_dp2(f, p_max: float = 12.0, n_p: int = 96):
-    p, w = _radial_nodes(p_max, n_p)
-    fv = np.asarray(f(p), dtype=float)
-    n2 = float(np.sum(w * fv * fv))
-    return n2, float(np.sum(w * p * p * fv * fv)) / n2

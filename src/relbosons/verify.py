@@ -133,10 +133,10 @@ def _shells(seed, grid_n):
         f"[{s.r_min:.2f}, {s.r_max:.2f}]" for s in shells)
 
 
-def _radial_trial(power):
-    """q^power exp(-q^2/2) on the default radial momentum grid."""
+def _radial_trial(spec):
+    """The closed-form ground state of ``spec`` on the default radial momentum grid."""
     grid = variational.RadialMomentumGrid()
-    return grid, grid.q ** power * np.exp(-grid.q * grid.q / 2.0)
+    return grid, potentials.limit_profile(grid.q, spec)
 
 
 def _position_product(seed, grid_n):
@@ -212,11 +212,11 @@ CHECKS = [
           (Bound(">=", 0.0),)),
     Check("Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)",
           lambda seed, n: _show("({:.7f}, {:.7f})", *variational.dispersion_pair(
-              _radial_trial(0.0), variational.spin0_functional(0.0))),
+              _radial_trial(spec_spin0(0.0)), variational.spin0_functional(0.0))),
           (Target(1.5, 1e-5), Target(1.5, 1e-5))),
     Check("massless-limit profile gives gamma = 1 + sqrt(5)/2",
           lambda seed, n: _show("gamma = {:.7f}", variational.rayleigh_gamma(
-              _radial_trial(ALPHA_GOLDEN - 1.0), variational.spin0_functional(INFINITY))),
+              _radial_trial(spec_spin0(INFINITY)), variational.spin0_functional(INFINITY))),
           (Target(GOLDEN_GAMMA, 1e-4),)),
     Check("position-space product tends to 3/2 in the nonrelativistic regime",
           _position_product, (Target(1.5, 2e-4),)),

@@ -4,12 +4,13 @@ that no other test checks.
 Every row of ``relbosons.verify.CHECKS`` is one test here, read from one
 run of ``run_verify``; each row must pass, must turn red once its target
 or bound moves just past the value it recorded, and the rows on the
-paper's numbers must turn red under a planted fault.  The numbered
+table must turn red under a planted fault.  The numbered
 criteria check the endpoints by both solver routes, the shells under
 grid halving and the CLI's figure data.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_each_condition_moved_past_its_value_fails(verify_results):
 
 
 # ----------------------------------------------------------------------
-# planted faults: one per row on the paper's numbers
+# planted faults: at least one per row
 # ----------------------------------------------------------------------
 
 def _stiffer_potential(monkeypatch, results):
@@ -167,6 +168,66 @@ def _deadband_above_min_rho(monkeypatch, results):
         kg_fields.find_negative_shells, deadband=2.0 * abs(min_rho)))
 
 
+def _d_without_mass(monkeypatch, results):
+    # (dp^2/dr^2)^(1/4) without the 1/m: d no longer falls with the mass
+    monkeypatch.setattr(potentials, "d_parameter",
+                        lambda delta_p2, delta_r2, mass: (delta_p2 / delta_r2) ** 0.25)
+
+
+def _absolute_charge(monkeypatch, results):
+    # |rho|: the density can no longer go negative
+    density = kg_fields.charge_density
+    monkeypatch.setattr(kg_fields, "charge_density", lambda sample: np.abs(density(sample)))
+
+
+def _real_square_time_term(monkeypatch, results):
+    # Re((dphi/dt)^2) in place of |dphi/dt|^2 in the energy density
+    def faulty(sample, mass):
+        return (np.real(sample.dt_phi**2) + np.abs(sample.dr_phi) ** 2
+                + mass**2 * np.abs(sample.phi) ** 2)
+
+    monkeypatch.setattr(kg_fields, "energy_density", faulty)
+
+
+def _heavier_massless_weight(monkeypatch, results):
+    # the d = inf dispersion weight 1/q^2 scaled by 1.01
+    weight = potentials.dispersion_weight
+
+    def faulty(q, spec):
+        w = weight(q, spec)
+        return 1.01 * w if math.isinf(spec.d) else w
+
+    monkeypatch.setattr(potentials, "dispersion_weight", faulty)
+
+
+def _heavier_radial_rule(monkeypatch, results):
+    # every weight of the radial rule scaled by 1 + 1e-3; the ratio
+    # <p^2> is blind to it, the position-space N^2 is not
+    rule = numkernel.radial_rule
+
+    def faulty(p_max):
+        p, w = rule(p_max)
+        return p, w * (1.0 + 1e-3)
+
+    monkeypatch.setattr(numkernel, "radial_rule", faulty)
+
+
+def _flipped_longitudinal_pi(monkeypatch, results):
+    # -pi~ of the longitudinal ansatz: the wrong sign of the connection
+    fields = variational._longitudinal_fields
+
+    def faulty(momenta, mass, f):
+        phi_t, pi_t = fields(momenta, mass, f)
+        return phi_t, -pi_t
+
+    monkeypatch.setattr(variational, "_longitudinal_fields", faulty)
+
+
+def _dropped_curl_term(monkeypatch, results):
+    # the field route's energy density without |p x phi~|^2
+    monkeypatch.setattr(variational, "_curl_squared_z", lambda momenta, phi_t: 0.0)
+
+
 PLANTED_FAULTS = {
     "tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)": _fencepost_dirichlet_step,
     "longitudinal W(1; d=0) = 3": _stiffer_potential,
@@ -183,7 +244,19 @@ PLANTED_FAULTS = {
     "closed-form minimizer readings recorded": _squared_transverse_prefactor,
     "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
     "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _fencepost_radial_nodes,
+    "d -> 0 as mass -> inf at fixed dispersions": _d_without_mass,
+    "charge density goes negative for the demonstration packet": _absolute_charge,
+    "energy density nonnegative at every sample": _real_square_time_term,
+    "massless-limit profile gives gamma = 1 + sqrt(5)/2": _heavier_massless_weight,
+    "position-space product tends to 3/2 in the nonrelativistic regime": _heavier_radial_rule,
+    "longitudinal fields satisfy the Fourier connection (algebra)": _flipped_longitudinal_pi,
+    "transverse energy norm: field route matches direct quadrature (algebra)":
+        _dropped_curl_term,
 }
+
+
+def test_every_row_has_a_planted_fault():
+    assert set(PLANTED_FAULTS) == set(ROWS)
 
 
 @pytest.mark.parametrize("name", list(PLANTED_FAULTS))

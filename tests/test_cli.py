@@ -45,7 +45,12 @@ class TestParsing:
         for argv, flag in ((["verify", "--seed", "-1"], "--seed"),
                            (["verify", "--grid-n", "99"], "--grid-n"),
                            (["gamma", "--spin", "0", "--d", "0", "--grid-n", "50"],
-                            "--grid-n")):
+                            "--grid-n"),
+                           *((["density", flag, value, "--out", "x.csv"], flag)
+                             for flag, value in (("--t", "nan"), ("--m", "nan"),
+                                                 ("--a", "nan"), ("--rmax", "inf"),
+                                                 ("--sigma", "0"), ("--dr", "-0.01"),
+                                                 ("--m", "abc")))):
             capsys.readouterr()
             assert run(argv) == 2, argv
             assert f"argument {flag}: " in capsys.readouterr().err, argv

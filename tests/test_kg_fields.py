@@ -12,7 +12,7 @@ from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
                                  charge_density, charge_momentum_space, default_radii,
                                  energy_density, energy_momentum_space,
                                  energy_position_space, field_sample,
-                                 find_negative_shells, momentum_norm, packet_fields,
+                                 find_negative_shells, packet_fields,
                                  packet_momentum_profile, demo_packet, planar_map,
                                  position_dispersion_direct, scan_density, shells_json,
                                  state_fields_from_momentum)
@@ -227,7 +227,7 @@ class TestEnergyNorm:
         params = demo_packet(time_t=0.0)
         ftil = packet_momentum_profile(params)
         e_pos = energy_position_space(ftil, params.mass)
-        n2_mom = momentum_norm(ftil)
+        n2_mom = variational.norm_and_dp2(ftil)[0]
         assert e_pos == pytest.approx(n2_mom, rel=1e-6)
         assert n2_mom == pytest.approx(energy_momentum_space(params), rel=1e-8)
 
@@ -318,3 +318,11 @@ class TestProfilesAndParams:
             WavepacketParams(1.0, 0.0, 0.0, CosineProfile(1.0))
         with pytest.raises(ValueError):
             WavepacketParams(1.0, 1.0, 0.0, lambda p: 1j * np.asarray(p))
+        # non-finite values would fill every density with nan
+        for mass, a, t in ((math.nan, 0.5, 0.0), (math.inf, 0.5, 0.0),
+                           (1.0, math.nan, 0.0), (1.0, 0.5, math.nan), (1.0, 0.5, -math.inf)):
+            with pytest.raises(ValueError):
+                WavepacketParams(mass, a, t, GaussianProfile(1.0))
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                GaussianProfile(sigma)

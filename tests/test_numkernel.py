@@ -12,7 +12,7 @@ from relbosons import verify
 from relbosons.numkernel import (BracketError, MinimizationError, QuadratureError,
                                  QuadratureSpec, TridiagProblem, dirichlet_problem,
                                  find_root, gauss_legendre, integrate_damped,
-                                 tridiag_ground)
+                                 radial_rule, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 # independent refinement oracle for the relativistic-envelope integral,
@@ -177,6 +177,24 @@ class TestGaussLegendre:
         for _ in range(2):
             verify.run_verify()
         assert calls and max(calls.values()) == 1, calls
+
+
+class TestRadialRule:
+    """int g(p) d^3p by 15-point panels whose weights carry 4 pi p^2."""
+
+    @pytest.mark.parametrize("p_max", [12.0, 14.0, 60.0])
+    def test_gaussian_moments(self, p_max):
+        p, w = radial_rule(p_max)
+        g = np.exp(-p * p)
+        assert np.sum(w * g) == pytest.approx(math.pi**1.5, rel=1e-14, abs=0.0)
+        assert np.sum(w * p * p * g) / np.sum(w * g) == pytest.approx(1.5, rel=1e-14, abs=0.0)
+
+    def test_panels_no_wider_than_the_fixed_width(self):
+        # 60 / 0.15 = 400 panels of 15 nodes; 14 / 0.15 rounds up to 94
+        assert len(radial_rule(60.0)[0]) == 400 * 15
+        assert len(radial_rule(14.0)[0]) == 94 * 15
+        with pytest.raises(ValueError):
+            radial_rule(0.0)
 
 
 class TestTridiagGround:

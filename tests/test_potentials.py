@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relbosons.eigensolver import AnalyticCase, closed_form_residual
 from relbosons.potentials import (INFINITY, PotentialSpec, d_parameter,
-                                  effective_potential, origin_behavior,
+                                  effective_potential, limit_profile, origin_behavior,
                                   regular_expansion, spec_spin0, spec_spin1)
 
 GOLDEN_ALPHA = 0.5 * (1.0 + math.sqrt(5.0))
@@ -80,6 +81,23 @@ class TestEffectivePotential:
             wb = effective_potential(q, big)
             wl = effective_potential(q, lim)
             assert abs(wb - wl) <= 1e-6 * abs(wl)
+
+
+class TestLimitProfile:
+    def test_no_closed_form_at_finite_d(self):
+        with pytest.raises(ValueError, match="finite d"):
+            limit_profile(np.array([0.5, 1.0]), spec_spin0(1.0))
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("make", [spec_spin0, spec_spin1])
+    @pytest.mark.parametrize("d", [0.0, INFINITY])
+    def test_ground_level_is_two_alpha_plus_one(self, make, d, l):
+        # u = q f has an O(h^2) discrete residual at the level 2 alpha + 1
+        # and one at least ten times larger a step of 1e-2 away from it
+        spec = make(d, l)
+        gamma = origin_behavior(spec).exponent_alpha + 0.5
+        assert closed_form_residual(AnalyticCase("", spec, gamma, 0.2)) <= 1e-5
+        assert closed_form_residual(AnalyticCase("", spec, gamma + 5e-3, 0.2)) >= 1e-4
 
 
 class TestOriginBehavior:

@@ -91,15 +91,24 @@ class TestWeights:
         assert transverse_massless_functional().weight(q) == pytest.approx(1.0 / q**2)
 
     def test_weight_matches_canonical_potential(self):
-        # W(q) = weight(q) + q^2 for the matching eigensolver channel
-        from relbosons.potentials import effective_potential
+        # the paper's weights in the energy e = E/m = sqrt(1 + (d q)^2):
+        # spin 0 d^2 (1/e^2 + 1/(2 e^4)), spin 1 (1 + 1/e^2)/q^2 + d^2/(2 e^4),
+        # both 1/q^2 at d = inf; W adds q^2 and l (l + 1)/q^2
+        from relbosons.potentials import dispersion_weight, effective_potential
 
         q = np.linspace(0.2, 6.0, 40)
         for d in (0.0, 0.8, 2.0, INFINITY):
-            assert spin0_functional(d).weight(q) + q**2 == pytest.approx(
-                effective_potential(q, spec_spin0(d)), rel=1e-13)
-            assert longitudinal_functional(d).weight(q) + q**2 == pytest.approx(
-                effective_potential(q, spec_spin1(d)), rel=1e-13)
+            e2 = 1.0 + (d * q) ** 2
+            paper = ({0: 1.0 / q**2, 1: 1.0 / q**2} if math.isinf(d) else
+                     {0: d**2 * (1.0 / e2 + 1.0 / (2.0 * e2**2)),
+                      1: (1.0 + 1.0 / e2) / q**2 + d**2 / (2.0 * e2**2)})
+            for spin, functional in ((0, spin0_functional(d)), (1, longitudinal_functional(d))):
+                assert functional.weight(q) == pytest.approx(paper[spin], rel=1e-13)
+                for l in (0, 2):
+                    spec = (spec_spin0 if spin == 0 else spec_spin1)(d, l)
+                    assert dispersion_weight(q, spec) == pytest.approx(paper[spin], rel=1e-13)
+                    assert effective_potential(q, spec) == pytest.approx(
+                        paper[spin] + q**2 + l * (l + 1) / q**2, rel=1e-13)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
