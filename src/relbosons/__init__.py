@@ -27,7 +27,7 @@ _EXPORTS = {
                      "gamma_curve", "solve_ground_fd", "solve_ground_shooting",
                      "verify_analytic_limits"), "eigensolver"),
     **dict.fromkeys(("DensityField", "FieldSample", "GaussianProfile", "CosineProfile",
-                     "Shell", "TabulatedProfile", "WavepacketParams", "charge_density",
+                     "Shell", "WavepacketParams", "charge_density",
                      "energy_density", "field_sample", "demo_packet", "scan_density",
                      "total_charge"), "kg_fields"),
     **dict.fromkeys(("BracketError", "MinimizationError", "QuadratureError",
@@ -36,7 +36,7 @@ _EXPORTS = {
     **dict.fromkeys(("INFINITY", "OriginBehavior", "PotentialSpec", "d_parameter",
                      "effective_potential", "origin_behavior", "spec_spin0",
                      "spec_spin1"), "potentials"),
-    **dict.fromkeys(("CylindricalGrid", "DispersionFunctional", "RadialMomentumGrid",
+    **dict.fromkeys(("CylindricalGrid", "RadialMomentumGrid",
                      "RayleighState", "check_connection", "dispersion_pair",
                      "minimize_transverse_massless", "rayleigh_gamma",
                      "separation_oracle"), "variational"),

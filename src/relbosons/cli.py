@@ -84,8 +84,8 @@ def parse_d_list(text: str):
             out.append(INFINITY)
         else:
             val = float(tok)
-            if val < 0:
-                raise argparse.ArgumentTypeError("d values must be nonnegative")
+            if not val >= 0:  # also rejects nan
+                raise argparse.ArgumentTypeError(f"d values must be nonnegative, not {tok}")
             out.append(val)
     if not out:
         raise argparse.ArgumentTypeError("no d values given")
@@ -309,8 +309,6 @@ def _cmd_rayleigh(args) -> int:
     if args.case in ("spin0", "long"):
         d = (args.d or [0.0])[0]
         spec = PotentialSpec(0 if args.case == "spin0" else 1, d)
-        functional = (variational.spin0_functional(d) if args.case == "spin0"
-                      else variational.longitudinal_functional(d))
         grid = variational.RadialMomentumGrid()
         if 0.0 < d < INFINITY:
             res = eigensolver.solve_ground_fd(spec)
@@ -318,13 +316,14 @@ def _cmd_rayleigh(args) -> int:
                           right=0.0)
         else:
             f = potentials.limit_profile(grid.q, spec)
-        state = variational.evaluate_state(grid, f, functional)
+        state = variational.evaluate_state(grid, f, spec)
         payload.update(d=("inf" if math.isinf(d) else d), iterations=0)
     elif args.case == "trans-nonrel":
         grid = variational.RadialMomentumGrid()
-        # the nonrelativistic transverse weight vanishes: the scalar d = 0 ground state
-        f = potentials.limit_profile(grid.q, potentials.spec_spin0(0.0))
-        state = variational.evaluate_state(grid, f, variational.transverse_nonrel_functional())
+        # the nonrelativistic transverse weight vanishes like the scalar d = 0
+        # weight, so this is the scalar d = 0 channel and its ground state
+        spec = potentials.spec_spin0(0.0)
+        state = variational.evaluate_state(grid, potentials.limit_profile(grid.q, spec), spec)
         payload.update(iterations=0)
     else:
         state = variational.minimize_transverse_massless()

@@ -74,23 +74,6 @@ class GaussianProfile:
         return np.exp(-np.asarray(p) ** 2 / (2.0 * self.sigma**2))
 
 
-class TabulatedProfile:
-    """Cubic interpolation of (p, f) samples, zero beyond the last node."""
-
-    def __init__(self, p_nodes, f_nodes):
-        p_nodes = np.asarray(p_nodes, dtype=float)
-        f_nodes = np.asarray(f_nodes, dtype=float)
-        if p_nodes.ndim != 1 or np.any(np.diff(p_nodes) <= 0):
-            raise ValueError("p_nodes must be strictly increasing")
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(p_nodes, f_nodes, extrapolate=False)
-
-    def __call__(self, p):
-        out = self._spline(np.asarray(p, dtype=float))
-        return np.nan_to_num(out, nan=0.0)
-
-
 @dataclass(frozen=True)
 class WavepacketParams:
     """Mass, damping a, time t and the spectral profile f(p)."""
@@ -207,14 +190,14 @@ def _radius_lattice(radii):
     return dr, k
 
 
-def _sin_cos_transforms(weights, radii, p_max, need_cos, quad: QuadratureSpec):
+def _sin_cos_transforms(weights, radii, p_max, need_cos):
     """I_sin[k](r) = int_0^p_max w_k(p) sin(pr) dp and optionally the cos partner.
 
     The trapezoid rule on p_j = j dp with dp = pi / (M h): on the radius
     lattice r = n h it is one DST-I (sine) or DCT-I (cosine) of the
     sampled weights.  The step h = dr / s is the largest divisor of the
     lattice step with pi / h >= p_max.  dp is halved (M doubled) until
-    every output is stable within the quadrature tolerances; radii whose
+    every output is stable within the tolerances of ``_FIELD_QUAD``; radii whose
     entries fail to settle are reported back (the caller records them
     and carries on).
     """
@@ -249,16 +232,14 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos, quad: QuadratureSpec):
         scale = max(max(float(np.max(np.abs(v))) for v in cur_s), 1e-300)
         bad = np.zeros(len(radii), dtype=bool)
         for dcol in diffs:
-            bad |= dcol > (quad.abs_tol + quad.rel_tol * scale)
+            bad |= dcol > (_FIELD_QUAD.abs_tol + _FIELD_QUAD.rel_tol * scale)
         prev_s, prev_c = cur_s, cur_c
         if not bad.any():
             return cur_s, cur_c, np.array([], dtype=float)
     return prev_s, prev_c, radii[bad]
 
 
-def packet_fields(params: WavepacketParams, radii,
-                  quad: QuadratureSpec = _FIELD_QUAD,
-                  need_dr: bool = True):
+def packet_fields(params: WavepacketParams, radii, need_dr: bool = True):
     """(phi, dt_phi, dr_phi, failed_radii) on radii r_k = k dr.
 
     The radii must be evenly spaced from a multiple of their step, as
@@ -277,8 +258,8 @@ def packet_fields(params: WavepacketParams, radii,
     def b1(p):
         return -1j * params.energy(p) * b0(p)
 
-    p_max = _packet_p_max(params, quad)
-    sins, coss, failed = _sin_cos_transforms([b0, b1], radii, p_max, need_dr, quad)
+    p_max = _packet_p_max(params)
+    sins, coss, failed = _sin_cos_transforms([b0, b1], radii, p_max, need_dr)
     s0, s1 = sins
     phi = s0 / radii
     dt_phi = s1 / radii
@@ -286,13 +267,13 @@ def packet_fields(params: WavepacketParams, radii,
     return phi, dt_phi, dr_phi, failed
 
 
-def _packet_p_max(params: WavepacketParams, quad: QuadratureSpec) -> float:
+def _packet_p_max(params: WavepacketParams) -> float:
     a = params.damping_a
     p = np.linspace(0.0, 60.0 / a, 257)
     env = np.abs(p * np.asarray(params.profile(p))) * np.exp(
         a * (p - params.energy(p)))
     peak = max(float(np.max(env)), 1e-30)
-    return math.log(peak / quad.abs_tol) / a + 2.0 / a
+    return math.log(peak / _FIELD_QUAD.abs_tol) / a + 2.0 / a
 
 
 # ----------------------------------------------------------------------
@@ -333,11 +314,9 @@ def find_negative_shells(radii, rho, deadband: float = RHO_DEADBAND) -> list:
     return shells
 
 
-def scan_density(params: WavepacketParams, radii,
-                 quad: QuadratureSpec = _FIELD_QUAD
-                 ) -> DensityField:
+def scan_density(params: WavepacketParams, radii) -> DensityField:
     """Sample rho and eps on a radial grid and detect negative shells."""
-    phi, dt_phi, dr_phi, failed = packet_fields(params, radii, quad)
+    phi, dt_phi, dr_phi, failed = packet_fields(params, radii)
     sample = FieldSample(phi, dt_phi, dr_phi)
     rho = charge_density(sample)
     eps = energy_density(sample, params.mass)
@@ -390,9 +369,7 @@ def _tail_check(radii, integrand, total, rel_tol, what):
             TailWarning, stacklevel=3)
 
 
-def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6,
-                 quad: QuadratureSpec = _FIELD_QUAD
-                 ) -> float:
+def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6) -> float:
     """Q = int rho 4 pi r^2 dr over the grid (default reaches r = 45).
 
     Positive for a positive-frequency packet even when rho has negative
@@ -401,7 +378,7 @@ def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6,
     """
     if radii is None:
         radii = default_radii(45.0, 0.02)
-    phi, dt_phi, _, _ = packet_fields(params, radii, quad, need_dr=False)
+    phi, dt_phi, _, _ = packet_fields(params, radii, need_dr=False)
     rho = charge_density(FieldSample(phi, dt_phi, None))
     integrand = 4.0 * np.pi * rho * radii**2
     q = float(np.trapezoid(integrand, radii))
@@ -468,7 +445,7 @@ def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 6
         return p * np.asarray(f(p))
 
     (s_phi, s_pi), (c_phi, _), failed = _sin_cos_transforms(
-        [a_phi, a_pi], radii, p_max, True, _FIELD_QUAD)
+        [a_phi, a_pi], radii, p_max, True)
     if len(failed):
         raise QuadratureError(
             f"radial transforms did not settle at {len(failed)} radii "

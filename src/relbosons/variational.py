@@ -1,7 +1,12 @@
 """Momentum-space dispersion functionals and their minimization.
 
 The uncertainty product gamma^2 = (Delta q^2)(Delta r_q^2) is evaluated
-for trial states on radial or cylindrical momentum grids.  All
+for trial states on radial or cylindrical momentum grids, and the grid
+picks the |f|^2 weight that Delta r_q^2 adds to |grad f|^2.  A
+:class:`RadialMomentumGrid` takes the channel's
+:class:`relbosons.potentials.PotentialSpec`, whose weight is
+:func:`relbosons.potentials.dispersion_weight`; a :class:`CylindricalGrid`
+carries the transverse massless weight 1/q_perp^2 and takes no spec.  All
 functionals here are in rescaled dimensionless form; physical-unit
 quantities appear only in the helpers used by the cross checks against
 :mod:`relbosons.kg_fields`.
@@ -34,57 +39,9 @@ import numpy as np
 
 from . import numkernel, potentials
 
-KIND_SPIN0 = "spin0"
-KIND_LONGITUDINAL = "spin1_longitudinal"
-KIND_TRANSVERSE_NONREL = "spin1_transverse_nonrel"
-KIND_TRANSVERSE_MASSLESS = "spin1_transverse_massless"
-_RADIAL_KINDS = (KIND_SPIN0, KIND_LONGITUDINAL)
-
 
 class DivergentWeightError(ValueError):
     """The 1/q_perp^2 weighted integral diverges for this trial state."""
-
-
-@dataclass(frozen=True)
-class DispersionFunctional:
-    """One of the four position-dispersion weights, in rescaled units."""
-
-    kind: str
-    d: float = math.nan
-
-    def __post_init__(self):
-        if self.kind not in (KIND_SPIN0, KIND_LONGITUDINAL,
-                             KIND_TRANSVERSE_NONREL, KIND_TRANSVERSE_MASSLESS):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind in _RADIAL_KINDS and not (self.d >= 0.0):
-            raise ValueError("radial functionals need d >= 0 (or inf)")
-
-    def weight(self, q):
-        """Multiplicative |f|^2 weight added to the gradient term; for the
-        radial kinds :func:`relbosons.potentials.dispersion_weight`."""
-        q = np.asarray(q, dtype=float)
-        if self.kind == KIND_TRANSVERSE_NONREL:
-            return np.zeros_like(q)
-        if self.kind == KIND_TRANSVERSE_MASSLESS:
-            return 1.0 / q**2          # q is the transverse magnitude here
-        spin = potentials.SPIN0 if self.kind == KIND_SPIN0 else potentials.SPIN1
-        return potentials.dispersion_weight(q, potentials.PotentialSpec(spin, self.d))
-
-
-def spin0_functional(d: float) -> DispersionFunctional:
-    return DispersionFunctional(KIND_SPIN0, d)
-
-
-def longitudinal_functional(d: float) -> DispersionFunctional:
-    return DispersionFunctional(KIND_LONGITUDINAL, d)
-
-
-def transverse_nonrel_functional() -> DispersionFunctional:
-    return DispersionFunctional(KIND_TRANSVERSE_NONREL)
-
-
-def transverse_massless_functional() -> DispersionFunctional:
-    return DispersionFunctional(KIND_TRANSVERSE_MASSLESS)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +50,11 @@ def transverse_massless_functional() -> DispersionFunctional:
 
 @dataclass(frozen=True)
 class RadialMomentumGrid:
-    """Uniform radial grid q = h, 2h, ..., q_max (measure q^2 dq)."""
+    """Uniform radial grid q = h, 2h, ..., q_max (measure q^2 dq).
+
+    Its dispersion weight is the channel's: the moments take a
+    :class:`relbosons.potentials.PotentialSpec` with the samples.
+    """
 
     q_max: float = 10.0
     n: int = 4000
@@ -111,9 +72,10 @@ class RadialMomentumGrid:
 class CylindricalGrid:
     """Tensor grid q_perp in (0, q_max], q_z in [-q_max, q_max].
 
-    The axis q_perp = 0 is excluded; trial states must vanish there
-    (linearly, like the true minimizer) or the 1/q_perp^2 weight
-    diverges.  The measure is 2 pi q_perp dq_perp dq_z.
+    Its dispersion weight is the transverse massless 1/q_perp^2.  The
+    axis q_perp = 0 is excluded; trial states must vanish there
+    (linearly, like the true minimizer) or that weight diverges.  The
+    measure is 2 pi q_perp dq_perp dq_z.
     """
 
     q_max: float = 8.0
@@ -181,75 +143,72 @@ def _centered_diff_squares(x):
     return d * d
 
 
-def _cylindrical_rows(grid, f, massless: bool):
+def _cylindrical_rows(grid, f):
     """The four q_z row sums the moments need: of f^2, q_z^2 f^2 and the
     squared centered differences (4 h^2 |grad|^2, zero ghosts) along q_perp
     and along q_z.  ``f`` is an (n_perp, n_z) array or a pair (a, b) of
-    factors standing for the outer product a b.  For the ``massless``
-    weight the state is checked on the axis before the other three sums."""
+    factors standing for the outer product a b.  The state is checked on
+    the axis before the other three sums."""
     if isinstance(f, tuple):
         a, b = f
         a2 = a * a
         bb = np.einsum("j,j", b, b)
         rows = a2 * bb
-        if massless:
-            _check_axis_vanishing(rows)
+        _check_axis_vanishing(rows)
         return (rows, a2 * np.einsum("j,j,j", b, b, grid.q_z**2),
                 _centered_diff_squares(a) * bb, a2 * np.sum(_centered_diff_squares(b)))
     rows = np.einsum("ij,ij->i", f, f)
-    if massless:
-        _check_axis_vanishing(rows)
+    _check_axis_vanishing(rows)
     # an edge keeps its one inner neighbour, whose row sum is already in rows
     d_perp = np.concatenate(([rows[1]], _squared_diff_rows(f[2:], f[:-2]), [rows[-2]]))
     d_z = _squared_diff_rows(f[:, 2:], f[:, :-2]) + f[:, 1] ** 2 + f[:, -2] ** 2
     return rows, np.einsum("ij,ij,j->i", f, f, grid.q_z**2), d_perp, d_z
 
 
-def _moments(grid, f, functional: DispersionFunctional):
+def _moments(grid, f, spec: Optional[potentials.PotentialSpec] = None):
     """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences.
 
-    On a :class:`CylindricalGrid` ``f`` may be a pair (a, b) of factors,
-    evaluated as the outer product a b without forming it.
+    The grid picks the weight: a :class:`RadialMomentumGrid` needs the
+    channel's ``spec`` and adds ``dispersion_weight(q, spec)``; a
+    :class:`CylindricalGrid` adds 1/q_perp^2 and takes no spec.  There
+    ``f`` may be a pair (a, b) of factors, evaluated as the outer product
+    a b without forming it.
     """
     if isinstance(grid, RadialMomentumGrid):
-        # the nonrelativistic transverse weight vanishes, so that kind is
-        # isotropic and admits a radial evaluation as well
-        if functional.kind == KIND_TRANSVERSE_MASSLESS:
-            raise ValueError("the transverse massless functional needs a "
-                             "cylindrical grid")
+        if spec is None:
+            raise ValueError("a RadialMomentumGrid needs the channel's PotentialSpec")
         q, h = grid.q, grid.step
         meas = q * q * h
         n2 = float(np.sum(f * f * meas))
         df = np.gradient(f, h)
         dq2 = float(np.sum(q * q * f * f * meas)) / n2
         drq2 = float(np.sum(df * df * meas)
-                     + np.sum(functional.weight(q) * f * f * meas)) / n2
+                     + np.sum(potentials.dispersion_weight(q, spec) * f * f * meas)) / n2
         return n2, dq2, drq2
 
-    if functional.kind in _RADIAL_KINDS:
-        raise ValueError("radial functionals need a RadialMomentumGrid")
+    if spec is not None:
+        raise ValueError("a CylindricalGrid carries the transverse massless "
+                         "weight 1/q_perp^2 and takes no PotentialSpec")
     # every term is a row sum over q_z, contracted with the row weight
     qp, h = grid.q_perp, grid.step
-    massless = functional.kind == KIND_TRANSVERSE_MASSLESS
-    rows, qz2_rows, d_perp, d_z = _cylindrical_rows(grid, f, massless)
+    rows, qz2_rows, d_perp, d_z = _cylindrical_rows(grid, f)
     n2 = _measure_sum(grid, rows)
     dq2 = _measure_sum(grid, qp**2 * rows + qz2_rows) / n2
-    drq2 = (d_perp + d_z) / (4.0 * h * h)
-    if massless:
-        drq2 += rows / qp**2
+    drq2 = (d_perp + d_z) / (4.0 * h * h) + rows / qp**2
     return n2, dq2, _measure_sum(grid, drq2) / n2
 
 
-def dispersion_pair(state, functional: DispersionFunctional):
+def dispersion_pair(state, spec: Optional[potentials.PotentialSpec] = None):
     """(Delta q^2, Delta r_q^2) of a trial state; centered differences.
 
     ``state`` is a :class:`RayleighState` or a (grid, samples) pair; on
     a cylindrical grid the samples may be a pair (a, b) of factors of a b.
-    Radial kinds integrate with the q^2 dq measure; the transverse kinds
-    use the cylindrical measure and, for the massless weight, require
-    the state to vanish linearly on the q_perp = 0 axis.
+    A radial grid integrates with the q^2 dq measure and the weight of
+    the channel ``spec``; a cylindrical grid takes no spec, uses the
+    cylindrical measure with the 1/q_perp^2 weight and requires the state
+    to vanish linearly on the q_perp = 0 axis.
     """
-    return _moments(*_unpack(state), functional)[1:]
+    return _moments(*_unpack(state), spec)[1:]
 
 
 def _unpack(state):
@@ -261,16 +220,18 @@ def _unpack(state):
     return grid, np.asarray(f, dtype=float)
 
 
-def evaluate_state(grid, f_samples, functional: DispersionFunctional) -> RayleighState:
-    """Build a RayleighState with its dispersions and gamma filled in."""
+def evaluate_state(grid, f_samples,
+                   spec: Optional[potentials.PotentialSpec] = None) -> RayleighState:
+    """Build a RayleighState with its dispersions and gamma filled in;
+    ``spec`` as in :func:`dispersion_pair`."""
     f = np.asarray(f_samples, dtype=float)
-    n2, dq2, drq2 = _moments(grid, f, functional)
+    n2, dq2, drq2 = _moments(grid, f, spec)
     return RayleighState(grid, f, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
-def rayleigh_gamma(state, functional: DispersionFunctional) -> float:
+def rayleigh_gamma(state, spec: Optional[potentials.PotentialSpec] = None) -> float:
     """sqrt(Delta q^2 * Delta r_q^2); an upper bound for the minimum."""
-    dq2, drq2 = dispersion_pair(state, functional)
+    dq2, drq2 = dispersion_pair(state, spec)
     return math.sqrt(dq2 * drq2)
 
 
@@ -343,12 +304,11 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     unseparated operator: an a-posteriori check of the separation.
     """
     a, b, meta = _lowest_mode(grid)
-    functional = transverse_massless_functional()
-    dq2, drq2 = dispersion_pair((grid, (a, b)), functional)
+    dq2, drq2 = dispersion_pair((grid, (a, b)))
     s = (dq2 / drq2) ** 0.25
     grid = CylindricalGrid(grid.q_max / s, grid.step / s)
     a = a / math.sqrt(_measure_sum(grid, a * a))
-    n2, dq2, drq2 = _moments(grid, (a, b), functional)
+    n2, dq2, drq2 = _moments(grid, (a, b))
     state = RayleighState(grid, np.outer(a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
     state.meta.update(meta)
     return state
@@ -415,18 +375,17 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
     transverse dependence only, and a spherically symmetric profile
     (whose weighted integral diverges and is rejected).
     """
-    functional = transverse_massless_functional()
     qp, qz = grid.q_perp, grid.q_z
     transverse = qp * np.exp(-1.25 * qp**2)
     report = {}
     # the first two readings separate and are evaluated on their factors
     report["qperp_times_full_gaussian"] = rayleigh_gamma(
-        (grid, (transverse, np.exp(-1.25 * qz**2))), functional)
+        (grid, (transverse, np.exp(-1.25 * qz**2))))
     report["qperp_dependence_only"] = rayleigh_gamma(
-        (grid, (transverse, np.ones(len(qz)))), functional)
+        (grid, (transverse, np.ones(len(qz)))))
     q2 = qp[:, None] ** 2 + qz[None, :] ** 2
     try:
-        rayleigh_gamma((grid, np.sqrt(q2) * np.exp(-1.25 * q2)), functional)
+        rayleigh_gamma((grid, np.sqrt(q2) * np.exp(-1.25 * q2)))
         report["spherical_magnitude"] = "converged (unexpected)"
     except DivergentWeightError as exc:
         report["spherical_magnitude"] = f"divergent: {exc}"
@@ -445,23 +404,17 @@ def norm_and_dp2(f: Callable, p_max: float = 60.0):
     return n2, float(np.sum(w * p * p * fv * fv)) / n2
 
 
-def position_dispersion_momentum(f: Callable, mass: float, p_max: float = 60.0,
-                                 df: Optional[Callable] = None) -> float:
+def position_dispersion_momentum(f: Callable, mass: float, df: Callable,
+                                 p_max: float = 60.0) -> float:
     """Delta r^2 in physical units from the momentum-space formula.
 
     Delta r^2 = (1/N^2) int [ |f'|^2 + (m^2/(2E^4) + 1/E^2) |f|^2 ] d^3p
-    for a radial, real profile at t = 0: the spin-0 dispersion weight at
-    d = 1/m and q = p.  ``df`` may supply the exact derivative; otherwise
-    a spline derivative of the sampled profile is used.
+    for a radial, real profile at t = 0 with derivative ``df``: the
+    spin-0 dispersion weight at d = 1/m and q = p.
     """
     p, w = numkernel.radial_rule(p_max)
     fv = np.asarray(f(p), dtype=float)
-    if df is not None:
-        dfv = np.asarray(df(p), dtype=float)
-    else:
-        from scipy.interpolate import CubicSpline
-
-        dfv = CubicSpline(p, fv).derivative()(p)
+    dfv = np.asarray(df(p), dtype=float)
     weight = potentials.dispersion_weight(p, potentials.spec_spin0(1.0 / mass))
     return float(np.sum(w * (dfv * dfv + weight * fv * fv))) / float(np.sum(w * fv * fv))
 
@@ -568,8 +521,7 @@ def _connection_residual(momenta, mass, phi_t, pi_t):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def _transverse_norm_quadrature(mass, f, reduced: bool,
-                                p_max: float = 12.0, n_p: int = 96, n_mu: int = 96):
+def _transverse_norm_quadrature(mass, f, reduced: bool):
     """d^3p quadratures of the spin-1 energy integrand for the z ansatz.
 
     ``reduced`` switches between the field route (assemble phi~, rebuild
@@ -578,9 +530,10 @@ def _transverse_norm_quadrature(mass, f, reduced: bool,
     Returns the norm and, with p^2 inserted, the dispersion numerator,
     both summed from one weighted density.
     """
-    xp, wp = numkernel.gauss_legendre(n_p)
-    p, wp = 0.5 * p_max * (xp + 1.0), 0.5 * p_max * wp
-    mu, wmu = numkernel.gauss_legendre(n_mu)
+    # GL-96 in p on [0, 12] and in mu = cos(theta) on [-1, 1]
+    xp, wp = numkernel.gauss_legendre(96)
+    p, wp = 6.0 * (xp + 1.0), 6.0 * wp
+    mu, wmu = numkernel.gauss_legendre(96)
     P, MU = np.meshgrid(p, mu, indexing="ij")
     WT = np.outer(wp, wmu) * (2.0 * math.pi) * P**2
     sin2 = 1.0 - MU**2

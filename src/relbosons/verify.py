@@ -134,9 +134,10 @@ def _shells(seed, grid_n):
 
 
 def _radial_trial(spec):
-    """The closed-form ground state of ``spec`` on the default radial momentum grid."""
+    """The closed-form ground state of ``spec`` on the default radial momentum
+    grid, with ``spec``: the (state, spec) arguments of the dispersion pair."""
     grid = variational.RadialMomentumGrid()
-    return grid, potentials.limit_profile(grid.q, spec)
+    return (grid, potentials.limit_profile(grid.q, spec)), spec
 
 
 def _position_product(seed, grid_n):
@@ -212,11 +213,11 @@ CHECKS = [
           (Bound(">=", 0.0),)),
     Check("Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)",
           lambda seed, n: _show("({:.7f}, {:.7f})", *variational.dispersion_pair(
-              _radial_trial(spec_spin0(0.0)), variational.spin0_functional(0.0))),
+              *_radial_trial(spec_spin0(0.0)))),
           (Target(1.5, 1e-5), Target(1.5, 1e-5))),
     Check("massless-limit profile gives gamma = 1 + sqrt(5)/2",
           lambda seed, n: _show("gamma = {:.7f}", variational.rayleigh_gamma(
-              _radial_trial(spec_spin0(INFINITY)), variational.spin0_functional(INFINITY))),
+              *_radial_trial(spec_spin0(INFINITY)))),
           (Target(GOLDEN_GAMMA, 1e-4),)),
     Check("position-space product tends to 3/2 in the nonrelativistic regime",
           _position_product, (Target(1.5, 2e-4),)),

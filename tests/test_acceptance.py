@@ -141,11 +141,11 @@ def _squared_transverse_prefactor(monkeypatch, results):
     # on the rows of the spherical one
     gamma = variational.rayleigh_gamma
 
-    def faulty(state, functional):
+    def faulty(state, spec=None):
         grid, f = state
         if isinstance(f, tuple):
-            return gamma((grid, (grid.q_perp * f[0], f[1])), functional)
-        return gamma((grid, grid.q_perp[:, None] * f), functional)
+            return gamma((grid, (grid.q_perp * f[0], f[1])), spec)
+        return gamma((grid, grid.q_perp[:, None] * f), spec)
 
     monkeypatch.setattr(variational, "rayleigh_gamma", faulty)
 

@@ -26,8 +26,9 @@ def read(path):
 class TestParsing:
     def test_d_list(self):
         assert parse_d_list("0,0.5,inf") == [0.0, 0.5, math.inf]
-        with pytest.raises(Exception):
-            parse_d_list("-1")
+        for text in ("-1", "nan", "0,nan"):
+            with pytest.raises(Exception):
+                parse_d_list(text)
 
     def test_range(self):
         q = parse_range("0.5:2:0.5")
@@ -46,6 +47,11 @@ class TestParsing:
                            (["verify", "--grid-n", "99"], "--grid-n"),
                            (["gamma", "--spin", "0", "--d", "0", "--grid-n", "50"],
                             "--grid-n"),
+                           # nan fails every comparison, so it must not pass as d >= 0
+                           (["gamma", "--spin", "0", "--d", "nan", "--out", "x.csv"], "--d"),
+                           (["rayleigh", "--case", "spin0", "--d", "nan"], "--d"),
+                           (["potential", "--spin", "0", "--d", "nan", "--out", "x.csv"],
+                            "--d"),
                            *((["density", flag, value, "--out", "x.csv"], flag)
                              for flag, value in (("--t", "nan"), ("--m", "nan"),
                                                  ("--a", "nan"), ("--rmax", "inf"),
@@ -268,6 +274,15 @@ class TestRayleigh:
         assert run(["rayleigh", "--case", "trans-nonrel", "--out", str(out)]) == 0
         payload = json.loads(read(out))
         assert payload["gamma"] == pytest.approx(1.5, abs=1e-4)
+
+    def test_trans_nonrel_is_spin0_at_d0(self, tmp_path):
+        # the nonrelativistic transverse weight is the scalar d = 0 weight, 0
+        outs = tmp_path / "n.json", tmp_path / "s.json"
+        assert run(["rayleigh", "--case", "trans-nonrel", "--out", str(outs[0])]) == 0
+        assert run(["rayleigh", "--case", "spin0", "--d", "0", "--out", str(outs[1])]) == 0
+        nonrel, spin0 = (json.loads(read(out)) for out in outs)
+        for key in ("gamma", "delta_q2", "delta_rq2", "norm_N2"):
+            assert nonrel[key] == spin0[key], key
 
     def test_trans_massless_logs_readings(self, tmp_path):
         out = tmp_path / "r.json"

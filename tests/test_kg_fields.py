@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from relbosons import variational
+from relbosons import kg_fields, variational
 from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
-                                 TabulatedProfile, TailWarning, WavepacketParams,
+                                 TailWarning, WavepacketParams,
                                  charge_density, charge_momentum_space, default_radii,
                                  energy_density, energy_momentum_space,
                                  energy_position_space, field_sample,
@@ -170,9 +170,10 @@ class TestScan:
         assert len(data) == len(demo_scan.negative_shells)
         assert set(data[0]) == {"r_min", "r_max", "rho_min"}
 
-    def test_unsettled_radii_recorded_scan_continues(self):
+    def test_unsettled_radii_recorded_scan_continues(self, monkeypatch):
         starved = QuadratureSpec(abs_tol=1e-18, rel_tol=1e-18)
-        fieldmap = scan_density(demo_packet(), default_radii(2.0, 0.2), starved)
+        monkeypatch.setattr(kg_fields, "_FIELD_QUAD", starved)
+        fieldmap = scan_density(demo_packet(), default_radii(2.0, 0.2))
         assert len(fieldmap.failed_radii) > 0
         assert len(fieldmap.rho) == 10  # results still delivered
 
@@ -271,8 +272,7 @@ class TestPositionDispersion:
         df = lambda p: -np.asarray(p) / sigma**2 * f(p)
         direct = position_dispersion_direct(f, mass, r_max=30.0,
                                             p_max=14.0 * sigma)
-        mom = variational.position_dispersion_momentum(f, mass, p_max=14.0 * sigma,
-                                                       df=df)
+        mom = variational.position_dispersion_momentum(f, mass, df, p_max=14.0 * sigma)
         assert direct == pytest.approx(mom, rel=1e-6)
 
     def test_five_random_profiles_match_momentum_route(self):
@@ -289,8 +289,10 @@ class TestPositionDispersion:
         for a, b, mass in params:
             f = lambda p: (1.0 + a * np.asarray(p) ** 2) * np.exp(
                 -np.asarray(p) ** 2 / (2.0 * b**2))
+            df = lambda p: (2.0 * a - (1.0 + a * np.asarray(p) ** 2) / b**2) * np.asarray(
+                p) * np.exp(-np.asarray(p) ** 2 / (2.0 * b**2))
             direct = position_dispersion_direct(f, mass, r_max=40.0, p_max=16.0 * b)
-            mom = variational.position_dispersion_momentum(f, mass, p_max=16.0 * b)
+            mom = variational.position_dispersion_momentum(f, mass, df, p_max=16.0 * b)
             assert direct == pytest.approx(mom, rel=1e-5)
 
     def test_narrow_peak_dispersion_grows(self):
@@ -304,13 +306,6 @@ class TestPositionDispersion:
 
 
 class TestProfilesAndParams:
-    def test_tabulated_profile_interpolates(self):
-        p = np.linspace(0.0, 10.0, 200)
-        tab = TabulatedProfile(p, np.exp(-p))
-        x = np.array([0.5, 3.3, 9.0])
-        assert tab(x) == pytest.approx(np.exp(-x), abs=1e-7)
-        assert tab(np.array([11.0])) == pytest.approx(0.0)
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             WavepacketParams(0.0, 0.5, 0.0, CosineProfile(1.0))

@@ -8,15 +8,11 @@ import pytest
 from relbosons import kg_fields
 from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
-from relbosons.variational import (KIND_SPIN0, CylindricalGrid, DispersionFunctional,
-                                   DivergentWeightError, RadialMomentumGrid,
-                                   check_connection, dispersion_pair,
-                                   euler_lagrange_residual, longitudinal_functional,
-                                   minimize_transverse_massless, norm_and_dp2,
-                                   position_dispersion_momentum, rayleigh_gamma,
-                                   rescaled_profile, spin0_functional,
-                                   transverse_massless_functional,
-                                   transverse_nonrel_functional,
+from relbosons.variational import (CylindricalGrid, DivergentWeightError,
+                                   RadialMomentumGrid, check_connection, dispersion_pair,
+                                   euler_lagrange_residual, minimize_transverse_massless,
+                                   norm_and_dp2, position_dispersion_momentum,
+                                   rayleigh_gamma, rescaled_profile,
                                    _lowest_mode, _moments, _TransverseOperator)
 
 
@@ -32,7 +28,7 @@ def cylindrical_measure(grid):
     return 2.0 * math.pi * grid.step**2 * qp
 
 
-def dense_dispersion_pair(grid, f, massless):
+def dense_dispersion_pair(grid, f):
     """(Delta q^2, Delta r_q^2) on the cylindrical grid from whole 2-D arrays.
 
     Reference for the row reductions of :func:`dispersion_pair`: centered
@@ -44,9 +40,8 @@ def dense_dispersion_pair(grid, f, massless):
     dfp = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2.0 * h)
     dfz = (pad[1:-1, 2:] - pad[1:-1, :-2]) / (2.0 * h)
     n2 = np.sum(f * f * W)
-    weight = 1.0 / qp**2 if massless else 0.0
     return (np.sum((qp**2 + qz**2) * f * f * W) / n2,
-            np.sum((dfp**2 + dfz**2 + weight * f * f) * W) / n2)
+            np.sum((dfp**2 + dfz**2 + f * f / qp**2) * W) / n2)
 
 
 def staggered_apply_h(grid, f):
@@ -73,23 +68,6 @@ def staggered_apply_h(grid, f):
 
 
 class TestWeights:
-    def test_spin0_weight_limits(self):
-        q = np.array([0.3, 1.0, 4.0])
-        assert spin0_functional(0.0).weight(q) == pytest.approx(np.zeros(3))
-        assert spin0_functional(INFINITY).weight(q) == pytest.approx(1.0 / q**2)
-        w = spin0_functional(1.0).weight(np.array([1.0]))
-        assert w[0] == pytest.approx(0.5 + 0.125)
-
-    def test_longitudinal_weight_limits(self):
-        q = np.array([0.5, 2.0])
-        assert longitudinal_functional(0.0).weight(q) == pytest.approx(2.0 / q**2)
-        assert longitudinal_functional(INFINITY).weight(q) == pytest.approx(1.0 / q**2)
-
-    def test_transverse_weights(self):
-        q = np.array([0.5, 2.0])
-        assert transverse_nonrel_functional().weight(q) == pytest.approx(np.zeros(2))
-        assert transverse_massless_functional().weight(q) == pytest.approx(1.0 / q**2)
-
     def test_weight_matches_canonical_potential(self):
         # the paper's weights in the energy e = E/m = sqrt(1 + (d q)^2):
         # spin 0 d^2 (1/e^2 + 1/(2 e^4)), spin 1 (1 + 1/e^2)/q^2 + d^2/(2 e^4),
@@ -102,19 +80,12 @@ class TestWeights:
             paper = ({0: 1.0 / q**2, 1: 1.0 / q**2} if math.isinf(d) else
                      {0: d**2 * (1.0 / e2 + 1.0 / (2.0 * e2**2)),
                       1: (1.0 + 1.0 / e2) / q**2 + d**2 / (2.0 * e2**2)})
-            for spin, functional in ((0, spin0_functional(d)), (1, longitudinal_functional(d))):
-                assert functional.weight(q) == pytest.approx(paper[spin], rel=1e-13)
+            for spin in (0, 1):
                 for l in (0, 2):
                     spec = (spec_spin0 if spin == 0 else spec_spin1)(d, l)
                     assert dispersion_weight(q, spec) == pytest.approx(paper[spin], rel=1e-13)
                     assert effective_potential(q, spec) == pytest.approx(
                         paper[spin] + q**2 + l * (l + 1) / q**2, rel=1e-13)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            DispersionFunctional("nope")
-        with pytest.raises(ValueError):
-            DispersionFunctional("spin0", d=-1.0)
 
 
 class TestDispersionPair:
@@ -123,54 +94,48 @@ class TestDispersionPair:
         grid = CylindricalGrid()
         qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
         f = qp * np.exp(-(qp**2 + qz**2) / 2.0)
-        gam = rayleigh_gamma((grid, f), transverse_massless_functional())
+        gam = rayleigh_gamma((grid, f))
         assert gam == pytest.approx(2.5, abs=1e-3)
 
     @pytest.mark.parametrize("trial", ["gaussian", "random", "minimizer"])
-    @pytest.mark.parametrize("massless", [True, False])
-    def test_row_reductions_match_dense_reference(self, trial, massless, transverse_state):
+    def test_row_reductions_match_dense_reference(self, trial, transverse_state):
         grid = transverse_state.geometry
         f = {"gaussian": lambda: wrong_width_gaussian(grid),
              "random": lambda: grid.q_perp[:, None] * np.random.default_rng(5).random(
                  (len(grid.q_perp), len(grid.q_z))),
              "minimizer": lambda: transverse_state.f_samples}[trial]()
-        functional = (transverse_massless_functional() if massless
-                      else transverse_nonrel_functional())
-        got = dispersion_pair((grid, f), functional)
-        assert got == pytest.approx(dense_dispersion_pair(grid, f, massless), rel=1e-14)
+        got = dispersion_pair((grid, f))
+        assert got == pytest.approx(dense_dispersion_pair(grid, f), rel=1e-14)
 
-    @pytest.mark.parametrize("functional", [transverse_massless_functional(),
-                                            transverse_nonrel_functional(),
-                                            spin0_functional(1.0)],
-                             ids=lambda fn: fn.kind)
+    @pytest.mark.parametrize("spec", [None, spec_spin0(1.0)],
+                             ids=["spin1_transverse_massless", "spin0"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_factor_pair_matches_outer_product(self, functional, seed):
+    def test_factor_pair_matches_outer_product(self, spec, seed):
         # random separable states, vanishing ~ q_perp on the axis; grid
         # steps off the default, both q_z ends nonzero
         rng = np.random.default_rng(seed)
         grid = CylindricalGrid(q_max=5.0 + rng.random(), step=0.05 + 0.01 * rng.random())
         a = grid.q_perp * (1.0 + 0.3 * rng.random(len(grid.q_perp)))
         b = rng.standard_normal(len(grid.q_z))
-        if functional.kind == KIND_SPIN0:
+        if spec is not None:
             for f in ((a, b), np.outer(a, b)):
-                with pytest.raises(ValueError, match="RadialMomentumGrid"):
-                    _moments(grid, f, functional)
+                with pytest.raises(ValueError, match="PotentialSpec"):
+                    _moments(grid, f, spec)
             return
-        got = _moments(grid, (a, b), functional)
-        assert got == pytest.approx(_moments(grid, np.outer(a, b), functional), rel=1e-13)
-        assert dispersion_pair((grid, (a, b)), functional) == pytest.approx(got[1:], rel=0)
+        got = _moments(grid, (a, b))
+        assert got == pytest.approx(_moments(grid, np.outer(a, b)), rel=1e-13)
+        assert dispersion_pair((grid, (a, b))) == pytest.approx(got[1:], rel=0)
 
     def test_factor_pair_divergent_axis_rejected(self):
         grid = CylindricalGrid(q_max=4.0, step=0.05)
         with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, (np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))),
-                            transverse_massless_functional())
+            dispersion_pair((grid, (np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))))
 
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
         grid = RadialMomentumGrid()
         q = grid.q
-        dq2, drq2 = dispersion_pair((grid, np.exp(-q * q / 4)), spin0_functional(0.0))
+        dq2, drq2 = dispersion_pair((grid, np.exp(-q * q / 4)), spec_spin0(0.0))
         assert dq2 == pytest.approx(3.0, abs=1e-4)
         assert drq2 == pytest.approx(0.75, abs=1e-5)
         assert math.sqrt(dq2 * drq2) == pytest.approx(1.5, abs=1e-5)
@@ -179,24 +144,25 @@ class TestDispersionPair:
         grid = RadialMomentumGrid()
         q = grid.q
         gam = rayleigh_gamma((grid, (1.0 + q * q) * np.exp(-q * q / 2)),
-                             spin0_functional(0.0))
+                             spec_spin0(0.0))
         assert gam > 1.5
 
     def test_geometry_mismatch_rejected(self):
+        # a radial grid needs the channel's spec, a cylindrical grid takes none
         grid = RadialMomentumGrid()
-        with pytest.raises(ValueError):
-            dispersion_pair((grid, np.exp(-grid.q)), transverse_massless_functional())
+        with pytest.raises(ValueError, match="PotentialSpec"):
+            dispersion_pair((grid, np.exp(-grid.q)))
         cyl = CylindricalGrid(q_max=4.0, step=0.1)
         f = wrong_width_gaussian(cyl)
-        with pytest.raises(ValueError):
-            dispersion_pair((cyl, f), spin0_functional(0.0))
+        with pytest.raises(ValueError, match="PotentialSpec"):
+            dispersion_pair((cyl, f), spec_spin0(0.0))
 
     def test_divergent_axis_state_rejected(self):
         grid = CylindricalGrid(q_max=4.0, step=0.05)
         qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
         spherical = np.sqrt(qp**2 + qz**2) * np.exp(-(qp**2 + qz**2))
         with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, spherical), transverse_massless_functional())
+            dispersion_pair((grid, spherical))
 
 
 class TestScaleInvariance:
@@ -209,10 +175,10 @@ class TestScaleInvariance:
         a = 0.0 if d == 0.0 else ALPHA_GOLDEN - 1.0
         base = lambda s: (s * q) ** a * (1.0 + (s * q) ** 2) * np.exp(
             -((s * q) ** 2) / 2.0)
-        fun = spin0_functional(d)
-        g1 = rayleigh_gamma((grid, base(1.0)), fun)
+        spec = spec_spin0(d)
+        g1 = rayleigh_gamma((grid, base(1.0)), spec)
         for s in (0.8, 1.25):
-            gs = rayleigh_gamma((grid, base(s)), fun)
+            gs = rayleigh_gamma((grid, base(s)), spec)
             assert abs(gs - g1) <= 1e-8 * g1
 
     def test_grid_equivariance_transverse(self):
@@ -220,21 +186,20 @@ class TestScaleInvariance:
         s = 1.5
         g1 = CylindricalGrid(q_max=6.0, step=0.05)
         g2 = CylindricalGrid(q_max=6.0 * s, step=0.05 * s)
-        fun = transverse_massless_functional()
         f1 = wrong_width_gaussian(g1)
         qp, qz = g2.q_perp[:, None] / s, g2.q_z[None, :] / s
         f2 = (qp / s) * np.exp(-(qp**2 + qz**2)) * s  # same shape function
-        gam1 = rayleigh_gamma((g1, f1), fun)
-        gam2 = rayleigh_gamma((g2, f2), fun)
+        gam1 = rayleigh_gamma((g1, f1))
+        gam2 = rayleigh_gamma((g2, f2))
         assert gam2 == pytest.approx(gam1, rel=1e-12)
 
     def test_scale_dependence_at_finite_d(self):
         # d fixes the scale: the product must move under rescaling
         grid = RadialMomentumGrid()
         q = grid.q
-        fun = spin0_functional(1.0)
-        g1 = rayleigh_gamma((grid, np.exp(-q * q / 2.0)), fun)
-        g2 = rayleigh_gamma((grid, np.exp(-(2.0 * q) ** 2 / 2.0)), fun)
+        spec = spec_spin0(1.0)
+        g1 = rayleigh_gamma((grid, np.exp(-q * q / 2.0)), spec)
+        g2 = rayleigh_gamma((grid, np.exp(-(2.0 * q) ** 2 / 2.0)), spec)
         assert abs(g2 - g1) > 1e-3
 
 
@@ -242,30 +207,30 @@ class TestVariationalBound:
     def test_nonrelativistic_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
         q = grid.q
-        fun = spin0_functional(0.0)
+        spec = spec_spin0(0.0)
         trials = [np.exp(-q * q / 4.0), (1.0 + q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 1.7), np.exp(-q) * q]
         for f in trials:
-            assert rayleigh_gamma((grid, f), fun) >= 1.5 - 1e-6
+            assert rayleigh_gamma((grid, f), spec) >= 1.5 - 1e-6
 
     def test_massless_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
         q = grid.q
-        fun = spin0_functional(INFINITY)
+        spec = spec_spin0(INFINITY)
         a = ALPHA_GOLDEN - 1.0
         trials = [q**a * np.exp(-q * q / 2.0), q**a * np.exp(-q * q / 3.0),
                   q**a * (1.0 + 0.5 * q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 2.0)]
         for f in trials:
-            assert rayleigh_gamma((grid, f), fun) >= GOLDEN_GAMMA - 1e-6
+            assert rayleigh_gamma((grid, f), spec) >= GOLDEN_GAMMA - 1e-6
 
     def test_longitudinal_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
         q = grid.q
-        fun = longitudinal_functional(0.0)
+        spec = spec_spin1(0.0)
         for f in (q * np.exp(-q * q / 2.0), q * np.exp(-q * q / 3.0),
                   q * (1.0 + q) * np.exp(-q * q / 2.0)):
-            assert rayleigh_gamma((grid, f), fun) >= 2.5 - 1e-6
+            assert rayleigh_gamma((grid, f), spec) >= 2.5 - 1e-6
 
 
 class TestCrossModule:
@@ -279,11 +244,13 @@ class TestCrossModule:
             mass = rng.uniform(0.7, 2.0)
             f = lambda p: (1.0 + a * np.asarray(p) ** 2) * np.exp(
                 -np.asarray(p) ** 2 / (2.0 * b * b))
+            df = lambda p: (2.0 * a - (1.0 + a * np.asarray(p) ** 2) / (b * b)) * np.asarray(
+                p) * np.exp(-np.asarray(p) ** 2 / (2.0 * b * b))
             _, dp2 = norm_and_dp2(f, p_max=16.0 * b)
-            dr2 = position_dispersion_momentum(f, mass, p_max=16.0 * b)
+            dr2 = position_dispersion_momentum(f, mass, df, p_max=16.0 * b)
             d = d_parameter(dp2, dr2, mass)
             fq = rescaled_profile(f, mass, d)
-            dq2_r, drq2_r = dispersion_pair((grid, fq(grid.q)), spin0_functional(d))
+            dq2_r, drq2_r = dispersion_pair((grid, fq(grid.q)), spec_spin0(d))
             assert drq2_r == pytest.approx((mass * d) ** 2 * dr2, rel=1e-5)
             # the self-consistent rescaling balances the state exactly
             assert dq2_r == pytest.approx(drq2_r, rel=1e-4)
@@ -291,7 +258,8 @@ class TestCrossModule:
     def test_position_route_validates_momentum_weight(self):
         f = lambda p: np.exp(-np.asarray(p) ** 2 / 2.0)
         direct = kg_fields.position_dispersion_direct(f, 1.3, r_max=30.0, p_max=12.0)
-        mom = position_dispersion_momentum(f, 1.3, p_max=12.0)
+        mom = position_dispersion_momentum(f, 1.3, lambda p: -np.asarray(p) * f(p),
+                                           p_max=12.0)
         assert direct == pytest.approx(mom, rel=1e-6)
 
 
@@ -352,7 +320,7 @@ class TestTransverseMinimization:
         assert abs(dq2 - drq2) <= 1e-12 * max(dq2, drq2)
         grid = CylindricalGrid()
         a, b, _ = _lowest_mode(grid)
-        unbalanced = rayleigh_gamma((grid, np.outer(a, b)), transverse_massless_functional())
+        unbalanced = rayleigh_gamma((grid, np.outer(a, b)))
         assert transverse_state.gamma == pytest.approx(unbalanced, abs=1e-14)
         assert transverse_state.norm_N2 == pytest.approx(1.0, rel=1e-14)
 
@@ -394,7 +362,7 @@ class TestTransverseMinimization:
         grid = CylindricalGrid(q_max=4.0, step=0.1)
         bad = np.ones((len(grid.q_perp), len(grid.q_z)))
         with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, bad), transverse_massless_functional())
+            dispersion_pair((grid, bad))
 
 
 class TestConnection:
