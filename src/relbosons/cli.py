@@ -343,7 +343,7 @@ def _cmd_rayleigh(args) -> int:
     if args.samples_out:
         grid = state.geometry
         write_grid_csv(args.samples_out, ["q_perp", "q_z", "f"],
-                       grid.q_perp, grid.q_z, state.f_samples)
+                       grid.q_perp, grid.q_z, np.outer(*state.f_samples))
     return 0
 
 

@@ -386,8 +386,7 @@ def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6) ->
     return q
 
 
-def charge_momentum_space(params: WavepacketParams,
-                          quad: QuadratureSpec = QuadratureSpec()) -> float:
+def charge_momentum_space(params: WavepacketParams) -> float:
     """Momentum-space oracle: Q = 2 pi^2 int p^2 E_p f^2 e^{-2 a E_p} dp."""
     a = params.damping_a
 
@@ -395,11 +394,10 @@ def charge_momentum_space(params: WavepacketParams,
         E = params.energy(p)
         return p * p * E * np.asarray(params.profile(p)) ** 2 * np.exp(-2.0 * a * E)
 
-    return float(np.real(2.0 * np.pi**2 * integrate_damped(kern, 2.0 * a, quad).value))
+    return float(np.real(2.0 * np.pi**2 * integrate_damped(kern, 2.0 * a).value))
 
 
-def energy_momentum_space(params: WavepacketParams,
-                          quad: QuadratureSpec = QuadratureSpec()) -> float:
+def energy_momentum_space(params: WavepacketParams) -> float:
     """Total energy of the packet by momentum quadrature (= N^2 below)."""
     a = params.damping_a
 
@@ -407,7 +405,7 @@ def energy_momentum_space(params: WavepacketParams,
         E = params.energy(p)
         return (p * E * np.asarray(params.profile(p))) ** 2 * np.exp(-2.0 * a * E)
 
-    return float(np.real(4.0 * np.pi**2 * integrate_damped(kern, 2.0 * a, quad).value))
+    return float(np.real(4.0 * np.pi**2 * integrate_damped(kern, 2.0 * a).value))
 
 
 def packet_momentum_profile(params: WavepacketParams) -> Callable:

@@ -256,6 +256,15 @@ class EigenPair:
     factorizations: int = 0
 
 
+def tridiag_matvec(diagonal, off_diagonal, v) -> np.ndarray:
+    """T v for the symmetric tridiagonal T; ``off_diagonal`` may be a scalar
+    standing for a constant one."""
+    r = diagonal * v
+    r[:-1] += off_diagonal * v[1:]
+    r[1:] += off_diagonal * v[:-1]
+    return r
+
+
 def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
                    max_iter: int = 50) -> EigenPair:
     """Lowest eigenpair by shifted inverse iteration on L D L^T factors.
@@ -300,9 +309,7 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
         sigma, df, ef = accepted
         v = dpttrs(df, ef, v)[0]
         v /= math.sqrt(np.einsum("i,i", v, v))
-        r = d * v
-        r[:-1] += e * v[1:]
-        r[1:] += e * v[:-1]
+        r = tridiag_matvec(d, e, v)
         mu = float(np.einsum("i,i", v, r))
         r -= mu * v
         res = math.sqrt(np.einsum("i,i", r, r))

@@ -26,7 +26,10 @@ ground levels with the outer product of their ground vectors; each
 comes from the certified :func:`relbosons.numkernel.tridiag_ground`.
 Such separable states a(q_perp) b(q_z) are evaluated on their factors:
 every moment needs only four q_z row sums, and for a b each is a
-one-dimensional product.
+one-dimensional product.  The minimizer stays a factor pair from the
+solve to the report, and its 2-D checks run on the factors too: the
+separation residual is the hypot of the two factor residuals, and the
+Euler-Lagrange operator, itself a Kronecker sum, acts on each factor.
 """
 
 from __future__ import annotations
@@ -99,10 +102,14 @@ class CylindricalGrid:
 
 @dataclass
 class RayleighState:
-    """A trial state with its evaluated norm, dispersions and gamma."""
+    """A trial state with its evaluated norm, dispersions and gamma.
+
+    ``f_samples`` is an array, or a pair (a, b) standing for the outer
+    product a b (on a :class:`CylindricalGrid`), as the moments take it.
+    """
 
     geometry: object
-    f_samples: np.ndarray
+    f_samples: np.ndarray | tuple
     norm_N2: float
     delta_q2: float
     delta_rq2: float
@@ -251,15 +258,15 @@ class _TransverseOperator:
     W = w_i (row weight 2 pi h^2 q_perp_i), so in g = sqrt(w) f the
     operator is the symmetric T_perp (x) I + I (x) T_z: T_perp carries the
     half-point weights w_{i+1/2} and 1/q_perp^2 + q_perp^2, T_z the q_z
-    Laplacian (half weight at the two ends) and q_z^2.  ``apply`` acts on
-    (n_perp, n_z) arrays of g.
+    Laplacian (half weight at the two ends) and q_z^2.  H is kept as
+    those two tridiagonals.
     """
 
     def __init__(self, grid: CylindricalGrid):
         h, qp, qz = grid.step, grid.q_perp, grid.q_z
         w = grid.row_weight
         w_half = np.concatenate(([0.5 * w[0]], 0.5 * (w[1:] + w[:-1]), [0.5 * w[-1]]))
-        self.sqrt_w = np.sqrt(w)[:, None]
+        self.sqrt_w = np.sqrt(w)
         self.qp2, self.qz2 = qp**2, qz**2
         self.d_perp = (w_half[:-1] + w_half[1:]) / (h**2 * w) + 1.0 / qp**2 + qp**2
         self.e_perp = -w_half[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
@@ -267,19 +274,6 @@ class _TransverseOperator:
         c[0] = c[-1] = 0.5
         self.d_z = (c[:-1] + c[1:]) / h**2 + qz**2
         self.e_z = -1.0 / h**2          # every q_z off-diagonal entry
-
-    def apply(self, g, scale: float = 1.0, c: float = 0.0, shift: float = 0.0):
-        """(scale H + c q^2 - shift) g, itself a Kronecker sum: c q^2 splits
-        into c q_perp^2 and c q_z^2, and the shift goes on the q_perp
-        diagonal.  The plain H g is (T_perp (x) I + I (x) T_z) g."""
-        out = (scale * self.d_z + c * self.qz2) * g
-        out += (scale * self.d_perp + c * self.qp2 - shift)[:, None] * g
-        e_perp, e_z = scale * self.e_perp[:, None], scale * self.e_z
-        out[1:] += e_perp * g[:-1]
-        out[:-1] += e_perp * g[1:]
-        out[:, 1:] += e_z * g[:, :-1]
-        out[:, :-1] += e_z * g[:, 1:]
-        return out
 
 
 def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> RayleighState:
@@ -297,11 +291,11 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     so the same samples on ``CylindricalGrid(q_max/s, step/s)``,
     renormalized, are exactly the state rescaled by s = (Delta q^2 /
     Delta r_q^2)^(1/4), and gamma is unchanged.  Both evaluations run on
-    the factors.  The returned state, on that rescaled grid, carries gamma
-    and in ``meta`` the two kernels' total iteration count, lambda/2
-    (``mean_value``) and the 2-D residual ||H g - lambda g|| of the unit
-    g = sqrt(w) a b (``grad_norm``), from one application of the
-    unseparated operator: an a-posteriori check of the separation.
+    the factors.  The returned state, on that rescaled grid, keeps them:
+    its ``f_samples`` is the pair (a, b).  Its ``meta`` carries the two
+    kernels' total iteration count, lambda/2 (``mean_value``) and the 2-D
+    residual ||H g - lambda g|| of the unit g = sqrt(w) a b
+    (``grad_norm``), exactly the hypot of the two factor residuals.
     """
     a, b, meta = _lowest_mode(grid)
     dq2, drq2 = dispersion_pair((grid, (a, b)))
@@ -309,7 +303,7 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     grid = CylindricalGrid(grid.q_max / s, grid.step / s)
     a = a / math.sqrt(_measure_sum(grid, a * a))
     n2, dq2, drq2 = _moments(grid, (a, b))
-    state = RayleighState(grid, np.outer(a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
+    state = RayleighState(grid, (a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
     state.meta.update(meta)
     return state
 
@@ -325,29 +319,43 @@ def _lowest_mode(grid: CylindricalGrid):
     along = numkernel.tridiag_ground(numkernel.TridiagProblem(
         op.d_z, np.full(len(op.d_z) - 1, op.e_z), grid.step))
     lam = perp.value + along.value
-    r = op.apply(np.outer(perp.vector, along.vector), shift=lam)
-    return perp.vector / op.sqrt_w[:, 0], along.vector, dict(
+    # With unit p, z and their residuals r = (T - mu) v:
+    # (T_perp (x) I + I (x) T_z - lam)(p (x) z) = r_perp (x) z + p (x) r_z.
+    # The cross term of its squared norm is 2 (p . r_perp)(z . r_z) = 0,
+    # since each mu is the Rayleigh quotient v^T T v of a unit vector.
+    return perp.vector / op.sqrt_w, along.vector, dict(
         iterations=perp.iterations + along.iterations,
-        grad_norm=math.sqrt(np.einsum("ij,ij", r, r)), mean_value=0.5 * lam)
+        grad_norm=math.hypot(perp.residual, along.residual), mean_value=0.5 * lam)
 
 
 def euler_lagrange_residual(state: RayleighState) -> float:
     """|| [dq2 (-Lap + w) + drq2 q^2 - 2 gamma^2] f || / (2 gamma^2 ||f||).
 
     Stationarity measure of the minimized product, in the discrete norm
-    of the cylindrical measure.
+    of the cylindrical measure.  The state must carry its factors (a, b).
     """
-    grid = state.geometry
-    if not isinstance(grid, CylindricalGrid):
-        raise ValueError("Euler-Lagrange residual is defined on the cylindrical grid")
+    grid, f = state.geometry, state.f_samples
+    if not isinstance(grid, CylindricalGrid) or not isinstance(f, tuple):
+        raise ValueError("Euler-Lagrange residual is defined for a factor pair "
+                         "(a, b) on the cylindrical grid")
     op = _TransverseOperator(grid)
-    g = state.f_samples * op.sqrt_w
+    p, b = op.sqrt_w * f[0], f[1]
     dq2, drq2 = state.delta_q2, state.delta_rq2
-    # sqrt(w) times the bracket on f, written with H = -Lap + 1/q_perp^2 + q^2
-    el = op.apply(g, scale=dq2, c=drq2 - dq2, shift=2.0 * dq2 * drq2)
-    # einsum, not BLAS norms: OpenBLAS threads those for no wall-time gain
-    return (math.sqrt(np.einsum("ij,ij", el, el) / np.einsum("ij,ij", g, g))
-            / (2.0 * dq2 * drq2))
+    # sqrt(w) times the bracket on f, written with H = -Lap + 1/q_perp^2 + q^2,
+    # is dq2 H + c q^2 - 2 dq2 drq2 on g = p b, itself a Kronecker sum: it
+    # gives el = x b + p y, x and y below
+    c = drq2 - dq2
+    x = numkernel.tridiag_matvec(dq2 * op.d_perp + c * op.qp2 - 2.0 * dq2 * drq2,
+                                 dq2 * op.e_perp, p)
+    y = numkernel.tridiag_matvec(dq2 * op.d_z + c * op.qz2, dq2 * op.e_z, b)
+    # Split x = kappa p + x' with x' orthogonal to p: el = x' b + p (y + kappa b),
+    # two orthogonal terms.  Expanding ||x b + p y||^2 instead would subtract
+    # 2 (x . p)(y . b) from nearly equal terms and lose digits to cancellation.
+    pp, bb = np.einsum("i,i", p, p), np.einsum("j,j", b, b)
+    kappa = np.einsum("i,i", x, p) / pp
+    xr, yr = x - kappa * p, y + kappa * b
+    el2 = np.einsum("i,i", xr, xr) * bb + pp * np.einsum("j,j", yr, yr)
+    return math.sqrt(el2 / (pp * bb)) / (2.0 * dq2 * drq2)
 
 
 def separation_oracle(n: int = 8000) -> float:
@@ -383,9 +391,12 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
         (grid, (transverse, np.exp(-1.25 * qz**2))))
     report["qperp_dependence_only"] = rayleigh_gamma(
         (grid, (transverse, np.ones(len(qz)))))
-    q2 = qp[:, None] ** 2 + qz[None, :] ** 2
+    # the spherical reading fails the axis check, which reads only the
+    # first two q_z row sums, so only those two rows are built
+    q2 = qp[:2, None] ** 2 + qz[None, :] ** 2
+    f = np.sqrt(q2) * np.exp(-1.25 * q2)
     try:
-        rayleigh_gamma((grid, np.sqrt(q2) * np.exp(-1.25 * q2)))
+        _check_axis_vanishing(np.einsum("ij,ij->i", f, f))
         report["spherical_magnitude"] = "converged (unexpected)"
     except DivergentWeightError as exc:
         report["spherical_magnitude"] = f"divergent: {exc}"

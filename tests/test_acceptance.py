@@ -135,17 +135,14 @@ def _doubled_axis_weight(monkeypatch, results):
 
 
 def _squared_transverse_prefactor(monkeypatch, results):
-    # one more factor q_perp in front of every reading's Gaussian (the
-    # transverse prefactor becomes q_perp^2): on the transverse factor of
-    # the separable readings, which moves the orbit reading off 5/2, and
-    # on the rows of the spherical one
+    # one more factor q_perp in front of the separable readings' Gaussian
+    # (the transverse prefactor becomes q_perp^2), which moves the orbit
+    # reading off 5/2; the spherical reading only reads the axis check
     gamma = variational.rayleigh_gamma
 
     def faulty(state, spec=None):
-        grid, f = state
-        if isinstance(f, tuple):
-            return gamma((grid, (grid.q_perp * f[0], f[1])), spec)
-        return gamma((grid, grid.q_perp[:, None] * f), spec)
+        grid, (a, b) = state
+        return gamma((grid, (grid.q_perp * a, b)), spec)
 
     monkeypatch.setattr(variational, "rayleigh_gamma", faulty)
 

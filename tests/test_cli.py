@@ -303,7 +303,8 @@ class TestRayleigh:
         assert run(["rayleigh", "--case", "trans-massless", "--out",
                     str(tmp_path / "r.json"), "--samples-out", str(samples)]) == 0
         grid = transverse_state.geometry
-        rows = [(qp, qz, transverse_state.f_samples[i, j])
+        f = np.outer(*transverse_state.f_samples)
+        rows = [(qp, qz, f[i, j])
                 for i, qp in enumerate(grid.q_perp)
                 for j, qz in enumerate(grid.q_z)]
         expect = "q_perp,q_z,f\n" + "".join(

@@ -1,5 +1,6 @@
 """Tests for the dispersion functionals and the transverse minimization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from relbosons import kg_fields
 from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
-                                   RadialMomentumGrid, check_connection, dispersion_pair,
+                                   RadialMomentumGrid, check_connection,
+                                   closed_form_readings, dispersion_pair,
                                    euler_lagrange_residual, minimize_transverse_massless,
                                    norm_and_dp2, position_dispersion_momentum,
                                    rayleigh_gamma, rescaled_profile,
@@ -103,7 +105,7 @@ class TestDispersionPair:
         f = {"gaussian": lambda: wrong_width_gaussian(grid),
              "random": lambda: grid.q_perp[:, None] * np.random.default_rng(5).random(
                  (len(grid.q_perp), len(grid.q_z))),
-             "minimizer": lambda: transverse_state.f_samples}[trial]()
+             "minimizer": lambda: np.outer(*transverse_state.f_samples)}[trial]()
         got = dispersion_pair((grid, f))
         assert got == pytest.approx(dense_dispersion_pair(grid, f), rel=1e-14)
 
@@ -277,7 +279,7 @@ class TestTransverseMinimization:
         lam = 2.0 * transverse_state.meta["mean_value"]
         W = cylindrical_measure(grid)
         qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
-        trials = [transverse_state.f_samples]
+        trials = [np.outer(*transverse_state.f_samples)]
         for seed, width in ((7, 0.3), (8, 0.5), (9, 1.0)):
             rng = np.random.default_rng(seed)
             trials.append(qp * (0.5 + rng.random((len(grid.q_perp), len(grid.q_z))))
@@ -287,7 +289,14 @@ class TestTransverseMinimization:
             assert rq >= lam - 1e-12
 
     def test_separation_residual(self, transverse_state):
-        # ||H g - lambda g|| of the outer product, from the unseparated operator
+        # ||H g - lambda g|| of the unit g = sqrt(w) a b, from the unseparated
+        # reference operator, and the library's value from the two factors
+        grid = CylindricalGrid()
+        a, b, meta = _lowest_mode(grid)
+        f = np.outer(a, b)
+        lam = 2.0 * meta["mean_value"]
+        r = staggered_apply_h(grid, f) - lam * f
+        assert math.sqrt(np.sum(cylindrical_measure(grid) * r * r)) <= 1e-9
         assert transverse_state.meta["grad_norm"] <= 1e-9
 
     def test_dense_generalized_eigenproblem(self):
@@ -327,9 +336,49 @@ class TestTransverseMinimization:
     def test_euler_lagrange_residual(self, transverse_state):
         assert euler_lagrange_residual(transverse_state) <= 1e-3
 
+    def test_euler_lagrange_residual_matches_dense(self, transverse_state):
+        # the factor evaluation against the bracket applied to the whole
+        # outer product by the reference operator; expanding the squared
+        # norm with its cross term 2 (x . p)(y . b) misses by ~6e-9 here
+        grid = transverse_state.geometry
+        f = np.outer(*transverse_state.f_samples)
+        W = cylindrical_measure(grid)
+        dq2, drq2 = transverse_state.delta_q2, transverse_state.delta_rq2
+        q2 = grid.q_perp[:, None] ** 2 + grid.q_z[None, :] ** 2
+        el = (dq2 * staggered_apply_h(grid, f) + (drq2 - dq2) * q2 * f
+              - 2.0 * dq2 * drq2 * f)
+        dense = math.sqrt(np.sum(W * el * el) / np.sum(W * f * f)) / (2.0 * dq2 * drq2)
+        assert abs(euler_lagrange_residual(transverse_state) / dense - 1.0) <= 1e-9
+
+    def test_euler_lagrange_residual_needs_factors(self, transverse_state):
+        unpaired = dataclasses.replace(transverse_state,
+                                       f_samples=np.outer(*transverse_state.f_samples))
+        with pytest.raises(ValueError, match="factor pair"):
+            euler_lagrange_residual(unpaired)
+
+    def test_transverse_path_allocates_no_2d_array(self, transverse_state):
+        # the minimizer, its EL residual and the closed-form readings stay
+        # on the factors: one 400 x 801 float array alone is 2.44 MiB
+        import tracemalloc
+
+        def transverse_path():
+            state = minimize_transverse_massless()
+            euler_lagrange_residual(state)
+            closed_form_readings()
+
+        transverse_path()       # first calls import and cache outside the trace
+        tracemalloc.start()
+        try:
+            transverse_path()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_minimizer_factorizes(self, transverse_state):
         grid = transverse_state.geometry
-        f = transverse_state.f_samples / np.max(transverse_state.f_samples)
+        f = np.outer(*transverse_state.f_samples)
+        f /= np.max(f)
         qp = grid.q_perp[:, None]
         q2 = qp**2 + grid.q_z[None, :] ** 2
         mask = f > 1e-3
@@ -354,7 +403,14 @@ class TestTransverseMinimization:
         grid = CylindricalGrid()
         f = np.random.default_rng(3).standard_normal((len(grid.q_perp), len(grid.q_z)))
         op = _TransverseOperator(grid)
-        got = op.apply(f * op.sqrt_w) / op.sqrt_w
+        g = op.sqrt_w[:, None] * f
+        # T_perp along q_perp (axis 0) and T_z along q_z (axis 1)
+        hg = op.d_perp[:, None] * g + op.d_z * g
+        hg[1:] += op.e_perp[:, None] * g[:-1]
+        hg[:-1] += op.e_perp[:, None] * g[1:]
+        hg[:, 1:] += op.e_z * g[:, :-1]
+        hg[:, :-1] += op.e_z * g[:, 1:]
+        got = hg / op.sqrt_w[:, None]
         want = staggered_apply_h(grid, f)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
