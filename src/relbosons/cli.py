@@ -274,7 +274,7 @@ def _cmd_gamma(args) -> int:
 
         payload = {
             "spin": args.spin, "channel": template.channel, "angular_index": args.l,
-            "grid": {"q_min": grid.q_min, "q_max": grid.q_max, "n": grid.n},
+            "grid": {"q_min": eigensolver.SHOOTING_Q_LO, "q_max": grid.q_max, "n": grid.n},
             "points": [{"d": ("inf" if math.isinf(p.d) else p.d),
                         "gamma": num(p.gamma), "residual": num(p.residual),
                         "method": p.method, "gamma_fd": num(p.gamma_fd),

@@ -1,20 +1,23 @@
 """Ground-state solver for -u'' + W(q) u = lam u on (0, inf).
 
-Two independent routes are provided and cross-checked against each
-other: Numerov shooting with a power-series start at the origin, and a
-finite-difference matrix whose lowest eigenpair is found by certified
-shifted inverse iteration (with Richardson extrapolation over h and h/2).
+Two independent routes, on grids they do not share, are cross-checked
+against each other: a finite-difference matrix on nodes uniform in q,
+whose lowest eigenpair is found by certified shifted inverse iteration
+(with Richardson extrapolation over h and h/2), and Numerov shooting on
+nodes uniform in x = ln q.  With u = sqrt(q) v the equation becomes
+v'' = (q^2 (W - lam) + 1/4) v, whose coefficient is finite at the origin
+(W ~ c/q^2 there), so the regular solution v ~ q^(alpha - 1/2) is smooth
+in x and one recurrence runs from ``SHOOTING_Q_LO`` to q_max.
 
 Each Numerov sweep is one lower-triangular banded solve (LAPACK
 ``dtbtrs``, forward substitution without pivoting, so the same
-recurrence as a loop over q), and the eigenvalue is the root of the
-matching mismatch found by Brent's zeroin (:func:`relbosons.numkernel.find_root`).
-Its bracket comes from the paper's closed forms, not from the FD route:
-with y = d^2, W(q; y) is monotone in y at each q for both spins and every
-angular index, so by Courant-Fischer lam(d) lies between the exact d = 0
-and d = inf levels 2 alpha + 1 (:func:`limit_bracket`).  The origin
-series is a Taylor expansion in (d q)^2, so the outward sweep starts at
-``_SERIES_EDGE / max(1, d)`` for finite d.
+recurrence as a loop over the nodes), and the eigenvalue is the root of
+the matching mismatch found by Brent's zeroin
+(:func:`relbosons.numkernel.find_root`).  Its bracket comes from the
+paper's closed forms, not from the FD route: with y = d^2, W(q; y) is
+monotone in y at each q for both spins and every angular index, so by
+Courant-Fischer lam(d) lies between the exact d = 0 and d = inf levels
+2 alpha + 1 (:func:`limit_bracket`).
 
 Only gamma = lam / 2 crosses module boundaries.
 """
@@ -31,54 +34,44 @@ from scipy.linalg.lapack import dtbtrs
 
 from .numkernel import BracketError, find_root, richardson_ground
 from .potentials import (INFINITY, PotentialSpec, effective_potential, limit_profile,
-                         origin_behavior, regular_expansion, spec_spin0, spec_spin1)
+                         origin_behavior, spec_spin0, spec_spin1)
 
 GOLDEN_GAMMA = 1.0 + math.sqrt(5.0) / 2.0          # massless limit, both spins
 ALPHA_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))        # origin exponent at d = inf
 
-# shooting starts its outward Numerov sweep no closer to the origin than
-# this (divided by d for finite d > 1, where the series in (d q)^2 is
-# accurate only for d q small); below it the series expansion of u is
-# used directly
-_SERIES_EDGE = 0.05
+# the first shooting node: the O((d q)^2) error of the start q^(alpha - 1/2)
+# admits an irregular part, which falls as (q / 1e-7)^(1 - 2 alpha) against
+# the regular one on the way out
+SHOOTING_Q_LO = 1e-7
 # shooting and FD must agree this closely at every point of a gamma sweep
 CROSS_METHOD_TOL = 1e-6
 # the shooting bracket extends the two limit levels by this much: the
 # discrete root can sit just outside an exact endpoint
 _BRACKET_MARGIN = 0.05
-# discrete residuals of origin-singular eigenfunctions are reported away
-# from the coordinate singularity, where u'''' is bounded
+# closed-form residuals of origin-singular eigenfunctions are reported
+# away from the coordinate singularity, where u'''' is bounded
 _RESIDUAL_EDGE = 0.2
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid for the canonical radial problem.
+    """Outer end and node count of the two radial routes.
 
-    ``q_min`` is the series-start point of the shooting method; the
-    finite-difference matrix always places its Dirichlet wall at q = 0
-    (the regular solution obeys u(0) = 0 for every channel here, and a
-    wall at q_min > 0 would bias the u ~ q channels by O(q_min)).
-    ``q_max`` must sit far inside the Gaussian-decay region.
+    Each route lays its own n nodes up to ``q_max``: the finite-difference
+    matrix uniformly in q with its Dirichlet wall at q = 0 (the regular
+    solution obeys u(0) = 0 for every channel here), shooting uniformly
+    in x = ln q from ``SHOOTING_Q_LO``.  ``q_max`` must sit far inside
+    the Gaussian-decay region.
     """
 
-    q_min: float = 1e-4
     q_max: float = 12.0
     n: int = 8000
 
     def __post_init__(self):
-        if not (0.0 < self.q_min < self.q_max):
-            raise ValueError("need 0 < q_min < q_max")
+        if not (SHOOTING_Q_LO < self.q_max):
+            raise ValueError(f"need q_max > SHOOTING_Q_LO = {SHOOTING_Q_LO:g}")
         if self.n < 100:
             raise ValueError("n must be at least 100")
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n)
-
-    @property
-    def step(self) -> float:
-        return (self.q_max - self.q_min) / (self.n - 1)
 
 
 @dataclass
@@ -108,18 +101,8 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
                        ground.vector / math.sqrt(h), ground.residual, meta)
 
 
-def _series_start(spec: PotentialSpec, q: np.ndarray, lam: float) -> np.ndarray:
-    """Regular solution u = q^alpha (1 + b2 q^2 + b4 q^4) near the origin."""
-    ob = origin_behavior(spec)
-    w0, w2 = regular_expansion(spec)
-    a = ob.exponent_alpha
-    b2 = (w0 - lam) / (4.0 * a + 2.0)
-    b4 = ((w0 - lam) * b2 + w2) / (8.0 * a + 12.0)
-    return q**a * (1.0 + b2 * q * q + b4 * q**4)
-
-
 def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
-    """Numerov recurrence along ``T`` = W - lam from the start values u0, u1.
+    """Numerov recurrence for u'' = T u along ``T`` from the start values u0, u1.
 
     With both start values fixed the recurrence
     (1 - f T[k]) u[k] = 2 (1 + 5 f T[k-1]) u[k-1] - (1 - f T[k-2]) u[k-2]
@@ -143,27 +126,24 @@ def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
 
 
 def _numerov_mismatch(spec: PotentialSpec, q: np.ndarray, step: float, lam: float,
-                      W: np.ndarray, i0: int, im: int):
-    """Cross mismatch uL[im] uR[im+1] - uL[im+1] uR[im] of the two sweeps.
+                      W: np.ndarray, im: int):
+    """Cross mismatch vL[im] vR[2] - vL[im+1] vR[1] of the two sweeps at q[im:im+2].
 
-    Zero exactly when one Numerov solution satisfies both boundary
-    conditions, i.e. at the discretized eigenvalues.  ``uL`` holds the
-    outward solution on q[:im+2], ``uR`` the inward one on q[im-1:]
-    (NaN below); ``step`` is the spacing of the uniform nodes ``q``.
+    The sweeps solve v'' = (q^2 (W - lam) + 1/4) v on the nodes ``q``,
+    uniform in x = ln q with spacing ``step``.  The mismatch is zero
+    exactly when one Numerov solution satisfies both boundary
+    conditions, i.e. at the discretized eigenvalues.  ``vL`` holds the
+    outward solution on q[:im+2], started from q^(alpha - 1/2); ``vR``
+    the inward one on q[im-1:], started from the Gaussian envelope
+    q^(lam/2 - 1) exp(-q^2/2).
     """
     f = step ** 2 / 12.0
-    T = W - lam
-
-    head = _series_start(spec, q[: i0 + 2], lam)
-    uL = np.concatenate(
-        [head[:i0], _numerov_sweep(T[i0: im + 2], f, head[i0], head[i0 + 1])])
-
-    nu = 0.5 * (lam - 1.0)
-    tail = q[-2:] ** nu * np.exp(-0.5 * q[-2:] ** 2)
-    uR = np.full(len(q), math.nan)
-    uR[im - 1:] = _numerov_sweep(T[im - 1:][::-1], f, tail[1], tail[0])[::-1]
-
-    return uL[im] * uR[im + 1] - uL[im + 1] * uR[im], uL, uR
+    T = q * q * (W - lam) + 0.25
+    head = q[:2] ** (origin_behavior(spec).exponent_alpha - 0.5)
+    vL = _numerov_sweep(T[: im + 2], f, head[0], head[1])
+    tail = q[-2:] ** (0.5 * lam - 1.0) * np.exp(-0.5 * q[-2:] ** 2)
+    vR = _numerov_sweep(T[im - 1:][::-1], f, tail[1], tail[0])[::-1]
+    return vL[im] * vR[2] - vL[im + 1] * vR[1], vL, vR
 
 
 def limit_bracket(spec: PotentialSpec) -> tuple:
@@ -183,15 +163,17 @@ def limit_bracket(spec: PotentialSpec) -> tuple:
 
 def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
                           tol: float = 1e-10) -> EigenResult:
-    """Ground state by bidirectional Numerov shooting.
+    """Ground state by bidirectional Numerov shooting in x = ln q.
 
-    The outward sweep starts from the origin power series, the inward
-    sweep from the Gaussian envelope q^((lam-1)/2) exp(-q^2/2); lam is
-    the root of the matching mismatch, found by Brent's zeroin
-    (:func:`relbosons.numkernel.find_root` with ``xtol=tol``) on the
-    closed-form bracket of :func:`limit_bracket`.  ``meta`` records the
-    iteration count, the number of Numerov mismatch evaluations and the
-    final sign-change bracket, the tightest among them.
+    The sweeps of :func:`_numerov_mismatch` run on ``grid.n`` nodes uniform
+    in x from ``SHOOTING_Q_LO`` to ``grid.q_max``; lam is the root of their
+    mismatch, found by Brent's zeroin (:func:`relbosons.numkernel.find_root`
+    with ``xtol=tol``) on the closed-form bracket of :func:`limit_bracket`.
+    ``u_samples`` = sqrt(q) v on those nodes, with int u^2 dq =
+    sum(q^2 v^2) dx = 1.  ``residual`` is the three-point defect of v in
+    x, the check's own O(dx^2) truncation rather than the error of lam.
+    ``meta`` records the iteration count, the number of Numerov mismatch
+    evaluations and the final sign-change bracket, the tightest among them.
 
     Raises
     ------
@@ -203,14 +185,14 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    q = grid.q
+    x = np.linspace(math.log(SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+    step = x[1] - x[0]
+    q = np.exp(x)
     W = effective_potential(q, spec)
-    edge = _SERIES_EDGE if math.isinf(spec.d) else _SERIES_EDGE / max(1.0, spec.d)
-    i0 = max(1, int(np.searchsorted(q, max(grid.q_min, edge))))
     im = int(np.argmin(W))
     if q[im] < 0.5 or q[im] > 0.5 * grid.q_max:
         im = int(np.searchsorted(q, 1.0))
-    im = min(max(im, i0 + 2), grid.n - 3)
+    im = min(im, grid.n - 3)
 
     lo, hi = limit_bracket(spec)
     if W[-1] < hi + 20.0:
@@ -219,38 +201,31 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
             f"exceed the bracket end {hi:.3f} by 20 so the inward sweep "
             "starts in the Gaussian-decay region")
     try:
-        root = find_root(lambda x: _numerov_mismatch(spec, q, grid.step, x, W, i0, im)[0],
+        root = find_root(lambda lam: _numerov_mismatch(spec, q, step, lam, W, im)[0],
                          lo, hi, tol)
     except BracketError as exc:
         raise BracketError(f"mismatch: {exc} for {spec}; lam(d) must lie between "
                            "its d = 0 and d = inf levels") from None
     lam = root.value
 
-    _, uL, uR = _numerov_mismatch(spec, q, grid.step, lam, W, i0, im)
-    u = np.empty(grid.n)
-    u[: im + 1] = uL[: im + 1]
-    u[im:] = uR[im:] * (uL[im] / uR[im])
-    u /= math.sqrt(np.sum(u * u) * grid.step)
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
+    _, vL, vR = _numerov_mismatch(spec, q, step, lam, W, im)
+    v = np.concatenate([vL[:im], vR[1:] * (vL[im] / vR[1])])
+    v /= math.sqrt(np.sum(q * q * v * v) * step)
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
 
-    # for origin-singular channels (c > 0) the first points are excluded:
-    # u ~ q^alpha with fractional alpha has unbounded u'''' there and the
-    # three-point defect is dominated by that, not by solution quality
-    singular = origin_behavior(spec).singular_strength > 0
-    resid = _discrete_residual(q, u, W, lam, _RESIDUAL_EDGE if singular else q[0])
+    resid = _discrete_residual(x, v, q * q * (W - lam) + 0.25, lam)
     meta = {"bracket": root.bracket, "brent_iterations": root.iterations,
-            "mismatch_evaluations": root.evaluations, "q_match": q[im],
-            "series_start": q[i0]}
-    return EigenResult(lam / 2.0, lam, q, u, resid, meta)
+            "mismatch_evaluations": root.evaluations, "q_match": q[im]}
+    return EigenResult(lam / 2.0, lam, q, np.sqrt(q) * v, resid, meta)
 
 
-def _discrete_residual(q, u, W, lam, edge) -> float:
-    """Max |(-D^2 + W - lam) u| / (lam max|u|) over the interior points q >= edge."""
-    h = q[1] - q[0]
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    res = -d2 + (W[1:-1] - lam) * u[1:-1]
-    return float(np.max(np.abs(res[q[1:-1] >= edge])) / (abs(lam) * np.max(np.abs(u))))
+def _discrete_residual(nodes, y, T, lam) -> float:
+    """Max |(-D^2 + T) y| / (|lam| max|y|) over the interior of the uniform ``nodes``."""
+    h = nodes[1] - nodes[0]
+    d2 = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2
+    res = -d2 + T[1:-1] * y[1:-1]
+    return float(np.max(np.abs(res)) / (abs(lam) * np.max(np.abs(y))))
 
 
 @dataclass
@@ -345,8 +320,9 @@ def closed_form_residual(case: AnalyticCase, n: int = 8000, q_max: float = 12.0)
     the residual decreases as h^2 under grid refinement.
     """
     q = np.linspace(case.q_min, q_max, n)
+    lam = 2.0 * case.gamma
     return _discrete_residual(q, q * limit_profile(q, case.spec),
-                              effective_potential(q, case.spec), 2.0 * case.gamma, q[0])
+                              effective_potential(q, case.spec) - lam, lam)
 
 
 def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> dict:
@@ -357,4 +333,4 @@ def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> dict:
 def expectation_q2(result: EigenResult) -> float:
     """<q^2> of a normalized ground state (the q^2 f^2 measure)."""
     u, q = result.u_samples, result.q_samples
-    return float(np.sum(q * q * u * u) / np.sum(u * u))
+    return float(np.trapezoid(q * q * u * u, q) / np.trapezoid(u * u, q))

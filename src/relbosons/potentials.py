@@ -127,16 +127,6 @@ def origin_behavior(spec: PotentialSpec) -> OriginBehavior:
     return OriginBehavior(c, alpha)
 
 
-def regular_expansion(spec: PotentialSpec):
-    """Taylor coefficients (w0, w2) of W - c/q^2 = w0 + w2 q^2 + O(q^4)."""
-    if math.isinf(spec.d):
-        return 0.0, 1.0
-    d2 = spec.d**2
-    if spec.spin == SPIN0:
-        return 1.5 * d2, 1.0 - 2.0 * d2**2
-    return -0.5 * d2, 1.0
-
-
 def d_parameter(delta_p2: float, delta_r2: float, mass: float) -> float:
     """Dimensionless relativity measure (1/m)(dp^2/dr^2)^(1/4), hbar=c=1."""
     if delta_p2 <= 0 or delta_r2 <= 0 or mass <= 0:

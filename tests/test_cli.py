@@ -224,7 +224,10 @@ class TestGamma:
                     "--out", str(out)])
         assert code == 1
         row = read(out).splitlines()[1].split(",")
-        assert len(row) == 4 and row[3].startswith("failed:shooting gamma 1.5")
+        assert len(row) == 4 and row[3].startswith("failed:shooting gamma ")
+        # the unshifted shooting value as printed, at 3/2
+        shot = re.match(r"failed:shooting gamma (\S+)", row[3]).group(1)
+        assert float(shot) == pytest.approx(1.5, abs=1e-9)
         # the FD value as printed, 1e-5 above its unshifted 3/2
         printed = re.search(r"FD gamma (\S+)", capsys.readouterr().err).group(1)
         assert float(printed) == pytest.approx(1.5 + 1e-5, abs=1e-9)

@@ -12,26 +12,33 @@ from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid,
                                    solve_ground_fd, solve_ground_shooting,
                                    verify_analytic_limits)
 from relbosons.numkernel import BracketError
-from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
+from relbosons.potentials import (INFINITY, effective_potential, origin_behavior,
+                                  spec_spin0, spec_spin1)
 
 
-def reference_sweeps(spec, grid, lam, W, i0, im):
-    """The Numerov recurrence as a plain loop over q, outward and inward."""
-    q, n = grid.q, grid.n
-    f = grid.step ** 2 / 12.0
-    T = W - lam
-    uL = np.empty(im + 2)
-    uL[: i0 + 2] = es._series_start(spec, q[: i0 + 2], lam)
-    for i in range(i0 + 1, im + 1):
-        uL[i + 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uL[i]
-                     - (1.0 - f * T[i - 1]) * uL[i - 1]) / (1.0 - f * T[i + 1])
-    nu = 0.5 * (lam - 1.0)
-    uR = np.empty(n)
-    uR[-2:] = q[-2:] ** nu * np.exp(-0.5 * q[-2:] ** 2)
+def log_nodes(grid):
+    """The shooting nodes q, uniform in x = ln q, and their x spacing."""
+    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+    return np.exp(x), x[1] - x[0]
+
+
+def reference_sweeps(spec, grid, lam, W, im):
+    """The Numerov recurrence for v = u / sqrt(q) as a plain loop over the
+    log nodes, outward from q^(alpha - 1/2) and inward from the Gaussian."""
+    q, h = log_nodes(grid)
+    n, f = grid.n, h ** 2 / 12.0
+    T = q * q * (W - lam) + 0.25
+    vL = np.empty(im + 2)
+    vL[:2] = q[:2] ** (origin_behavior(spec).exponent_alpha - 0.5)
+    for i in range(1, im + 1):
+        vL[i + 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * vL[i]
+                     - (1.0 - f * T[i - 1]) * vL[i - 1]) / (1.0 - f * T[i + 1])
+    vR = np.empty(n)
+    vR[-2:] = q[-2:] ** (0.5 * lam - 1.0) * np.exp(-0.5 * q[-2:] ** 2)
     for i in range(n - 2, im - 1, -1):
-        uR[i - 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * uR[i]
-                     - (1.0 - f * T[i + 1]) * uR[i + 1]) / (1.0 - f * T[i - 1])
-    return uL, uR[im - 1:]
+        vR[i - 1] = (2.0 * (1.0 + 5.0 * f * T[i]) * vR[i]
+                     - (1.0 - f * T[i + 1]) * vR[i + 1]) / (1.0 - f * T[i - 1])
+    return vL, vR[im - 1:]
 
 
 class TestShooting:
@@ -42,9 +49,11 @@ class TestShooting:
             assert np.all(interior > 0.0)
 
     def test_normalization(self):
+        # int u^2 dq on nodes uniform in x = ln q, where dq = q dx
         res = solve_ground_shooting(spec_spin0(0.7))
-        h = res.q_samples[1] - res.q_samples[0]
-        assert np.sum(res.u_samples**2) * h == pytest.approx(1.0, rel=1e-10)
+        q, h = log_nodes(RadialGrid())
+        assert np.array_equal(res.q_samples, q)
+        assert np.sum(q * res.u_samples**2) * h == pytest.approx(1.0, rel=1e-10)
 
     def test_discrete_residual_at_h2_scale(self):
         for spec in (spec_spin0(0.0), spec_spin1(1.0), spec_spin0(INFINITY)):
@@ -59,29 +68,26 @@ class TestShooting:
                              ids=["spin0-regular", "spin1-singular"])
     def test_banded_sweep_matches_loop(self, spec):
         grid = RadialGrid()
-        q = grid.q
+        q, h = log_nodes(grid)
         W = effective_potential(q, spec)
-        i0 = int(np.searchsorted(q, 0.05))
         im = int(np.searchsorted(q, 1.0))
         lam = solve_ground_fd(spec, grid).lam + 0.01
-        g, uL, uR = es._numerov_mismatch(spec, q, grid.step, lam, W, i0, im)
-        refL, refR = reference_sweeps(spec, grid, lam, W, i0, im)
+        g, uL, uR = es._numerov_mismatch(spec, q, h, lam, W, im)
+        refL, refR = reference_sweeps(spec, grid, lam, W, im)
         assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
-        assert np.max(np.abs(uR[im - 1:] - refR)) <= 1e-11 * np.max(np.abs(refR))
+        assert np.max(np.abs(uR - refR)) <= 1e-11 * np.max(np.abs(refR))
         ref_g = refL[im] * refR[2] - refL[im + 1] * refR[1]
         assert g == pytest.approx(ref_g, rel=1e-9)
 
     def test_large_d_agrees_with_fd(self):
-        # the origin series is an expansion in (d q)^2; its edge scales
-        # with 1/d, so shooting keeps matching FD at large d
-        gammas = {}
-        for mk, ds in ((spec_spin0, (8.0, 16.0, 32.0)), (spec_spin1, (16.0, 32.0))):
-            for d in ds:
+        # W varies on the scale q ~ 1/d, which the log grid resolves alike
+        # at every d: shooting keeps matching FD (whose own error at the
+        # q^1.618 origin of d = inf is 3e-9) and lands on the massless limit
+        for mk in (spec_spin0, spec_spin1):
+            for d in (8.0, 16.0, 32.0, 300.0, 1000.0, 1e4):
                 sh = solve_ground_shooting(mk(d))
-                assert abs(sh.gamma - solve_ground_fd(mk(d)).gamma) <= 1e-6
-                gammas[mk, d] = sh.gamma
-        assert gammas[spec_spin0, 8.0] < gammas[spec_spin0, 16.0] < gammas[spec_spin0, 32.0]
-        assert gammas[spec_spin1, 16.0] > gammas[spec_spin1, 32.0]
+                assert abs(sh.gamma - solve_ground_fd(mk(d)).gamma) <= 1e-8, (mk, d)
+            assert abs(solve_ground_shooting(mk(INFINITY)).gamma - GOLDEN_GAMMA) <= 1e-10
 
     def test_brent_metadata(self):
         res = solve_ground_shooting(spec_spin0(1.0))
@@ -168,8 +174,11 @@ class TestGammaCurve:
     @pytest.mark.parametrize("spin", [0, 1])
     def test_dense_d_monotone_inside_interval(self, spin):
         # gamma(d) rises from 3/2 (spin 0) or falls from 5/2 (spin 1)
-        # towards 1 + sqrt(5)/2, strictly, over the whole d range
-        d_values = [0.0, *np.geomspace(0.05, 32.0, 23).tolist(), INFINITY]
+        # towards 1 + sqrt(5)/2, strictly, over the whole d range; the
+        # steps shrink like 1/d^2, to 1.7e-8 (spin 0) and 4.9e-8 (spin 1)
+        # between d = 1e4 and d = inf
+        d_values = [0.0, *np.geomspace(0.05, 32.0, 23).tolist(),
+                    100.0, 300.0, 1000.0, 1e4, INFINITY]
         curve = gamma_curve(spec_spin0(0.0) if spin == 0 else spec_spin1(0.0),
                             d_values)
         assert curve.all_ok, [p.message for p in curve.points if not p.ok]
@@ -257,12 +266,12 @@ class TestInvariants:
         assert abs(expectation_q2(res) - res.gamma) > 0.05
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            RadialGrid(q_min=0.0)
+        with pytest.raises(ValueError, match="SHOOTING_Q_LO"):
+            RadialGrid(q_max=es.SHOOTING_Q_LO)
         with pytest.raises(ValueError):
             RadialGrid(n=50)
-        with pytest.raises(ValueError):
-            RadialGrid(q_min=2.0, q_max=1.0)
+        with pytest.raises(ValueError, match="SHOOTING_Q_LO"):
+            RadialGrid(q_max=-1.0)
 
     def test_rejects_grid_outside_decay_region(self):
         # W(q_max) must clear the level estimate by 20

@@ -366,13 +366,13 @@ class TestFindRoot:
         from relbosons import eigensolver as es
 
         grid = es.RadialGrid()
-        q = grid.q
+        x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+        q = np.exp(x)
         W = effective_potential(q, spec)
-        i0 = int(np.searchsorted(q, 0.05))
         im = int(np.searchsorted(q, 1.0))
 
         def mismatch(lam):
-            return es._numerov_mismatch(spec, q, grid.step, lam, W, i0, im)[0]
+            return es._numerov_mismatch(spec, q, x[1] - x[0], lam, W, im)[0]
 
         lo, hi = es.limit_bracket(spec)
         root = find_root(mismatch, lo, hi, 1e-10)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from relbosons.eigensolver import AnalyticCase, closed_form_residual
 from relbosons.potentials import (INFINITY, PotentialSpec, d_parameter,
                                   effective_potential, limit_profile, origin_behavior,
-                                  regular_expansion, spec_spin0, spec_spin1)
+                                  spec_spin0, spec_spin1)
 
 GOLDEN_ALPHA = 0.5 * (1.0 + math.sqrt(5.0))
 
@@ -133,17 +133,6 @@ class TestOriginBehavior:
         c = origin_behavior(spec).singular_strength
         q = 1e-4
         assert abs(q * q * effective_potential(q, spec) - c) <= 1e-8
-
-    @pytest.mark.parametrize("spec", [
-        spec_spin0(0.0), spec_spin0(0.8), spec_spin0(INFINITY),
-        spec_spin1(0.0), spec_spin1(1.3), spec_spin1(INFINITY),
-    ])
-    def test_regular_expansion_matches_potential(self, spec):
-        c = origin_behavior(spec).singular_strength
-        w0, w2 = regular_expansion(spec)
-        for q in (1e-3, 2e-3):
-            reg = effective_potential(q, spec) - c / q**2
-            assert reg == pytest.approx(w0 + w2 * q * q, abs=1e-8)
 
 
 class TestDParameter:
