@@ -93,11 +93,11 @@ def parse_d_list(text: str):
 
 
 def parse_range(text: str):
-    """'min:max:step' range specification for q grids."""
+    """'min:max:step' range specification for q grids, all three finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected min:max:step")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (parse_finite(p) for p in parts)
     if not (0 < lo < hi) or step <= 0:
         raise argparse.ArgumentTypeError("need 0 < min < max and step > 0")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -128,12 +128,13 @@ def parse_map_n(text: str) -> int:
     return n
 
 
-def parse_seed(text: str) -> int:
-    """Seed of the random momenta of ``verify``; numpy takes none below 0."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"the seed must be a non-negative integer, not {seed}")
-    return seed
+def parse_nonnegative_int(text: str) -> int:
+    """An integer >= 0: an angular index, or the seed of ``verify`` (numpy
+    takes none below 0)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
 
 
 def parse_grid_n(text: str) -> int:
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pot.add_argument("--d", type=parse_d_list, default="0,0.5,1,2,inf",
                        help="comma list of d values; 'inf' allowed "
                             "(default sweep 0,0.5,1,2,inf)")
-    p_pot.add_argument("--l", type=int, default=0, help="angular index")
+    p_pot.add_argument("--l", type=parse_nonnegative_int, default=0, help="angular index")
     p_pot.add_argument("--q", type=parse_range, default="0.05:6:0.05",
                        help="q grid as min:max:step (default 0.05:6:0.05)")
     p_pot.add_argument("--out", required=True)
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gamma", help="gamma(d) sweep (CSV d,gamma,residual,method)")
     p_gam.add_argument("--spin", type=int, choices=[0, 1], required=True)
     p_gam.add_argument("--d", type=parse_d_list, required=True)
-    p_gam.add_argument("--l", type=int, default=0)
+    p_gam.add_argument("--l", type=parse_nonnegative_int, default=0)
     p_gam.add_argument("--grid-n", type=parse_grid_n, default=8000)
     p_gam.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p_gam.add_argument("--out", default="", help="output file (stdout if omitted)")
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV of the minimizer samples (trans-massless)")
 
     p_ver = sub.add_parser("verify", help="run every anchored check; exit 0 iff all pass")
-    p_ver.add_argument("--seed", type=parse_seed, default=0)
+    p_ver.add_argument("--seed", type=parse_nonnegative_int, default=0)
     p_ver.add_argument("--grid-n", type=parse_grid_n, default=8000)
 
     return parser

@@ -17,13 +17,15 @@ computed by the trapezoid rule on a uniform p grid: one DST-I or DCT-I
 per field.  The weights are even in p and analytic in a strip of
 half-width m, so the rule converges exponentially as the p step shrinks.
 The grid must be the lattice r_k = k dr (integer k >= 1, evenly spaced)
-that :func:`default_radii` makes; :func:`field_sample` evaluates single
-points by adaptive quadrature and is the independent check.
+that :func:`default_radii` makes.  Every scan settles within
+``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL`` times its largest sine transform.
+:func:`field_sample` evaluates single points by QUADPACK on [0, inf)
+and is the independent check; it shares no truncation point with the
+transforms.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
@@ -34,10 +36,15 @@ import numpy as np
 from scipy.fft import dct, dst
 
 from . import numkernel
-from .numkernel import QuadratureError, QuadratureSpec, integrate_damped
+from .numkernel import QuadratureError
 
 # tolerances of the radial transforms behind every field scan
-_FIELD_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+_FIELD_ABS_TOL = 1e-11
+_FIELD_REL_TOL = 1e-9
+
+# tolerances of the pointwise QUADPACK references
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-10
 
 # strict-sign dead band for shell detection; suppresses spurious shells
 # at quadrature-roundoff scale
@@ -115,8 +122,28 @@ class FieldSample:
     dr_phi: complex
 
 
-def field_sample(r: float, params: WavepacketParams,
-                 quad: QuadratureSpec = QuadratureSpec()) -> FieldSample:
+def _quad(kern: Callable, weight=None, r=None) -> complex:
+    """int_0^inf kern(p) w(p r) dp by QUADPACK, w = sin or cos (``weight``
+    'sin' or 'cos', the QAWF rule, which takes the absolute tolerance
+    alone) or 1 (``weight`` None, QAGI).
+
+    Raises :class:`QuadratureError` when QUADPACK reports that the
+    integral did not settle within its subdivision budget.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            value, _ = quad(kern, 0.0, math.inf, weight=weight, wvar=r,
+                            epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                            complex_func=True)
+        except IntegrationWarning as exc:
+            raise QuadratureError(f"quadrature did not settle: {exc}") from None
+    return complex(value)
+
+
+def field_sample(r: float, params: WavepacketParams) -> FieldSample:
     """Evaluate the packet fields at radius r >= 0.
 
     r = 0 uses the analytic kernel limits sin(pr)/r -> p (and a vanishing
@@ -131,22 +158,17 @@ def field_sample(r: float, params: WavepacketParams,
         E = params.energy(p)
         return p * params.profile(p) * np.exp(-(a + 1j * t) * E)
 
-    if quad.oscillation_wavelength is None:
-        quad = dataclasses.replace(
-            quad, oscillation_wavelength=2.0 * math.pi / max(r, 1.0))
+    def base_dt(p):
+        return -1j * params.energy(p) * base(p)
 
     if r == 0.0:
-        phi = integrate_damped(lambda p: p * base(p), a, quad).value
-        dt_phi = integrate_damped(
-            lambda p: p * (-1j * params.energy(p)) * base(p), a, quad).value
-        return FieldSample(complex(phi), complex(dt_phi), 0.0j)
+        return FieldSample(_quad(lambda p: p * base(p)),
+                           _quad(lambda p: p * base_dt(p)), 0.0j)
 
-    i_sin = integrate_damped(lambda p: base(p) * np.sin(p * r), a, quad).value
-    i_sin_e = integrate_damped(
-        lambda p: -1j * params.energy(p) * base(p) * np.sin(p * r), a, quad).value
-    i_cos = integrate_damped(lambda p: p * base(p) * np.cos(p * r), a, quad).value
-    return FieldSample(complex(i_sin / r), complex(i_sin_e / r),
-                       complex(i_cos / r - i_sin / r**2))
+    i_sin = _quad(base, "sin", r)
+    i_cos = _quad(lambda p: p * base(p), "cos", r)
+    return FieldSample(i_sin / r, _quad(base_dt, "sin", r) / r,
+                       i_cos / r - i_sin / r**2)
 
 
 def charge_density(sample: FieldSample):
@@ -197,9 +219,9 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos):
     lattice r = n h it is one DST-I (sine) or DCT-I (cosine) of the
     sampled weights.  The step h = dr / s is the largest divisor of the
     lattice step with pi / h >= p_max.  dp is halved (M doubled) until
-    every output is stable within the tolerances of ``_FIELD_QUAD``; radii whose
-    entries fail to settle are reported back (the caller records them
-    and carries on).
+    every output is stable within ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL``
+    times the largest sine transform; radii whose entries fail to settle
+    are reported back (the caller records them and carries on).
     """
     radii = np.asarray(radii, dtype=float)
     dr, k = _radius_lattice(radii)
@@ -232,7 +254,7 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos):
         scale = max(max(float(np.max(np.abs(v))) for v in cur_s), 1e-300)
         bad = np.zeros(len(radii), dtype=bool)
         for dcol in diffs:
-            bad |= dcol > (_FIELD_QUAD.abs_tol + _FIELD_QUAD.rel_tol * scale)
+            bad |= dcol > (_FIELD_ABS_TOL + _FIELD_REL_TOL * scale)
         prev_s, prev_c = cur_s, cur_c
         if not bad.any():
             return cur_s, cur_c, np.array([], dtype=float)
@@ -273,7 +295,7 @@ def _packet_p_max(params: WavepacketParams) -> float:
     env = np.abs(p * np.asarray(params.profile(p))) * np.exp(
         a * (p - params.energy(p)))
     peak = max(float(np.max(env)), 1e-30)
-    return math.log(peak / _FIELD_QUAD.abs_tol) / a + 2.0 / a
+    return math.log(peak / _FIELD_ABS_TOL) / a + 2.0 / a
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +416,7 @@ def charge_momentum_space(params: WavepacketParams) -> float:
         E = params.energy(p)
         return p * p * E * np.asarray(params.profile(p)) ** 2 * np.exp(-2.0 * a * E)
 
-    return float(np.real(2.0 * np.pi**2 * integrate_damped(kern, 2.0 * a).value))
+    return 2.0 * np.pi**2 * _quad(kern).real
 
 
 def energy_momentum_space(params: WavepacketParams) -> float:
@@ -405,7 +427,7 @@ def energy_momentum_space(params: WavepacketParams) -> float:
         E = params.energy(p)
         return (p * E * np.asarray(params.profile(p))) ** 2 * np.exp(-2.0 * a * E)
 
-    return float(np.real(4.0 * np.pi**2 * integrate_damped(kern, 2.0 * a).value))
+    return 4.0 * np.pi**2 * _quad(kern).real
 
 
 def packet_momentum_profile(params: WavepacketParams) -> Callable:
@@ -447,7 +469,7 @@ def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 6
     if len(failed):
         raise QuadratureError(
             f"radial transforms did not settle at {len(failed)} radii "
-            f"(first r = {failed[0]:g})", None, None)
+            f"(first r = {failed[0]:g})")
     phi = kap * s_phi.real / radii
     pi = kap * s_pi.real / radii
     dphi = kap * (c_phi.real / radii - s_phi.real / radii**2)

@@ -1,9 +1,7 @@
 """Shared numeric primitives.
 
-Five building blocks used throughout the package:
+Four building blocks used throughout the package:
 
-* adaptive quadrature for exponentially damped (optionally oscillatory)
-  integrands on the half line,
 * fixed Gauss-Legendre rules, built once per order and shared read-only
   (:func:`gauss_legendre`),
 * the one rule for int g(p) d^3p of a radial g (:func:`radial_rule`),
@@ -31,12 +29,7 @@ import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; carries the best estimate so far."""
-
-    def __init__(self, message, value, error):
-        super().__init__(message)
-        self.value = value
-        self.error = error
+    """A quadrature or a radial transform failed to settle."""
 
 
 class BracketError(RuntimeError):
@@ -50,136 +43,6 @@ class MinimizationError(RuntimeError):
         super().__init__(message)
         self.state = state
         self.grad_norm = grad_norm
-
-
-# ----------------------------------------------------------------------
-# adaptive quadrature on [0, inf) with a damped envelope
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and panelling controls for :func:`integrate_damped`.
-
-    ``oscillation_wavelength`` caps the initial panel width at half a
-    wavelength so that sin(p r)-type kernels never alias across a panel.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_panels: int = 20000
-    oscillation_wavelength: Optional[float] = None
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
-        if self.oscillation_wavelength is not None and self.oscillation_wavelength <= 0:
-            raise ValueError("oscillation_wavelength must be positive")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    error: float
-
-
-def _envelope_peak(kernel, damping_rate, probe_span):
-    """Estimate max of |kernel(p)| * exp(damping*p) on a coarse probe grid."""
-    p = np.linspace(0.0, probe_span, 257)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(np.asarray(kernel(p), dtype=complex)) * np.exp(damping_rate * p)
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return 0.0
-    return float(np.max(vals))
-
-
-def integrate_damped(kernel: Callable, damping_rate: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Integrate ``kernel`` over [0, inf).
-
-    The kernel must already contain its damping factor; ``damping_rate``
-    only controls where the integral is truncated: the envelope bound
-    exp(-damping_rate * p) guarantees the tail beyond
-    ``p_max = log(peak/abs_tol)/damping_rate`` is below ``abs_tol``.
-    ``kernel`` must accept numpy arrays and may return complex values.
-
-    Returns a :class:`QuadratureResult`; its reported error is at most
-    ``max(abs_tol, rel_tol * |value|)`` on success.
-
-    Raises
-    ------
-    QuadratureError
-        If the panel budget is exhausted first.  The exception carries
-        the best estimate and its error bound.
-    """
-    if damping_rate <= 0:
-        raise ValueError("damping_rate must be positive")
-    peak = _envelope_peak(kernel, damping_rate, 60.0 / damping_rate)
-    if peak == 0.0:
-        return QuadratureResult(0.0, 0.0)
-    p_max = math.log(peak / spec.abs_tol) / damping_rate if peak > spec.abs_tol else 1.0 / damping_rate
-    width = p_max / 8.0
-    if spec.oscillation_wavelength is not None:
-        width = min(width, 0.5 * spec.oscillation_wavelength)
-    width = min(width, 2.0 / damping_rate)
-    p_max += width  # one panel of margin beyond the envelope cutoff
-    tail_bound = peak * math.exp(-damping_rate * p_max) / damping_rate
-
-    n0 = max(4, int(math.ceil(p_max / width)))
-    edges_a = np.linspace(0.0, p_max, n0 + 1)[:-1]
-    edges_b = np.linspace(0.0, p_max, n0 + 1)[1:]
-
-    total = 0.0 + 0.0j
-    err_accepted = 0.0
-
-    def _simpson_pair(a, b):
-        """Coarse Simpson and its two-half refinement on each panel."""
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        pts = np.concatenate([a, lm, m, rm, b])
-        vals = np.asarray(kernel(pts), dtype=complex).reshape(5, -1)
-        fa, flm, fm, frm, fb = vals
-        h = b - a
-        coarse = h / 6.0 * (fa + 4.0 * fm + fb)
-        fine = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
-        return coarse, fine
-
-    for _ in range(64):
-        coarse, fine = _simpson_pair(edges_a, edges_b)
-        # |fine - coarse| is ~15x the asymptotic error of the fine sum;
-        # budgeting on it keeps the reported error safely conservative
-        # even on panels where the Richardson assumption fails
-        panel_err = np.abs(fine - coarse)
-        budget = (spec.abs_tol + spec.rel_tol * abs(total + fine.sum())) \
-            * (edges_b - edges_a) / p_max
-        ok = panel_err <= budget
-        total += fine[ok].sum()
-        err_accepted += panel_err[ok].sum()
-        if np.all(ok):
-            err = err_accepted + tail_bound
-            return QuadratureResult(_as_scalar(total), float(err))
-        edges_a, edges_b = edges_a[~ok], edges_b[~ok]
-        # split every rejected panel in two
-        mid = 0.5 * (edges_a + edges_b)
-        edges_a = np.concatenate([edges_a, mid])
-        edges_b = np.concatenate([mid, edges_b])
-        if len(edges_a) > spec.max_panels:
-            best = total + fine[~ok].sum()
-            err = err_accepted + panel_err[~ok].sum() + tail_bound
-            raise QuadratureError(
-                f"no convergence within {spec.max_panels} panels "
-                f"(best estimate {best:.6e}, error bound {err:.2e})",
-                _as_scalar(best), float(err))
-    raise QuadratureError("refinement depth exhausted", _as_scalar(total),
-                          float(err_accepted + tail_bound))
-
-
-def _as_scalar(z):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else z
 
 
 # ----------------------------------------------------------------------

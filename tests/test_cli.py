@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -35,6 +36,10 @@ class TestParsing:
         assert q == pytest.approx([0.5, 1.0, 1.5, 2.0])
         with pytest.raises(Exception):
             parse_range("1:2")
+        # an infinite bound or step would size the grid by int(inf)
+        for text in ("0.05:inf:0.05", "-inf:1:0.1", "0.1:1:inf", "0.1:1:nan"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_range(text)
 
     def test_flag_error_exit_code(self, capsys):
         assert run(["potential", "--spin", "7", "--out", "x.csv"]) == 2
@@ -52,6 +57,12 @@ class TestParsing:
                            (["rayleigh", "--case", "spin0", "--d", "nan"], "--d"),
                            (["potential", "--spin", "0", "--d", "nan", "--out", "x.csv"],
                             "--d"),
+                           (["potential", "--spin", "0", "--q", "0.05:inf:0.05",
+                             "--out", "x.csv"], "--q"),
+                           # the angular index is a nonnegative integer, like d
+                           (["potential", "--spin", "0", "--l", "-1", "--out", "x.csv"],
+                            "--l"),
+                           (["gamma", "--spin", "0", "--d", "1", "--l", "-1"], "--l"),
                            *((["density", flag, value, "--out", "x.csv"], flag)
                              for flag, value in (("--t", "nan"), ("--m", "nan"),
                                                  ("--a", "nan"), ("--rmax", "inf"),
@@ -376,7 +387,8 @@ class TestImports:
         argv = ["density", "--rmax", "2", "--dr", "0.05", "--out", str(tmp_path / "rho.csv")]
         loaded = scipy_modules_after(f"from relbosons.cli import run\nassert run({argv!r}) == 0")
         assert "scipy.fft" in loaded
-        assert not loaded & {"scipy.linalg", "scipy.optimize", "scipy.interpolate"}
+        assert not loaded & {"scipy.linalg", "scipy.optimize", "scipy.interpolate",
+                             "scipy.integrate"}
 
     @pytest.mark.parametrize("argv", [
         ["gamma", "--spin", "0", "--d", "0,1,inf", "--out", "{tmp}/g.csv"],
@@ -385,13 +397,15 @@ class TestImports:
     ], ids=["gamma", "rayleigh-trans-massless", "verify"])
     def test_compute_paths_load_no_optimize_or_interpolate(self, argv, tmp_path):
         # the shooting root is numkernel.find_root and the transverse
-        # balance rescales the grid, so neither module is on these paths
+        # balance rescales the grid, so neither module is on these paths;
+        # QUADPACK serves only the pointwise references
         argv = [a.format(tmp=tmp_path) for a in argv]
         loaded = scipy_modules_after(
             "import contextlib, io\nfrom relbosons.cli import run\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert run({argv!r}) == 0")
         assert "scipy.linalg" in loaded
-        assert not {m.split(".")[1] for m in loaded if "." in m} & {"optimize", "interpolate"}
+        assert not {m.split(".")[1] for m in loaded if "." in m} & {"optimize", "interpolate",
+                                                                   "integrate"}
 
     def test_lazy_exports_resolve(self):
         # in a fresh interpreter, where a submodule not yet imported

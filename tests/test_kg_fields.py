@@ -16,7 +16,7 @@ from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
                                  packet_momentum_profile, demo_packet, planar_map,
                                  position_dispersion_direct, scan_density, shells_json,
                                  state_fields_from_momentum)
-from relbosons.numkernel import QuadratureError, QuadratureSpec, integrate_damped
+from relbosons.numkernel import QuadratureError
 
 
 class TestFieldSample:
@@ -66,6 +66,10 @@ class TestFieldSample:
         radii = default_radii(2.0, 0.2)
         self._check_scan_at(params, radii, (0.2, 1.0, 2.0))
 
+    def test_long_scan_consistent_with_pointwise(self):
+        # the grid of the density --rmax 22.5 scan, checked far out
+        self._check_scan_at(demo_packet(), default_radii(22.5, 0.01), (8.0, 12.0))
+
     @staticmethod
     def _check_scan_at(params, radii, check):
         phi, dtp, drp, failed = packet_fields(params, radii)
@@ -88,11 +92,11 @@ class TestFieldSample:
             field_sample(-0.1, demo_packet())
 
     def test_quadrature_failure_propagates(self):
-        from relbosons.numkernel import QuadratureError
-
-        starved = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=4)
-        with pytest.raises(QuadratureError):
-            field_sample(3.0, demo_packet(), quad=starved)
+        # the jumps of sign(sin(40 p)) exhaust QUADPACK's subdivisions
+        params = WavepacketParams(1.0, 0.5, 0.05,
+                                  lambda p: np.sign(np.sin(40.0 * np.asarray(p))))
+        with pytest.raises(QuadratureError, match="did not settle"):
+            field_sample(3.0, params)
 
     def test_reality_at_t0_across_scan(self):
         params = demo_packet(time_t=0.0)
@@ -171,8 +175,8 @@ class TestScan:
         assert set(data[0]) == {"r_min", "r_max", "rho_min"}
 
     def test_unsettled_radii_recorded_scan_continues(self, monkeypatch):
-        starved = QuadratureSpec(abs_tol=1e-18, rel_tol=1e-18)
-        monkeypatch.setattr(kg_fields, "_FIELD_QUAD", starved)
+        monkeypatch.setattr(kg_fields, "_FIELD_ABS_TOL", 1e-18)
+        monkeypatch.setattr(kg_fields, "_FIELD_REL_TOL", 1e-18)
         fieldmap = scan_density(demo_packet(), default_radii(2.0, 0.2))
         assert len(fieldmap.failed_radii) > 0
         assert len(fieldmap.rho) == 10  # results still delivered
@@ -245,14 +249,10 @@ class TestStateFields:
         for r in (0.5, 0.98, 4.0):
             k = int(np.argmin(np.abs(radii - r)))
             r = float(radii[k])
-            quad = QuadratureSpec(oscillation_wavelength=2.0 * math.pi / max(r, 1.0))
-
-            def integral(kern):
-                return integrate_damped(kern, params.damping_a, quad).value.real
-
-            s_phi = integral(lambda p: p * ftil(p) / params.energy(p) * np.sin(p * r))
-            s_pi = integral(lambda p: p * ftil(p) * np.sin(p * r))
-            c_phi = integral(lambda p: p * p * ftil(p) / params.energy(p) * np.cos(p * r))
+            s_phi = kg_fields._quad(lambda p: p * ftil(p) / params.energy(p), "sin", r).real
+            s_pi = kg_fields._quad(lambda p: p * ftil(p), "sin", r).real
+            c_phi = kg_fields._quad(lambda p: p * p * ftil(p) / params.energy(p),
+                                    "cos", r).real
             assert phi[k] == pytest.approx(kap * s_phi / r, abs=1e-9)
             assert pi[k] == pytest.approx(-1j * kap * s_pi / r, abs=1e-9)
             assert dphi[k] == pytest.approx(kap * (c_phi / r - s_phi / r**2), abs=1e-9)

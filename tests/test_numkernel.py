@@ -6,90 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from relbosons import verify
-from relbosons.numkernel import (BracketError, MinimizationError, QuadratureError,
-                                 QuadratureSpec, TridiagProblem, dirichlet_problem,
-                                 find_root, gauss_legendre, integrate_damped,
+from relbosons.numkernel import (BracketError, MinimizationError, TridiagProblem,
+                                 dirichlet_problem, find_root, gauss_legendre,
                                  radial_rule, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
-
-# independent refinement oracle for the relativistic-envelope integral,
-# frozen from uniform Simpson sums doubled until stable at 1e-13
-EXP_RELATIVISTIC_ENVELOPE = 0.6019072301972345
-
-
-def simpson_oracle(fn, a, b, tol=1e-13):
-    """Uniform Simpson sums, n doubling until successive values settle."""
-    n = 1024
-    prev = None
-    while n <= 2**23:
-        x = np.linspace(a, b, n + 1)
-        y = fn(x)
-        h = (b - a) / n
-        s = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-        if prev is not None and abs(s - prev) < tol:
-            return s
-        prev = s
-        n *= 2
-    raise AssertionError("oracle did not settle")
-
-
-class TestIntegrateDamped:
-    def test_oscillatory_kernel_closed_form(self):
-        # int sin(p r) e^{-a p} dp = r / (a^2 + r^2)
-        spec = QuadratureSpec(oscillation_wavelength=math.pi)
-        res = integrate_damped(lambda p: np.sin(2.0 * p) * np.exp(-0.5 * p), 0.5, spec)
-        assert res.value == pytest.approx(2.0 / (0.25 + 4.0), abs=1e-10)
-        assert res.error <= max(spec.abs_tol, spec.rel_tol * abs(res.value)) * 1.01
-
-    def test_pure_exponential(self):
-        res = integrate_damped(lambda p: np.exp(-p), 1.0)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-
-    def test_relativistic_envelope_matches_refinement_oracle(self):
-        kernel = lambda p: np.exp(-np.sqrt(1.0 + p * p))
-        oracle = simpson_oracle(kernel, 0.0, 60.0)
-        assert oracle == pytest.approx(EXP_RELATIVISTIC_ENVELOPE, abs=1e-12)
-        res = integrate_damped(kernel, 1.0)
-        assert res.value == pytest.approx(oracle, abs=1e-10)
-
-    def test_zero_kernel(self):
-        res = integrate_damped(lambda p: 0.0 * p, 1.0)
-        assert res.value == 0.0
-
-    def test_complex_kernel(self):
-        res = integrate_damped(lambda p: np.exp((-1.0 + 1.0j) * p), 1.0)
-        assert res.value == pytest.approx(1.0 / (1.0 - 1.0j), abs=1e-9)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            integrate_damped(lambda p: np.exp(-p), 0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(oscillation_wavelength=0.0)
-
-    def test_budget_exhaustion_carries_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=8)
-        with pytest.raises(QuadratureError) as err:
-            integrate_damped(lambda p: np.sin(40.0 * p) * np.exp(-0.3 * p), 0.3, spec)
-        assert math.isfinite(err.value.value.real if hasattr(err.value.value, "real")
-                             else err.value.value)
-        assert err.value.error > 0
-
-    @settings(max_examples=20, deadline=None)
-    @given(a1=st.floats(-2, 2), a2=st.floats(-2, 2),
-           b1=st.floats(-2, 2), b2=st.floats(-2, 2))
-    def test_linearity(self, a1, a2, b1, b2):
-        f = lambda p: (a1 + a2 * p) * np.exp(-p)
-        g = lambda p: (b1 + b2 * p * p) * np.exp(-p)
-        rf = integrate_damped(f, 1.0)
-        rg = integrate_damped(g, 1.0)
-        rfg = integrate_damped(lambda p: f(p) + g(p), 1.0)
-        bound = rf.error + rg.error + rfg.error + 1e-12
-        assert abs(rfg.value - (rf.value + rg.value)) <= bound
 
 
 def oscillator_problem(pot, lo, hi, n):
