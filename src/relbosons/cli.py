@@ -60,16 +60,25 @@ def write_csv(path: str, header, rows) -> None:
 def write_grid_csv(path: str, header, x, y, values) -> None:
     """CSV with one row (x[i], y[j], values[i, j]) per grid point, x slowest.
 
-    Same text as :func:`write_csv` on those rows, but the y column is
-    formatted once, and each x row is one template applied to the row's
-    values as Python floats.
+    Same text as :func:`write_csv` on those rows.  The y column is
+    formatted once, and so is each distinct value: values are told apart
+    by their bits, so 0.0 and -0.0 keep their own text.  Each x row is
+    then one template filled with the row's formatted values.  Raises
+    ValueError unless ``values`` has the shape (len(x), len(y)).
     """
-    tails = [f",{_fmt(yv)},%.9g\n" for yv in y]
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.shape != (len(x), len(y)):
+        raise ValueError(f"values has shape {values.shape}, "
+                         f"expected ({len(x)}, {len(y)})")
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse].reshape(values.shape)
+    tails = [f",{_fmt(yv)},%s\n" for yv in y]
     lines = [",".join(header) + "\n"]
-    for xv, row in zip(x, values):
+    for xv, row in zip(x, cells):
         xs = _fmt(xv)
         # xs + xs.join(tails) puts xs in front of every tail
-        lines.append((xs + xs.join(tails)) % tuple(row.tolist()))
+        lines.append((xs + xs.join(tails)) % tuple(row))
     atomic_write(path, "".join(lines))
 
 

@@ -14,8 +14,10 @@ formulas in :mod:`relbosons.variational`.
 
 On a radial grid the fields are sine and cosine transforms in p,
 computed by the trapezoid rule on a uniform p grid: one DST-I or DCT-I
-per field.  The weights are even in p and analytic in a strip of
-half-width m, so the rule converges exponentially as the p step shrinks.
+per field on the first grid, then one DST-II or DCT-II per field on the
+midpoints added by each halving of the p step.  The weights are even in
+p and analytic in a strip of half-width m, so the rule converges
+exponentially as the p step shrinks.
 The grid must be the lattice r_k = k dr (integer k >= 1, evenly spaced)
 that :func:`default_radii` makes.  Every scan settles within
 ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL`` times its largest sine transform.
@@ -213,15 +215,29 @@ def _radius_lattice(radii):
 
 
 def _sin_cos_transforms(weights, radii, p_max, need_cos):
-    """I_sin[k](r) = int_0^p_max w_k(p) sin(pr) dp and optionally the cos partner.
+    """I_sin[k](r) = int_0^p_max w_k(p) sin(pr) dp, and with ``need_cos``
+    the cosine partner of the first weight, int_0^p_max p w_0(p) cos(pr) dp.
 
     The trapezoid rule on p_j = j dp with dp = pi / (M h): on the radius
     lattice r = n h it is one DST-I (sine) or DCT-I (cosine) of the
     sampled weights.  The step h = dr / s is the largest divisor of the
-    lattice step with pi / h >= p_max.  dp is halved (M doubled) until
-    every output is stable within ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL``
-    times the largest sine transform; radii whose entries fail to settle
-    are reported back (the caller records them and carries on).
+    lattice step with pi / h >= p_max.
+
+    dp is then halved (M doubled) until every output is stable within
+    ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL`` times the largest sine
+    transform; radii whose entries fail to settle are reported back (the
+    caller records them and carries on).  A halving keeps the level it
+    refines and adds the M midpoints p_j = (j + 1/2) dp, j = 0 .. M-1:
+    T_2M = T_M / 2 + (dp / 2) sum_j g(p_j).  Since dp h = pi / M,
+
+        sin(p_j n h) = sin(pi n (2j + 1) / (2M)),
+        cos(p_j n h) = cos(pi n (2j + 1) / (2M)),
+
+    which are the kernels of scipy's DST-II at k = n - 1 and DCT-II at
+    k = n, each with scipy's factor 2; both indices exist because
+    M >= n_max + 1.  So a halving is one size-M DST-II or DCT-II per
+    field on M new samples, where the rule taken afresh is a size-2M
+    DST-I or DCT-I on 2M + 1 samples.  Weights vanish beyond p_max.
     """
     radii = np.asarray(radii, dtype=float)
     dr, k = _radius_lattice(radii)
@@ -230,27 +246,31 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos):
     n = k * s
     m_min = max(int(n[-1]) + 1, math.ceil((float(radii[-1]) + _ALIAS_MARGIN) / h))
     m = 1 << (m_min - 1).bit_length()  # the next power of two >= m_min
+    dp = math.pi / (m * h)
 
-    def evaluate(m):
-        dp = math.pi / (m * h)
-        p = dp * np.arange(m + 1)
+    def sample(p):
         inside = int(np.searchsorted(p, p_max, side="right"))
-        sins, coss = [], []
-        for wfun in weights:
-            w = np.zeros(m + 1, dtype=complex)
-            w[:inside] = wfun(p[:inside])
-            sins.append(0.5 * dp * dst(w[1:m], type=1)[n - 1])
-            if need_cos:
-                coss.append(0.5 * dp * dct(p * w, type=1)[n])
-        return sins, (coss if need_cos else None)
+        w = np.zeros((len(weights), p.size), dtype=complex)
+        for row, wfun in zip(w, weights):
+            row[:inside] = wfun(p[:inside])
+        return w
 
-    prev_s, prev_c = evaluate(m)
+    p = dp * np.arange(m + 1)
+    w = sample(p)
+    prev_s = [0.5 * dp * dst(row[1:m], type=1)[n - 1] for row in w]
+    prev_c = [0.5 * dp * dct(p * w[0], type=1)[n]] if need_cos else None
     for _ in range(_MAX_DOUBLINGS):
         m *= 2
-        cur_s, cur_c = evaluate(m)
+        dp *= 0.5
+        p = dp * np.arange(1, m, 2)  # the midpoints of the level before
+        w = sample(p)
+        cur_s = [0.5 * old + 0.5 * dp * dst(row, type=2)[n - 1]
+                 for old, row in zip(prev_s, w)]
         diffs = [np.abs(a - b) for a, b in zip(cur_s, prev_s)]
+        cur_c = None
         if need_cos:
-            diffs += [np.abs(a - b) for a, b in zip(cur_c, prev_c)]
+            cur_c = [0.5 * prev_c[0] + 0.5 * dp * dct(p * w[0], type=2)[n]]
+            diffs.append(np.abs(cur_c[0] - prev_c[0]))
         scale = max(max(float(np.max(np.abs(v))) for v in cur_s), 1e-300)
         bad = np.zeros(len(radii), dtype=bool)
         for dcol in diffs:
@@ -265,9 +285,9 @@ def packet_fields(params: WavepacketParams, radii, need_dr: bool = True):
     """(phi, dt_phi, dr_phi, failed_radii) on radii r_k = k dr.
 
     The radii must be evenly spaced from a multiple of their step, as
-    :func:`default_radii` makes them.  ``need_dr=False`` skips the cosine transform behind the radial
-    derivative (halves the cost of charge-only scans) and returns None
-    in its place.
+    :func:`default_radii` makes them.  ``need_dr=False`` skips the cosine
+    transform behind the radial derivative (one transform of the three per
+    level) and returns None in its place.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
@@ -464,7 +484,7 @@ def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 6
     def a_pi(p):
         return p * np.asarray(f(p))
 
-    (s_phi, s_pi), (c_phi, _), failed = _sin_cos_transforms(
+    (s_phi, s_pi), (c_phi,), failed = _sin_cos_transforms(
         [a_phi, a_pi], radii, p_max, True)
     if len(failed):
         raise QuadratureError(

@@ -82,15 +82,29 @@ class TestParsing:
 
     def test_write_grid_csv_matches_write_csv(self, tmp_path):
         grid, flat = tmp_path / "grid.csv", tmp_path / "flat.csv"
-        x, y = np.array([-math.inf, 0.25]), np.array([1.0, -2.0, 1e-20])
-        values = np.array([[0.5, math.nan, -math.inf], [1e9, 123456789.5, 3.0]])
+        x, y = np.array([-math.inf, 0.25, 0.0]), np.array([1.0, -2.0, 1e-20, -0.0])
+        # repeated values, both zeros, nan and both infinities in one grid
+        values = np.array([[0.5, math.nan, -math.inf, 0.0],
+                           [1e9, 123456789.5, 3.0, -0.0],
+                           [0.5, math.inf, 1e-20, math.nan]])
         write_grid_csv(str(grid), ["x", "y", "v"], x, y, values)
         write_csv(str(flat), ["x", "y", "v"],
                   [(xv, yv, values[i, j]) for i, xv in enumerate(x)
                    for j, yv in enumerate(y)])
         assert read(grid) == read(flat)
-        assert read(grid).splitlines()[1:4] == ["-inf,1,0.5", "-inf,-2,nan",
-                                                "-inf,1e-20,-inf"]
+        lines = read(grid).splitlines()
+        assert lines[1:5] == ["-inf,1,0.5", "-inf,-2,nan", "-inf,1e-20,-inf",
+                              "-inf,-0,0"]
+        assert lines[8] == "0.25,-0,-0"
+        assert lines[9:13] == ["0,1,0.5", "0,-2,inf", "0,1e-20,1e-20", "0,-0,nan"]
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 3), (12,)])
+    def test_write_grid_csv_rejects_mismatched_values(self, tmp_path, shape):
+        out = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match="shape"):
+            write_grid_csv(str(out), ["x", "y", "v"], np.arange(3.0), np.arange(4.0),
+                           np.zeros(shape))
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_map_n_below_two_rejected(self, n, tmp_path, capsys):

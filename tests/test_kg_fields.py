@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dct, dst
 
 from relbosons import kg_fields, variational
 from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
@@ -184,6 +185,95 @@ class TestScan:
     def test_rejects_unsorted_radii(self):
         with pytest.raises(ValueError):
             scan_density(demo_packet(), np.array([1.0, 0.5]))
+
+
+def packet_weights(params):
+    """The two sine weights of packet_fields: p f e^{-(a+it)E} and its t-derivative."""
+    a, t = params.damping_a, params.time_t
+
+    def b0(p):
+        return p * params.profile(p) * np.exp(-(a + 1j * t) * params.energy(p))
+
+    return [b0, lambda p: -1j * params.energy(p) * b0(p)]
+
+
+def direct_transforms(weights, radii, p_max, m):
+    """The trapezoid rule taken afresh on all 2M + 1 nodes p_j = j pi / (M h):
+    one DST-I and one DCT-I per weight, zero beyond p_max."""
+    dr, k = kg_fields._radius_lattice(radii)
+    s = max(1, math.ceil(p_max * dr / math.pi))
+    h = dr / s
+    n = k * s
+    dp = math.pi / (m * h)
+    p = dp * np.arange(m + 1)
+    sins, coss = [], []
+    for wfun in weights:
+        w = np.where(p <= p_max, wfun(p), 0.0)
+        sins.append(0.5 * dp * dst(w[1:m], type=1)[n - 1])
+        coss.append(0.5 * dp * dct(p * w, type=1)[n])
+    return sins, coss
+
+
+class TestTransforms:
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record (type, size) of every call of kg_fields.<name>."""
+        calls, real = [], getattr(kg_fields, name)
+
+        def spy(x, type, **kwargs):
+            calls.append((type, len(x)))
+            return real(x, type=type, **kwargs)
+
+        monkeypatch.setattr(kg_fields, name, spy)
+        return calls
+
+    def _check_against_direct_rule(self, monkeypatch, params, radii):
+        dst_calls = self._spy(monkeypatch, "dst")
+        weights, p_max = packet_weights(params), kg_fields._packet_p_max(params)
+        sins, coss, failed = kg_fields._sin_cos_transforms(weights, radii, p_max, True)
+        # the last halving added M midpoints to a level of M intervals
+        assert dst_calls[-1][0] == 2
+        m_final = 2 * dst_calls[-1][1]
+        ref_s, ref_c = direct_transforms(weights, radii, p_max, m_final)
+        scale = max(float(np.max(np.abs(v))) for v in ref_s)
+        for got, want in zip(sins, ref_s):
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        assert len(coss) == 1  # the cosine partner of the first weight only
+        assert np.max(np.abs(coss[0] - ref_c[0])) <= 1e-14 * scale
+        return dst_calls, failed
+
+    @pytest.mark.parametrize("params,radii", [
+        (demo_packet(), default_radii(22.5, 0.01)),
+        (WavepacketParams(1.0, 0.5, 0.05, GaussianProfile(1.0)), default_radii()),
+    ], ids=["demo", "gaussian"])
+    def test_refinement_matches_direct_rule(self, monkeypatch, params, radii):
+        self._check_against_direct_rule(monkeypatch, params, radii)
+
+    def test_refinement_matches_direct_rule_after_many_halvings(self, monkeypatch):
+        # tolerances below roundoff: every halving up to _MAX_DOUBLINGS runs
+        monkeypatch.setattr(kg_fields, "_FIELD_ABS_TOL", 1e-18)
+        monkeypatch.setattr(kg_fields, "_FIELD_REL_TOL", 1e-18)
+        dst_calls, failed = self._check_against_direct_rule(
+            monkeypatch, demo_packet(), default_radii(2.0, 0.2))
+        halvings = [c for c in dst_calls if c[0] == 2]
+        assert len(halvings) == 2 * kg_fields._MAX_DOUBLINGS >= 4
+        assert len(failed) > 0
+
+    @pytest.mark.parametrize("fields,cosines", [
+        (lambda: packet_fields(demo_packet(), default_radii(), need_dr=True), True),
+        (lambda: packet_fields(demo_packet(), default_radii(), need_dr=False), False),
+        (lambda: state_fields_from_momentum(
+            packet_momentum_profile(demo_packet(time_t=0.0)), 1.0,
+            default_radii(6.0, 0.05)), True),
+    ], ids=["packet", "packet_charge_only", "state"])
+    def test_one_cosine_transform_per_level(self, monkeypatch, fields, cosines):
+        dst_calls = self._spy(monkeypatch, "dst")
+        dct_calls = self._spy(monkeypatch, "dct")
+        fields()
+        levels = len(dst_calls) // 2  # two sine weights per level
+        assert levels >= 2
+        expected = [1] + [2] * (levels - 1) if cosines else []
+        assert [c[0] for c in dct_calls] == expected
 
 
 @pytest.fixture(scope="module")
