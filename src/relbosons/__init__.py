@@ -36,7 +36,7 @@ _EXPORTS = {
                      "effective_potential", "origin_behavior", "spec_spin0",
                      "spec_spin1"), "potentials"),
     **dict.fromkeys(("CylindricalGrid", "RadialMomentumGrid",
-                     "RayleighState", "check_connection", "dispersion_pair",
+                     "RayleighState", "dispersion_pair",
                      "minimize_transverse_massless", "rayleigh_gamma",
                      "separation_oracle"), "variational"),
 }

@@ -8,7 +8,8 @@ self-check table).
 
 Output files are written atomically (temp file + rename) and floats are
 printed with 9 significant digits, so repeated runs with identical flags
-and seed produce byte-identical files.
+produce byte-identical files.  No subcommand draws random numbers; the
+``--seed`` of ``verify`` is parsed and ignored.
 
 Only :mod:`relbosons.potentials` (numpy alone) is imported here; each
 ``_cmd_*`` imports the modules it runs, so building the parser loads no
@@ -138,8 +139,10 @@ def parse_map_n(text: str) -> int:
 
 
 def parse_nonnegative_int(text: str) -> int:
-    """An integer >= 0: an angular index, or the seed of ``verify`` (numpy
-    takes none below 0)."""
+    """An integer >= 0: an angular index, or the seed of ``verify``.
+
+    ``verify`` draws no random numbers, so its seed does not change the
+    report; the flag is kept so that command lines passing it still parse."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
@@ -215,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV of the minimizer samples (trans-massless)")
 
     p_ver = sub.add_parser("verify", help="run every anchored check; exit 0 iff all pass")
-    p_ver.add_argument("--seed", type=parse_nonnegative_int, default=0)
+    p_ver.add_argument("--seed", type=parse_nonnegative_int, default=0,
+                       help="accepted and ignored: verify draws no random numbers, "
+                            "so the report does not depend on it")
     p_ver.add_argument("--grid-n", type=parse_grid_n, default=8000)
 
     return parser
@@ -360,7 +365,7 @@ def _cmd_rayleigh(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    checks = verify.run_verify(seed=args.seed, grid_n=args.grid_n)
+    checks = verify.run_verify(grid_n=args.grid_n)
     print(verify.format_report(checks))
     return 0 if all(c.passed for c in checks) else 1
 

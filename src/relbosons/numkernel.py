@@ -55,8 +55,9 @@ def gauss_legendre(n: int) -> tuple:
 
     The bits of ``numpy.polynomial.legendre.leggauss(n)``, built once per
     order: leggauss runs a dense ``eigvalsh`` (threaded by OpenBLAS, whose
-    workers then spin on) and a Newton polish on every call.  The arrays
-    are read-only, so no caller can corrupt the shared rule.
+    workers then spin on) and a Newton polish on every call.  The package
+    builds one order only, the 15-point rule of :func:`radial_rule`.  The
+    arrays are read-only, so no caller can corrupt the shared rule.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False

@@ -434,152 +434,3 @@ def rescaled_profile(f: Callable, mass: float, d: float) -> Callable:
     """f expressed in the dimensionless momentum q = p / (m d)."""
     s = mass * d
     return lambda q: f(s * np.asarray(q, dtype=float))
-
-
-# ----------------------------------------------------------------------
-# Fourier-space field connection for the two spin-1 ansatz families
-# ----------------------------------------------------------------------
-
-@dataclass
-class ConnectionReport:
-    max_residual: float
-    norm_fields: float = math.nan
-    norm_reduced: float = math.nan
-    norm_plain: float = math.nan
-    dp2_fields: float = math.nan
-    dp2_plain: float = math.nan
-    pi_tilde: Optional[np.ndarray] = None
-
-
-def _default_profile(p):
-    return np.exp(-np.asarray(p, dtype=float) ** 2 / 2.0)
-
-
-def check_connection(ansatz: str, momenta, mass: float,
-                     f: Callable = _default_profile) -> ConnectionReport:
-    """Verify -i E_p pi~ = p x (p x phi~) - m^2 phi~ for an ansatz family.
-
-    ``momenta`` is an (n, 3) array of sample momenta.  The longitudinal
-    ansatz supplies both fields explicitly, so its residual is pure
-    roundoff; the zero-momentum direction is fixed to keep p/|p| finite.
-    The transverse ansatz supplies phi~ only; pi~ is reconstructed from
-    the connection (and returned), and the report carries the momentum
-    quadratures showing the energy norm and Delta p^2 collapsing to the
-    plain |f|^2 forms (exactly so in the massless limit).
-    """
-    momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    if ansatz == "longitudinal":
-        if mass <= 0:
-            raise ValueError("longitudinal ansatz carries 1/m; need mass > 0")
-        phi_t, pi_t = _longitudinal_fields(momenta, mass, f)
-    elif ansatz == "transverse":
-        phi_t = _transverse_phi(momenta, mass, f)
-        pi_t = _pi_from_connection(momenta, mass, phi_t)
-    else:
-        raise ValueError("ansatz must be 'longitudinal' or 'transverse'")
-    report = ConnectionReport(_connection_residual(momenta, mass, phi_t, pi_t), pi_tilde=pi_t)
-    report.norm_plain, report.dp2_plain = norm_and_dp2(f, p_max=12.0)
-    if ansatz == "longitudinal":
-        report.norm_fields = _longitudinal_norm_quadrature(mass, f)
-        report.norm_reduced = report.norm_plain  # exact for this ansatz
-    else:
-        # reduction of the energy norm: field route vs direct quadratures
-        report.norm_fields, p2_fields = _transverse_norm_quadrature(mass, f, reduced=False)
-        report.norm_reduced = _transverse_norm_quadrature(mass, f, reduced=True)[0]
-        report.dp2_fields = p2_fields / report.norm_fields
-    return report
-
-
-def _longitudinal_fields(momenta, mass, f):
-    """phi~ = p^ f / (sqrt2 m), pi~ = -i m p^ f / (sqrt2 E); energy norm = int f^2."""
-    pmag = np.linalg.norm(momenta, axis=1)
-    unit = np.where(pmag[:, None] > 1e-300, momenta / np.maximum(pmag, 1e-300)[:, None],
-                    np.array([0.0, 0.0, 1.0]))
-    E = np.sqrt(mass**2 + pmag**2)
-    fv = np.asarray(f(pmag), dtype=float) / math.sqrt(2.0)
-    phi_t = unit * (fv / mass)[:, None]
-    pi_t = -1j * unit * (mass * fv / E)[:, None]
-    return phi_t, pi_t
-
-
-def _transverse_phi(momenta, mass, f):
-    """z-polarized phi~ = z^ f / (sqrt2 sqrt(2 m^2 + p_perp^2))."""
-    pmag = np.linalg.norm(momenta, axis=1)
-    perp2 = momenta[:, 0] ** 2 + momenta[:, 1] ** 2
-    fv = np.asarray(f(pmag), dtype=float) / math.sqrt(2.0)
-    phi_t = np.zeros((len(momenta), 3), dtype=complex)
-    phi_t[:, 2] = fv / np.sqrt(2.0 * mass**2 + perp2)
-    return phi_t
-
-
-def _connection_rhs(momenta, mass, phi_t):
-    """E_p and the right-hand side p x (p x phi~) - m^2 phi~."""
-    E = np.sqrt(mass**2 + np.sum(momenta**2, axis=1))
-    double_cross = (momenta * np.sum(momenta * phi_t, axis=1)[:, None]
-                    - phi_t * np.sum(momenta**2, axis=1)[:, None])
-    return E, double_cross - mass**2 * phi_t
-
-
-def _pi_from_connection(momenta, mass, phi_t):
-    E, rhs = _connection_rhs(momenta, mass, phi_t)
-    return rhs / (-1j * E[:, None])
-
-
-def _connection_residual(momenta, mass, phi_t, pi_t):
-    E, rhs = _connection_rhs(momenta, mass, phi_t)
-    lhs = -1j * E[:, None] * pi_t
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def _transverse_norm_quadrature(mass, f, reduced: bool):
-    """d^3p quadratures of the spin-1 energy integrand for the z ansatz.
-
-    ``reduced`` switches between the field route (assemble phi~, rebuild
-    pi~ from the connection, sum the four energy terms) and the direct
-    closed-form weight |f|^2 (m^2 + p_perp^2)/(2 m^2 + p_perp^2).
-    Returns the norm and, with p^2 inserted, the dispersion numerator,
-    both summed from one weighted density.
-    """
-    # GL-96 in p on [0, 12] and in mu = cos(theta) on [-1, 1]
-    xp, wp = numkernel.gauss_legendre(96)
-    p, wp = 6.0 * (xp + 1.0), 6.0 * wp
-    mu, wmu = numkernel.gauss_legendre(96)
-    P, MU = np.meshgrid(p, mu, indexing="ij")
-    WT = np.outer(wp, wmu) * (2.0 * math.pi) * P**2
-    sin2 = 1.0 - MU**2
-    perp2 = P**2 * sin2
-    fv = np.asarray(f(P), dtype=float)
-    if reduced:
-        dens = fv**2 * (mass**2 + perp2) / (2.0 * mass**2 + perp2)
-    else:
-        pz = P * MU
-        px = np.sqrt(np.maximum(perp2, 0.0))   # azimuth fixed; |p x z| depends on p_perp only
-        pts = np.stack([px.ravel(), np.zeros(px.size), pz.ravel()], axis=1)
-        phi_t = _transverse_phi(pts, mass, f)
-        pi_t = _pi_from_connection(pts, mass, phi_t)
-        div_pi = np.sum(pts * pi_t, axis=1)
-        dens = (np.sum(np.abs(pi_t) ** 2, axis=1)
-                + np.abs(div_pi) ** 2 / mass**2
-                + _curl_squared_z(pts, phi_t)
-                + mass**2 * np.sum(np.abs(phi_t) ** 2, axis=1)).reshape(P.shape)
-    weighted = WT * dens
-    return float(np.sum(weighted)), float(np.sum(weighted * P**2))
-
-
-def _curl_squared_z(momenta, phi_t):
-    """|p x phi~|^2 of a z-polarized phi~: p_perp^2 |phi~_z|^2."""
-    return (momenta[:, 0] ** 2 + momenta[:, 1] ** 2) * np.abs(phi_t[:, 2]) ** 2
-
-
-def _longitudinal_norm_quadrature(mass, f, p_max: float = 12.0):
-    """Energy norm of the longitudinal ansatz by momentum quadrature.
-
-    |pi~|^2 + |p . pi~|^2/m^2 + m^2 |phi~|^2 (no curl term: phi~ || p);
-    collapses to |f|^2 / 2 * (m^2/E^2 + p^2/E^2 + 1) = |f|^2 identically.
-    """
-    p, w = numkernel.radial_rule(p_max)
-    E2 = mass**2 + p * p
-    fv = np.asarray(f(p), dtype=float) ** 2 / 2.0
-    dens = fv * (mass**2 / E2 + p * p / E2 + 1.0)
-    return float(np.sum(w * dens))

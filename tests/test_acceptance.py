@@ -209,22 +209,6 @@ def _heavier_radial_rule(monkeypatch, results):
     monkeypatch.setattr(numkernel, "radial_rule", faulty)
 
 
-def _flipped_longitudinal_pi(monkeypatch, results):
-    # -pi~ of the longitudinal ansatz: the wrong sign of the connection
-    fields = variational._longitudinal_fields
-
-    def faulty(momenta, mass, f):
-        phi_t, pi_t = fields(momenta, mass, f)
-        return phi_t, -pi_t
-
-    monkeypatch.setattr(variational, "_longitudinal_fields", faulty)
-
-
-def _dropped_curl_term(monkeypatch, results):
-    # the field route's energy density without |p x phi~|^2
-    monkeypatch.setattr(variational, "_curl_squared_z", lambda momenta, phi_t: 0.0)
-
-
 PLANTED_FAULTS = {
     "tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)": _fencepost_dirichlet_step,
     "longitudinal W(1; d=0) = 3": _stiffer_potential,
@@ -246,9 +230,6 @@ PLANTED_FAULTS = {
     "energy density nonnegative at every sample": _real_square_time_term,
     "massless-limit profile gives gamma = 1 + sqrt(5)/2": _heavier_massless_weight,
     "position-space product tends to 3/2 in the nonrelativistic regime": _heavier_radial_rule,
-    "longitudinal fields satisfy the Fourier connection (algebra)": _flipped_longitudinal_pi,
-    "transverse energy norm: field route matches direct quadrature (algebra)":
-        _dropped_curl_term,
 }
 
 

@@ -262,15 +262,19 @@ class TestVerify:
     def test_report_contract(self, capsys):
         # the report layout that benchmarks/checks.py parses
         assert run(["verify"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        lines = out.splitlines()
         checks = [line for line in lines if line.startswith("[")]
         assert checks and all(line.startswith("[PASS]") for line in checks)
-        assert lines[-1] == "24/24 checks passed"
+        assert lines[-1] == "22/22 checks passed"
         for fragment in ("scalar gamma(d=0) =", "scalar gamma(d=inf) =",
                          "longitudinal gamma(d=0) =", "longitudinal gamma(d=inf) ="):
             hits = [line for line in checks if fragment in line]
             assert len(hits) == 1, fragment
             assert float(hits[0].split("gamma = ")[1].split()[0]) > 0.0
+        # verify draws no random numbers; --seed is parsed and ignored
+        assert run(["verify", "--seed", "9301"]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestRayleigh:

@@ -10,9 +10,9 @@ from relbosons import kg_fields
 from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
-                                   RadialMomentumGrid, check_connection,
-                                   closed_form_readings, dispersion_pair,
-                                   euler_lagrange_residual, minimize_transverse_massless,
+                                   RadialMomentumGrid, closed_form_readings,
+                                   dispersion_pair, euler_lagrange_residual,
+                                   minimize_transverse_massless,
                                    norm_and_dp2, position_dispersion_momentum,
                                    rayleigh_gamma, rescaled_profile,
                                    _lowest_mode, _moments, _TransverseOperator)
@@ -419,38 +419,3 @@ class TestTransverseMinimization:
         bad = np.ones((len(grid.q_perp), len(grid.q_z)))
         with pytest.raises(DivergentWeightError):
             dispersion_pair((grid, bad))
-
-
-class TestConnection:
-    def test_longitudinal_identity(self):
-        rng = np.random.default_rng(0)
-        rep = check_connection("longitudinal", rng.normal(scale=2.0, size=(100, 3)), 1.0)
-        assert rep.max_residual <= 1e-13
-        assert rep.norm_fields == pytest.approx(rep.norm_plain, rel=1e-12)
-
-    def test_longitudinal_zero_momentum_finite(self):
-        momenta = np.array([[0.0, 0.0, 0.0], [1e-30, 0.0, 0.0]])
-        rep = check_connection("longitudinal", momenta, 1.0)
-        assert math.isfinite(rep.max_residual)
-        assert np.all(np.isfinite(rep.pi_tilde))
-
-    def test_transverse_norm_reduction(self):
-        rng = np.random.default_rng(1)
-        rep = check_connection("transverse", rng.normal(scale=2.0, size=(64, 3)), 1.0)
-        assert rep.max_residual <= 1e-13
-        assert rep.norm_fields == pytest.approx(rep.norm_reduced, rel=1e-8)
-        # at finite mass the energy norm sits below the plain norm
-        assert 0.5 * rep.norm_plain <= rep.norm_fields <= rep.norm_plain
-
-    def test_transverse_massless_limit_collapses_to_plain_forms(self):
-        rng = np.random.default_rng(2)
-        mom = rng.normal(scale=2.0, size=(32, 3))
-        rep = check_connection("transverse", mom, 1e-6)
-        assert rep.norm_fields == pytest.approx(rep.norm_plain, rel=1e-9)
-        assert rep.dp2_fields == pytest.approx(rep.dp2_plain, rel=1e-9)
-
-    def test_longitudinal_needs_mass(self):
-        with pytest.raises(ValueError):
-            check_connection("longitudinal", np.ones((3, 3)), 0.0)
-        with pytest.raises(ValueError):
-            check_connection("sideways", np.ones((3, 3)), 1.0)
