@@ -89,14 +89,19 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
 
     The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is the
     Richardson extrapolation of the h and h/2 matrices; both raw values
-    are kept in ``meta``.  ``u_samples`` (sum(u^2) h = 1) and ``residual``
-    (||T v - lam_h v||_2, v unit) come from the step-h kernel solve.
+    are kept in ``meta``, with the inverse iterations and factorizations
+    of the (coarse, h, h/2) ladder of
+    :func:`relbosons.numkernel.richardson_ground`.  ``u_samples``
+    (sum(u^2) h = 1) and ``residual`` (||T v - lam_h v||_2, v unit) come
+    from the step-h kernel solve.
     """
     level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
                               grid.q_max, grid.n)
     ground, h = level.ground, level.problem.grid_step
     meta = {"lambda_h": ground.value, "lambda_h_half": level.lam_h_half,
-            "richardson": level.value, "h": h}
+            "richardson": level.value, "h": h,
+            "inverse_iterations": level.iterations,
+            "factorizations": level.factorizations}
     return EigenResult(level.value / 2.0, level.value, level.nodes,
                        ground.vector / math.sqrt(h), ground.residual, meta)
 
@@ -125,7 +130,7 @@ def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
     return u[:, 0]
 
 
-def _numerov_mismatch(spec: PotentialSpec, q: np.ndarray, step: float, lam: float,
+def _numerov_mismatch(head: np.ndarray, q: np.ndarray, step: float, lam: float,
                       W: np.ndarray, im: int):
     """Cross mismatch vL[im] vR[2] - vL[im+1] vR[1] of the two sweeps at q[im:im+2].
 
@@ -133,17 +138,21 @@ def _numerov_mismatch(spec: PotentialSpec, q: np.ndarray, step: float, lam: floa
     uniform in x = ln q with spacing ``step``.  The mismatch is zero
     exactly when one Numerov solution satisfies both boundary
     conditions, i.e. at the discretized eigenvalues.  ``vL`` holds the
-    outward solution on q[:im+2], started from q^(alpha - 1/2); ``vR``
-    the inward one on q[im-1:], started from the Gaussian envelope
-    q^(lam/2 - 1) exp(-q^2/2).
+    outward solution on q[:im+2], started from ``head`` = q[:2]^(alpha - 1/2)
+    (:func:`_shooting_head`); ``vR`` the inward one on q[im-1:], started
+    from the Gaussian envelope q^(lam/2 - 1) exp(-q^2/2).
     """
     f = step ** 2 / 12.0
     T = q * q * (W - lam) + 0.25
-    head = q[:2] ** (origin_behavior(spec).exponent_alpha - 0.5)
     vL = _numerov_sweep(T[: im + 2], f, head[0], head[1])
     tail = q[-2:] ** (0.5 * lam - 1.0) * np.exp(-0.5 * q[-2:] ** 2)
     vR = _numerov_sweep(T[im - 1:][::-1], f, tail[1], tail[0])[::-1]
     return vL[im] * vR[2] - vL[im + 1] * vR[1], vL, vR
+
+
+def _shooting_head(spec: PotentialSpec, q: np.ndarray) -> np.ndarray:
+    """The outward start values q[:2]^(alpha - 1/2) of the regular solution v."""
+    return q[:2] ** (origin_behavior(spec).exponent_alpha - 0.5)
 
 
 def limit_bracket(spec: PotentialSpec) -> tuple:
@@ -174,6 +183,9 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     x, the check's own O(dx^2) truncation rather than the error of lam.
     ``meta`` records the iteration count, the number of Numerov mismatch
     evaluations and the final sign-change bracket, the tightest among them.
+    The sweeps of the evaluation with the smallest |mismatch| are kept; when
+    that evaluation is the root, ``u_samples`` is built from them, with no
+    further sweep.
 
     Raises
     ------
@@ -200,15 +212,26 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
             f"q_max = {grid.q_max} too small: W(q_max) = {W[-1]:.3f} must "
             f"exceed the bracket end {hi:.3f} by 20 so the inward sweep "
             "starts in the Gaussian-decay region")
+    head = _shooting_head(spec, q)
+    best = (math.inf, math.nan, None, None)  # |mismatch|, lam, vL, vR
+
+    def mismatch(lam):
+        nonlocal best
+        g, vL, vR = _numerov_mismatch(head, q, step, lam, W, im)
+        if abs(g) < best[0]:
+            best = (abs(g), lam, vL, vR)
+        return g
+
     try:
-        root = find_root(lambda lam: _numerov_mismatch(spec, q, step, lam, W, im)[0],
-                         lo, hi, tol)
+        root = find_root(mismatch, lo, hi, tol)
     except BracketError as exc:
         raise BracketError(f"mismatch: {exc} for {spec}; lam(d) must lie between "
                            "its d = 0 and d = inf levels") from None
     lam = root.value
 
-    _, vL, vR = _numerov_mismatch(spec, q, step, lam, W, im)
+    _, best_lam, vL, vR = best
+    if best_lam != lam:
+        _, vL, vR = _numerov_mismatch(head, q, step, lam, W, im)
     v = np.concatenate([vL[:im], vR[1:] * (vL[im] / vR[1])])
     v /= math.sqrt(np.sum(q * q * v * v) * step)
     if v[np.argmax(np.abs(v))] < 0:

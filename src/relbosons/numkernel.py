@@ -130,18 +130,22 @@ def tridiag_matvec(diagonal, off_diagonal, v) -> np.ndarray:
 
 
 def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
-                   max_iter: int = 50) -> EigenPair:
+                   max_iter: int = 50, start: Optional[np.ndarray] = None) -> EigenPair:
     """Lowest eigenpair by shifted inverse iteration on L D L^T factors.
 
     Each iteration solves (T - sigma I) y = v by LAPACK ``dpttrf``/``dpttrs``
-    (v = 1 at first), normalizes v = y / ||y|| (largest entry positive)
-    and takes mu = v^T T v, r = T v - mu v.  Certificate: a shift sigma is
-    kept only when ``dpttrf`` succeeds, i.e. T - sigma I is positive
-    definite and sigma < lambda_0; an eigenvalue lies within ||r|| of mu;
-    so lower = sigma < lambda_0 <= value + residual.  The next shift tried
-    is mu - ||r||; ``shift`` is a first guess (say a coarser grid's
+    (v = ``start`` at first, else 1), normalizes v = y / ||y|| (largest
+    entry positive) and takes mu = v^T T v, r = T v - mu v.  Certificate: a
+    shift sigma is kept only when ``dpttrf`` succeeds, i.e. T - sigma I is
+    positive definite and sigma < lambda_0; an eigenvalue lies within ||r||
+    of mu; so lower = sigma < lambda_0 <= value + residual.  The next shift
+    tried is mu - ||r||; ``shift`` is a first guess (say a coarser grid's
     level), else the Gershgorin lower bound.  Stops at ||r|| <= 4 eps
     ||T||_inf, the rounding level of r.
+
+    ``start`` must be finite and entrywise positive: with the negative
+    off-diagonals of every matrix here the ground vector is positive
+    (Perron-Frobenius), so a positive start overlaps it, as 1 does.
 
     Raises
     ------
@@ -154,7 +158,16 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     d, e = problem.diagonal, problem.off_diagonal
-    radius = np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)]
+    if start is None:
+        v = np.ones_like(d)
+    else:
+        v = np.asarray(start, dtype=float)
+        if v.shape != d.shape or not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
+            raise ValueError(f"start must be {len(d)} finite positive entries")
+    abs_e = np.abs(e)
+    radius = np.zeros_like(d)  # |e_i| + |e_{i-1}|: the off-diagonal row sums
+    radius[:-1] = abs_e
+    radius[1:] += abs_e
     norm = float(np.max(np.abs(d) + radius))  # ||T||_inf
     tol = 4.0 * np.finfo(float).eps * norm
     tried = []
@@ -167,7 +180,6 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
     # the Gershgorin bound, lowered far beyond rounding so that it factors
     accepted = ((shift is not None and factor(shift))
                 or factor(float(np.min(d - radius)) - 1e-9 * norm))
-    v = np.ones_like(d)
     # einsum, not BLAS ddot: OpenBLAS threads it above 1e4 entries for no wall-time gain
     for it in range(1, max_iter + 1):
         sigma, df, ef = accepted
@@ -198,24 +210,53 @@ def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tupl
 
 @dataclass(frozen=True)
 class RichardsonLevel:
-    """Lowest Dirichlet level at steps h and h/2 and their extrapolation."""
+    """Lowest Dirichlet level at steps h and h/2 and their extrapolation.
+
+    ``iterations`` and ``factorizations`` count the inverse iterations and
+    shifted factorizations of the (coarse, h, h/2) solves.
+    """
 
     value: float
     lam_h_half: float
     ground: EigenPair        # the step-h eigenpair, value lam_h
     problem: TridiagProblem  # the step-h matrix
     nodes: np.ndarray        # its interior nodes
+    iterations: tuple
+    factorizations: tuple
 
 
 def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
     """Lowest level of :func:`dirichlet_problem` at n and 2 (n - 1) + 1 nodes;
     ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error.
-    The h/2 solve starts from the shift lam_h, O(h^2) from its level."""
+
+    The levels are solved as one nested-iteration ladder (A. Brandt, Math.
+    Comp. 31 (1977) 333): a coarse level of max(4, (n - 1) // 32 + 1)
+    nodes (``dpttrf`` needs two unknowns) from 1 and the Gershgorin shift;
+    the h level from the coarse vector, linearly interpolated, at the
+    shift lam_coarse; the h/2 level from the h vector and its midpoints
+    (the grids nest) at the shift lam_h.  Each shift is O(h^2) from the
+    next level and each start as close, so inverse iteration, which gains
+    (lam_0 - sigma) / (lam_1 - sigma) per step, finishes in one or two.
+    The vectors are positive, as :func:`tridiag_ground` requires of a
+    start; a shift not below the level's lam_0 fails to factor and falls
+    back to the Gershgorin bound.
+    """
+    coarse_prob, coarse_nodes = dirichlet_problem(potential, lo, hi,
+                                                  max(4, (n - 1) // 32 + 1))
+    coarse = tridiag_ground(coarse_prob)
     prob, nodes = dirichlet_problem(potential, lo, hi, n)
-    ground = tridiag_ground(prob)
-    fine, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
-    lam_h2 = tridiag_ground(fine, shift=ground.value).value
-    return RichardsonLevel((4.0 * lam_h2 - ground.value) / 3.0, lam_h2, ground, prob, nodes)
+    start = np.interp(nodes, np.r_[lo, coarse_nodes, hi], np.r_[0.0, coarse.vector, 0.0])
+    ground = tridiag_ground(prob, shift=coarse.value, start=start)
+    fine_prob, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
+    walled = np.r_[0.0, ground.vector, 0.0]
+    start = np.empty(len(fine_prob.diagonal))
+    start[0::2] = 0.5 * (walled[:-1] + walled[1:])
+    start[1::2] = ground.vector
+    fine = tridiag_ground(fine_prob, shift=ground.value, start=start)
+    solves = (coarse, ground, fine)
+    return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, fine.value, ground,
+                           prob, nodes, tuple(s.iterations for s in solves),
+                           tuple(s.factorizations for s in solves))
 
 
 # ----------------------------------------------------------------------

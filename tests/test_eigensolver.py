@@ -72,7 +72,7 @@ class TestShooting:
         W = effective_potential(q, spec)
         im = int(np.searchsorted(q, 1.0))
         lam = solve_ground_fd(spec, grid).lam + 0.01
-        g, uL, uR = es._numerov_mismatch(spec, q, h, lam, W, im)
+        g, uL, uR = es._numerov_mismatch(es._shooting_head(spec, q), q, h, lam, W, im)
         refL, refR = reference_sweeps(spec, grid, lam, W, im)
         assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
         assert np.max(np.abs(uR - refR)) <= 1e-11 * np.max(np.abs(refR))
@@ -96,6 +96,29 @@ class TestShooting:
         assert lo <= res.lam <= hi
         assert hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * res.lam
         assert 0 < res.meta["brent_iterations"] < res.meta["mismatch_evaluations"] <= 20
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 32.0])
+    def test_root_sweeps_reused(self, monkeypatch, d):
+        sweep, calls = es._numerov_mismatch, []
+
+        def counting(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(es, "_numerov_mismatch", counting)
+        spec = spec_spin0(d)
+        res = solve_ground_shooting(spec)
+        assert len(calls) == res.meta["mismatch_evaluations"]
+        # reference: the plain root search, then one more sweep at the root
+        head, q, step, _, W, im = calls[0]
+        root = es.find_root(lambda lam: sweep(head, q, step, lam, W, im)[0],
+                            *es.limit_bracket(spec), 1e-10)
+        _, vL, vR = sweep(head, q, step, root.value, W, im)
+        v = np.concatenate([vL[:im], vR[1:] * (vL[im] / vR[1])])
+        v /= math.sqrt(np.sum(q * q * v * v) * step)
+        v *= np.sign(v[np.argmax(np.abs(v))])
+        assert res.gamma == root.value / 2.0
+        assert np.array_equal(res.u_samples, np.sqrt(q) * v)
 
     def test_tiny_tolerance_converges_or_raises(self):
         try:
@@ -152,6 +175,17 @@ class TestFdMatrix:
         assert set(res.meta) >= {"lambda_h", "lambda_h_half", "richardson"}
         # Richardson beats both raw resolutions against the exact level
         assert abs(res.meta["richardson"] - 3.0) < abs(res.meta["lambda_h"] - 3.0)
+
+    @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
+    def test_ladder_work(self, mk):
+        # the h level starts from the coarse level, the h/2 level from the
+        # h level; from 1 and the Gershgorin shift they took 5-6 and 2
+        for d in (0.0, 1.0, 32.0, INFINITY):
+            meta = solve_ground_fd(mk(d)).meta
+            (_, its_h, its_h2), factorizations = (meta["inverse_iterations"],
+                                                  meta["factorizations"])
+            assert its_h <= 2 and its_h2 == 1, (d, meta)
+            assert len(factorizations) == 3 and min(factorizations) >= 1
 
 
 class TestGammaCurve:

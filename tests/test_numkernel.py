@@ -10,7 +10,7 @@ import pytest
 from relbosons import verify
 from relbosons.numkernel import (BracketError, MinimizationError, TridiagProblem,
                                  dirichlet_problem, find_root, gauss_legendre,
-                                 radial_rule, tridiag_ground)
+                                 radial_rule, richardson_ground, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
@@ -222,16 +222,60 @@ class TestTridiagGround:
 
         ground, calls = numkernel.tridiag_ground, []
 
-        def recording(problem, shift=None):
-            calls.append((shift, ground(problem, shift=shift)))
-            return calls[-1][1]
+        def recording(problem, shift=None, start=None):
+            calls.append((problem, shift, start, ground(problem, shift=shift, start=start)))
+            return calls[-1][3]
 
         monkeypatch.setattr(numkernel, "tridiag_ground", recording)
         level = numkernel.richardson_ground(lambda q: q**2, 0.0, 20.0, 2000)
-        (cold_shift, coarse), (warm_shift, fine) = calls
-        assert cold_shift is None and warm_shift == coarse.value == level.ground.value
-        # lam_h < lam_{h/2} here, so the warm shift is certified and kept
-        assert fine.lower == warm_shift and fine.factorizations < coarse.factorizations
+        (_, cold_shift, cold_start, coarse), (h_prob, h_shift, h_start, h), \
+            (fine_prob, warm_shift, _, fine) = calls
+        assert cold_shift is None and cold_start is None
+        assert h_shift == coarse.value and h is level.ground
+        assert h_start.shape == h_prob.diagonal.shape and np.all(h_start > 0.0)
+        assert warm_shift == h.value == level.ground.value
+        # lam_h < lam_{h/2} here, so the warm shift factors; a refactor
+        # can only raise the certified lower bound
+        assert warm_shift <= fine.lower < stebz_levels(fine_prob)[0]
+        assert fine.factorizations < h.factorizations
+
+    @pytest.mark.parametrize("n", [5, 33, 100, 2000, 8000])
+    @pytest.mark.parametrize("pot,lo,hi", [
+        (lambda q: q**2, 0.0, 20.0),
+        (lambda q: 0.75 / q**2 + q**2, 0.0, 12.0),
+        (lambda q: q**2, -12.0, 12.0),
+    ], ids=["half-line", "planar", "line"])
+    def test_richardson_ladder_matches_cold_levels(self, pot, lo, hi, n):
+        # the two levels solved from 1 and the Gershgorin shift, the h/2
+        # level at the shift lam_h
+        lam_h = tridiag_ground(oscillator_problem(pot, lo, hi, n)).value
+        lam_h2 = tridiag_ground(oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1),
+                                shift=lam_h).value
+        level = richardson_ground(pot, lo, hi, n)
+        assert abs(level.ground.value - lam_h) <= 1e-10
+        assert abs(level.lam_h_half - lam_h2) <= 1e-10
+        assert abs(level.value - (4.0 * lam_h2 - lam_h) / 3.0) <= 1e-10
+        assert len(level.iterations) == len(level.factorizations) == 3
+
+    @pytest.mark.parametrize("start", [
+        np.zeros(298), -np.ones(298), np.r_[np.ones(297), 0.0], np.r_[np.ones(297), -1.0],
+        np.r_[np.nan, np.ones(297)], np.r_[np.inf, np.ones(297)], np.ones(297), np.ones(299),
+    ], ids=["zero", "negative", "one-zero", "one-negative", "nan", "inf",
+            "short", "long"])
+    def test_bad_start_raises(self, start):
+        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
+        with pytest.raises(ValueError, match="start"):
+            tridiag_ground(prob, start=start)
+
+    def test_positive_random_start(self):
+        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        start = np.random.default_rng(2718).uniform(0.01, 1.0, len(prob.diagonal))
+        ground = tridiag_ground(prob, start=start)
+        ref, rounding = stebz_levels(prob)[0], 4.0 * np.finfo(float).eps * inf_norm(prob)
+        assert abs(ground.value - tridiag_ground(prob).value) <= rounding
+        # r and the stebz level are both computed to rounding: the upper end
+        # misses by 8e-13 here with the start 1 too
+        assert ground.lower < ref <= ground.value + ground.residual + rounding
 
     def test_iteration_cap_raises_with_state(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
@@ -294,7 +338,8 @@ class TestFindRoot:
         im = int(np.searchsorted(q, 1.0))
 
         def mismatch(lam):
-            return es._numerov_mismatch(spec, q, x[1] - x[0], lam, W, im)[0]
+            return es._numerov_mismatch(es._shooting_head(spec, q), q, x[1] - x[0],
+                                        lam, W, im)[0]
 
         lo, hi = es.limit_bracket(spec)
         root = find_root(mismatch, lo, hi, 1e-10)
