@@ -31,6 +31,10 @@ from . import potentials
 from .potentials import INFINITY, PotentialSpec
 
 
+# points of a --q grid at most; the default grid has 120
+MAX_Q_POINTS = 10**7
+
+
 def _fmt(x) -> str:
     return "%.9g" % x
 
@@ -103,15 +107,21 @@ def parse_d_list(text: str):
 
 
 def parse_range(text: str):
-    """'min:max:step' range specification for q grids, all three finite."""
+    """'min:max:step' range specification for q grids, all three finite.
+
+    The point count is checked before the grid is built: an error raised
+    while allocating it would escape argparse, which converts only
+    ValueError and TypeError into a usage error."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected min:max:step")
     lo, hi, step = (parse_finite(p) for p in parts)
     if not (0 < lo < hi) or step <= 0:
         raise argparse.ArgumentTypeError("need 0 < min < max and step > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_Q_POINTS:  # also inf, where the division overflows
+        raise argparse.ArgumentTypeError(f"{text} has more than {MAX_Q_POINTS} points")
+    return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
 def parse_finite(text: str) -> float:
@@ -321,9 +331,11 @@ def _cmd_rayleigh(args) -> int:
         raise ValueError(f"--samples-out applies only to --case trans-massless, "
                          f"not {args.case}")
     payload = {"case": args.case}
-    if args.case in ("spin0", "long"):
+    if args.case != "trans-massless":
+        # the nonrelativistic transverse weight vanishes like the scalar d = 0
+        # weight, so trans-nonrel is the scalar d = 0 channel and its ground state
         d = (args.d or [0.0])[0]
-        spec = PotentialSpec(0 if args.case == "spin0" else 1, d)
+        spec = PotentialSpec(1 if args.case == "long" else 0, d)
         grid = variational.RadialMomentumGrid()
         if 0.0 < d < INFINITY:
             res = eigensolver.solve_ground_fd(spec)
@@ -332,14 +344,9 @@ def _cmd_rayleigh(args) -> int:
         else:
             f = potentials.limit_profile(grid.q, spec)
         state = variational.evaluate_state(grid, f, spec)
-        payload.update(d=("inf" if math.isinf(d) else d), iterations=0)
-    elif args.case == "trans-nonrel":
-        grid = variational.RadialMomentumGrid()
-        # the nonrelativistic transverse weight vanishes like the scalar d = 0
-        # weight, so this is the scalar d = 0 channel and its ground state
-        spec = potentials.spec_spin0(0.0)
-        state = variational.evaluate_state(grid, potentials.limit_profile(grid.q, spec), spec)
-        payload.update(iterations=0)
+        if args.case != "trans-nonrel":
+            payload["d"] = "inf" if math.isinf(d) else d
+        payload["iterations"] = 0
     else:
         state = variational.minimize_transverse_massless()
         payload.update(iterations=state.meta["iterations"],

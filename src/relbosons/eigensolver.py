@@ -97,7 +97,8 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
     """
     level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
                               grid.q_max, grid.n)
-    ground, h = level.ground, level.problem.grid_step
+    # with the first wall at 0, the first interior node is the step h
+    ground, h = level.ground, level.nodes[0]
     meta = {"lambda_h": ground.value, "lambda_h_half": level.lam_h_half,
             "richardson": level.value, "h": h,
             "inverse_iterations": level.iterations,

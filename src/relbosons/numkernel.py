@@ -87,11 +87,10 @@ def radial_rule(p_max: float) -> tuple:
 
 @dataclass(frozen=True)
 class TridiagProblem:
-    """Symmetric tridiagonal matrix with its originating grid step."""
+    """Symmetric tridiagonal matrix by its diagonal and off-diagonal."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    grid_step: float
 
     def __post_init__(self):
         d = np.asarray(self.diagonal, dtype=float)
@@ -100,8 +99,6 @@ class TridiagProblem:
         object.__setattr__(self, "off_diagonal", e)
         if len(e) != len(d) - 1:
             raise ValueError("off_diagonal must be one shorter than diagonal")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,10 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
     entry positive) and takes mu = v^T T v, r = T v - mu v.  Certificate: a
     shift sigma is kept only when ``dpttrf`` succeeds, i.e. T - sigma I is
     positive definite and sigma < lambda_0; an eigenvalue lies within ||r||
-    of mu; so lower = sigma < lambda_0 <= value + residual.  The next shift
-    tried is mu - ||r||; ``shift`` is a first guess (say a coarser grid's
-    level), else the Gershgorin lower bound.  Stops at ||r|| <= 4 eps
-    ||T||_inf, the rounding level of r.
+    of mu; so lower = sigma < lambda_0 <= value + residual, up to the
+    rounding of r.  The next shift tried is mu - ||r||; ``shift`` is a
+    first guess (say a coarser grid's level), else the Gershgorin lower
+    bound.  Stops at ||r|| <= 4 eps ||T||_inf, the rounding level of r.
 
     ``start`` must be finite and entrywise positive: with the negative
     off-diagonals of every matrix here the ground vector is positive
@@ -205,7 +202,7 @@ def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tupl
     q = np.linspace(lo, hi, n)
     h = q[1] - q[0]
     qi = q[1:-1]
-    return TridiagProblem(2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2), h), qi
+    return TridiagProblem(2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2)), qi
 
 
 @dataclass(frozen=True)
@@ -219,8 +216,7 @@ class RichardsonLevel:
     value: float
     lam_h_half: float
     ground: EigenPair        # the step-h eigenpair, value lam_h
-    problem: TridiagProblem  # the step-h matrix
-    nodes: np.ndarray        # its interior nodes
+    nodes: np.ndarray        # the step-h interior nodes
     iterations: tuple
     factorizations: tuple
 
@@ -255,7 +251,7 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
     fine = tridiag_ground(fine_prob, shift=ground.value, start=start)
     solves = (coarse, ground, fine)
     return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, fine.value, ground,
-                           prob, nodes, tuple(s.iterations for s in solves),
+                           nodes, tuple(s.iterations for s in solves),
                            tuple(s.factorizations for s in solves))
 
 

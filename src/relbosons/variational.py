@@ -2,11 +2,13 @@
 
 The uncertainty product gamma^2 = (Delta q^2)(Delta r_q^2) is evaluated
 for trial states on radial or cylindrical momentum grids, and the grid
-picks the |f|^2 weight that Delta r_q^2 adds to |grad f|^2.  A
-:class:`RadialMomentumGrid` takes the channel's
-:class:`relbosons.potentials.PotentialSpec`, whose weight is
-:func:`relbosons.potentials.dispersion_weight`; a :class:`CylindricalGrid`
-carries the transverse massless weight 1/q_perp^2 and takes no spec.  All
+picks the form of the state and the |f|^2 weight that Delta r_q^2 adds
+to |grad f|^2.  A :class:`RadialMomentumGrid` takes one sample array and
+the channel's :class:`relbosons.potentials.PotentialSpec`, whose weight
+is :func:`relbosons.potentials.dispersion_weight`; a
+:class:`CylindricalGrid` takes one factor pair (a, b), standing for the
+separable state a(q_perp) b(q_z), carries the transverse massless weight
+1/q_perp^2 and takes no spec.  All
 functionals here are in rescaled dimensionless form; physical-unit
 quantities appear only in the helpers used by the cross checks against
 :mod:`relbosons.kg_fields`.
@@ -24,9 +26,9 @@ operator is the Kronecker sum T_perp (x) I + I (x) T_z of two
 tridiagonals, so its lowest eigenpair is exactly the sum of their
 ground levels with the outer product of their ground vectors; each
 comes from the certified :func:`relbosons.numkernel.tridiag_ground`.
-Such separable states a(q_perp) b(q_z) are evaluated on their factors:
-every moment needs only four q_z row sums, and for a b each is a
-one-dimensional product.  The minimizer stays a factor pair from the
+Every cylindrical state is evaluated on its factors: each moment needs
+only four q_z row sums, and for a b each is a one-dimensional product.
+No 2-D array is formed.  The minimizer stays a factor pair from the
 solve to the report, and its 2-D checks run on the factors too: the
 separation residual is the hypot of the two factor residuals, and the
 Euler-Lagrange operator, itself a Kronecker sum, acts on each factor.
@@ -104,8 +106,9 @@ class CylindricalGrid:
 class RayleighState:
     """A trial state with its evaluated norm, dispersions and gamma.
 
-    ``f_samples`` is an array, or a pair (a, b) standing for the outer
-    product a b (on a :class:`CylindricalGrid`), as the moments take it.
+    ``f_samples`` is one sample array on a :class:`RadialMomentumGrid`
+    and one factor pair (a, b), standing for the outer product a b, on a
+    :class:`CylindricalGrid`.
     """
 
     geometry: object
@@ -138,48 +141,20 @@ def _measure_sum(grid: CylindricalGrid, rows) -> float:
     return float(np.einsum("i,i", grid.row_weight, rows))
 
 
-def _squared_diff_rows(a, b):
-    """Row sums of (a - b)^2; the difference is the only temporary."""
-    d = a - b
-    return np.einsum("ij,ij->i", d, d)
-
-
 def _centered_diff_squares(x):
     """(x[k+1] - x[k-1])^2 along a 1-D array, with zero ghosts."""
     d = np.concatenate((x[1:2], x[2:] - x[:-2], x[-2:-1]))
     return d * d
 
 
-def _cylindrical_rows(grid, f):
-    """The four q_z row sums the moments need: of f^2, q_z^2 f^2 and the
-    squared centered differences (4 h^2 |grad|^2, zero ghosts) along q_perp
-    and along q_z.  ``f`` is an (n_perp, n_z) array or a pair (a, b) of
-    factors standing for the outer product a b.  The state is checked on
-    the axis before the other three sums."""
-    if isinstance(f, tuple):
-        a, b = f
-        a2 = a * a
-        bb = np.einsum("j,j", b, b)
-        rows = a2 * bb
-        _check_axis_vanishing(rows)
-        return (rows, a2 * np.einsum("j,j,j", b, b, grid.q_z**2),
-                _centered_diff_squares(a) * bb, a2 * np.sum(_centered_diff_squares(b)))
-    rows = np.einsum("ij,ij->i", f, f)
-    _check_axis_vanishing(rows)
-    # an edge keeps its one inner neighbour, whose row sum is already in rows
-    d_perp = np.concatenate(([rows[1]], _squared_diff_rows(f[2:], f[:-2]), [rows[-2]]))
-    d_z = _squared_diff_rows(f[:, 2:], f[:, :-2]) + f[:, 1] ** 2 + f[:, -2] ** 2
-    return rows, np.einsum("ij,ij,j->i", f, f, grid.q_z**2), d_perp, d_z
-
-
 def _moments(grid, f, spec: Optional[potentials.PotentialSpec] = None):
     """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences.
 
-    The grid picks the weight: a :class:`RadialMomentumGrid` needs the
-    channel's ``spec`` and adds ``dispersion_weight(q, spec)``; a
-    :class:`CylindricalGrid` adds 1/q_perp^2 and takes no spec.  There
-    ``f`` may be a pair (a, b) of factors, evaluated as the outer product
-    a b without forming it.
+    The grid picks the samples and the weight: a :class:`RadialMomentumGrid`
+    takes one sample array and the channel's ``spec``, and adds
+    ``dispersion_weight(q, spec)``; a :class:`CylindricalGrid` takes a
+    factor pair (a, b), evaluated as the outer product a b without forming
+    it, and adds 1/q_perp^2 with no spec.
     """
     if isinstance(grid, RadialMomentumGrid):
         if spec is None:
@@ -193,47 +168,46 @@ def _moments(grid, f, spec: Optional[potentials.PotentialSpec] = None):
                      + np.sum(potentials.dispersion_weight(q, spec) * f * f * meas)) / n2
         return n2, dq2, drq2
 
-    if spec is not None:
-        raise ValueError("a CylindricalGrid carries the transverse massless "
-                         "weight 1/q_perp^2 and takes no PotentialSpec")
-    # every term is a row sum over q_z, contracted with the row weight
+    if spec is not None or not isinstance(f, tuple):
+        raise ValueError("a CylindricalGrid carries the transverse massless weight "
+                         "1/q_perp^2: it takes a factor pair (a, b) standing for "
+                         "a b, and no PotentialSpec")
+    # every term is a q_z row sum (of f^2, q_z^2 f^2 and the 4 h^2 |grad|^2
+    # of zero-ghost centered differences), a 1-D product for f = a b, and is
+    # contracted with the row weight; the axis check reads the first sum
+    a, b = f
     qp, h = grid.q_perp, grid.step
-    rows, qz2_rows, d_perp, d_z = _cylindrical_rows(grid, f)
+    a2 = a * a
+    bb = np.einsum("j,j", b, b)
+    rows = a2 * bb
+    _check_axis_vanishing(rows)
     n2 = _measure_sum(grid, rows)
-    dq2 = _measure_sum(grid, qp**2 * rows + qz2_rows) / n2
+    dq2 = _measure_sum(grid, qp**2 * rows + a2 * np.einsum("j,j,j", b, b, grid.q_z**2)) / n2
+    d_perp = _centered_diff_squares(a) * bb
+    d_z = a2 * np.sum(_centered_diff_squares(b))
     drq2 = (d_perp + d_z) / (4.0 * h * h) + rows / qp**2
     return n2, dq2, _measure_sum(grid, drq2) / n2
 
 
 def dispersion_pair(state, spec: Optional[potentials.PotentialSpec] = None):
-    """(Delta q^2, Delta r_q^2) of a trial state; centered differences.
+    """(Delta q^2, Delta r_q^2) of a (grid, samples) pair; centered differences.
 
-    ``state`` is a :class:`RayleighState` or a (grid, samples) pair; on
-    a cylindrical grid the samples may be a pair (a, b) of factors of a b.
-    A radial grid integrates with the q^2 dq measure and the weight of
-    the channel ``spec``; a cylindrical grid takes no spec, uses the
-    cylindrical measure with the 1/q_perp^2 weight and requires the state
-    to vanish linearly on the q_perp = 0 axis.
+    The samples are one array on a radial grid, integrated with the q^2 dq
+    measure and the weight of the channel ``spec``.  On a cylindrical grid
+    they are one factor pair (a, b) standing for a b; that grid takes no
+    spec, uses the cylindrical measure with the 1/q_perp^2 weight and
+    requires the state to vanish linearly on the q_perp = 0 axis.
     """
-    return _moments(*_unpack(state), spec)[1:]
-
-
-def _unpack(state):
-    if isinstance(state, RayleighState):
-        return state.geometry, state.f_samples
-    grid, f = state
-    if isinstance(f, tuple):
-        return grid, tuple(np.asarray(x, dtype=float) for x in f)
-    return grid, np.asarray(f, dtype=float)
+    return _moments(*state, spec)[1:]
 
 
 def evaluate_state(grid, f_samples,
                    spec: Optional[potentials.PotentialSpec] = None) -> RayleighState:
     """Build a RayleighState with its dispersions and gamma filled in;
-    ``spec`` as in :func:`dispersion_pair`."""
-    f = np.asarray(f_samples, dtype=float)
-    n2, dq2, drq2 = _moments(grid, f, spec)
-    return RayleighState(grid, f, n2, dq2, drq2, math.sqrt(dq2 * drq2))
+    ``f_samples`` (one array on a radial grid, one factor pair (a, b) on
+    a cylindrical grid) and ``spec`` as in :func:`dispersion_pair`."""
+    n2, dq2, drq2 = _moments(grid, f_samples, spec)
+    return RayleighState(grid, f_samples, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
 def rayleigh_gamma(state, spec: Optional[potentials.PotentialSpec] = None) -> float:
@@ -302,8 +276,7 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     s = (dq2 / drq2) ** 0.25
     grid = CylindricalGrid(grid.q_max / s, grid.step / s)
     a = a / math.sqrt(_measure_sum(grid, a * a))
-    n2, dq2, drq2 = _moments(grid, (a, b))
-    state = RayleighState(grid, (a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
+    state = evaluate_state(grid, (a, b))
     state.meta.update(meta)
     return state
 
@@ -314,10 +287,9 @@ def _lowest_mode(grid: CylindricalGrid):
     Both are normalized: sum_i w_i a_i^2 = sum_j b_j^2 = 1.
     """
     op = _TransverseOperator(grid)
-    perp = numkernel.tridiag_ground(
-        numkernel.TridiagProblem(op.d_perp, op.e_perp, grid.step))
-    along = numkernel.tridiag_ground(numkernel.TridiagProblem(
-        op.d_z, np.full(len(op.d_z) - 1, op.e_z), grid.step))
+    perp = numkernel.tridiag_ground(numkernel.TridiagProblem(op.d_perp, op.e_perp))
+    along = numkernel.tridiag_ground(
+        numkernel.TridiagProblem(op.d_z, np.full(len(op.d_z) - 1, op.e_z)))
     lam = perp.value + along.value
     # With unit p, z and their residuals r = (T - mu) v:
     # (T_perp (x) I + I (x) T_z - lam)(p (x) z) = r_perp (x) z + p (x) r_z.

@@ -118,7 +118,7 @@ def _fencepost_dirichlet_step(monkeypatch, results):
         nodes = numkernel.dirichlet_problem(potential, lo, hi, n)[1]
         h = (hi - lo) / n
         return numkernel.TridiagProblem(2.0 / h**2 + potential(nodes),
-                                        np.full(n - 3, -1.0 / h**2), h), nodes
+                                        np.full(n - 3, -1.0 / h**2)), nodes
 
     monkeypatch.setattr(verify, "dirichlet_problem", faulty)
 

@@ -158,8 +158,8 @@ class TestTridiagGround:
             n = 40
             d = rng.normal(size=n) * 3.0
             e = rng.normal(size=n - 1)
-            prob = TridiagProblem(d, e, 0.1)
-            rev = TridiagProblem(d[::-1].copy(), e[::-1].copy(), 0.1)
+            prob = TridiagProblem(d, e)
+            rev = TridiagProblem(d[::-1].copy(), e[::-1].copy())
             a = tridiag_ground(prob)
             b = tridiag_ground(rev)
             scale = max(1.0, np.max(np.abs(d)) + 2 * np.max(np.abs(e)))
@@ -200,7 +200,7 @@ class TestTridiagGround:
         assert np.all(u > 0.0)  # nodeless ground state, sign fixed
         # positive off-diagonals: the same level, the vector's signs alternate
         signs = (-1.0) ** np.arange(len(u))
-        flipped = TridiagProblem(prob.diagonal, -prob.off_diagonal, prob.grid_step)
+        flipped = TridiagProblem(prob.diagonal, -prob.off_diagonal)
         w = tridiag_ground(flipped).vector
         assert np.max(np.abs(w * signs * signs[np.argmax(u)] - u)) <= 1e-8
         assert w[np.argmax(np.abs(w))] > 0.0
@@ -290,7 +290,7 @@ class TestTridiagGround:
         with pytest.raises(ValueError):
             tridiag_ground(prob, max_iter=0)
         with pytest.raises(ValueError):
-            TridiagProblem(np.ones(5), np.ones(5), 0.1)
+            TridiagProblem(np.ones(5), np.ones(5))
 
 
 class TestFindRoot:

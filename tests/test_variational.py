@@ -12,16 +12,15 @@ from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
                                    RadialMomentumGrid, closed_form_readings,
                                    dispersion_pair, euler_lagrange_residual,
-                                   minimize_transverse_massless,
+                                   evaluate_state, minimize_transverse_massless,
                                    norm_and_dp2, position_dispersion_momentum,
                                    rayleigh_gamma, rescaled_profile,
                                    _lowest_mode, _moments, _TransverseOperator)
 
 
 def wrong_width_gaussian(grid):
-    """q_perp x Gaussian of deliberately wrong width."""
-    qp, qz = grid.q_perp, grid.q_z
-    return qp[:, None] * np.exp(-(qp[:, None] ** 2 + qz[None, :] ** 2))
+    """Factors (a, b) of q_perp x Gaussian of deliberately wrong width."""
+    return grid.q_perp * np.exp(-grid.q_perp**2), np.exp(-grid.q_z**2)
 
 
 def cylindrical_measure(grid):
@@ -31,11 +30,13 @@ def cylindrical_measure(grid):
 
 
 def dense_dispersion_pair(grid, f):
-    """(Delta q^2, Delta r_q^2) on the cylindrical grid from whole 2-D arrays.
+    """(Delta q^2, Delta r_q^2) on the cylindrical grid from the whole 2-D array.
 
-    Reference for the row reductions of :func:`dispersion_pair`: centered
-    differences with zero ghosts, every integrand summed against the measure.
+    Reference for the factor evaluation of :func:`dispersion_pair`: the pair
+    ``f`` = (a, b) is formed into a b here; centered differences with zero
+    ghosts, every integrand summed against the measure.
     """
+    f = np.outer(*f)
     W = cylindrical_measure(grid)
     qp, qz, h = grid.q_perp[:, None], grid.q_z[None, :], grid.step
     pad = np.pad(f, 1)
@@ -94,18 +95,16 @@ class TestDispersionPair:
     def test_transverse_massless_product_state(self):
         # q_perp Gaussian: separable planar level 2 plus line level 1/2
         grid = CylindricalGrid()
-        qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
-        f = qp * np.exp(-(qp**2 + qz**2) / 2.0)
-        gam = rayleigh_gamma((grid, f))
-        assert gam == pytest.approx(2.5, abs=1e-3)
+        f = grid.q_perp * np.exp(-grid.q_perp**2 / 2.0), np.exp(-grid.q_z**2 / 2.0)
+        dq2, drq2 = dense_dispersion_pair(grid, f)
+        assert dispersion_pair((grid, f)) == pytest.approx((dq2, drq2), rel=1e-14)
+        assert rayleigh_gamma((grid, f)) == pytest.approx(2.5, abs=1e-3)
 
-    @pytest.mark.parametrize("trial", ["gaussian", "random", "minimizer"])
+    @pytest.mark.parametrize("trial", ["gaussian", "minimizer"])
     def test_row_reductions_match_dense_reference(self, trial, transverse_state):
         grid = transverse_state.geometry
         f = {"gaussian": lambda: wrong_width_gaussian(grid),
-             "random": lambda: grid.q_perp[:, None] * np.random.default_rng(5).random(
-                 (len(grid.q_perp), len(grid.q_z))),
-             "minimizer": lambda: np.outer(*transverse_state.f_samples)}[trial]()
+             "minimizer": lambda: transverse_state.f_samples}[trial]()
         got = dispersion_pair((grid, f))
         assert got == pytest.approx(dense_dispersion_pair(grid, f), rel=1e-14)
 
@@ -125,13 +124,22 @@ class TestDispersionPair:
                     _moments(grid, f, spec)
             return
         got = _moments(grid, (a, b))
-        assert got == pytest.approx(_moments(grid, np.outer(a, b)), rel=1e-13)
+        assert got[1:] == pytest.approx(dense_dispersion_pair(grid, (a, b)), rel=1e-14)
         assert dispersion_pair((grid, (a, b))) == pytest.approx(got[1:], rel=0)
 
     def test_factor_pair_divergent_axis_rejected(self):
         grid = CylindricalGrid(q_max=4.0, step=0.05)
         with pytest.raises(DivergentWeightError):
             dispersion_pair((grid, (np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))))
+
+    def test_cylindrical_grid_rejects_2d_array(self):
+        # a cylindrical state is a factor pair; its outer product is refused
+        grid = CylindricalGrid(q_max=4.0, step=0.1)
+        f = np.outer(*wrong_width_gaussian(grid))
+        for evaluate in (dispersion_pair, rayleigh_gamma,
+                         lambda state: evaluate_state(*state)):
+            with pytest.raises(ValueError, match="factor pair"):
+                evaluate((grid, f))
 
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
@@ -159,13 +167,6 @@ class TestDispersionPair:
         with pytest.raises(ValueError, match="PotentialSpec"):
             dispersion_pair((cyl, f), spec_spin0(0.0))
 
-    def test_divergent_axis_state_rejected(self):
-        grid = CylindricalGrid(q_max=4.0, step=0.05)
-        qp, qz = grid.q_perp[:, None], grid.q_z[None, :]
-        spherical = np.sqrt(qp**2 + qz**2) * np.exp(-(qp**2 + qz**2))
-        with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, spherical))
-
 
 class TestScaleInvariance:
     @pytest.mark.parametrize("d", [0.0, INFINITY])
@@ -189,8 +190,8 @@ class TestScaleInvariance:
         g1 = CylindricalGrid(q_max=6.0, step=0.05)
         g2 = CylindricalGrid(q_max=6.0 * s, step=0.05 * s)
         f1 = wrong_width_gaussian(g1)
-        qp, qz = g2.q_perp[:, None] / s, g2.q_z[None, :] / s
-        f2 = (qp / s) * np.exp(-(qp**2 + qz**2)) * s  # same shape function
+        qp, qz = g2.q_perp / s, g2.q_z / s
+        f2 = (qp / s) * np.exp(-qp**2) * s, np.exp(-qz**2)  # same shape function
         gam1 = rayleigh_gamma((g1, f1))
         gam2 = rayleigh_gamma((g2, f2))
         assert gam2 == pytest.approx(gam1, rel=1e-12)
@@ -329,9 +330,18 @@ class TestTransverseMinimization:
         assert abs(dq2 - drq2) <= 1e-12 * max(dq2, drq2)
         grid = CylindricalGrid()
         a, b, _ = _lowest_mode(grid)
-        unbalanced = rayleigh_gamma((grid, np.outer(a, b)))
+        unbalanced = rayleigh_gamma((grid, (a, b)))
         assert transverse_state.gamma == pytest.approx(unbalanced, abs=1e-14)
+        dense = math.sqrt(np.prod(dense_dispersion_pair(grid, (a, b))))
+        assert unbalanced == pytest.approx(dense, rel=1e-14)
         assert transverse_state.norm_N2 == pytest.approx(1.0, rel=1e-14)
+
+    def test_evaluate_state_matches_minimizer(self, transverse_state):
+        # the ragged (a, b) pair of the minimizer evaluates to the same state
+        state = evaluate_state(transverse_state.geometry, transverse_state.f_samples)
+        assert state.f_samples is transverse_state.f_samples
+        for name in ("norm_N2", "delta_q2", "delta_rq2", "gamma"):
+            assert getattr(state, name) == getattr(transverse_state, name), name
 
     def test_euler_lagrange_residual(self, transverse_state):
         assert euler_lagrange_residual(transverse_state) <= 1e-3
@@ -392,6 +402,13 @@ class TestTransverseMinimization:
         fine = minimize_transverse_massless(CylindricalGrid(step=0.04))
         assert abs(coarse.gamma - 2.5) / abs(fine.gamma - 2.5) >= 3.0
 
+    def test_rejects_divergent_init(self):
+        # the constant state, as the factor pair (ones, ones)
+        grid = CylindricalGrid(q_max=4.0, step=0.1)
+        bad = (np.ones(len(grid.q_perp)), np.ones(len(grid.q_z)))
+        with pytest.raises(DivergentWeightError):
+            dispersion_pair((grid, bad))
+
     def test_two_grid_richardson(self, transverse_state):
         # the gamma error is c h^2 in the nominal step h, so two grids
         # cancel it; each returned grid is that one rescaled to balance
@@ -413,9 +430,3 @@ class TestTransverseMinimization:
         got = hg / op.sqrt_w[:, None]
         want = staggered_apply_h(grid, f)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_rejects_divergent_init(self):
-        grid = CylindricalGrid(q_max=4.0, step=0.1)
-        bad = np.ones((len(grid.q_perp), len(grid.q_z)))
-        with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, bad))
