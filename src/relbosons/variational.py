@@ -336,11 +336,15 @@ def separation_oracle(n: int = 8000) -> float:
     The balanced stationarity equation separates into a planar radial
     oscillator with unit angular weight (level 2) and a one-dimensional
     oscillator (level 1/2).  Both are solved as tridiagonal eigenvalue
-    problems with Richardson extrapolation; returns their sum, 5/2 up to
-    O(h^4).
+    problems with Richardson extrapolation, the line problem on its even
+    half; returns their sum.  The error is a clean O(h^2), not O(h^4): the
+    0.75/q^2 singularity leaves the planar eigenvalue (4, twice its level)
+    an h^2 error that Richardson does not cancel, -7.81e-7, -1.95e-7 and
+    -4.87e-8 at n = 2000, 4000 and 8000, and the oracle half of it.  The
+    line part moves the oracle by at most 4e-12 at n = 8000.
     """
     planar = numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2, 0.0, 12.0, n)
-    line = numkernel.richardson_ground(lambda q: q**2, -12.0, 12.0, n)
+    line = numkernel.richardson_ground(lambda q: q**2, -12.0, 12.0, n, even=True)
     return 0.5 * planar.value + 0.5 * line.value
 
 

@@ -151,12 +151,26 @@ def _full_planar_axis_weight(monkeypatch, results):
     # the planar oracle problem with 1 / q^2 in place of (1 - 1/4) / q^2
     ground = numkernel.richardson_ground
 
-    def faulty(potential, lo, hi, n):
+    def faulty(potential, lo, hi, n, even=False):
         if lo == 0.0:
-            return ground(lambda q: potential(q) + 0.25 / q**2, lo, hi, n)
-        return ground(potential, lo, hi, n)
+            return ground(lambda q: potential(q) + 0.25 / q**2, lo, hi, n, even=even)
+        return ground(potential, lo, hi, n, even=even)
 
     monkeypatch.setattr(numkernel, "richardson_ground", faulty)
+
+
+def _centre_coupling_unscaled(monkeypatch, results):
+    # the even half of the line problem without the sqrt 2 on the centre
+    # node's coupling; the planar problem is never folded
+    half = numkernel._even_half
+
+    def faulty(problem):
+        folded, scale = half(problem)
+        if len(problem.diagonal) % 2:
+            folded.off_diagonal[-1] /= math.sqrt(2.0)
+        return folded, scale
+
+    monkeypatch.setattr(numkernel, "_even_half", faulty)
 
 
 def _deadband_above_min_rho(monkeypatch, results):
@@ -244,6 +258,45 @@ def test_planted_fault_turns_row_red(name, monkeypatch, verify_results):
     line = verify.format_report([result]).splitlines()[0]
     print(line)
     assert line.startswith("[FAIL]")
+
+
+def test_line_fault_turns_oracle_red(monkeypatch):
+    _centre_coupling_unscaled(monkeypatch, None)
+    result = verify.evaluate(ROWS["separation oracle (planar level 2 + line level 1/2) = 5/2"])
+    assert verify.format_report([result]).startswith("[FAIL]")
+
+
+# ----------------------------------------------------------------------
+# the shared demonstration scan
+# ----------------------------------------------------------------------
+
+SCAN_ROWS = ["charge density goes negative for the demonstration packet",
+             "negative-density region forms at least one spherical shell",
+             "energy density nonnegative at every sample"]
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    scan, calls = kg_fields.scan_density, []
+
+    def counting(params, radii):
+        calls.append(params)
+        return scan(params, radii)
+
+    monkeypatch.setattr(kg_fields, "scan_density", counting)
+    return calls
+
+
+def test_one_scan_per_verify_run(scan_calls):
+    for run in (1, 2):
+        verify.run_verify()
+        assert len(scan_calls) == run
+
+
+@pytest.mark.parametrize("name", SCAN_ROWS)
+def test_single_row_builds_its_own_scan(name, scan_calls):
+    assert verify.evaluate(ROWS[name]).passed
+    assert len(scan_calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -281,6 +281,18 @@ class TestVerify:
         assert run(["verify", "--seed", "9301"]) == 0
         assert capsys.readouterr().out == out
 
+    def test_coarse_grid_passes(self, capsys):
+        # the closed-form residual rows keep their own 8000-node grid, so a
+        # coarse solver grid leaves them as they read at the default one
+        assert run(["verify", "--grid-n", "2000"]) == 0
+        coarse = capsys.readouterr().out.splitlines()
+        assert coarse[-1] == "22/22 checks passed"
+        assert run(["verify"]) == 0
+        default = capsys.readouterr().out.splitlines()
+        residual = [i for i, line in enumerate(default) if "closed-form eigenfunction" in line]
+        assert len(residual) == 4
+        assert [coarse[i] for i in residual] == [default[i] for i in residual]
+
 
 class TestRayleigh:
     def test_spin0_nonrelativistic(self, tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from relbosons import kg_fields
+from relbosons import kg_fields, numkernel
 from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
@@ -14,7 +14,7 @@ from relbosons.variational import (CylindricalGrid, DivergentWeightError,
                                    dispersion_pair, euler_lagrange_residual,
                                    evaluate_state, minimize_transverse_massless,
                                    norm_and_dp2, position_dispersion_momentum,
-                                   rayleigh_gamma, rescaled_profile,
+                                   rayleigh_gamma, rescaled_profile, separation_oracle,
                                    _lowest_mode, _moments, _TransverseOperator)
 
 
@@ -267,6 +267,17 @@ class TestCrossModule:
 
 
 class TestTransverseMinimization:
+    def test_separation_oracle_error_is_h2(self):
+        # the planar eigenvalue 4 keeps an h^2 error under Richardson (the
+        # 0.75/q^2 singularity): a quarter per halving of h; the line part
+        # adds at most 4e-12 to the oracle
+        def planar_error(n):
+            return numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2,
+                                               0.0, 12.0, n).value - 4.0
+
+        assert planar_error(4000) / planar_error(8000) == pytest.approx(4.0, abs=0.05)
+        assert abs(separation_oracle(8000) - 2.5 - 0.5 * planar_error(8000)) <= 4e-12
+
     def test_wrong_width_init(self, transverse_state):
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
         # both tridiagonal factors together: 6 + 5 inverse iterations here
