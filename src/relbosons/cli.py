@@ -288,7 +288,7 @@ def _cmd_gamma(args) -> int:
     grid = eigensolver.RadialGrid(n=args.grid_n)
     curve = eigensolver.gamma_curve(template, args.d, grid)
     if args.fmt == "csv":
-        rows = [(p.d, p.gamma, p.residual, p.method if p.ok else f"failed:{p.message}")
+        rows = [(p.d, p.gamma, p.residual, "shooting" if p.ok else f"failed:{p.message}")
                 for p in curve.points]
         text = "\n".join([",".join(["d", "gamma", "residual", "method"])]
                          + [",".join(_fmt(v) if isinstance(v, float) else str(v)
@@ -302,8 +302,8 @@ def _cmd_gamma(args) -> int:
             "grid": {"q_min": eigensolver.SHOOTING_Q_LO, "q_max": grid.q_max, "n": grid.n},
             "points": [{"d": ("inf" if math.isinf(p.d) else p.d),
                         "gamma": num(p.gamma), "residual": num(p.residual),
-                        "method": p.method, "gamma_fd": num(p.gamma_fd),
-                        "gamma_shooting": num(p.gamma_shooting),
+                        "method": "shooting", "gamma_fd": num(p.gamma_fd),
+                        "gamma_shooting": num(p.gamma),
                         "ok": p.ok, "message": p.message}
                        for p in curve.points],
         }

@@ -257,9 +257,7 @@ class GammaPoint:
     d: float
     gamma: float = math.nan
     residual: float = math.nan
-    method: str = "shooting"
     gamma_fd: float = math.nan
-    gamma_shooting: float = math.nan
     ok: bool = True
     message: str = ""
 
@@ -295,7 +293,6 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
             sh = solve_ground_shooting(spec, grid)
             point.gamma = sh.gamma
             point.gamma_fd = fd.gamma
-            point.gamma_shooting = sh.gamma
             point.residual = abs(sh.gamma - fd.gamma)
         except Exception as exc:  # recorded, sweep continues
             point.ok = False

@@ -12,15 +12,20 @@ scans them on radial grids, detects negative-charge shells, and provides
 the position-space dispersion that cross-checks the momentum-space
 formulas in :mod:`relbosons.variational`.
 
-On a radial grid the fields are sine and cosine transforms in p,
-computed by the trapezoid rule on a uniform p grid: one DST-I or DCT-I
-per field on the first grid, then one DST-II or DCT-II per field on the
-midpoints added by each halving of the p step.  The weights are even in
-p and analytic in a strip of half-width m, so the rule converges
-exponentially as the p step shrinks.
+On a radial grid one evaluator, :func:`_radial_fields`, gives phi,
+dphi/dt and dphi/dr of any radial amplitude with a momentum weight w(p):
+the packet (w = p f e^{-(a + i t) E}) and the t = 0 state of a momentum
+amplitude f~ (w = p f~ / (sqrt(pi) E)).  The fields are sine and cosine
+transforms in p, computed by the trapezoid rule on a uniform p grid: one
+DST-I or DCT-I per transform on the first grid, then one DST-II or DCT-II
+per transform on the midpoints added by each halving of the p step.  The
+weights are even in p and analytic in a strip of half-width m, so the rule
+converges exponentially as the p step shrinks.
 The grid must be the lattice r_k = k dr (integer k >= 1, evenly spaced)
 that :func:`default_radii` makes.  Every scan settles within
 ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL`` times its largest sine transform.
+Radial integrals of the densities share :func:`_radial_integral` and its
+tail check.
 :func:`field_sample` evaluates single points by QUADPACK on [0, inf)
 and is the independent check; it shares no truncation point with the
 transforms.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -214,16 +219,24 @@ def _radius_lattice(radii):
     return dr, k
 
 
-def _sin_cos_transforms(weights, radii, p_max, need_cos):
-    """I_sin[k](r) = int_0^p_max w_k(p) sin(pr) dp, and with ``need_cos``
-    the cosine partner of the first weight, int_0^p_max p w_0(p) cos(pr) dp.
+def _radial_fields(weight, energy, radii, p_max):
+    """(phi, dt_phi, dr_phi, failed_radii) on radii r_k = k dr of the radial
+    amplitude with momentum weight w(p), taken as zero beyond p_max:
+
+        phi    = (1/r) int_0^p_max w(p) sin(pr) dp,
+        dt_phi = (1/r) int_0^p_max -i E(p) w(p) sin(pr) dp,
+        dr_phi = (1/r) int_0^p_max p w(p) cos(pr) dp - phi / r.
+
+    The radii must be ascending, positive and evenly spaced from a multiple
+    of their step, as :func:`default_radii` makes them.  ``weight`` is
+    sampled once per p node; the other two weights are formed from it.
 
     The trapezoid rule on p_j = j dp with dp = pi / (M h): on the radius
     lattice r = n h it is one DST-I (sine) or DCT-I (cosine) of the
     sampled weights.  The step h = dr / s is the largest divisor of the
     lattice step with pi / h >= p_max.
 
-    dp is then halved (M doubled) until every output is stable within
+    dp is then halved (M doubled) until every transform is stable within
     ``_FIELD_ABS_TOL`` + ``_FIELD_REL_TOL`` times the largest sine
     transform; radii whose entries fail to settle are reported back (the
     caller records them and carries on).  A halving keeps the level it
@@ -236,10 +249,12 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos):
     which are the kernels of scipy's DST-II at k = n - 1 and DCT-II at
     k = n, each with scipy's factor 2; both indices exist because
     M >= n_max + 1.  So a halving is one size-M DST-II or DCT-II per
-    field on M new samples, where the rule taken afresh is a size-2M
-    DST-I or DCT-I on 2M + 1 samples.  Weights vanish beyond p_max.
+    transform on M new samples, where the rule taken afresh is a size-2M
+    DST-I or DCT-I on 2M + 1 samples.
     """
     radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be ascending and positive")
     dr, k = _radius_lattice(radii)
     s = max(1, math.ceil(p_max * dr / math.pi))
     h = dr / s
@@ -249,64 +264,45 @@ def _sin_cos_transforms(weights, radii, p_max, need_cos):
     dp = math.pi / (m * h)
 
     def sample(p):
+        """The two sine weights w and -i E w, zero beyond p_max."""
         inside = int(np.searchsorted(p, p_max, side="right"))
-        w = np.zeros((len(weights), p.size), dtype=complex)
-        for row, wfun in zip(w, weights):
-            row[:inside] = wfun(p[:inside])
+        w = np.zeros((2, p.size), dtype=complex)
+        w[0, :inside] = weight(p[:inside])
+        w[1, :inside] = -1j * energy(p[:inside]) * w[0, :inside]
         return w
 
     p = dp * np.arange(m + 1)
     w = sample(p)
-    prev_s = [0.5 * dp * dst(row[1:m], type=1)[n - 1] for row in w]
-    prev_c = [0.5 * dp * dct(p * w[0], type=1)[n]] if need_cos else None
+    sins = [0.5 * dp * dst(row[1:m], type=1)[n - 1] for row in w]
+    cos = 0.5 * dp * dct(p * w[0], type=1)[n]
     for _ in range(_MAX_DOUBLINGS):
         m *= 2
         dp *= 0.5
         p = dp * np.arange(1, m, 2)  # the midpoints of the level before
         w = sample(p)
-        cur_s = [0.5 * old + 0.5 * dp * dst(row, type=2)[n - 1]
-                 for old, row in zip(prev_s, w)]
-        diffs = [np.abs(a - b) for a, b in zip(cur_s, prev_s)]
-        cur_c = None
-        if need_cos:
-            cur_c = [0.5 * prev_c[0] + 0.5 * dp * dct(p * w[0], type=2)[n]]
-            diffs.append(np.abs(cur_c[0] - prev_c[0]))
-        scale = max(max(float(np.max(np.abs(v))) for v in cur_s), 1e-300)
+        new_sins = [0.5 * old + 0.5 * dp * dst(row, type=2)[n - 1]
+                    for old, row in zip(sins, w)]
+        new_cos = 0.5 * cos + 0.5 * dp * dct(p * w[0], type=2)[n]
+        scale = max(max(float(np.max(np.abs(v))) for v in new_sins), 1e-300)
         bad = np.zeros(len(radii), dtype=bool)
-        for dcol in diffs:
-            bad |= dcol > (_FIELD_ABS_TOL + _FIELD_REL_TOL * scale)
-        prev_s, prev_c = cur_s, cur_c
+        for new, old in zip([*new_sins, new_cos], [*sins, cos]):
+            bad |= np.abs(new - old) > (_FIELD_ABS_TOL + _FIELD_REL_TOL * scale)
+        sins, cos = new_sins, new_cos
         if not bad.any():
-            return cur_s, cur_c, np.array([], dtype=float)
-    return prev_s, prev_c, radii[bad]
+            break
+    s0, s1 = sins
+    return s0 / radii, s1 / radii, cos / radii - s0 / radii**2, radii[bad]
 
 
-def packet_fields(params: WavepacketParams, radii, need_dr: bool = True):
-    """(phi, dt_phi, dr_phi, failed_radii) on radii r_k = k dr.
-
-    The radii must be evenly spaced from a multiple of their step, as
-    :func:`default_radii` makes them.  ``need_dr=False`` skips the cosine
-    transform behind the radial derivative (one transform of the three per
-    level) and returns None in its place.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be ascending and positive")
+def packet_fields(params: WavepacketParams, radii):
+    """(phi, dt_phi, dr_phi, failed_radii) of the packet on radii r_k = k dr,
+    as :func:`default_radii` makes them."""
     a, t = params.damping_a, params.time_t
 
     def b0(p):
         return p * params.profile(p) * np.exp(-(a + 1j * t) * params.energy(p))
 
-    def b1(p):
-        return -1j * params.energy(p) * b0(p)
-
-    p_max = _packet_p_max(params)
-    sins, coss, failed = _sin_cos_transforms([b0, b1], radii, p_max, need_dr)
-    s0, s1 = sins
-    phi = s0 / radii
-    dt_phi = s1 / radii
-    dr_phi = coss[0] / radii - s0 / radii**2 if need_dr else None
-    return phi, dt_phi, dr_phi, failed
+    return _radial_fields(b0, params.energy, radii, _packet_p_max(params))
 
 
 def _packet_p_max(params: WavepacketParams) -> float:
@@ -337,7 +333,7 @@ class DensityField:
     rho: np.ndarray
     eps: np.ndarray
     negative_shells: list
-    failed_radii: np.ndarray = field(default_factory=lambda: np.array([]))
+    failed_radii: np.ndarray
 
 
 def find_negative_shells(radii, rho, deadband: float = RHO_DEADBAND) -> list:
@@ -401,14 +397,21 @@ def shells_json(fieldmap: DensityField) -> str:
 # integral charges, energies, dispersions
 # ----------------------------------------------------------------------
 
-def _tail_check(radii, integrand, total, rel_tol, what):
-    lo = 0.9 * radii[-1]
-    tail = np.trapezoid(np.where(radii >= lo, integrand, 0.0), radii)
+def _radial_integral(radii, density, power, rel_tol, what):
+    """int density 4 pi r^power dr by the trapezoid rule on ``radii``.
+
+    Emits :class:`TailWarning` when the outer 10% of the grid still
+    contributes more than ``rel_tol`` of the total.
+    """
+    integrand = 4.0 * np.pi * density * radii**power
+    total = float(np.trapezoid(integrand, radii))
+    tail = np.trapezoid(np.where(radii >= 0.9 * radii[-1], integrand, 0.0), radii)
     if abs(tail) > rel_tol * max(abs(total), 1e-300):
         warnings.warn(
             f"{what}: outer 10% of the grid contributes "
             f"{abs(tail):.2e} (total {total:.6e}); extend the grid",
             TailWarning, stacklevel=3)
+    return total
 
 
 def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6) -> float:
@@ -420,34 +423,29 @@ def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6) ->
     """
     if radii is None:
         radii = default_radii(45.0, 0.02)
-    phi, dt_phi, _, _ = packet_fields(params, radii, need_dr=False)
-    rho = charge_density(FieldSample(phi, dt_phi, None))
-    integrand = 4.0 * np.pi * rho * radii**2
-    q = float(np.trapezoid(integrand, radii))
-    _tail_check(radii, integrand, q, rel_tol, "total_charge")
-    return q
+    rho = charge_density(FieldSample(*packet_fields(params, radii)[:3]))
+    return _radial_integral(radii, rho, 2, rel_tol, "total_charge")
+
+
+def _momentum_integral(params: WavepacketParams, power: int) -> float:
+    """int_0^inf p^2 E_p^power f(p)^2 e^{-2 a E_p} dp by QUADPACK."""
+    a = params.damping_a
+
+    def kern(p):
+        E = params.energy(p)
+        return p * p * E**power * np.asarray(params.profile(p)) ** 2 * np.exp(-2.0 * a * E)
+
+    return _quad(kern).real
 
 
 def charge_momentum_space(params: WavepacketParams) -> float:
     """Momentum-space oracle: Q = 2 pi^2 int p^2 E_p f^2 e^{-2 a E_p} dp."""
-    a = params.damping_a
-
-    def kern(p):
-        E = params.energy(p)
-        return p * p * E * np.asarray(params.profile(p)) ** 2 * np.exp(-2.0 * a * E)
-
-    return 2.0 * np.pi**2 * _quad(kern).real
+    return 2.0 * np.pi**2 * _momentum_integral(params, 1)
 
 
 def energy_momentum_space(params: WavepacketParams) -> float:
     """Total energy of the packet by momentum quadrature (= N^2 below)."""
-    a = params.damping_a
-
-    def kern(p):
-        E = params.energy(p)
-        return (p * E * np.asarray(params.profile(p))) ** 2 * np.exp(-2.0 * a * E)
-
-    return 4.0 * np.pi**2 * _quad(kern).real
+    return 4.0 * np.pi**2 * _momentum_integral(params, 2)
 
 
 def packet_momentum_profile(params: WavepacketParams) -> Callable:
@@ -475,36 +473,27 @@ def state_fields_from_momentum(f: Callable, mass: float, radii, p_max: float = 6
     f~ is taken as zero beyond ``p_max``.  Raises :class:`QuadratureError`
     when the radial transforms do not settle at some radius.
     """
-    radii = np.asarray(radii, dtype=float)
     kap = 1.0 / math.sqrt(math.pi)
 
-    def a_phi(p):
-        return p * np.asarray(f(p)) / np.sqrt(mass**2 + p * p)
+    def energy(p):
+        return np.sqrt(mass**2 + p * p)
 
-    def a_pi(p):
-        return p * np.asarray(f(p))
+    def weight(p):
+        return kap * p * np.asarray(f(p)) / energy(p)
 
-    (s_phi, s_pi), (c_phi,), failed = _sin_cos_transforms(
-        [a_phi, a_pi], radii, p_max, True)
+    phi, pi, dphi, failed = _radial_fields(weight, energy, radii, p_max)
     if len(failed):
         raise QuadratureError(
             f"radial transforms did not settle at {len(failed)} radii "
             f"(first r = {failed[0]:g})")
-    phi = kap * s_phi.real / radii
-    pi = kap * s_pi.real / radii
-    dphi = kap * (c_phi.real / radii - s_phi.real / radii**2)
-    return phi, -1j * pi, dphi
+    return phi.real, pi, dphi.real
 
 
-def energy_position_space(f: Callable, mass: float, r_max: float = 45.0,
-                          dr: float = 0.01, p_max: float = 60.0) -> float:
+def energy_position_space(f: Callable, mass: float) -> float:
     """int eps 4 pi r^2 dr of the f~ state; equals int |f~|^2 d^3p."""
-    radii = default_radii(r_max, dr)
-    eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
-    integrand = 4.0 * np.pi * eps * radii**2
-    total = float(np.trapezoid(integrand, radii))
-    _tail_check(radii, integrand, total, 1e-8, "energy_position_space")
-    return total
+    radii = default_radii(45.0, 0.01)
+    eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii)), mass)
+    return _radial_integral(radii, eps, 2, 1e-8, "energy_position_space")
 
 
 def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
@@ -519,8 +508,6 @@ def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
     """
     radii = default_radii(r_max, dr)
     eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
-    integrand = 4.0 * np.pi * radii**4 * eps
-    num = float(np.trapezoid(integrand, radii))
-    _tail_check(radii, integrand, num, rel_tol, "position_dispersion_direct")
+    num = _radial_integral(radii, eps, 4, rel_tol, "position_dispersion_direct")
     p, w = numkernel.radial_rule(p_max)
     return num / float(np.sum(w * np.asarray(f(p)) ** 2))

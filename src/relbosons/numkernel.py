@@ -282,10 +282,11 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int,
                                                   max(5 if even else 4, (n - 1) // 32 + 1))
     coarse = _ground(coarse_prob, even)
     prob, nodes = dirichlet_problem(potential, lo, hi, n)
-    start = np.interp(nodes, np.r_[lo, coarse_nodes, hi], np.r_[0.0, coarse.vector, 0.0])
+    start = np.interp(nodes, np.concatenate(([lo], coarse_nodes, [hi])),
+                      np.concatenate(([0.0], coarse.vector, [0.0])))
     ground = _ground(prob, even, shift=coarse.value, start=start)
     fine_prob, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
-    walled = np.r_[0.0, ground.vector, 0.0]
+    walled = np.concatenate(([0.0], ground.vector, [0.0]))
     start = np.empty(len(fine_prob.diagonal))
     start[0::2] = 0.5 * (walled[:-1] + walled[1:])
     start[1::2] = ground.vector

@@ -305,7 +305,7 @@ def test_single_row_builds_its_own_scan(name, scan_calls):
 
 def _assert_endpoint_by_both_routes(sweep_curves, spin, d, exact):
     point = next(p for p in sweep_curves[spin].points if p.d == d)
-    assert abs(point.gamma_shooting - exact) <= GOLD_TOL, point
+    assert abs(point.gamma - exact) <= GOLD_TOL, point
     assert abs(point.gamma_fd - exact) <= GOLD_TOL, point
 
 

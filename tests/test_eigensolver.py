@@ -226,7 +226,7 @@ class TestGammaCurve:
         for curve in sweep_curves.values():
             for p in curve.points:
                 assert p.ok
-                assert abs(p.gamma_shooting - p.gamma_fd) <= 1e-6
+                assert abs(p.gamma - p.gamma_fd) <= 1e-6
 
     def test_cross_method_disagreement_marks_point(self, monkeypatch):
         fd = es.solve_ground_fd
@@ -240,15 +240,18 @@ class TestGammaCurve:
         curve = gamma_curve(spec_spin0(0.0), [0.0], grid=RadialGrid(n=4000))
         (p,) = curve.points
         assert not curve.all_ok and not p.ok
-        assert p.gamma == p.gamma_shooting
-        assert f"{p.gamma_shooting:.12g}" in p.message
+        assert f"{p.gamma:.12g}" in p.message
         assert f"{p.gamma_fd:.12g}" in p.message
 
     def test_failures_recorded_not_raised(self):
-        # a grid too coarse for the contract still yields a curve object
-        curve = gamma_curve(spec_spin0(0.0), [0.0, -1.0] if False else [0.0],
-                            grid=RadialGrid(n=400))
-        assert len(curve.points) == 1
+        # q_max = 4 is too short for the decay contract: each point fails
+        # on its own, and the sweep still returns both of them
+        curve = gamma_curve(spec_spin0(0.0), [0.0, 1.0],
+                            grid=RadialGrid(q_max=4.0, n=2000))
+        assert [p.d for p in curve.points] == [0.0, 1.0]
+        for p in curve.points:
+            assert not p.ok and "q_max" in p.message
+        assert not curve.all_ok
 
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):

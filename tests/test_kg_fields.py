@@ -187,31 +187,40 @@ class TestScan:
             scan_density(demo_packet(), np.array([1.0, 0.5]))
 
 
-def packet_weights(params):
-    """The two sine weights of packet_fields: p f e^{-(a+it)E} and its t-derivative."""
+def packet_weight(params):
+    """The sine weight of packet_fields: p f e^{-(a+it)E}."""
     a, t = params.damping_a, params.time_t
 
     def b0(p):
         return p * params.profile(p) * np.exp(-(a + 1j * t) * params.energy(p))
 
-    return [b0, lambda p: -1j * params.energy(p) * b0(p)]
+    return b0
 
 
-def direct_transforms(weights, radii, p_max, m):
+def direct_fields(weight, energy, radii, p_max, m):
     """The trapezoid rule taken afresh on all 2M + 1 nodes p_j = j pi / (M h):
-    one DST-I and one DCT-I per weight, zero beyond p_max."""
+    a DST-I of w and of -i E w and a DCT-I of p w, zero beyond p_max."""
     dr, k = kg_fields._radius_lattice(radii)
     s = max(1, math.ceil(p_max * dr / math.pi))
     h = dr / s
     n = k * s
     dp = math.pi / (m * h)
     p = dp * np.arange(m + 1)
-    sins, coss = [], []
-    for wfun in weights:
-        w = np.where(p <= p_max, wfun(p), 0.0)
-        sins.append(0.5 * dp * dst(w[1:m], type=1)[n - 1])
-        coss.append(0.5 * dp * dct(p * w, type=1)[n])
-    return sins, coss
+    w = np.where(p <= p_max, weight(p), 0.0)
+    s0, s1 = (0.5 * dp * dst(v[1:m], type=1)[n - 1] for v in (w, -1j * energy(p) * w))
+    c = 0.5 * dp * dct(p * w, type=1)[n]
+    return s0 / radii, s1 / radii, c / radii - s0 / radii**2
+
+
+class CountingProfile:
+    """A profile that counts its calls."""
+
+    def __init__(self, profile):
+        self.profile, self.calls = profile, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.profile(p)
 
 
 class TestTransforms:
@@ -229,17 +238,16 @@ class TestTransforms:
 
     def _check_against_direct_rule(self, monkeypatch, params, radii):
         dst_calls = self._spy(monkeypatch, "dst")
-        weights, p_max = packet_weights(params), kg_fields._packet_p_max(params)
-        sins, coss, failed = kg_fields._sin_cos_transforms(weights, radii, p_max, True)
+        weight, p_max = packet_weight(params), kg_fields._packet_p_max(params)
+        *fields, failed = kg_fields._radial_fields(weight, params.energy, radii, p_max)
         # the last halving added M midpoints to a level of M intervals
         assert dst_calls[-1][0] == 2
         m_final = 2 * dst_calls[-1][1]
-        ref_s, ref_c = direct_transforms(weights, radii, p_max, m_final)
-        scale = max(float(np.max(np.abs(v))) for v in ref_s)
-        for got, want in zip(sins, ref_s):
-            assert np.max(np.abs(got - want)) <= 1e-14 * scale
-        assert len(coss) == 1  # the cosine partner of the first weight only
-        assert np.max(np.abs(coss[0] - ref_c[0])) <= 1e-14 * scale
+        ref = direct_fields(weight, params.energy, radii, p_max, m_final)
+        # r times a field is a transform: gated on the largest sine transform
+        scale = max(float(np.max(np.abs(v * radii))) for v in ref[:2])
+        for got, want in zip(fields, ref):
+            assert np.max(np.abs(got - want) * radii) <= 1e-14 * scale
         return dst_calls, failed
 
     @pytest.mark.parametrize("params,radii", [
@@ -259,21 +267,36 @@ class TestTransforms:
         assert len(halvings) == 2 * kg_fields._MAX_DOUBLINGS >= 4
         assert len(failed) > 0
 
-    @pytest.mark.parametrize("fields,cosines", [
-        (lambda: packet_fields(demo_packet(), default_radii(), need_dr=True), True),
-        (lambda: packet_fields(demo_packet(), default_radii(), need_dr=False), False),
-        (lambda: state_fields_from_momentum(
+    @pytest.mark.parametrize("fields", [
+        lambda: packet_fields(demo_packet(), default_radii()),
+        lambda: state_fields_from_momentum(
             packet_momentum_profile(demo_packet(time_t=0.0)), 1.0,
-            default_radii(6.0, 0.05)), True),
-    ], ids=["packet", "packet_charge_only", "state"])
-    def test_one_cosine_transform_per_level(self, monkeypatch, fields, cosines):
+            default_radii(6.0, 0.05)),
+    ], ids=["packet", "state"])
+    def test_one_cosine_transform_per_level(self, monkeypatch, fields):
         dst_calls = self._spy(monkeypatch, "dst")
         dct_calls = self._spy(monkeypatch, "dct")
         fields()
         levels = len(dst_calls) // 2  # two sine weights per level
         assert levels >= 2
-        expected = [1] + [2] * (levels - 1) if cosines else []
-        assert [c[0] for c in dct_calls] == expected
+        assert [c[0] for c in dct_calls] == [1] + [2] * (levels - 1)
+
+    @pytest.mark.parametrize("route", ["packet", "state"])
+    def test_profile_sampled_once_per_level(self, monkeypatch, route):
+        dst_calls = self._spy(monkeypatch, "dst")
+        if route == "packet":
+            profile = CountingProfile(CosineProfile(1.0))
+            params = WavepacketParams(1.0, 0.5, 0.05, profile)
+            profile.calls = 0  # the construction's probe
+            packet_fields(params, default_radii())
+            extra = 1  # _packet_p_max samples the profile on its own grid
+        else:
+            profile = CountingProfile(packet_momentum_profile(demo_packet(time_t=0.0)))
+            state_fields_from_momentum(profile, 1.0, default_radii(6.0, 0.05))
+            extra = 0
+        levels = len(dst_calls) // 2
+        assert levels >= 2
+        assert profile.calls == levels + extra
 
 
 @pytest.fixture(scope="module")
