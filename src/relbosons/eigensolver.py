@@ -282,7 +282,7 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
     ordered by d.
     """
     ds = list(d_values)
-    if any((not math.isinf(d)) and d < 0 for d in ds):
+    if not all(d >= 0 for d in ds):  # also rejects nan
         raise ValueError("d values must be nonnegative")
 
     def solve_one(d):
@@ -306,7 +306,7 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
         return point
 
     points = [solve_one(d) for d in ds]
-    points.sort(key=lambda p: (math.inf if math.isinf(p.d) else p.d))
+    points.sort(key=lambda p: p.d)
     return GammaCurve(points)
 
 

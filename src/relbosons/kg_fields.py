@@ -497,16 +497,16 @@ def energy_position_space(f: Callable, mass: float) -> float:
 
 
 def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
-                               dr: float = 0.01, p_max: float = 60.0,
-                               rel_tol: float = 1e-7) -> float:
+                               p_max: float = 60.0, rel_tol: float = 1e-7) -> float:
     """Delta r^2 = (1/N^2) int r^2 eps d^3r by position-space quadrature.
 
     The independent oracle for the momentum-space dispersion formula
     (see :func:`relbosons.variational.position_dispersion_momentum`);
     N^2 is evaluated in momentum space by
-    :func:`relbosons.numkernel.radial_rule`.  Warns on unconverged tails.
+    :func:`relbosons.numkernel.radial_rule`.  The radii are spaced 0.01
+    out to ``r_max``.  Warns on unconverged tails.
     """
-    radii = default_radii(r_max, dr)
+    radii = default_radii(r_max, 0.01)
     eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
     num = _radial_integral(radii, eps, 4, rel_tol, "position_dispersion_direct")
     p, w = numkernel.radial_rule(p_max)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -221,43 +221,7 @@ class RichardsonLevel:
     factorizations: tuple
 
 
-def _even_half(problem: TridiagProblem) -> tuple:
-    """(T_even, s): the persymmetric ``problem`` T on its even vectors.
-
-    An even v (v_i = v_{m-1-i}) solves T v = lam v iff w = s v[:k],
-    k = ceil(m / 2), solves T_even w = lam w.  The scale s is sqrt 2, and 1
-    at a centre node (m odd), so ||w|| = ||v|| and T_even is symmetric: at
-    even m the last node couples to its own mirror image, so the last
-    diagonal entry gains e; at odd m the centre node couples to two equal
-    neighbours, so the last off-diagonal entry takes a factor sqrt 2.
-    """
-    d, e = problem.diagonal, problem.off_diagonal
-    m, k = len(d), (len(d) + 1) // 2
-    scale = np.full(k, math.sqrt(2.0))
-    half_d, half_e = d[:k].copy(), e[:k - 1].copy()
-    if m % 2:
-        scale[-1] = 1.0
-        half_e[-1] *= math.sqrt(2.0)
-    else:
-        half_d[-1] += e[k - 1]
-    return TridiagProblem(half_d, half_e), scale
-
-
-def _ground(problem: TridiagProblem, even: bool, shift: Optional[float] = None,
-            start: Optional[np.ndarray] = None) -> EigenPair:
-    """:func:`tridiag_ground`, solved on the even half when ``even``; the
-    vector is the full one either way, mirrored across the centre."""
-    if not even:
-        return tridiag_ground(problem, shift=shift, start=start)
-    half, scale = _even_half(problem)
-    pair = tridiag_ground(half, shift=shift,
-                          start=None if start is None else scale * start[:len(scale)])
-    v = pair.vector / scale
-    return replace(pair, vector=np.concatenate((v, v[::-1][len(problem.diagonal) % 2:])))
-
-
-def richardson_ground(potential: Callable, lo: float, hi: float, n: int,
-                      even: bool = False) -> RichardsonLevel:
+def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
     """Lowest level of :func:`dirichlet_problem` at n and 2 (n - 1) + 1 nodes;
     ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error.
 
@@ -272,25 +236,19 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int,
     The vectors are positive, as :func:`tridiag_ground` requires of a
     start; a shift not below the level's lam_0 fails to factor and falls
     back to the Gershgorin bound.
-
-    ``even`` declares V even about the centre of [lo, hi], so that the
-    matrices are persymmetric and the ground state is even: each level is
-    then solved on its even half (at least 5 coarse nodes, two half
-    unknowns), about half the work, and its vector mirrored back.
     """
-    coarse_prob, coarse_nodes = dirichlet_problem(potential, lo, hi,
-                                                  max(5 if even else 4, (n - 1) // 32 + 1))
-    coarse = _ground(coarse_prob, even)
+    coarse_prob, coarse_nodes = dirichlet_problem(potential, lo, hi, max(4, (n - 1) // 32 + 1))
+    coarse = tridiag_ground(coarse_prob)
     prob, nodes = dirichlet_problem(potential, lo, hi, n)
     start = np.interp(nodes, np.concatenate(([lo], coarse_nodes, [hi])),
                       np.concatenate(([0.0], coarse.vector, [0.0])))
-    ground = _ground(prob, even, shift=coarse.value, start=start)
+    ground = tridiag_ground(prob, shift=coarse.value, start=start)
     fine_prob, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
     walled = np.concatenate(([0.0], ground.vector, [0.0]))
     start = np.empty(len(fine_prob.diagonal))
     start[0::2] = 0.5 * (walled[:-1] + walled[1:])
     start[1::2] = ground.vector
-    fine = _ground(fine_prob, even, shift=ground.value, start=start)
+    fine = tridiag_ground(fine_prob, shift=ground.value, start=start)
     solves = (coarse, ground, fine)
     return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, fine.value, ground,
                            nodes, tuple(s.iterations for s in solves),

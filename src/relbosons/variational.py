@@ -335,17 +335,18 @@ def separation_oracle(n: int = 8000) -> float:
 
     The balanced stationarity equation separates into a planar radial
     oscillator with unit angular weight (level 2) and a one-dimensional
-    oscillator (level 1/2).  Both are solved as tridiagonal eigenvalue
-    problems with Richardson extrapolation, the line problem on its even
-    half; returns their sum.  The error is a clean O(h^2), not O(h^4): the
-    0.75/q^2 singularity leaves the planar eigenvalue (4, twice its level)
-    an h^2 error that Richardson does not cancel, -7.81e-7, -1.95e-7 and
-    -4.87e-8 at n = 2000, 4000 and 8000, and the oracle half of it.  The
-    line part moves the oracle by at most 4e-12 at n = 8000.
+    oscillator (level 1/2); returns their sum.  The planar half is the
+    tridiagonal eigenvalue problem -u'' + (0.75/q^2 + q^2) u with Richardson
+    extrapolation.  Its error is a clean O(h^2), not O(h^4): the 0.75/q^2
+    singularity leaves the planar eigenvalue (4, twice its level) an h^2
+    error that Richardson does not cancel, -7.81e-7, -1.95e-7 and -4.87e-8
+    at n = 2000, 4000 and 8000, and the oracle half of it.  The line half
+    is -u'' + q^2 u, the Hermite oscillator, whose ground eigenvalue is
+    exactly 1 (u = e^{-q^2/2}); it enters as that value, so the planar
+    error is the oracle's only one.
     """
     planar = numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2, 0.0, 12.0, n)
-    line = numkernel.richardson_ground(lambda q: q**2, -12.0, 12.0, n, even=True)
-    return 0.5 * planar.value + 0.5 * line.value
+    return 0.5 * planar.value + 0.5
 
 
 def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:

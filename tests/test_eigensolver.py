@@ -1,5 +1,6 @@
 """Tests for the radial ground-state solver."""
 
+import dataclasses
 import functools
 import math
 
@@ -169,6 +170,9 @@ class TestFdMatrix:
     def test_matrix_residual_small(self):
         res = solve_ground_fd(spec_spin1(2.0))
         assert res.residual <= 1e-7
+        # u_samples is the unit kernel vector over sqrt(h): sum(u^2) h = 1
+        h = res.q_samples[0]
+        assert abs(np.sum(res.u_samples ** 2) * h - 1.0) <= 1e-12
 
     def test_richardson_metadata(self):
         res = solve_ground_fd(spec_spin0(0.0))
@@ -257,6 +261,15 @@ class TestGammaCurve:
         with pytest.raises(ValueError):
             gamma_curve(spec_spin0(0.0), [-0.5])
 
+    def test_rejects_nan_d_before_solving(self, monkeypatch):
+        # nan is no nonnegative d: refused up front, not after d = 1 is solved
+        fd, calls = es.solve_ground_fd, []
+        monkeypatch.setattr(es, "solve_ground_fd",
+                            lambda *args: calls.append(args) or fd(*args))
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma_curve(spec_spin0(0.0), [1.0, math.nan])
+        assert calls == []
+
 
 class TestAnalyticLimits:
     def test_residuals_decrease_at_order_h2(self):
@@ -301,6 +314,9 @@ class TestInvariants:
         # <q^2> away from gamma; the equality is a limit-case identity
         res = solve_ground_shooting(spec_spin0(1.0))
         assert abs(expectation_q2(res) - res.gamma) > 0.05
+        # a ratio of two u^2 integrals: the scale of u drops out
+        scaled = dataclasses.replace(res, u_samples=3.0 * res.u_samples)
+        assert expectation_q2(scaled) == pytest.approx(expectation_q2(res), rel=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="SHOOTING_Q_LO"):

@@ -240,24 +240,22 @@ class TestTridiagGround:
         assert fine.factorizations < h.factorizations
 
     @pytest.mark.parametrize("n", [5, 33, 100, 2000, 8000])
-    @pytest.mark.parametrize("pot,lo,hi,even", [
-        (lambda q: q**2, 0.0, 20.0, False),
-        (lambda q: 0.75 / q**2 + q**2, 0.0, 12.0, False),
-        (lambda q: q**2, -12.0, 12.0, False),
-        (lambda q: q**2, -12.0, 12.0, True),
-    ], ids=["half-line", "planar", "line", "line-even"])
-    def test_richardson_ladder_matches_cold_levels(self, pot, lo, hi, even, n):
-        # the two levels solved unfolded from 1 and the Gershgorin shift,
-        # the h/2 level at the shift lam_h; n odd and even give the folds
-        # with and without a centre node
+    @pytest.mark.parametrize("pot,lo,hi", [
+        (lambda q: q**2, 0.0, 20.0),
+        (lambda q: 0.75 / q**2 + q**2, 0.0, 12.0),
+        (lambda q: q**2, -12.0, 12.0),
+    ], ids=["half-line", "planar", "line"])
+    def test_richardson_ladder_matches_cold_levels(self, pot, lo, hi, n):
+        # the two levels solved from 1 and the Gershgorin shift, the h/2
+        # level at the shift lam_h; the line case is symmetric about 0, with
+        # a centre node at n odd and none at n even
         cold = tridiag_ground(oscillator_problem(pot, lo, hi, n))
         lam_h, lam_h2 = cold.value, tridiag_ground(
             oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1), shift=cold.value).value
-        level = richardson_ground(pot, lo, hi, n, even=even)
+        level = richardson_ground(pot, lo, hi, n)
         assert abs(level.ground.value - lam_h) <= 1e-10
         assert abs(level.lam_h_half - lam_h2) <= 1e-10
         assert abs(level.value - (4.0 * lam_h2 - lam_h) / 3.0) <= 1e-10
-        # the even ground vector comes back mirrored onto every node
         assert level.ground.vector.shape == level.nodes.shape == cold.vector.shape
         assert np.max(np.abs(level.ground.vector - cold.vector)) <= 1e-9
         assert len(level.iterations) == len(level.factorizations) == 3

@@ -160,3 +160,8 @@ class TestDParameter:
             d_parameter(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             d_parameter(1.0, 1.0, -1.0)
+        # a zero divisor is refused too, not left to raise ZeroDivisionError
+        with pytest.raises(ValueError):
+            d_parameter(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            d_parameter(1.0, 1.0, 0.0)
