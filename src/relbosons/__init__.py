@@ -23,9 +23,8 @@ _SUBMODULES = ("cli", "eigensolver", "kg_fields", "numkernel", "potentials",
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("EigenResult", "GammaCurve", "GOLDEN_GAMMA", "RadialGrid",
-                     "gamma_curve", "solve_ground_fd", "solve_ground_shooting",
-                     "verify_analytic_limits"), "eigensolver"),
+    **dict.fromkeys(("EigenResult", "GOLDEN_GAMMA", "RadialGrid", "gamma_curve",
+                     "solve_ground_fd", "solve_ground_shooting"), "eigensolver"),
     **dict.fromkeys(("DensityField", "FieldSample", "GaussianProfile", "CosineProfile",
                      "Shell", "WavepacketParams", "charge_density",
                      "energy_density", "field_sample", "demo_packet", "scan_density",
@@ -37,8 +36,8 @@ _EXPORTS = {
                      "spec_spin1"), "potentials"),
     **dict.fromkeys(("CylindricalGrid", "RadialMomentumGrid",
                      "RayleighState", "dispersion_pair",
-                     "minimize_transverse_massless", "rayleigh_gamma",
-                     "separation_oracle"), "variational"),
+                     "minimize_transverse_massless", "separation_oracle"),
+                    "variational"),
 }
 
 __all__ = list(_EXPORTS)

@@ -88,7 +88,7 @@ def write_grid_csv(path: str, header, x, y, values) -> None:
 
 
 def parse_d_list(text: str):
-    """Comma list of d values; the token 'inf' maps to the exact limit."""
+    """Comma list of d values; 'inf' maps to the exact limit, -0 to +0."""
     out = []
     for tok in text.split(","):
         tok = tok.strip().lower()
@@ -100,7 +100,7 @@ def parse_d_list(text: str):
             val = float(tok)
             if not val >= 0:  # also rejects nan
                 raise argparse.ArgumentTypeError(f"d values must be nonnegative, not {tok}")
-            out.append(val)
+            out.append(abs(val))
     if not out:
         raise argparse.ArgumentTypeError("no d values given")
     return out
@@ -286,10 +286,10 @@ def _cmd_gamma(args) -> int:
 
     template = PotentialSpec(args.spin, 0.0, args.l)
     grid = eigensolver.RadialGrid(n=args.grid_n)
-    curve = eigensolver.gamma_curve(template, args.d, grid)
+    points = eigensolver.gamma_curve(template, args.d, grid)
     if args.fmt == "csv":
         rows = [(p.d, p.gamma, p.residual, "shooting" if p.ok else f"failed:{p.message}")
-                for p in curve.points]
+                for p in points]
         text = "\n".join([",".join(["d", "gamma", "residual", "method"])]
                          + [",".join(_fmt(v) if isinstance(v, float) else str(v)
                                      for v in row) for row in rows]) + "\n"
@@ -305,17 +305,17 @@ def _cmd_gamma(args) -> int:
                         "method": "shooting", "gamma_fd": num(p.gamma_fd),
                         "gamma_shooting": num(p.gamma),
                         "ok": p.ok, "message": p.message}
-                       for p in curve.points],
+                       for p in points],
         }
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-    for p in curve.points:
+    for p in points:
         if not p.ok:
             print(f"gamma failed at d = {_fmt(p.d)}: {p.message}", file=sys.stderr)
-    return 0 if curve.all_ok else 1
+    return 0 if all(p.ok for p in points) else 1
 
 
 def _cmd_rayleigh(args) -> int:

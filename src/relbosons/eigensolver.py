@@ -77,7 +77,6 @@ class RadialGrid:
 @dataclass
 class EigenResult:
     gamma: float
-    lam: float
     q_samples: np.ndarray
     u_samples: np.ndarray
     residual: float
@@ -87,8 +86,8 @@ class EigenResult:
 def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> EigenResult:
     """Lowest eigenvalue via the finite-difference matrix.
 
-    The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is the
-    Richardson extrapolation of the h and h/2 matrices; both raw values
+    The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is half the
+    Richardson extrapolation of the h and h/2 levels; both raw levels
     are kept in ``meta``, with the inverse iterations and factorizations
     of the (coarse, h, h/2) ladder of
     :func:`relbosons.numkernel.richardson_ground`.  ``u_samples``
@@ -100,11 +99,10 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
     # with the first wall at 0, the first interior node is the step h
     ground, h = level.ground, level.nodes[0]
     meta = {"lambda_h": ground.value, "lambda_h_half": level.lam_h_half,
-            "richardson": level.value, "h": h,
             "inverse_iterations": level.iterations,
             "factorizations": level.factorizations}
-    return EigenResult(level.value / 2.0, level.value, level.nodes,
-                       ground.vector / math.sqrt(h), ground.residual, meta)
+    return EigenResult(level.value / 2.0, level.nodes, ground.vector / math.sqrt(h),
+                       ground.residual, meta)
 
 
 def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
@@ -182,8 +180,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     ``u_samples`` = sqrt(q) v on those nodes, with int u^2 dq =
     sum(q^2 v^2) dx = 1.  ``residual`` is the three-point defect of v in
     x, the check's own O(dx^2) truncation rather than the error of lam.
-    ``meta`` records the iteration count, the number of Numerov mismatch
-    evaluations and the final sign-change bracket, the tightest among them.
+    ``meta`` records the number of Numerov mismatch evaluations and the
+    final sign-change bracket, the tightest among them.
     The sweeps of the evaluation with the smallest |mismatch| are kept; when
     that evaluation is the root, ``u_samples`` is built from them, with no
     further sweep.
@@ -239,9 +237,9 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         v = -v
 
     resid = _discrete_residual(x, v, q * q * (W - lam) + 0.25, lam)
-    meta = {"bracket": root.bracket, "brent_iterations": root.iterations,
-            "mismatch_evaluations": root.evaluations, "q_match": q[im]}
-    return EigenResult(lam / 2.0, lam, q, np.sqrt(q) * v, resid, meta)
+    meta = {"bracket": root.bracket, "mismatch_evaluations": root.evaluations,
+            "q_match": q[im]}
+    return EigenResult(lam / 2.0, q, np.sqrt(q) * v, resid, meta)
 
 
 def _discrete_residual(nodes, y, T, lam) -> float:
@@ -262,24 +260,15 @@ class GammaPoint:
     message: str = ""
 
 
-@dataclass
-class GammaCurve:
-    points: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(p.ok for p in self.points)
-
-
 def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
-                grid: RadialGrid = RadialGrid()) -> GammaCurve:
+                grid: RadialGrid = RadialGrid()) -> list:
     """gamma(d) for a family of potentials, shooting with FD cross-check.
 
     Each point records gamma from shooting, the Richardson FD value, and
     their difference as the per-point residual.  A point whose two
     values differ by more than ``CROSS_METHOD_TOL`` is marked failed.
-    Failures are recorded per point and the sweep continues; results are
-    ordered by d.
+    Failures are recorded per point and the sweep continues; returns the
+    :class:`GammaPoint` list ordered by d.
     """
     ds = list(d_values)
     if not all(d >= 0 for d in ds):  # also rejects nan
@@ -287,27 +276,18 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
 
     def solve_one(d):
         spec = dataclasses.replace(spec_template, d=d)
-        point = GammaPoint(d=d)
         try:
-            fd = solve_ground_fd(spec, grid)
-            sh = solve_ground_shooting(spec, grid)
-            point.gamma = sh.gamma
-            point.gamma_fd = fd.gamma
-            point.residual = abs(sh.gamma - fd.gamma)
+            fd = solve_ground_fd(spec, grid).gamma
+            sh = solve_ground_shooting(spec, grid).gamma
         except Exception as exc:  # recorded, sweep continues
-            point.ok = False
-            point.message = str(exc)
-            return point
-        if not point.residual <= CROSS_METHOD_TOL:
-            point.ok = False
-            point.message = (f"shooting gamma {sh.gamma:.12g} and FD gamma "
-                             f"{fd.gamma:.12g} differ by {point.residual:.3e} "
-                             f"> {CROSS_METHOD_TOL:g}")
-        return point
+            return GammaPoint(d, ok=False, message=str(exc))
+        residual = abs(sh - fd)
+        message = "" if residual <= CROSS_METHOD_TOL else (
+            f"shooting gamma {sh:.12g} and FD gamma {fd:.12g} differ by "
+            f"{residual:.3e} > {CROSS_METHOD_TOL:g}")
+        return GammaPoint(d, sh, residual, fd, not message, message)
 
-    points = [solve_one(d) for d in ds]
-    points.sort(key=lambda p: p.d)
-    return GammaCurve(points)
+    return sorted((solve_one(d) for d in ds), key=lambda p: p.d)
 
 
 # ----------------------------------------------------------------------
@@ -325,30 +305,25 @@ class AnalyticCase:
 
 
 def analytic_cases() -> list:
-    """The four closed-form ground states of the limiting potentials."""
+    """The three closed-form ground states of the limiting potentials; at d = inf
+    both spins share W = q^2 + (l(l+1) + 1)/q^2, so one state stands for both."""
     return [
         AnalyticCase("spin0 d=0", spec_spin0(0.0), 1.5, 1e-4),
         AnalyticCase("spin0 d=inf", spec_spin0(INFINITY), GOLDEN_GAMMA, _RESIDUAL_EDGE),
         AnalyticCase("spin1 d=0", spec_spin1(0.0), 2.5, 1e-4),
-        AnalyticCase("spin1 d=inf", spec_spin1(INFINITY), GOLDEN_GAMMA, _RESIDUAL_EDGE),
     ]
 
 
-def closed_form_residual(case: AnalyticCase, n: int = 8000, q_max: float = 12.0) -> float:
+def closed_form_residual(case: AnalyticCase, n: int = 8000) -> float:
     """max |(-D^2 + W - lam) u| / (lam max|u|) of one closed form on n points.
 
-    The d = inf cases start at an origin offset, where u'''' is bounded;
+    The d = inf case starts at an origin offset, where u'''' is bounded;
     the residual decreases as h^2 under grid refinement.
     """
-    q = np.linspace(case.q_min, q_max, n)
+    q = np.linspace(case.q_min, RadialGrid.q_max, n)
     lam = 2.0 * case.gamma
     return _discrete_residual(q, q * limit_profile(q, case.spec),
                               effective_potential(q, case.spec) - lam, lam)
-
-
-def verify_analytic_limits(n: int = 8000, q_max: float = 12.0) -> dict:
-    """{label: :func:`closed_form_residual`} of the four analytic cases."""
-    return {case.label: closed_form_residual(case, n, q_max) for case in analytic_cases()}
 
 
 def expectation_q2(result: EigenResult) -> float:

@@ -14,8 +14,8 @@ Four building blocks used throughout the package:
 * a bracketed scalar root by Brent's zeroin (:func:`find_root`), the
   eigenvalue search of the Numerov shooting route.
 
-Everything here is a pure function of its inputs and safe to call from
-concurrent workers.
+Everything here is a pure function of its inputs.  Nothing runs in
+workers: scipy's LAPACK wrappers hold the GIL, so threads gain nothing.
 """
 
 from __future__ import annotations
@@ -263,14 +263,12 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
 class Root:
     """A root of f, the sign-change bracket around it, and the work done.
 
-    ``evaluations`` counts every call of f, the two bracket ends included;
-    ``iterations`` the calls after those two.
+    ``evaluations`` counts every call of f, the two bracket ends included.
     """
 
     value: float
     bracket: tuple
     evaluations: int
-    iterations: int
 
 
 def find_root(f: Callable, lo: float, hi: float, xtol: float,
@@ -309,7 +307,7 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
         tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
-            return Root(b, (b, b) if fb == 0.0 else (min(b, c), max(b, c)), it + 2, it)
+            return Root(b, (b, b) if fb == 0.0 else (min(b, c), max(b, c)), it + 2)
         if it == max_iter:
             break
         if abs(e) < tol1 or abs(fa) <= abs(fb):

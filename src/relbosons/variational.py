@@ -210,12 +210,6 @@ def evaluate_state(grid, f_samples,
     return RayleighState(grid, f_samples, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
-def rayleigh_gamma(state, spec: Optional[potentials.PotentialSpec] = None) -> float:
-    """sqrt(Delta q^2 * Delta r_q^2); an upper bound for the minimum."""
-    dq2, drq2 = dispersion_pair(state, spec)
-    return math.sqrt(dq2 * drq2)
-
-
 # ----------------------------------------------------------------------
 # transverse massless minimization (cylindrical grid)
 # ----------------------------------------------------------------------
@@ -364,10 +358,10 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
     transverse = qp * np.exp(-1.25 * qp**2)
     report = {}
     # the first two readings separate and are evaluated on their factors
-    report["qperp_times_full_gaussian"] = rayleigh_gamma(
-        (grid, (transverse, np.exp(-1.25 * qz**2))))
-    report["qperp_dependence_only"] = rayleigh_gamma(
-        (grid, (transverse, np.ones(len(qz)))))
+    report["qperp_times_full_gaussian"] = evaluate_state(
+        grid, (transverse, np.exp(-1.25 * qz**2))).gamma
+    report["qperp_dependence_only"] = evaluate_state(
+        grid, (transverse, np.ones(len(qz)))).gamma
     # the spherical reading fails the axis check, which reads only the
     # first two q_z row sums, so only those two rows are built
     q2 = qp[:2, None] ** 2 + qz[None, :] ** 2

@@ -138,13 +138,15 @@ def _squared_transverse_prefactor(monkeypatch, results):
     # one more factor q_perp in front of the separable readings' Gaussian
     # (the transverse prefactor becomes q_perp^2), which moves the orbit
     # reading off 5/2; the spherical reading only reads the axis check
-    gamma = variational.rayleigh_gamma
+    evaluate = variational.evaluate_state
 
-    def faulty(state, spec=None):
-        grid, (a, b) = state
-        return gamma((grid, (grid.q_perp * a, b)), spec)
+    def faulty(grid, f_samples, spec=None):
+        if isinstance(f_samples, tuple):
+            a, b = f_samples
+            f_samples = (grid.q_perp * a, b)
+        return evaluate(grid, f_samples, spec)
 
-    monkeypatch.setattr(variational, "rayleigh_gamma", faulty)
+    monkeypatch.setattr(variational, "evaluate_state", faulty)
 
 
 def _full_planar_axis_weight(monkeypatch, results):
@@ -214,7 +216,7 @@ PLANTED_FAULTS = {
     "longitudinal gamma(d=0) = 5/2 (shooting)": _stiffer_potential,
     "longitudinal gamma(d=inf) = 1 + sqrt(5)/2 (fd)": _stiffer_potential,
     **{f"closed-form eigenfunction residual: {label}": _stiffer_potential
-       for label in ("spin0 d=0", "spin0 d=inf", "spin1 d=0", "spin1 d=inf")},
+       for label in ("spin0 d=0", "spin0 d=inf", "spin1 d=0")},
     "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
     "separation oracle (planar level 2 + line level 1/2) = 5/2": _full_planar_axis_weight,
     "closed-form minimizer readings recorded": _squared_transverse_prefactor,
@@ -279,7 +281,7 @@ def test_single_row_builds_its_own_scan(name, scan_calls):
 # ----------------------------------------------------------------------
 
 def _assert_endpoint_by_both_routes(sweep_curves, spin, d, exact):
-    point = next(p for p in sweep_curves[spin].points if p.d == d)
+    point = next(p for p in sweep_curves[spin] if p.d == d)
     assert abs(point.gamma - exact) <= GOLD_TOL, point
     assert abs(point.gamma_fd - exact) <= GOLD_TOL, point
 
@@ -323,7 +325,7 @@ def test_criterion_10_figure_data_emission(tmp_path, sweep_curves):
     # golden curve: frozen values, plus two-resolution agreement at the
     # intermediate d where no closed form exists
     for spin, curve in sweep_curves.items():
-        for p in curve.points:
+        for p in curve:
             assert abs(p.gamma - GOLDEN_GAMMAS[(spin, p.d)]) <= 1e-6, (spin, p.d)
     for spin, mk in ((0, spec_spin0), (1, spec_spin1)):
         for d in (0.5, 1.0, 2.0):

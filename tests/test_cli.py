@@ -27,6 +27,9 @@ def read(path):
 class TestParsing:
     def test_d_list(self):
         assert parse_d_list("0,0.5,inf") == [0.0, 0.5, math.inf]
+        # -0 enters as +0, so no d column prints a signed zero
+        for text in ("-0", "-0.0", "-0,1"):
+            assert math.copysign(1.0, parse_d_list(text)[0]) == 1.0, text
         for text in ("-1", "nan", "0,nan"):
             with pytest.raises(Exception):
                 parse_d_list(text)
@@ -228,6 +231,13 @@ class TestGamma:
         assert payload["channel"] == "longitudinal"
         assert payload["points"][0]["gamma"] == pytest.approx(2.5, abs=1e-5)
 
+    def test_negative_zero_prints_as_zero(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(["gamma", "--spin", "0", "--d=-0", "--grid-n", "2000",
+                    "--format", "json", "--out", str(out)]) == 0
+        text = read(out)
+        assert '"d": 0.0,' in text and '"d": -0.0' not in text
+
     def test_two_point_sweep_values(self, tmp_path):
         out = tmp_path / "g.csv"
         code = run(["gamma", "--spin", "0", "--d", "0,0.5", "--grid-n", "4000",
@@ -271,7 +281,7 @@ class TestVerify:
         lines = out.splitlines()
         checks = [line for line in lines if line.startswith("[")]
         assert checks and all(line.startswith("[PASS]") for line in checks)
-        assert lines[-1] == "22/22 checks passed"
+        assert lines[-1] == "21/21 checks passed"
         for fragment in ("scalar gamma(d=0) =", "scalar gamma(d=inf) =",
                          "longitudinal gamma(d=0) =", "longitudinal gamma(d=inf) ="):
             hits = [line for line in checks if fragment in line]
@@ -286,11 +296,11 @@ class TestVerify:
         # coarse solver grid leaves them as they read at the default one
         assert run(["verify", "--grid-n", "2000"]) == 0
         coarse = capsys.readouterr().out.splitlines()
-        assert coarse[-1] == "22/22 checks passed"
+        assert coarse[-1] == "21/21 checks passed"
         assert run(["verify"]) == 0
         default = capsys.readouterr().out.splitlines()
         residual = [i for i, line in enumerate(default) if "closed-form eigenfunction" in line]
-        assert len(residual) == 4
+        assert len(residual) == 3
         assert [coarse[i] for i in residual] == [default[i] for i in residual]
 
 

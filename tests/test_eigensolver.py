@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import relbosons.eigensolver as es
-from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid,
-                                   analytic_cases, expectation_q2, gamma_curve,
-                                   solve_ground_fd, solve_ground_shooting,
-                                   verify_analytic_limits)
+from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid, analytic_cases,
+                                   closed_form_residual, expectation_q2, gamma_curve,
+                                   solve_ground_fd, solve_ground_shooting)
 from relbosons.numkernel import BracketError
-from relbosons.potentials import (INFINITY, effective_potential, origin_behavior,
-                                  spec_spin0, spec_spin1)
+from relbosons.potentials import (INFINITY, effective_potential, limit_profile,
+                                  origin_behavior, spec_spin0, spec_spin1)
 
 
 def log_nodes(grid):
@@ -72,7 +71,7 @@ class TestShooting:
         q, h = log_nodes(grid)
         W = effective_potential(q, spec)
         im = int(np.searchsorted(q, 1.0))
-        lam = solve_ground_fd(spec, grid).lam + 0.01
+        lam = 2.0 * solve_ground_fd(spec, grid).gamma + 0.01
         g, uL, uR = es._numerov_mismatch(es._shooting_head(spec, q), q, h, lam, W, im)
         refL, refR = reference_sweeps(spec, grid, lam, W, im)
         assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
@@ -94,9 +93,11 @@ class TestShooting:
         res = solve_ground_shooting(spec_spin0(1.0))
         lo, hi = res.meta["bracket"]
         # zeroin's stopping width is xtol + 4 eps |lam|
-        assert lo <= res.lam <= hi
-        assert hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * res.lam
-        assert 0 < res.meta["brent_iterations"] < res.meta["mismatch_evaluations"] <= 20
+        lam = 2.0 * res.gamma
+        assert lo <= lam <= hi
+        assert hi - lo <= 1e-10 + 4.0 * np.finfo(float).eps * lam
+        # the two bracket ends and at least one step inside
+        assert 2 < res.meta["mismatch_evaluations"] <= 20
 
     @pytest.mark.parametrize("d", [0.0, 1.0, 32.0])
     def test_root_sweeps_reused(self, monkeypatch, d):
@@ -127,9 +128,10 @@ class TestShooting:
         except RuntimeError:
             return  # the root search's iteration cap
         lo, hi = res.meta["bracket"]
-        assert lo <= res.lam <= hi
+        lam = 2.0 * res.gamma
+        assert lo <= lam <= hi
         # zeroin stops at a relative width of 4 eps: the double floor
-        assert hi - lo <= 4.0 * np.finfo(float).eps * res.lam
+        assert hi - lo <= 4.0 * np.finfo(float).eps * lam
 
     def test_nonconvergence_propagates(self, monkeypatch):
         monkeypatch.setattr(es, "find_root", functools.partial(es.find_root, max_iter=2))
@@ -153,7 +155,8 @@ class TestShooting:
                                                     solve_ground_fd(mk(INFINITY, l)).gamma))
             assert (lo, hi) == pytest.approx((ends[0] - 0.05, ends[1] + 0.05), abs=1e-5)
             for d in (0.5, 4.0, 64.0):
-                assert lo + 0.05 - 1e-9 < solve_ground_shooting(mk(d, l)).lam < hi - 0.05 + 1e-9
+                lam = 2.0 * solve_ground_shooting(mk(d, l)).gamma
+                assert lo + 0.05 - 1e-9 < lam < hi - 0.05 + 1e-9
 
 
 class TestFdMatrix:
@@ -176,9 +179,9 @@ class TestFdMatrix:
 
     def test_richardson_metadata(self):
         res = solve_ground_fd(spec_spin0(0.0))
-        assert set(res.meta) >= {"lambda_h", "lambda_h_half", "richardson"}
+        assert set(res.meta) >= {"lambda_h", "lambda_h_half"}
         # Richardson beats both raw resolutions against the exact level
-        assert abs(res.meta["richardson"] - 3.0) < abs(res.meta["lambda_h"] - 3.0)
+        assert abs(2.0 * res.gamma - 3.0) < abs(res.meta["lambda_h"] - 3.0)
 
     @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
     def test_ladder_work(self, mk):
@@ -194,19 +197,19 @@ class TestFdMatrix:
 
 class TestGammaCurve:
     def test_scalar_endpoints(self, sweep_curves):
-        pts = {p.d: p for p in sweep_curves[0].points}
+        pts = {p.d: p for p in sweep_curves[0]}
         assert pts[0.0].gamma == pytest.approx(1.5, abs=1e-6)
         assert pts[INFINITY].gamma == pytest.approx(GOLDEN_GAMMA, abs=1e-6)
 
     def test_longitudinal_endpoints(self, sweep_curves):
-        pts = {p.d: p for p in sweep_curves[1].points}
+        pts = {p.d: p for p in sweep_curves[1]}
         assert pts[0.0].gamma == pytest.approx(2.5, abs=1e-6)
         assert pts[INFINITY].gamma == pytest.approx(GOLDEN_GAMMA, abs=1e-6)
 
     def test_interval_bounds(self, sweep_curves):
-        for p in sweep_curves[0].points:
+        for p in sweep_curves[0]:
             assert 1.5 - 1e-9 <= p.gamma <= GOLDEN_GAMMA + 1e-9
-        for p in sweep_curves[1].points:
+        for p in sweep_curves[1]:
             assert GOLDEN_GAMMA - 1e-9 <= p.gamma <= 2.5 + 1e-9
 
     @pytest.mark.parametrize("spin", [0, 1])
@@ -219,8 +222,8 @@ class TestGammaCurve:
                     100.0, 300.0, 1000.0, 1e4, INFINITY]
         curve = gamma_curve(spec_spin0(0.0) if spin == 0 else spec_spin1(0.0),
                             d_values)
-        assert curve.all_ok, [p.message for p in curve.points if not p.ok]
-        gammas = np.array([p.gamma for p in curve.points])
+        assert all(p.ok for p in curve), [p.message for p in curve if not p.ok]
+        gammas = np.array([p.gamma for p in curve])
         steps = np.diff(gammas) if spin == 0 else -np.diff(gammas)
         assert np.all(steps > 0)
         lo, hi = (1.5, GOLDEN_GAMMA) if spin == 0 else (GOLDEN_GAMMA, 2.5)
@@ -228,7 +231,7 @@ class TestGammaCurve:
 
     def test_two_method_agreement(self, sweep_curves):
         for curve in sweep_curves.values():
-            for p in curve.points:
+            for p in curve:
                 assert p.ok
                 assert abs(p.gamma - p.gamma_fd) <= 1e-6
 
@@ -241,9 +244,8 @@ class TestGammaCurve:
             return res
 
         monkeypatch.setattr(es, "solve_ground_fd", shifted_fd)
-        curve = gamma_curve(spec_spin0(0.0), [0.0], grid=RadialGrid(n=4000))
-        (p,) = curve.points
-        assert not curve.all_ok and not p.ok
+        (p,) = gamma_curve(spec_spin0(0.0), [0.0], grid=RadialGrid(n=4000))
+        assert not p.ok
         assert f"{p.gamma:.12g}" in p.message
         assert f"{p.gamma_fd:.12g}" in p.message
 
@@ -252,10 +254,9 @@ class TestGammaCurve:
         # on its own, and the sweep still returns both of them
         curve = gamma_curve(spec_spin0(0.0), [0.0, 1.0],
                             grid=RadialGrid(q_max=4.0, n=2000))
-        assert [p.d for p in curve.points] == [0.0, 1.0]
-        for p in curve.points:
+        assert [p.d for p in curve] == [0.0, 1.0]
+        for p in curve:
             assert not p.ok and "q_max" in p.message
-        assert not curve.all_ok
 
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
@@ -273,10 +274,19 @@ class TestGammaCurve:
 
 class TestAnalyticLimits:
     def test_residuals_decrease_at_order_h2(self):
-        coarse = verify_analytic_limits(n=4000)
-        fine = verify_analytic_limits(n=8000)
-        for label in coarse:
-            assert coarse[label] / fine[label] >= 3.0
+        for case in analytic_cases():
+            coarse, fine = closed_form_residual(case, 4000), closed_form_residual(case, 8000)
+            assert coarse / fine >= 3.0, case.label
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_massless_limit_is_spin_independent(self, l):
+        # analytic_cases lists d = inf once: W, its ground state and the
+        # origin behavior are the same problem for either spin
+        q = np.linspace(0.01, 12.0, 1200)
+        s0, s1 = spec_spin0(INFINITY, l), spec_spin1(INFINITY, l)
+        assert np.array_equal(effective_potential(q, s0), effective_potential(q, s1))
+        assert np.array_equal(limit_profile(q, s0), limit_profile(q, s1))
+        assert origin_behavior(s0) == origin_behavior(s1)
 
     def test_gamma_h2_convergence(self):
         # eigenvalue error falls ~4x per refinement for the closed forms
@@ -299,7 +309,7 @@ class TestInvariants:
 
     def test_scaling_balance_at_limit_cases(self):
         # <q^2> = gamma holds exactly where the non-oscillator part of W
-        # is homogeneous of degree -2: the four d in {0, inf} cases
+        # is homogeneous of degree -2: the d in {0, inf} cases
         for case in analytic_cases():
             res = solve_ground_shooting(case.spec)
             assert expectation_q2(res) == pytest.approx(res.gamma, abs=1e-5)

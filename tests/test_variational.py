@@ -14,7 +14,7 @@ from relbosons.variational import (CylindricalGrid, DivergentWeightError,
                                    dispersion_pair, euler_lagrange_residual,
                                    evaluate_state, minimize_transverse_massless,
                                    norm_and_dp2, position_dispersion_momentum,
-                                   rayleigh_gamma, rescaled_profile, separation_oracle,
+                                   rescaled_profile, separation_oracle,
                                    _lowest_mode, _moments, _TransverseOperator)
 
 
@@ -98,7 +98,7 @@ class TestDispersionPair:
         f = grid.q_perp * np.exp(-grid.q_perp**2 / 2.0), np.exp(-grid.q_z**2 / 2.0)
         dq2, drq2 = dense_dispersion_pair(grid, f)
         assert dispersion_pair((grid, f)) == pytest.approx((dq2, drq2), rel=1e-14)
-        assert rayleigh_gamma((grid, f)) == pytest.approx(2.5, abs=1e-3)
+        assert evaluate_state(grid, f).gamma == pytest.approx(2.5, abs=1e-3)
 
     @pytest.mark.parametrize("trial", ["gaussian", "minimizer"])
     def test_row_reductions_match_dense_reference(self, trial, transverse_state):
@@ -136,8 +136,7 @@ class TestDispersionPair:
         # a cylindrical state is a factor pair; its outer product is refused
         grid = CylindricalGrid(q_max=4.0, step=0.1)
         f = np.outer(*wrong_width_gaussian(grid))
-        for evaluate in (dispersion_pair, rayleigh_gamma,
-                         lambda state: evaluate_state(*state)):
+        for evaluate in (dispersion_pair, lambda state: evaluate_state(*state)):
             with pytest.raises(ValueError, match="factor pair"):
                 evaluate((grid, f))
 
@@ -153,8 +152,8 @@ class TestDispersionPair:
     def test_excited_trial_exceeds_bound(self):
         grid = RadialMomentumGrid()
         q = grid.q
-        gam = rayleigh_gamma((grid, (1.0 + q * q) * np.exp(-q * q / 2)),
-                             spec_spin0(0.0))
+        gam = evaluate_state(grid, (1.0 + q * q) * np.exp(-q * q / 2),
+                             spec_spin0(0.0)).gamma
         assert gam > 1.5
 
     def test_geometry_mismatch_rejected(self):
@@ -179,9 +178,9 @@ class TestScaleInvariance:
         base = lambda s: (s * q) ** a * (1.0 + (s * q) ** 2) * np.exp(
             -((s * q) ** 2) / 2.0)
         spec = spec_spin0(d)
-        g1 = rayleigh_gamma((grid, base(1.0)), spec)
+        g1 = evaluate_state(grid, base(1.0), spec).gamma
         for s in (0.8, 1.25):
-            gs = rayleigh_gamma((grid, base(s)), spec)
+            gs = evaluate_state(grid, base(s), spec).gamma
             assert abs(gs - g1) <= 1e-8 * g1
 
     def test_grid_equivariance_transverse(self):
@@ -192,8 +191,8 @@ class TestScaleInvariance:
         f1 = wrong_width_gaussian(g1)
         qp, qz = g2.q_perp / s, g2.q_z / s
         f2 = (qp / s) * np.exp(-qp**2) * s, np.exp(-qz**2)  # same shape function
-        gam1 = rayleigh_gamma((g1, f1))
-        gam2 = rayleigh_gamma((g2, f2))
+        gam1 = evaluate_state(g1, f1).gamma
+        gam2 = evaluate_state(g2, f2).gamma
         assert gam2 == pytest.approx(gam1, rel=1e-12)
 
     def test_scale_dependence_at_finite_d(self):
@@ -201,8 +200,8 @@ class TestScaleInvariance:
         grid = RadialMomentumGrid()
         q = grid.q
         spec = spec_spin0(1.0)
-        g1 = rayleigh_gamma((grid, np.exp(-q * q / 2.0)), spec)
-        g2 = rayleigh_gamma((grid, np.exp(-(2.0 * q) ** 2 / 2.0)), spec)
+        g1 = evaluate_state(grid, np.exp(-q * q / 2.0), spec).gamma
+        g2 = evaluate_state(grid, np.exp(-(2.0 * q) ** 2 / 2.0), spec).gamma
         assert abs(g2 - g1) > 1e-3
 
 
@@ -214,7 +213,7 @@ class TestVariationalBound:
         trials = [np.exp(-q * q / 4.0), (1.0 + q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 1.7), np.exp(-q) * q]
         for f in trials:
-            assert rayleigh_gamma((grid, f), spec) >= 1.5 - 1e-6
+            assert evaluate_state(grid, f, spec).gamma >= 1.5 - 1e-6
 
     def test_massless_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
@@ -225,7 +224,7 @@ class TestVariationalBound:
                   q**a * (1.0 + 0.5 * q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 2.0)]
         for f in trials:
-            assert rayleigh_gamma((grid, f), spec) >= GOLDEN_GAMMA - 1e-6
+            assert evaluate_state(grid, f, spec).gamma >= GOLDEN_GAMMA - 1e-6
 
     def test_longitudinal_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
@@ -233,7 +232,7 @@ class TestVariationalBound:
         spec = spec_spin1(0.0)
         for f in (q * np.exp(-q * q / 2.0), q * np.exp(-q * q / 3.0),
                   q * (1.0 + q) * np.exp(-q * q / 2.0)):
-            assert rayleigh_gamma((grid, f), spec) >= 2.5 - 1e-6
+            assert evaluate_state(grid, f, spec).gamma >= 2.5 - 1e-6
 
 
 class TestCrossModule:
@@ -342,7 +341,7 @@ class TestTransverseMinimization:
         assert abs(dq2 - drq2) <= 1e-12 * max(dq2, drq2)
         grid = CylindricalGrid()
         a, b, _ = _lowest_mode(grid)
-        unbalanced = rayleigh_gamma((grid, (a, b)))
+        unbalanced = evaluate_state(grid, (a, b)).gamma
         assert transverse_state.gamma == pytest.approx(unbalanced, abs=1e-14)
         dense = math.sqrt(np.prod(dense_dispersion_pair(grid, (a, b))))
         assert unbalanced == pytest.approx(dense, rel=1e-14)
