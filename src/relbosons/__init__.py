@@ -30,7 +30,7 @@ _EXPORTS = {
                      "energy_density", "field_sample", "demo_packet", "scan_density",
                      "total_charge"), "kg_fields"),
     **dict.fromkeys(("BracketError", "MinimizationError", "QuadratureError",
-                     "TridiagProblem", "tridiag_ground"), "numkernel"),
+                     "tridiag_ground"), "numkernel"),
     **dict.fromkeys(("INFINITY", "OriginBehavior", "PotentialSpec", "d_parameter",
                      "effective_potential", "origin_behavior", "spec_spin0",
                      "spec_spin1"), "potentials"),

@@ -188,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens.add_argument("--dr", type=parse_positive, default=0.01)
     p_dens.add_argument("--profile", choices=["cosine", "gaussian"], default="cosine",
                         help="spectral profile f(p)")
-    p_dens.add_argument("--sigma", type=parse_positive, default=1.0,
-                        help="width of the gaussian profile")
+    p_dens.add_argument("--sigma", type=parse_positive, default=None,
+                        help="width of the gaussian profile (default 1)")
     p_dens.add_argument("--out", required=True, help="CSV output (r,rho,eps)")
     p_dens.add_argument("--map-out", default="", help="planar map CSV (x,z,rho)")
-    p_dens.add_argument("--map-n", type=parse_map_n, default=121,
-                        help="points per axis of the planar map")
+    p_dens.add_argument("--map-n", type=parse_map_n, default=None,
+                        help="points per axis of the planar map (default 121)")
     p_dens.add_argument("--shells-out", default="",
                         help="negative-shell JSON ([{r_min,r_max,rho_min}])")
 
@@ -239,17 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_density(args) -> int:
     from . import kg_fields
 
+    if args.sigma is not None and args.profile != "gaussian":
+        raise ValueError(f"--sigma applies only to --profile gaussian, not {args.profile}")
+    if args.map_n is not None and not args.map_out:
+        raise ValueError("--map-n applies only to the planar map of --map-out")
     if args.profile == "cosine":
         profile = kg_fields.CosineProfile(args.m)
     else:
-        profile = kg_fields.GaussianProfile(args.sigma)
+        profile = kg_fields.GaussianProfile(args.sigma or 1.0)
     params = kg_fields.WavepacketParams(args.m, args.a, args.t, profile)
     radii = kg_fields.default_radii(args.rmax, args.dr)
     fieldmap = kg_fields.scan_density(params, radii)
     write_csv(args.out, ["r", "rho", "eps"],
               zip(fieldmap.radii, fieldmap.rho, fieldmap.eps))
     if args.map_out:
-        x, z, rho = kg_fields.planar_map(fieldmap, args.map_n)
+        x, z, rho = kg_fields.planar_map(fieldmap, args.map_n or 121)
         write_grid_csv(args.map_out, ["x", "z", "rho"], x, z, rho)
     if args.shells_out:
         atomic_write(args.shells_out, kg_fields.shells_json(fieldmap) + "\n")

@@ -45,6 +45,8 @@ ALPHA_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))        # origin exponent at d = inf
 SHOOTING_Q_LO = 1e-7
 # shooting and FD must agree this closely at every point of a gamma sweep
 CROSS_METHOD_TOL = 1e-6
+# the bracket width at which the shooting root search stops (plus 4 eps lam)
+_SHOOTING_XTOL = 1e-10
 # the shooting bracket extends the two limit levels by this much: the
 # discrete root can sit just outside an exact endpoint
 _BRACKET_MARGIN = 0.05
@@ -79,7 +81,6 @@ class EigenResult:
     gamma: float
     q_samples: np.ndarray
     u_samples: np.ndarray
-    residual: float
     meta: dict = field(default_factory=dict)
 
 
@@ -87,22 +88,21 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
     """Lowest eigenvalue via the finite-difference matrix.
 
     The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is half the
-    Richardson extrapolation of the h and h/2 levels; both raw levels
-    are kept in ``meta``, with the inverse iterations and factorizations
-    of the (coarse, h, h/2) ladder of
-    :func:`relbosons.numkernel.richardson_ground`.  ``u_samples``
-    (sum(u^2) h = 1) and ``residual`` (||T v - lam_h v||_2, v unit) come
-    from the step-h kernel solve.
+    Richardson extrapolation of the h and h/2 levels of
+    :func:`relbosons.numkernel.richardson_ground`.  ``meta`` keeps both
+    raw levels (``lambda_h``, ``lambda_h_half``) and the inverse
+    iterations and factorizations of its (coarse, h, h/2) eigenpairs.
+    ``u_samples`` (sum(u^2) h = 1) is the step-h kernel vector.
     """
     level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
                               grid.q_max, grid.n)
+    solves = (level.coarse, level.ground, level.fine)
+    meta = {"lambda_h": level.ground.value, "lambda_h_half": level.fine.value,
+            "inverse_iterations": tuple(s.iterations for s in solves),
+            "factorizations": tuple(s.factorizations for s in solves)}
     # with the first wall at 0, the first interior node is the step h
-    ground, h = level.ground, level.nodes[0]
-    meta = {"lambda_h": ground.value, "lambda_h_half": level.lam_h_half,
-            "inverse_iterations": level.iterations,
-            "factorizations": level.factorizations}
-    return EigenResult(level.value / 2.0, level.nodes, ground.vector / math.sqrt(h),
-                       ground.residual, meta)
+    return EigenResult(level.value / 2.0, level.nodes,
+                       level.ground.vector / math.sqrt(level.nodes[0]), meta)
 
 
 def _numerov_sweep(T: np.ndarray, f: float, u0: float, u1: float) -> np.ndarray:
@@ -169,19 +169,17 @@ def limit_bracket(spec: PotentialSpec) -> tuple:
     return min(levels) - _BRACKET_MARGIN, max(levels) + _BRACKET_MARGIN
 
 
-def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
-                          tol: float = 1e-10) -> EigenResult:
+def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> EigenResult:
     """Ground state by bidirectional Numerov shooting in x = ln q.
 
     The sweeps of :func:`_numerov_mismatch` run on ``grid.n`` nodes uniform
     in x from ``SHOOTING_Q_LO`` to ``grid.q_max``; lam is the root of their
     mismatch, found by Brent's zeroin (:func:`relbosons.numkernel.find_root`
-    with ``xtol=tol``) on the closed-form bracket of :func:`limit_bracket`.
-    ``u_samples`` = sqrt(q) v on those nodes, with int u^2 dq =
-    sum(q^2 v^2) dx = 1.  ``residual`` is the three-point defect of v in
-    x, the check's own O(dx^2) truncation rather than the error of lam.
-    ``meta`` records the number of Numerov mismatch evaluations and the
-    final sign-change bracket, the tightest among them.
+    with ``xtol=_SHOOTING_XTOL``) on the closed-form bracket of
+    :func:`limit_bracket`.  ``u_samples`` = sqrt(q) v on those nodes, with
+    int u^2 dq = sum(q^2 v^2) dx = 1.  ``meta`` records the number of
+    Numerov mismatch evaluations and the final sign-change bracket, the
+    tightest among them.
     The sweeps of the evaluation with the smallest |mismatch| are kept; when
     that evaluation is the root, ``u_samples`` is built from them, with no
     further sweep.
@@ -194,8 +192,6 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     RuntimeError
         If the root search reaches its iteration cap.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x = np.linspace(math.log(SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
     step = x[1] - x[0]
     q = np.exp(x)
@@ -222,7 +218,7 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
         return g
 
     try:
-        root = find_root(mismatch, lo, hi, tol)
+        root = find_root(mismatch, lo, hi, _SHOOTING_XTOL)
     except BracketError as exc:
         raise BracketError(f"mismatch: {exc} for {spec}; lam(d) must lie between "
                            "its d = 0 and d = inf levels") from None
@@ -235,11 +231,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     v /= math.sqrt(np.sum(q * q * v * v) * step)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
-
-    resid = _discrete_residual(x, v, q * q * (W - lam) + 0.25, lam)
-    meta = {"bracket": root.bracket, "mismatch_evaluations": root.evaluations,
-            "q_match": q[im]}
-    return EigenResult(lam / 2.0, q, np.sqrt(q) * v, resid, meta)
+    meta = {"bracket": root.bracket, "mismatch_evaluations": root.evaluations}
+    return EigenResult(lam / 2.0, q, np.sqrt(q) * v, meta)
 
 
 def _discrete_residual(nodes, y, T, lam) -> float:
@@ -252,22 +245,31 @@ def _discrete_residual(nodes, y, T, lam) -> float:
 
 @dataclass
 class GammaPoint:
+    """gamma at one d by shooting and by FD; ``residual`` is their gap, gated
+    at ``CROSS_METHOD_TOL``, and the point is ``ok`` without a ``message``."""
+
     d: float
     gamma: float = math.nan
-    residual: float = math.nan
     gamma_fd: float = math.nan
-    ok: bool = True
     message: str = ""
+
+    @property
+    def residual(self) -> float:
+        return abs(self.gamma - self.gamma_fd)
+
+    @property
+    def ok(self) -> bool:
+        return not self.message
 
 
 def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
                 grid: RadialGrid = RadialGrid()) -> list:
     """gamma(d) for a family of potentials, shooting with FD cross-check.
 
-    Each point records gamma from shooting, the Richardson FD value, and
-    their difference as the per-point residual.  A point whose two
-    values differ by more than ``CROSS_METHOD_TOL`` is marked failed.
-    Failures are recorded per point and the sweep continues; returns the
+    Each point records gamma from shooting and the Richardson FD value.  A
+    point whose two values differ by more than ``CROSS_METHOD_TOL``, or
+    whose solve raises, is marked failed with a message.  Failures are
+    recorded per point and the sweep continues; returns the
     :class:`GammaPoint` list ordered by d.
     """
     ds = list(d_values)
@@ -280,12 +282,12 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
             fd = solve_ground_fd(spec, grid).gamma
             sh = solve_ground_shooting(spec, grid).gamma
         except Exception as exc:  # recorded, sweep continues
-            return GammaPoint(d, ok=False, message=str(exc))
-        residual = abs(sh - fd)
-        message = "" if residual <= CROSS_METHOD_TOL else (
-            f"shooting gamma {sh:.12g} and FD gamma {fd:.12g} differ by "
-            f"{residual:.3e} > {CROSS_METHOD_TOL:g}")
-        return GammaPoint(d, sh, residual, fd, not message, message)
+            return GammaPoint(d, message=str(exc) or type(exc).__name__)
+        point = GammaPoint(d, sh, fd)
+        if not point.residual <= CROSS_METHOD_TOL:
+            point.message = (f"shooting gamma {sh:.12g} and FD gamma {fd:.12g} differ by "
+                             f"{point.residual:.3e} > {CROSS_METHOD_TOL:g}")
+        return point
 
     return sorted((solve_one(d) for d in ds), key=lambda p: p.d)
 

@@ -85,20 +85,8 @@ def radial_rule(p_max: float) -> tuple:
 # symmetric tridiagonal ground level
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TridiagProblem:
-    """Symmetric tridiagonal matrix by its diagonal and off-diagonal."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.off_diagonal, dtype=float)
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "off_diagonal", e)
-        if len(e) != len(d) - 1:
-            raise ValueError("off_diagonal must be one shorter than diagonal")
+# the iteration cap of tridiag_ground; the ladder's levels take one or two
+_MAX_INVERSE_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -126,9 +114,11 @@ def tridiag_matvec(diagonal, off_diagonal, v) -> np.ndarray:
     return r
 
 
-def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
-                   max_iter: int = 50, start: Optional[np.ndarray] = None) -> EigenPair:
-    """Lowest eigenpair by shifted inverse iteration on L D L^T factors.
+def tridiag_ground(diagonal, off_diagonal, shift: Optional[float] = None,
+                   start: Optional[np.ndarray] = None) -> EigenPair:
+    """Lowest eigenpair of the symmetric tridiagonal T (``diagonal``, and
+    ``off_diagonal`` one entry shorter) by shifted inverse iteration on
+    L D L^T factors.
 
     Each iteration solves (T - sigma I) y = v by LAPACK ``dpttrf``/``dpttrs``
     (v = ``start`` at first, else 1), normalizes v = y / ||y|| (largest
@@ -146,15 +136,18 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
 
     Raises
     ------
+    ValueError
+        If the lengths or ``start`` are not as stated.
     MinimizationError
-        After ``max_iter`` iterations above that tolerance, with the last
-        vector and residual.
+        After ``_MAX_INVERSE_ITERATIONS`` iterations above that tolerance,
+        with the last vector and residual.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    d, e = problem.diagonal, problem.off_diagonal
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(off_diagonal, dtype=float)
+    if len(e) != len(d) - 1:
+        raise ValueError("off_diagonal must be one shorter than diagonal")
     if start is None:
         v = np.ones_like(d)
     else:
@@ -178,7 +171,7 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
     accepted = ((shift is not None and factor(shift))
                 or factor(float(np.min(d - radius)) - 1e-9 * norm))
     # einsum, not BLAS ddot: OpenBLAS threads it above 1e4 entries for no wall-time gain
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_INVERSE_ITERATIONS + 1):
         sigma, df, ef = accepted
         v = dpttrs(df, ef, v)[0]
         v /= math.sqrt(np.einsum("i,i", v, v))
@@ -192,33 +185,29 @@ def tridiag_ground(problem: TridiagProblem, shift: Optional[float] = None,
         if mu - res > sigma:
             accepted = factor(mu - res) or accepted
     raise MinimizationError(
-        f"inverse iteration: no convergence in {max_iter} iterations "
+        f"inverse iteration: no convergence in {_MAX_INVERSE_ITERATIONS} iterations "
         f"(residual {res:.3e} > tol {tol:.1e}, shift {sigma:.15g})", v, res)
 
 
 def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tuple:
-    """(matrix, interior nodes) of the three-point -u'' + V u on n uniform
-    nodes of [lo, hi] with u = 0 at both ends."""
+    """(diagonal, off-diagonal, interior nodes) of the three-point -u'' + V u
+    on n uniform nodes of [lo, hi] with u = 0 at both ends."""
     q = np.linspace(lo, hi, n)
     h = q[1] - q[0]
     qi = q[1:-1]
-    return TridiagProblem(2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2)), qi
+    return 2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2), qi
 
 
 @dataclass(frozen=True)
 class RichardsonLevel:
-    """Lowest Dirichlet level at steps h and h/2 and their extrapolation.
-
-    ``iterations`` and ``factorizations`` count the inverse iterations and
-    shifted factorizations of the (coarse, h, h/2) solves.
-    """
+    """The extrapolated level ``value``, the step-h interior ``nodes`` and
+    the ladder's eigenpairs: ``coarse``, ``ground`` (step h), ``fine`` (h/2)."""
 
     value: float
-    lam_h_half: float
-    ground: EigenPair        # the step-h eigenpair, value lam_h
-    nodes: np.ndarray        # the step-h interior nodes
-    iterations: tuple
-    factorizations: tuple
+    nodes: np.ndarray
+    coarse: EigenPair
+    ground: EigenPair
+    fine: EigenPair
 
 
 def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
@@ -237,22 +226,20 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
     start; a shift not below the level's lam_0 fails to factor and falls
     back to the Gershgorin bound.
     """
-    coarse_prob, coarse_nodes = dirichlet_problem(potential, lo, hi, max(4, (n - 1) // 32 + 1))
-    coarse = tridiag_ground(coarse_prob)
-    prob, nodes = dirichlet_problem(potential, lo, hi, n)
+    d, e, coarse_nodes = dirichlet_problem(potential, lo, hi, max(4, (n - 1) // 32 + 1))
+    coarse = tridiag_ground(d, e)
+    d, e, nodes = dirichlet_problem(potential, lo, hi, n)
     start = np.interp(nodes, np.concatenate(([lo], coarse_nodes, [hi])),
                       np.concatenate(([0.0], coarse.vector, [0.0])))
-    ground = tridiag_ground(prob, shift=coarse.value, start=start)
-    fine_prob, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
+    ground = tridiag_ground(d, e, shift=coarse.value, start=start)
+    d, e, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
     walled = np.concatenate(([0.0], ground.vector, [0.0]))
-    start = np.empty(len(fine_prob.diagonal))
+    start = np.empty(len(d))
     start[0::2] = 0.5 * (walled[:-1] + walled[1:])
     start[1::2] = ground.vector
-    fine = tridiag_ground(fine_prob, shift=ground.value, start=start)
-    solves = (coarse, ground, fine)
-    return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, fine.value, ground,
-                           nodes, tuple(s.iterations for s in solves),
-                           tuple(s.factorizations for s in solves))
+    fine = tridiag_ground(d, e, shift=ground.value, start=start)
+    return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, nodes,
+                           coarse, ground, fine)
 
 
 # ----------------------------------------------------------------------

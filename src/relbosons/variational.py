@@ -281,9 +281,8 @@ def _lowest_mode(grid: CylindricalGrid):
     Both are normalized: sum_i w_i a_i^2 = sum_j b_j^2 = 1.
     """
     op = _TransverseOperator(grid)
-    perp = numkernel.tridiag_ground(numkernel.TridiagProblem(op.d_perp, op.e_perp))
-    along = numkernel.tridiag_ground(
-        numkernel.TridiagProblem(op.d_z, np.full(len(op.d_z) - 1, op.e_z)))
+    perp = numkernel.tridiag_ground(op.d_perp, op.e_perp)
+    along = numkernel.tridiag_ground(op.d_z, np.full(len(op.d_z) - 1, op.e_z))
     lam = perp.value + along.value
     # With unit p, z and their residuals r = (T - mu) v:
     # (T_perp (x) I + I (x) T_z - lam)(p (x) z) = r_perp (x) z + p (x) r_z.

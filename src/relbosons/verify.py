@@ -192,8 +192,8 @@ def _readings(run):
 
 CHECKS = [
     Check("tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
-          lambda run: _show("lambda0 = {:.8f}", tridiag_ground(dirichlet_problem(
-              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[0]).value),
+          lambda run: _show("lambda0 = {:.8f}", tridiag_ground(*dirichlet_problem(
+              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[:2]).value),
           (Target(2.0 + math.sqrt(5.0), 1e-4),)),
     Check("longitudinal W(1; d=0) = 3",
           lambda run: _show("W = {:.14f}",

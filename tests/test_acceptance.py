@@ -115,10 +115,9 @@ def _fencepost_dirichlet_step(monkeypatch, results):
     # nodes linspace(lo, hi, n), spaced (hi - lo) / (n - 1), while the
     # stencil divides by the step (hi - lo) / n
     def faulty(potential, lo, hi, n):
-        nodes = numkernel.dirichlet_problem(potential, lo, hi, n)[1]
+        nodes = numkernel.dirichlet_problem(potential, lo, hi, n)[2]
         h = (hi - lo) / n
-        return numkernel.TridiagProblem(2.0 / h**2 + potential(nodes),
-                                        np.full(n - 3, -1.0 / h**2)), nodes
+        return 2.0 / h**2 + potential(nodes), np.full(n - 3, -1.0 / h**2), nodes
 
     monkeypatch.setattr(verify, "dirichlet_problem", faulty)
 

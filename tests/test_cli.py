@@ -176,6 +176,22 @@ class TestDensity:
         assert code == 0
         assert "no negative charge-density shell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--sigma", "2"], "--sigma"),
+        (["--profile", "cosine", "--sigma", "1"], "--sigma"),
+        (["--map-n", "41"], "--map-n"),
+        (["--profile", "gaussian", "--map-n", "121"], "--map-n"),
+    ])
+    def test_ignored_flags_rejected(self, argv, flag, tmp_path, capsys):
+        # --sigma only shapes the gaussian profile, --map-n only the planar map
+        out, shells = tmp_path / "rho.csv", tmp_path / "shells.json"
+        assert run(["density", "--rmax", "2", "--dr", "0.05", *argv, "--out", str(out),
+                    "--shells-out", str(shells)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"relbosons density: {flag} applies only to ")
+        assert not out.exists()
+        assert not shells.exists()
+
     def test_empty_radius_grid_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "rho.csv"
         assert run(["density", "--rmax", "0.001", "--out", str(out)]) == 1

@@ -11,7 +11,7 @@ import relbosons.eigensolver as es
 from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid, analytic_cases,
                                    closed_form_residual, expectation_q2, gamma_curve,
                                    solve_ground_fd, solve_ground_shooting)
-from relbosons.numkernel import BracketError
+from relbosons.numkernel import BracketError, dirichlet_problem, tridiag_matvec
 from relbosons.potentials import (INFINITY, effective_potential, limit_profile,
                                   origin_behavior, spec_spin0, spec_spin1)
 
@@ -41,6 +41,15 @@ def reference_sweeps(spec, grid, lam, W, im):
     return vL, vR[im - 1:]
 
 
+def shooting_defect(spec, grid):
+    """The three-point defect in x = ln q of the shooting solution v = u / sqrt(q)."""
+    res = solve_ground_shooting(spec, grid)
+    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+    q, lam = res.q_samples, 2.0 * res.gamma
+    T = q * q * (effective_potential(q, spec) - lam) + 0.25
+    return es._discrete_residual(x, res.u_samples / np.sqrt(q), T, lam)
+
+
 class TestShooting:
     def test_ground_state_nodeless(self):
         for spec in (spec_spin0(1.0), spec_spin1(0.5), spec_spin0(INFINITY)):
@@ -56,13 +65,13 @@ class TestShooting:
         assert np.sum(q * res.u_samples**2) * h == pytest.approx(1.0, rel=1e-10)
 
     def test_discrete_residual_at_h2_scale(self):
-        for spec in (spec_spin0(0.0), spec_spin1(1.0), spec_spin0(INFINITY)):
-            res = solve_ground_shooting(spec)
-            assert res.residual <= 1e-5
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_ground_shooting(spec_spin0(0.0), tol=-1.0)
+        # the defect is the three-point check's own O(dx^2) truncation:
+        # small at the default grid, and divided by 4 when dx is halved
+        for spec in (spec_spin0(0.0), spec_spin0(32.0), spec_spin0(INFINITY),
+                     spec_spin1(1.0)):
+            coarse, fine = (shooting_defect(spec, RadialGrid(n=n)) for n in (4000, 8000))
+            assert fine <= 1e-5, spec
+            assert coarse / fine == pytest.approx(4.0, abs=0.1), spec
 
     @pytest.mark.parametrize("spec", [spec_spin0(1.0), spec_spin1(1.0)],
                              ids=["spin0-regular", "spin1-singular"])
@@ -122,9 +131,10 @@ class TestShooting:
         assert res.gamma == root.value / 2.0
         assert np.array_equal(res.u_samples, np.sqrt(q) * v)
 
-    def test_tiny_tolerance_converges_or_raises(self):
+    def test_tiny_tolerance_converges_or_raises(self, monkeypatch):
+        monkeypatch.setattr(es, "_SHOOTING_XTOL", 1e-20)
         try:
-            res = solve_ground_shooting(spec_spin0(1.0), tol=1e-20)
+            res = solve_ground_shooting(spec_spin0(1.0))
         except RuntimeError:
             return  # the root search's iteration cap
         lo, hi = res.meta["bracket"]
@@ -171,11 +181,18 @@ class TestFdMatrix:
         assert abs(fd.gamma - sh.gamma) <= 1e-6
 
     def test_matrix_residual_small(self):
-        res = solve_ground_fd(spec_spin1(2.0))
-        assert res.residual <= 1e-7
+        spec, grid = spec_spin1(2.0), RadialGrid()
+        res = solve_ground_fd(spec, grid)
         # u_samples is the unit kernel vector over sqrt(h): sum(u^2) h = 1
         h = res.q_samples[0]
         assert abs(np.sum(res.u_samples ** 2) * h - 1.0) <= 1e-12
+        # ... and an eigenvector of the step-h matrix at lambda_h
+        diagonal, off_diagonal, nodes = dirichlet_problem(
+            lambda q: effective_potential(q, spec), 0.0, grid.q_max, grid.n)
+        assert np.array_equal(nodes, res.q_samples)
+        v = res.u_samples * math.sqrt(h)
+        r = tridiag_matvec(diagonal, off_diagonal, v) - res.meta["lambda_h"] * v
+        assert np.linalg.norm(r) <= 1e-7
 
     def test_richardson_metadata(self):
         res = solve_ground_fd(spec_spin0(0.0))
@@ -257,6 +274,15 @@ class TestGammaCurve:
         assert [p.d for p in curve] == [0.0, 1.0]
         for p in curve:
             assert not p.ok and "q_max" in p.message
+
+    def test_empty_exception_message_names_the_type(self, monkeypatch):
+        def failing(spec, grid):
+            raise RuntimeError()
+
+        monkeypatch.setattr(es, "solve_ground_fd", failing)
+        (p,) = gamma_curve(spec_spin0(0.0), [1.0])
+        assert not p.ok
+        assert p.message == "RuntimeError"
 
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from relbosons import verify
-from relbosons.numkernel import (BracketError, MinimizationError, TridiagProblem,
-                                 dirichlet_problem, find_root, gauss_legendre,
-                                 radial_rule, richardson_ground, tridiag_ground)
+from relbosons.numkernel import (BracketError, MinimizationError, dirichlet_problem,
+                                 find_root, gauss_legendre, radial_rule,
+                                 richardson_ground, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
 def oscillator_problem(pot, lo, hi, n):
-    return dirichlet_problem(pot, lo, hi, n)[0]
+    """(diagonal, off-diagonal) of the Dirichlet matrix of -u'' + pot u."""
+    return dirichlet_problem(pot, lo, hi, n)[:2]
 
 
 def sturm_count(problem, shift):
@@ -24,8 +25,8 @@ def sturm_count(problem, shift):
     Reference for the kernel's certificate: the negative-pivot count of
     the shifted LDL^T recurrence.
     """
-    d = problem.diagonal
-    e2 = problem.off_diagonal ** 2
+    d, e = problem
+    e2 = e ** 2
     count = 0
     t = d[0] - shift
     if t < 0:
@@ -45,14 +46,15 @@ def stebz_levels(problem, count=1):
     Sturm bisection down to ulp width."""
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(problem.diagonal, problem.off_diagonal, eigvals_only=True,
+    return eigh_tridiagonal(*problem, eigvals_only=True,
                             select="i", select_range=(0, count - 1),
                             lapack_driver="stebz", tol=0.0)
 
 
 def inf_norm(problem):
-    e = np.abs(problem.off_diagonal)
-    return float(np.max(np.abs(problem.diagonal) + np.r_[e, 0.0] + np.r_[0.0, e]))
+    d, e = problem
+    e = np.abs(e)
+    return float(np.max(np.abs(d) + np.r_[e, 0.0] + np.r_[0.0, e]))
 
 
 OSCILLATOR_CASES = [
@@ -123,7 +125,7 @@ class TestTridiagGround:
     @pytest.mark.parametrize("pot,exact,tol", OSCILLATOR_CASES)
     def test_oscillator_ground_levels(self, pot, exact, tol):
         prob = oscillator_problem(pot, 0.0, 20.0, 4000)
-        lam = tridiag_ground(prob).value
+        lam = tridiag_ground(*prob).value
         assert lam == pytest.approx(exact, abs=tol)
 
     @pytest.mark.parametrize("n", [1600, 8000, 15999])
@@ -131,13 +133,13 @@ class TestTridiagGround:
         eps = np.finfo(float).eps
         for pot, hi in REFERENCE_CASES:
             prob = oscillator_problem(pot, 0.0, hi, n)
-            ground = tridiag_ground(prob)
+            ground = tridiag_ground(*prob)
             assert abs(ground.value - stebz_levels(prob)[0]) <= 4.0 * eps * inf_norm(prob)
 
     def test_enclosure_is_honest(self):
         for pot, hi in REFERENCE_CASES:
             prob = oscillator_problem(pot, 0.0, hi, 300)
-            ground = tridiag_ground(prob)
+            ground = tridiag_ground(*prob)
             upper = ground.value + ground.residual
             assert ground.lower < ground.value
             assert sturm_count(prob, ground.lower) == 0
@@ -145,7 +147,7 @@ class TestTridiagGround:
 
     def test_ground_below_reference_levels(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
-        ground = tridiag_ground(prob)
+        ground = tridiag_ground(*prob)
         # odd levels of the full-line oscillator: 3, 7, 11
         ref = stebz_levels(prob, 3)
         assert np.all(np.diff(ref) > 0)
@@ -158,10 +160,9 @@ class TestTridiagGround:
             n = 40
             d = rng.normal(size=n) * 3.0
             e = rng.normal(size=n - 1)
-            prob = TridiagProblem(d, e)
-            rev = TridiagProblem(d[::-1].copy(), e[::-1].copy())
-            a = tridiag_ground(prob)
-            b = tridiag_ground(rev)
+            prob = (d, e)
+            a = tridiag_ground(d, e)
+            b = tridiag_ground(d[::-1].copy(), e[::-1].copy())
             scale = max(1.0, np.max(np.abs(d)) + 2 * np.max(np.abs(e)))
             assert abs(a.value - b.value) <= 1e-12 * scale
             assert abs(a.value - stebz_levels(prob)[0]) <= 1e-12 * scale
@@ -173,14 +174,14 @@ class TestTridiagGround:
     def test_h2_convergence_order(self, pot, exact, _tol):
         errs = []
         for n in (1000, 2000, 4000):
-            lam = tridiag_ground(oscillator_problem(pot, 0.0, 20.0, n)).value
+            lam = tridiag_ground(*oscillator_problem(pot, 0.0, 20.0, n)).value
             errs.append(abs(lam - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
 
     def test_sturm_count_matches_lapack(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
-        lam = tridiag_ground(prob).value
+        lam = tridiag_ground(*prob).value
         assert sturm_count(prob, lam - 1e-9) == 0
         assert sturm_count(prob, lam + 1e-9) == 1
         for k, ref in enumerate(stebz_levels(prob, 4)):
@@ -189,19 +190,19 @@ class TestTridiagGround:
 
     def test_vector_residual(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 3000)
-        ground = tridiag_ground(prob)
+        ground = tridiag_ground(*prob)
         u, lam = ground.vector, ground.value
-        au = prob.diagonal * u
-        au[:-1] += prob.off_diagonal * u[1:]
-        au[1:] += prob.off_diagonal * u[:-1]
+        diagonal, off_diagonal = prob
+        au = diagonal * u
+        au[:-1] += off_diagonal * u[1:]
+        au[1:] += off_diagonal * u[:-1]
         assert np.linalg.norm(au - lam * u) == pytest.approx(ground.residual, rel=1e-6)
         assert np.max(np.abs(au - lam * u)) <= 1e-8 * np.max(np.abs(u))
         assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
         assert np.all(u > 0.0)  # nodeless ground state, sign fixed
         # positive off-diagonals: the same level, the vector's signs alternate
         signs = (-1.0) ** np.arange(len(u))
-        flipped = TridiagProblem(prob.diagonal, -prob.off_diagonal)
-        w = tridiag_ground(flipped).vector
+        w = tridiag_ground(diagonal, -off_diagonal).vector
         assert np.max(np.abs(w * signs * signs[np.argmax(u)] - u)) <= 1e-8
         assert w[np.argmax(np.abs(w))] > 0.0
 
@@ -210,21 +211,22 @@ class TestTridiagGround:
         ref = stebz_levels(prob)[0]
         # above lambda_0 = 3; the last also above lambda_1 = 7
         for shift in (ref + 1e-6, ref + 2.0, ref + 5.0):
-            ground = tridiag_ground(prob, shift=shift)
+            ground = tridiag_ground(*prob, shift=shift)
             assert ground.lower < ref
             assert abs(ground.value - ref) <= 4.0 * np.finfo(float).eps * inf_norm(prob)
-        warm = tridiag_ground(prob, shift=ref - 1e-6)
+        warm = tridiag_ground(*prob, shift=ref - 1e-6)
         assert ref - 1e-6 <= warm.lower < ref
-        assert warm.factorizations < tridiag_ground(prob).factorizations
+        assert warm.factorizations < tridiag_ground(*prob).factorizations
 
     def test_richardson_warm_starts_half_step(self, monkeypatch):
         from relbosons import numkernel
 
         ground, calls = numkernel.tridiag_ground, []
 
-        def recording(problem, shift=None, start=None):
-            calls.append((problem, shift, start, ground(problem, shift=shift, start=start)))
-            return calls[-1][3]
+        def recording(diagonal, off_diagonal, shift=None, start=None):
+            pair = ground(diagonal, off_diagonal, shift=shift, start=start)
+            calls.append(((diagonal, off_diagonal), shift, start, pair))
+            return pair
 
         monkeypatch.setattr(numkernel, "tridiag_ground", recording)
         level = numkernel.richardson_ground(lambda q: q**2, 0.0, 20.0, 2000)
@@ -232,7 +234,8 @@ class TestTridiagGround:
             (fine_prob, warm_shift, _, fine) = calls
         assert cold_shift is None and cold_start is None
         assert h_shift == coarse.value and h is level.ground
-        assert h_start.shape == h_prob.diagonal.shape and np.all(h_start > 0.0)
+        assert coarse is level.coarse and fine is level.fine
+        assert h_start.shape == h_prob[0].shape and np.all(h_start > 0.0)
         assert warm_shift == h.value == level.ground.value
         # lam_h < lam_{h/2} here, so the warm shift factors; a refactor
         # can only raise the certified lower bound
@@ -249,16 +252,15 @@ class TestTridiagGround:
         # the two levels solved from 1 and the Gershgorin shift, the h/2
         # level at the shift lam_h; the line case is symmetric about 0, with
         # a centre node at n odd and none at n even
-        cold = tridiag_ground(oscillator_problem(pot, lo, hi, n))
+        cold = tridiag_ground(*oscillator_problem(pot, lo, hi, n))
         lam_h, lam_h2 = cold.value, tridiag_ground(
-            oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1), shift=cold.value).value
+            *oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1), shift=cold.value).value
         level = richardson_ground(pot, lo, hi, n)
         assert abs(level.ground.value - lam_h) <= 1e-10
-        assert abs(level.lam_h_half - lam_h2) <= 1e-10
+        assert abs(level.fine.value - lam_h2) <= 1e-10
         assert abs(level.value - (4.0 * lam_h2 - lam_h) / 3.0) <= 1e-10
         assert level.ground.vector.shape == level.nodes.shape == cold.vector.shape
         assert np.max(np.abs(level.ground.vector - cold.vector)) <= 1e-9
-        assert len(level.iterations) == len(level.factorizations) == 3
 
     @pytest.mark.parametrize("start", [
         np.zeros(298), -np.ones(298), np.r_[np.ones(297), 0.0], np.r_[np.ones(297), -1.0],
@@ -268,32 +270,32 @@ class TestTridiagGround:
     def test_bad_start_raises(self, start):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
         with pytest.raises(ValueError, match="start"):
-            tridiag_ground(prob, start=start)
+            tridiag_ground(*prob, start=start)
 
     def test_positive_random_start(self):
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
-        start = np.random.default_rng(2718).uniform(0.01, 1.0, len(prob.diagonal))
-        ground = tridiag_ground(prob, start=start)
+        start = np.random.default_rng(2718).uniform(0.01, 1.0, len(prob[0]))
+        ground = tridiag_ground(*prob, start=start)
         ref, rounding = stebz_levels(prob)[0], 4.0 * np.finfo(float).eps * inf_norm(prob)
-        assert abs(ground.value - tridiag_ground(prob).value) <= rounding
+        assert abs(ground.value - tridiag_ground(*prob).value) <= rounding
         # r and the stebz level are both computed to rounding: the upper end
         # misses by 8e-13 here with the start 1 too
         assert ground.lower < ref <= ground.value + ground.residual + rounding
 
-    def test_iteration_cap_raises_with_state(self):
+    def test_iteration_cap_raises_with_state(self, monkeypatch):
+        from relbosons import numkernel
+
+        monkeypatch.setattr(numkernel, "_MAX_INVERSE_ITERATIONS", 1)
         prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
-        with pytest.raises(MinimizationError, match="inverse iteration") as err:
-            tridiag_ground(prob, max_iter=1)
+        with pytest.raises(MinimizationError, match="no convergence in 1 iterations") as err:
+            tridiag_ground(*prob)
         assert err.value.state.shape == (298,)
         assert np.linalg.norm(err.value.state) == pytest.approx(1.0, rel=1e-12)
         assert err.value.grad_norm > 0
 
     def test_input_validation(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 100)
-        with pytest.raises(ValueError):
-            tridiag_ground(prob, max_iter=0)
-        with pytest.raises(ValueError):
-            TridiagProblem(np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match="one shorter"):
+            tridiag_ground(np.ones(5), np.ones(5))
 
 
 class TestFindRoot:
