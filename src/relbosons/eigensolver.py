@@ -19,6 +19,12 @@ monotone in y at each q for both spins and every angular index, so by
 Courant-Fischer lam(d) lies between the exact d = 0 and d = inf levels
 2 alpha + 1 (:func:`limit_bracket`).
 
+A sweep (:func:`gamma_curve`) builds one FD
+:class:`relbosons.numkernel.RichardsonLadder` and solves every d in it,
+so the grid-sized work arrays of the FD route are made once per sweep.
+The ladder lives for that one call; every function here stays pure and
+writes no array it is given.
+
 Only gamma = lam / 2 crosses module boundaries.
 """
 
@@ -27,12 +33,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .numkernel import BracketError, find_root, richardson_ground
+from .numkernel import BracketError, RichardsonLadder, find_root
 from .potentials import (INFINITY, PotentialSpec, effective_potential, limit_profile,
                          origin_behavior, spec_spin0, spec_spin1)
 
@@ -84,7 +90,8 @@ class EigenResult:
     meta: dict = field(default_factory=dict)
 
 
-def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> EigenResult:
+def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
+                    ladder: Optional[RichardsonLadder] = None) -> EigenResult:
     """Lowest eigenvalue via the finite-difference matrix.
 
     The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is half the
@@ -93,9 +100,18 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> Eig
     raw levels (``lambda_h``, ``lambda_h_half``) and the inverse
     iterations and factorizations of its (coarse, h, h/2) eigenpairs.
     ``u_samples`` (sum(u^2) h = 1) is the step-h kernel vector.
+
+    ``ladder`` is the :class:`relbosons.numkernel.RichardsonLadder` of
+    ``grid`` (walls 0 and q_max, n nodes), which a sweep builds once and
+    passes to every point; without it the call builds its own.  Either
+    way the result has the same bits.
     """
-    level = richardson_ground(lambda q: effective_potential(q, spec), 0.0,
-                              grid.q_max, grid.n)
+    if ladder is None:
+        ladder = RichardsonLadder(0.0, grid.q_max, grid.n)
+    elif (ladder.lo, ladder.hi, ladder.n) != (0.0, grid.q_max, grid.n):
+        raise ValueError(f"ladder on [{ladder.lo}, {ladder.hi}] at n = {ladder.n} "
+                         f"is not the FD ladder of {grid}")
+    level = ladder.ground(lambda q: effective_potential(q, spec))
     solves = (level.coarse, level.ground, level.fine)
     meta = {"lambda_h": level.ground.value, "lambda_h_half": level.fine.value,
             "inverse_iterations": tuple(s.iterations for s in solves),
@@ -270,16 +286,20 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
     point whose two values differ by more than ``CROSS_METHOD_TOL``, or
     whose solve raises, is marked failed with a message.  Failures are
     recorded per point and the sweep continues; returns the
-    :class:`GammaPoint` list ordered by d.
+    :class:`GammaPoint` list ordered by d.  The FD solves of all points
+    share one :class:`relbosons.numkernel.RichardsonLadder`, built here and
+    dropped on return, so the sweep makes its grid-sized work arrays once;
+    each point's values are those of a sweep over that d alone.
     """
     ds = list(d_values)
     if not all(d >= 0 for d in ds):  # also rejects nan
         raise ValueError("d values must be nonnegative")
+    ladder = RichardsonLadder(0.0, grid.q_max, grid.n)
 
     def solve_one(d):
         spec = dataclasses.replace(spec_template, d=d)
         try:
-            fd = solve_ground_fd(spec, grid).gamma
+            fd = solve_ground_fd(spec, grid, ladder=ladder).gamma
             sh = solve_ground_shooting(spec, grid).gamma
         except Exception as exc:  # recorded, sweep continues
             return GammaPoint(d, message=str(exc) or type(exc).__name__)

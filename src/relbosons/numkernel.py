@@ -8,14 +8,19 @@ Four building blocks used throughout the package:
   behind every such norm and dispersion in the package,
 * the certified lowest eigenpair of a symmetric tridiagonal matrix by
   shifted inverse iteration, with the three-point Dirichlet matrix of
-  -u'' + V u and its Richardson-extrapolated ground level.  It serves
-  the radial FD route and both factors of the transverse minimization
-  in :mod:`relbosons.variational`,
+  -u'' + V u and its Richardson-extrapolated ground level
+  (:class:`RichardsonLadder`).  It serves the radial FD route and both
+  factors of the transverse minimization in :mod:`relbosons.variational`,
 * a bracketed scalar root by Brent's zeroin (:func:`find_root`), the
   eigenvalue search of the Numerov shooting route.
 
-Everything here is a pure function of its inputs.  Nothing runs in
-workers: scipy's LAPACK wrappers hold the GIL, so threads gain nothing.
+Everything here is a pure function of its inputs, and no module-level
+state changes.  A :class:`RichardsonLadder` holds the grid-sized work
+arrays of its three levels; a gamma sweep builds one and solves every d
+in it, so its solves allocate no grid-sized temporaries.  A ladder lives
+no longer than its sweep, and no caller's array is ever written.
+Nothing runs in workers: scipy's LAPACK wrappers hold the GIL, so
+threads gain nothing.
 """
 
 from __future__ import annotations
@@ -105,39 +110,65 @@ class EigenPair:
     factorizations: int = 0
 
 
-def tridiag_matvec(diagonal, off_diagonal, v) -> np.ndarray:
+def tridiag_matvec(diagonal, off_diagonal, v, out=None, scratch=None) -> np.ndarray:
     """T v for the symmetric tridiagonal T; ``off_diagonal`` may be a scalar
-    standing for a constant one."""
-    r = diagonal * v
-    r[:-1] += off_diagonal * v[1:]
-    r[1:] += off_diagonal * v[:-1]
+    standing for a constant one.  ``out`` (n entries) receives T v and
+    ``scratch`` (n - 1) the off-diagonal products; either is allocated when
+    not given."""
+    r = np.multiply(diagonal, v, out=out)
+    r[:-1] += np.multiply(off_diagonal, v[1:], out=scratch)
+    r[1:] += np.multiply(off_diagonal, v[:-1], out=scratch)
     return r
 
 
+class _Workspace:
+    """The work arrays of :func:`tridiag_ground` for up to ``size`` unknowns,
+    and ``extra`` rows of that length for the caller, as rows of one block.
+
+    A matrix of n <= size rows uses the first n entries of each: the
+    iterate, the residual, a scratch row, and two buffers for the L D L^T
+    factors, one holding the accepted factor and one for the next trial.
+    """
+
+    def __init__(self, size: int, extra: int = 0):
+        rows = np.empty((7 + extra, size))
+        self.vector, self.residual, self.scratch = rows[:3]
+        self.factors = [(rows[3], rows[4][:-1]), (rows[5], rows[6][:-1])]
+        self.extra = rows[7:]
+
+
 def tridiag_ground(diagonal, off_diagonal, shift: Optional[float] = None,
-                   start: Optional[np.ndarray] = None) -> EigenPair:
+                   start: Optional[np.ndarray] = None,
+                   work: Optional[_Workspace] = None) -> EigenPair:
     """Lowest eigenpair of the symmetric tridiagonal T (``diagonal``, and
     ``off_diagonal`` one entry shorter) by shifted inverse iteration on
     L D L^T factors.
 
     Each iteration solves (T - sigma I) y = v by LAPACK ``dpttrf``/``dpttrs``
-    (v = ``start`` at first, else 1), normalizes v = y / ||y|| (largest
-    entry positive) and takes mu = v^T T v, r = T v - mu v.  Certificate: a
-    shift sigma is kept only when ``dpttrf`` succeeds, i.e. T - sigma I is
-    positive definite and sigma < lambda_0; an eigenvalue lies within ||r||
-    of mu; so lower = sigma < lambda_0 <= value + residual, up to the
-    rounding of r.  The next shift tried is mu - ||r||; ``shift`` is a
-    first guess (say a coarser grid's level), else the Gershgorin lower
-    bound.  Stops at ||r|| <= 4 eps ||T||_inf, the rounding level of r.
+    (v = ``start`` at first, else 1), normalizes v = y / ||y|| and takes
+    mu = v^T T v, r = T v - mu v; the returned vector has its largest entry
+    positive.  Certificate: a shift sigma is kept only when ``dpttrf``
+    succeeds, i.e. T - sigma I is positive definite and sigma < lambda_0;
+    an eigenvalue lies within ||r|| of mu; so lower = sigma < lambda_0 <=
+    value + residual, up to the rounding of r.  The next shift tried is
+    mu - ||r||; ``shift`` is a first guess (say a coarser grid's level),
+    else, or if it fails to factor, the Gershgorin lower bound.  Stops at
+    ||r|| <= 4 eps ||T||_inf, the rounding level of r.
 
     ``start`` must be finite and entrywise positive: with the negative
     off-diagonals of every matrix here the ground vector is positive
     (Perron-Frobenius), so a positive start overlaps it, as 1 does.
 
+    The iteration runs in ``work`` (a :class:`RichardsonLadder` passes the
+    one it holds for all its solves), else in arrays made for this call.
+    The three arguments are only read, and the returned vector is a fresh
+    array, never part of ``work``.
+
     Raises
     ------
     ValueError
-        If the lengths or ``start`` are not as stated.
+        If the lengths or ``start`` are not as stated, or T is not finite
+        (read off ||T||_inf before any factorization).
     MinimizationError
         After ``_MAX_INVERSE_ITERATIONS`` iterations above that tolerance,
         with the last vector and residual.
@@ -146,56 +177,88 @@ def tridiag_ground(diagonal, off_diagonal, shift: Optional[float] = None,
 
     d = np.asarray(diagonal, dtype=float)
     e = np.asarray(off_diagonal, dtype=float)
-    if len(e) != len(d) - 1:
+    n = len(d)
+    if len(e) != n - 1:
         raise ValueError("off_diagonal must be one shorter than diagonal")
+    if work is None:
+        work = _Workspace(n)
+    v, r, scratch = work.vector[:n], work.residual[:n], work.scratch[:n]
     if start is None:
-        v = np.ones_like(d)
+        v.fill(1.0)
     else:
-        v = np.asarray(start, dtype=float)
-        if v.shape != d.shape or not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
-            raise ValueError(f"start must be {len(d)} finite positive entries")
-    abs_e = np.abs(e)
-    radius = np.zeros_like(d)  # |e_i| + |e_{i-1}|: the off-diagonal row sums
+        start = np.asarray(start, dtype=float)
+        if start.shape != d.shape:
+            raise ValueError(f"start must be {n} finite positive entries")
+        np.copyto(v, start)
+        if not (v.min() > 0.0 and v.max() < math.inf):  # a nan fails min > 0
+            raise ValueError(f"start must be {n} finite positive entries")
+    abs_e = np.abs(e, out=scratch[:-1])
+    radius = r  # |e_i| + |e_{i-1}|, the off-diagonal row sums; r is free until the loop
     radius[:-1] = abs_e
+    radius[-1] = 0.0
     radius[1:] += abs_e
-    norm = float(np.max(np.abs(d) + radius))  # ||T||_inf
+    norm = float(np.max(np.add(np.abs(d, out=scratch), radius, out=scratch)))  # ||T||_inf
+    if not math.isfinite(norm):
+        raise ValueError(f"T must be finite, but ||T||_inf = {norm}")
     tol = 4.0 * np.finfo(float).eps * norm
-    tried = []
+    factors = [(df[:n], ef[:n - 1]) for df, ef in work.factors]
+    tried = 0
 
     def factor(sigma):
-        tried.append(sigma)
-        df, ef, info = dpttrf(d - sigma, e)
-        return (sigma, df, ef) if info == 0 else None
+        # into the spare buffers, so that a failed shift keeps the accepted factor
+        nonlocal tried
+        tried += 1
+        df, ef = factors[1]
+        np.subtract(d, sigma, out=df)
+        ef[:] = e
+        df, ef, info = dpttrf(df, ef, overwrite_d=True, overwrite_e=True)
+        if info != 0:
+            return None
+        factors.reverse()
+        return sigma, df, ef
 
-    # the Gershgorin bound, lowered far beyond rounding so that it factors
-    accepted = ((shift is not None and factor(shift))
-                or factor(float(np.min(d - radius)) - 1e-9 * norm))
+    accepted = shift is not None and factor(shift)
+    if not accepted:
+        # the Gershgorin bound, lowered far beyond rounding so that it factors
+        accepted = factor(float(np.min(np.subtract(d, radius, out=scratch))) - 1e-9 * norm)
     # einsum, not BLAS ddot: OpenBLAS threads it above 1e4 entries for no wall-time gain
     for it in range(1, _MAX_INVERSE_ITERATIONS + 1):
         sigma, df, ef = accepted
-        v = dpttrs(df, ef, v)[0]
+        v = dpttrs(df, ef, v, overwrite_b=True)[0]
         v /= math.sqrt(np.einsum("i,i", v, v))
-        r = tridiag_matvec(d, e, v)
+        tridiag_matvec(d, e, v, out=r, scratch=scratch[:-1])
         mu = float(np.einsum("i,i", v, r))
-        r -= mu * v
+        r -= np.multiply(mu, v, out=scratch)
         res = math.sqrt(np.einsum("i,i", r, r))
-        v *= math.copysign(1.0, v[np.argmax(np.abs(v))])
         if res <= tol:
-            return EigenPair(mu, v, res, it, sigma, len(tried))
+            return EigenPair(mu, _positive(v, scratch), res, it, sigma, tried)
         if mu - res > sigma:
             accepted = factor(mu - res) or accepted
     raise MinimizationError(
         f"inverse iteration: no convergence in {_MAX_INVERSE_ITERATIONS} iterations "
-        f"(residual {res:.3e} > tol {tol:.1e}, shift {sigma:.15g})", v, res)
+        f"(residual {res:.3e} > tol {tol:.1e}, shift {sigma:.15g})",
+        _positive(v, scratch), res)
+
+
+def _positive(v, scratch) -> np.ndarray:
+    """A fresh copy of v with its largest entry positive.  Inverse iteration
+    is odd in v to the bit, so fixing the sign once at the end gives the
+    bits of fixing it at every step."""
+    return v * math.copysign(1.0, v[np.argmax(np.abs(v, out=scratch))])
+
+
+def _dirichlet_grid(lo: float, hi: float, n: int) -> tuple:
+    """(interior nodes, 2 / h^2, -1 / h^2) of :func:`dirichlet_problem`."""
+    q = np.linspace(lo, hi, n)
+    h = q[1] - q[0]
+    return q[1:-1], 2.0 / h**2, -1.0 / h**2
 
 
 def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tuple:
     """(diagonal, off-diagonal, interior nodes) of the three-point -u'' + V u
     on n uniform nodes of [lo, hi] with u = 0 at both ends."""
-    q = np.linspace(lo, hi, n)
-    h = q[1] - q[0]
-    qi = q[1:-1]
-    return 2.0 / h**2 + potential(qi), np.full(n - 3, -1.0 / h**2), qi
+    nodes, c, off = _dirichlet_grid(lo, hi, n)
+    return c + potential(nodes), np.full(n - 3, off), nodes
 
 
 @dataclass(frozen=True)
@@ -208,6 +271,66 @@ class RichardsonLevel:
     coarse: EigenPair
     ground: EigenPair
     fine: EigenPair
+
+
+class RichardsonLadder:
+    """The three levels of :func:`richardson_ground` on [lo, hi] at n nodes,
+    built once and solved for any number of potentials.
+
+    It holds each level's interior nodes and constant off-diagonal, and one
+    set of work arrays sized for the h/2 level: the diagonal, the h/2
+    start and the :func:`tridiag_ground` workspace, nine rows of one
+    block.  The smaller levels use their leading entries.  A sweep over d
+    builds one ladder and calls :meth:`ground` at every point, so the
+    grid-sized arrays are made once per sweep, not once per point.
+    Nothing carries from one call to the next: each fills every entry it
+    reads, so a level's bits do not depend on what the ladder solved
+    before.
+
+    One block, not nine arrays, also matters between sweeps.  At the
+    default grid it is 1.15 MB, above glibc's initial 128 KiB mmap
+    threshold, so the first ladder of a process gets fresh pages; freeing
+    it raises that threshold to the block's size and the heap-trim
+    threshold to twice that (glibc's dynamic threshold, no setting), so
+    later ladders and the solves' temporaries reuse heap pages instead of
+    faulting fresh ones in.  Nine separate 125 KiB arrays never raise it.
+    """
+
+    def __init__(self, lo: float, hi: float, n: int):
+        self.lo, self.hi, self.n = lo, hi, n
+        self._levels = []  # (interior nodes, 2 / h^2, off-diagonal) per level
+        for m in (max(4, (n - 1) // 32 + 1), n, 2 * (n - 1) + 1):
+            nodes, c, off = _dirichlet_grid(lo, hi, m)
+            # the constant off-diagonal as a read-only broadcast: no grid memory
+            self._levels.append((nodes, c, np.broadcast_to(off, m - 3)))
+        self._knots = np.concatenate(([lo], self._levels[0][0], [hi]))
+        self._work = _Workspace(len(self._levels[-1][0]), extra=2)
+        self._diagonal, self._start = self._work.extra
+
+    def _solve(self, level, potential, shift=None, start=None) -> EigenPair:
+        nodes, c, e = self._levels[level]
+        d = np.add(c, potential(nodes), out=self._diagonal[:len(nodes)])
+        return tridiag_ground(d, e, shift=shift, start=start, work=self._work)
+
+    def ground(self, potential: Callable) -> RichardsonLevel:
+        """The :class:`RichardsonLevel` of -u'' + ``potential`` u; its
+        vectors and nodes are fresh arrays, not the ladder's."""
+        coarse = self._solve(0, potential)
+        nodes = self._levels[1][0]
+        start = np.interp(nodes, self._knots, np.concatenate(([0.0], coarse.vector, [0.0])))
+        ground = self._solve(1, potential, coarse.value, start)
+        # the h vector on the odd h/2 nodes, the means of its walled
+        # neighbours (0 + v = v) on the even ones
+        v = ground.vector
+        start = self._start[:2 * len(v) + 1]
+        even = start[0::2]
+        np.add(v[:-1], v[1:], out=even[1:-1])
+        even[0], even[-1] = v[0], v[-1]
+        even *= 0.5
+        start[1::2] = v
+        fine = self._solve(2, potential, ground.value, start)
+        return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, nodes.copy(),
+                               coarse, ground, fine)
 
 
 def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
@@ -224,22 +347,10 @@ def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> Rich
     (lam_0 - sigma) / (lam_1 - sigma) per step, finishes in one or two.
     The vectors are positive, as :func:`tridiag_ground` requires of a
     start; a shift not below the level's lam_0 fails to factor and falls
-    back to the Gershgorin bound.
+    back to the Gershgorin bound.  A one-off :class:`RichardsonLadder`;
+    a sweep builds its own once and reuses it.
     """
-    d, e, coarse_nodes = dirichlet_problem(potential, lo, hi, max(4, (n - 1) // 32 + 1))
-    coarse = tridiag_ground(d, e)
-    d, e, nodes = dirichlet_problem(potential, lo, hi, n)
-    start = np.interp(nodes, np.concatenate(([lo], coarse_nodes, [hi])),
-                      np.concatenate(([0.0], coarse.vector, [0.0])))
-    ground = tridiag_ground(d, e, shift=coarse.value, start=start)
-    d, e, _ = dirichlet_problem(potential, lo, hi, 2 * (n - 1) + 1)
-    walled = np.concatenate(([0.0], ground.vector, [0.0]))
-    start = np.empty(len(d))
-    start[0::2] = 0.5 * (walled[:-1] + walled[1:])
-    start[1::2] = ground.vector
-    fine = tridiag_ground(d, e, shift=ground.value, start=start)
-    return RichardsonLevel((4.0 * fine.value - ground.value) / 3.0, nodes,
-                           coarse, ground, fine)
+    return RichardsonLadder(lo, hi, n).ground(potential)
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +385,21 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
     ------
     BracketError
         If f(lo) and f(hi) have the same sign.
+    ValueError
+        If f is not finite at a point it is evaluated at (the message
+        names the point): a nan fails every sign comparison, so it would
+        pass the bracket check and steer the search.
     RuntimeError
         If the iteration cap ``max_iter`` is reached first.
     """
+    def value(x):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise ValueError(f"find_root: f({x:.17g}) = {fx} is not finite")
+        return fx
+
     a, b = lo, hi
-    fa, fb = f(a), f(b)
+    fa, fb = value(a), value(b)
     if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
         raise BracketError(f"no sign change on [{lo:.6f}, {hi:.6f}] "
                            f"(values {fa:.3e}, {fb:.3e})")
@@ -315,7 +436,7 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
                 d = e = xm
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+        fb = value(b)
     raise RuntimeError(
         f"find_root: no convergence within the iteration cap max_iter = {max_iter} "
         f"(bracket [{min(b, c):.17g}, {max(b, c):.17g}])")

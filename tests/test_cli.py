@@ -269,8 +269,8 @@ class TestGamma:
 
         fd = es.solve_ground_fd
 
-        def shifted_fd(spec, grid):
-            res = fd(spec, grid)
+        def shifted_fd(spec, grid, ladder=None):
+            res = fd(spec, grid, ladder)
             res.gamma += 1e-5
             return res
 

@@ -255,8 +255,8 @@ class TestGammaCurve:
     def test_cross_method_disagreement_marks_point(self, monkeypatch):
         fd = es.solve_ground_fd
 
-        def shifted_fd(spec, grid):
-            res = fd(spec, grid)
+        def shifted_fd(spec, grid, ladder=None):
+            res = fd(spec, grid, ladder)
             res.gamma += 2.0 * es.CROSS_METHOD_TOL
             return res
 
@@ -276,7 +276,7 @@ class TestGammaCurve:
             assert not p.ok and "q_max" in p.message
 
     def test_empty_exception_message_names_the_type(self, monkeypatch):
-        def failing(spec, grid):
+        def failing(spec, grid, ladder=None):
             raise RuntimeError()
 
         monkeypatch.setattr(es, "solve_ground_fd", failing)
@@ -288,11 +288,42 @@ class TestGammaCurve:
         with pytest.raises(ValueError):
             gamma_curve(spec_spin0(0.0), [-0.5])
 
+    def test_point_does_not_depend_on_the_sweep(self):
+        # the d = 1 point of a sweep that shares its ladder with d = 4 and
+        # d = 0 has the bits of a sweep over d = 1 alone
+        (alone,) = gamma_curve(spec_spin1(0.0), [1.0])
+        shared = gamma_curve(spec_spin1(0.0), [4.0, 1.0, 0.0])[1]
+        assert shared.d == 1.0 and shared.ok
+        assert (shared.gamma_fd, shared.gamma) == (alone.gamma_fd, alone.gamma)
+
+    def test_one_ladder_per_sweep(self, monkeypatch):
+        built = []
+        ladder = es.RichardsonLadder
+        monkeypatch.setattr(es, "RichardsonLadder",
+                            lambda *args: built.append(args) or ladder(*args))
+        grid = RadialGrid(n=2000)
+        gamma_curve(spec_spin0(0.0), [0.0, 1.0, INFINITY], grid=grid)
+        assert built == [(0.0, grid.q_max, grid.n)]
+
+    def test_fd_rejects_a_ladder_of_another_grid(self):
+        with pytest.raises(ValueError, match="not the FD ladder"):
+            solve_ground_fd(spec_spin0(1.0), RadialGrid(n=2000),
+                            ladder=es.RichardsonLadder(0.0, 12.0, 1000))
+
+    def test_non_finite_mismatch_fails_the_point(self, monkeypatch):
+        # zeroin refuses a nan instead of bisecting towards it; the sweep
+        # records the refusal, naming the point, as that d's failure
+        monkeypatch.setattr(es, "_numerov_mismatch",
+                            lambda head, q, step, lam, W, im: (math.nan, None, None))
+        (p,) = gamma_curve(spec_spin0(0.0), [1.0], grid=RadialGrid(n=2000))
+        assert not p.ok and math.isnan(p.gamma)
+        assert "is not finite" in p.message and "f(" in p.message
+
     def test_rejects_nan_d_before_solving(self, monkeypatch):
         # nan is no nonnegative d: refused up front, not after d = 1 is solved
         fd, calls = es.solve_ground_fd, []
         monkeypatch.setattr(es, "solve_ground_fd",
-                            lambda *args: calls.append(args) or fd(*args))
+                            lambda *args, **kwargs: calls.append(args) or fd(*args, **kwargs))
         with pytest.raises(ValueError, match="nonnegative"):
             gamma_curve(spec_spin0(0.0), [1.0, math.nan])
         assert calls == []

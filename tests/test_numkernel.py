@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from relbosons import verify
-from relbosons.numkernel import (BracketError, MinimizationError, dirichlet_problem,
-                                 find_root, gauss_legendre, radial_rule,
-                                 richardson_ground, tridiag_ground)
+from relbosons.numkernel import (BracketError, MinimizationError, RichardsonLadder,
+                                 dirichlet_problem, find_root, gauss_legendre,
+                                 radial_rule, richardson_ground, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
@@ -223,8 +223,8 @@ class TestTridiagGround:
 
         ground, calls = numkernel.tridiag_ground, []
 
-        def recording(diagonal, off_diagonal, shift=None, start=None):
-            pair = ground(diagonal, off_diagonal, shift=shift, start=start)
+        def recording(diagonal, off_diagonal, shift=None, start=None, work=None):
+            pair = ground(diagonal, off_diagonal, shift=shift, start=start, work=work)
             calls.append(((diagonal, off_diagonal), shift, start, pair))
             return pair
 
@@ -297,6 +297,70 @@ class TestTridiagGround:
         with pytest.raises(ValueError, match="one shorter"):
             tridiag_ground(np.ones(5), np.ones(5))
 
+    @pytest.mark.parametrize("which, index, bad", [
+        ("diagonal", 7, np.nan), ("diagonal", 0, np.inf), ("off_diagonal", 100, np.nan),
+    ], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal"])
+    def test_non_finite_matrix_raises_before_factoring(self, monkeypatch, which, index, bad):
+        import scipy.linalg.lapack
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("dpttrf called on a non-finite matrix")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", no_factorization)
+        d, e = (a.copy() for a in oscillator_problem(lambda q: q**2, 0.0, 20.0, 300))
+        {"diagonal": d, "off_diagonal": e}[which][index] = bad
+        with pytest.raises(ValueError, match=r"finite.*\|\|T\|\|_inf = (nan|inf)"):
+            tridiag_ground(d, e)
+
+    def test_read_only_arguments_are_left_unchanged(self):
+        d, e = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        start = np.random.default_rng(11).uniform(0.5, 1.0, len(d))
+        want = tridiag_ground(d, e, shift=0.5, start=start)
+        frozen = [a.copy() for a in (d, e, start)]
+        for a in frozen:
+            a.flags.writeable = False
+        got = tridiag_ground(*frozen[:2], shift=0.5, start=frozen[2])
+        for a, b in zip(frozen, (d, e, start)):
+            assert np.array_equal(a, b)
+        assert got.value == want.value and np.array_equal(got.vector, want.vector)
+        assert (got.residual, got.iterations, got.lower, got.factorizations) == \
+            (want.residual, want.iterations, want.lower, want.factorizations)
+
+
+def assert_same_level(a, b):
+    """Two RichardsonLevels agree to the bit."""
+    assert a.value == b.value and np.array_equal(a.nodes, b.nodes)
+    for x, y in ((a.coarse, b.coarse), (a.ground, b.ground), (a.fine, b.fine)):
+        assert np.array_equal(x.vector, y.vector)
+        assert (x.value, x.residual, x.iterations, x.lower, x.factorizations) == \
+            (y.value, y.residual, y.iterations, y.lower, y.factorizations)
+
+
+class TestRichardsonLadder:
+    @staticmethod
+    def potential(d):
+        spec = spec_spin0(d)
+        return lambda q: effective_potential(q, spec)
+
+    def test_reuse_matches_fresh_ladders(self):
+        # one ladder across several d, with a ladder of another size run
+        # in between, gives the bits of a fresh richardson_ground each time
+        ladder, other = RichardsonLadder(0.0, 12.0, 2000), RichardsonLadder(0.0, 12.0, 1000)
+        for d in (4.0, 1.0, 0.0, INFINITY, 1.0):
+            level = ladder.ground(self.potential(d))
+            other.ground(self.potential(d))
+            assert_same_level(level, richardson_ground(self.potential(d), 0.0, 12.0, 2000))
+
+    def test_results_own_their_arrays(self):
+        # a later solve in the same ladder leaves an earlier result as it was
+        ladder = RichardsonLadder(0.0, 12.0, 2000)
+        first = ladder.ground(self.potential(1.0))
+        arrays = (first.nodes, first.coarse.vector, first.ground.vector, first.fine.vector)
+        kept = [a.copy() for a in arrays]
+        ladder.ground(self.potential(8.0))
+        for a, b in zip(arrays, kept):
+            assert a.flags.owndata and np.array_equal(a, b)
+
 
 class TestFindRoot:
     """Brent's zeroin against scipy's brentq, which implements the same method."""
@@ -352,6 +416,17 @@ class TestFindRoot:
         assert root.value == pytest.approx(want, abs=1e-10)
         # the same number of Numerov sweep pairs as scipy's zeroin
         assert root.evaluations == info.function_calls
+
+    @pytest.mark.parametrize("f, where", [
+        (lambda x: math.nan, "0"),
+        (lambda x: math.nan if x == 0.0 else x - 0.5, "0"),
+        (lambda x: x - 0.5 if x in (0.0, 1.0) else math.inf, "0.5"),
+    ], ids=["nan-everywhere", "nan-at-an-end", "inf-inside"])
+    def test_non_finite_value_raises_naming_the_point(self, f, where):
+        # a nan fails every comparison, so it used to pass the sign check
+        # and steer zeroin to a "root" of a function that has none
+        with pytest.raises(ValueError, match=rf"f\({where}\) = (nan|inf) is not finite"):
+            find_root(f, 0.0, 1.0, 1e-12)
 
     def test_root_at_an_end(self):
         root = find_root(lambda x: x - 1.0, 1.0, 2.0, 1e-12)
