@@ -19,6 +19,7 @@ scipy and a subcommand loads only the scipy modules on its own path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -390,10 +391,16 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built once: each parse fills a new namespace
+    and converts string defaults afresh, so runs share no parsed value."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for flag errors
         return int(exc.code or 0)
     try:

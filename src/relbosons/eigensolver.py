@@ -19,11 +19,9 @@ monotone in y at each q for both spins and every angular index, so by
 Courant-Fischer lam(d) lies between the exact d = 0 and d = inf levels
 2 alpha + 1 (:func:`limit_bracket`).
 
-A sweep (:func:`gamma_curve`) builds one FD
-:class:`relbosons.numkernel.RichardsonLadder` and solves every d in it,
-so the grid-sized work arrays of the FD route are made once per sweep.
-The ladder lives for that one call; every function here stays pure and
-writes no array it is given.
+A sweep (:func:`gamma_curve`) solves every d in one FD
+:class:`relbosons.numkernel.RichardsonLadder`; every function here stays
+pure and writes no array it is given.
 
 Only gamma = lam / 2 crosses module boundaries.
 """
@@ -96,7 +94,7 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
 
     The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is half the
     Richardson extrapolation of the h and h/2 levels of
-    :func:`relbosons.numkernel.richardson_ground`.  ``meta`` keeps both
+    :meth:`relbosons.numkernel.RichardsonLadder.ground`.  ``meta`` keeps both
     raw levels (``lambda_h``, ``lambda_h_half``) and the inverse
     iterations and factorizations of its (coarse, h, h/2) eigenpairs.
     ``u_samples`` (sum(u^2) h = 1) is the step-h kernel vector.
@@ -202,6 +200,8 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) 
 
     Raises
     ------
+    ValueError
+        Before any sweep, if q^(alpha - 1/2) underflows to 0 (index >= 46).
     BracketError
         If the bracket fails to straddle a sign change: lam(d) is not
         between its d = 0 and d = inf levels.
@@ -224,6 +224,11 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) 
             f"exceed the bracket end {hi:.3f} by 20 so the inward sweep "
             "starts in the Gaussian-decay region")
     head = _shooting_head(spec, q)
+    if not head[0] > 0.0:
+        alpha = origin_behavior(spec).exponent_alpha
+        raise ValueError(f"shooting cannot start at angular index l = {spec.angular_index}: "
+                         f"the start value q^(alpha - 1/2) at q = {SHOOTING_Q_LO:g} "
+                         f"underflows to 0 for alpha = {alpha:.6g}")
     best = (math.inf, math.nan, None, None)  # |mismatch|, lam, vL, vR
 
     def mismatch(lam):

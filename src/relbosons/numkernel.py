@@ -15,12 +15,9 @@ Four building blocks used throughout the package:
   eigenvalue search of the Numerov shooting route.
 
 Everything here is a pure function of its inputs, and no module-level
-state changes.  A :class:`RichardsonLadder` holds the grid-sized work
-arrays of its three levels; a gamma sweep builds one and solves every d
-in it, so its solves allocate no grid-sized temporaries.  A ladder lives
-no longer than its sweep, and no caller's array is ever written.
-Nothing runs in workers: scipy's LAPACK wrappers hold the GIL, so
-threads gain nothing.
+state changes: a :class:`RichardsonLadder` lives no longer than its
+sweep, and no caller's array is ever written.  Nothing runs in workers:
+scipy's LAPACK wrappers hold the GIL, so threads gain nothing.
 """
 
 from __future__ import annotations
@@ -274,26 +271,34 @@ class RichardsonLevel:
 
 
 class RichardsonLadder:
-    """The three levels of :func:`richardson_ground` on [lo, hi] at n nodes,
-    built once and solved for any number of potentials.
+    """The Richardson-extrapolated lowest level of :func:`dirichlet_problem`
+    on [lo, hi] at n and 2 (n - 1) + 1 nodes, for any number of potentials:
+    :meth:`ground` returns ``value`` = (4 lam_{h/2} - lam_h) / 3, which
+    cancels the stencil's O(h^2) error.  A one-off solve is
+    ``RichardsonLadder(lo, hi, n).ground(potential)``.
 
-    It holds each level's interior nodes and constant off-diagonal, and one
-    set of work arrays sized for the h/2 level: the diagonal, the h/2
-    start and the :func:`tridiag_ground` workspace, nine rows of one
-    block.  The smaller levels use their leading entries.  A sweep over d
-    builds one ladder and calls :meth:`ground` at every point, so the
-    grid-sized arrays are made once per sweep, not once per point.
-    Nothing carries from one call to the next: each fills every entry it
-    reads, so a level's bits do not depend on what the ladder solved
-    before.
+    The levels are solved as one nested-iteration ladder (A. Brandt, Math.
+    Comp. 31 (1977) 333): a coarse level of max(4, (n - 1) // 32 + 1)
+    nodes (``dpttrf`` needs two unknowns) from 1 and the Gershgorin shift;
+    the h level from the coarse vector, linearly interpolated, at the
+    shift lam_coarse; the h/2 level from the h vector and its midpoints
+    (the grids nest) at the shift lam_h.  Each shift is O(h^2) from the
+    next level and each start as close, so inverse iteration, which gains
+    (lam_0 - sigma) / (lam_1 - sigma) per step, finishes in one or two.
+    The vectors are positive, as :func:`tridiag_ground` requires of a
+    start; a shift not below the level's lam_0 fails to factor and falls
+    back to the Gershgorin bound.
 
-    One block, not nine arrays, also matters between sweeps.  At the
-    default grid it is 1.15 MB, above glibc's initial 128 KiB mmap
-    threshold, so the first ladder of a process gets fresh pages; freeing
-    it raises that threshold to the block's size and the heap-trim
-    threshold to twice that (glibc's dynamic threshold, no setting), so
-    later ladders and the solves' temporaries reuse heap pages instead of
-    faulting fresh ones in.  Nine separate 125 KiB arrays never raise it.
+    The ladder holds each level's interior nodes and constant
+    off-diagonal, and its work arrays sized for the h/2 level (the
+    diagonal, the h/2 start and the :func:`tridiag_ground` workspace) as
+    nine rows of one block, so a sweep over d that builds one ladder
+    makes them once.  Each solve fills every entry it reads, so its bits
+    do not depend on what the ladder solved before.  The one block
+    (1.15 MB at the default grid) is above glibc's 128 KiB mmap
+    threshold; freeing it raises that threshold (glibc's dynamic
+    threshold, no setting), so later ladders reuse heap pages instead of
+    faulting fresh ones in, which nine 125 KiB arrays never do.
     """
 
     def __init__(self, lo: float, hi: float, n: int):
@@ -333,29 +338,12 @@ class RichardsonLadder:
                                coarse, ground, fine)
 
 
-def richardson_ground(potential: Callable, lo: float, hi: float, n: int) -> RichardsonLevel:
-    """Lowest level of :func:`dirichlet_problem` at n and 2 (n - 1) + 1 nodes;
-    ``value`` = (4 lam_{h/2} - lam_h) / 3 cancels the stencil's O(h^2) error.
-
-    The levels are solved as one nested-iteration ladder (A. Brandt, Math.
-    Comp. 31 (1977) 333): a coarse level of max(4, (n - 1) // 32 + 1)
-    nodes (``dpttrf`` needs two unknowns) from 1 and the Gershgorin shift;
-    the h level from the coarse vector, linearly interpolated, at the
-    shift lam_coarse; the h/2 level from the h vector and its midpoints
-    (the grids nest) at the shift lam_h.  Each shift is O(h^2) from the
-    next level and each start as close, so inverse iteration, which gains
-    (lam_0 - sigma) / (lam_1 - sigma) per step, finishes in one or two.
-    The vectors are positive, as :func:`tridiag_ground` requires of a
-    start; a shift not below the level's lam_0 fails to factor and falls
-    back to the Gershgorin bound.  A one-off :class:`RichardsonLadder`;
-    a sweep builds its own once and reuses it.
-    """
-    return RichardsonLadder(lo, hi, n).ground(potential)
-
-
 # ----------------------------------------------------------------------
 # bracketed scalar root
 # ----------------------------------------------------------------------
+
+_MAX_ROOT_ITERATIONS = 100  # the iteration cap of find_root
+
 
 @dataclass(frozen=True)
 class Root:
@@ -369,8 +357,7 @@ class Root:
     evaluations: int
 
 
-def find_root(f: Callable, lo: float, hi: float, xtol: float,
-              max_iter: int = 100) -> Root:
+def find_root(f: Callable, lo: float, hi: float, xtol: float) -> Root:
     """Root of f on [lo, hi] by Brent's zeroin.
 
     R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
@@ -390,7 +377,7 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
         names the point): a nan fails every sign comparison, so it would
         pass the bracket check and steer the search.
     RuntimeError
-        If the iteration cap ``max_iter`` is reached first.
+        If ``_MAX_ROOT_ITERATIONS`` iterations pass first.
     """
     def value(x):
         fx = f(x)
@@ -405,7 +392,7 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
                            f"(values {fa:.3e}, {fb:.3e})")
     c, fc = a, fa
     d = e = b - a
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ROOT_ITERATIONS + 1):
         if (fb > 0.0) == (fc > 0.0):          # keep c on the other side of b
             c, fc = a, fa
             d = e = b - a
@@ -416,7 +403,7 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return Root(b, (b, b) if fb == 0.0 else (min(b, c), max(b, c)), it + 2)
-        if it == max_iter:
+        if it == _MAX_ROOT_ITERATIONS:
             break
         if abs(e) < tol1 or abs(fa) <= abs(fb):
             d = e = xm                        # bisection
@@ -438,5 +425,6 @@ def find_root(f: Callable, lo: float, hi: float, xtol: float,
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = value(b)
     raise RuntimeError(
-        f"find_root: no convergence within the iteration cap max_iter = {max_iter} "
+        f"find_root: no convergence within the iteration cap "
+        f"_MAX_ROOT_ITERATIONS = {_MAX_ROOT_ITERATIONS} "
         f"(bracket [{min(b, c):.17g}, {max(b, c):.17g}])")

@@ -73,14 +73,22 @@ class OriginBehavior:
 def dispersion_weight(q, spec: PotentialSpec):
     """w(q; d) = W - q^2 - l (l + 1)/q^2, the |f|^2 weight that the position
     dispersion adds to |grad f|^2 in rescaled units; vectorized.  At d = INFINITY
-    the exact limit 1/q^2 (either spin); at d = 0 exactly 0 (spin 0) and 2/q^2."""
+    the exact limit 1/q^2 (either spin); at d = 0 exactly 0 (spin 0) and 2/q^2.
+    A finite d with d^2 or (d q)^2 = inf raises ValueError, where the spin-0
+    term d^2/(1+x) would drop to 0 instead of tending to 1/q^2."""
     q = np.asarray(q, dtype=float)
     if math.isinf(spec.d):
         return 1.0 / q**2
+    dq = spec.d * float(q.max(initial=0.0))  # Python floats: inf on overflow, no error
+    if math.isinf(spec.d * spec.d) or math.isinf(dq * dq):
+        raise ValueError(f"d = {spec.d:g} is too large: d^2 or (d q)^2 overflows for "
+                         "d q above about 1.3e154; use d = inf, the massless limit")
     x = (spec.d * q) ** 2
+    with np.errstate(over="ignore"):  # (1+x)^2 = inf once d q > 1.2e77; the term's limit is 0
+        tail = spec.d**2 / (2.0 * (1.0 + x) ** 2)
     if spec.spin == SPIN0:
-        return spec.d**2 / (1.0 + x) + spec.d**2 / (2.0 * (1.0 + x) ** 2)
-    return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + spec.d**2 / (2.0 * (1.0 + x) ** 2)
+        return spec.d**2 / (1.0 + x) + tail
+    return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + tail
 
 
 def effective_potential(q, spec: PotentialSpec):

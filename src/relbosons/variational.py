@@ -338,7 +338,7 @@ def separation_oracle(n: int = 8000) -> float:
     exactly 1 (u = e^{-q^2/2}); it enters as that value, so the planar
     error is the oracle's only one.
     """
-    planar = numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2, 0.0, 12.0, n)
+    planar = numkernel.RichardsonLadder(0.0, 12.0, n).ground(lambda q: 0.75 / q**2 + q**2)
     return 0.5 * planar.value + 0.5
 
 

@@ -150,9 +150,9 @@ def _squared_transverse_prefactor(monkeypatch, results):
 
 def _full_planar_axis_weight(monkeypatch, results):
     # the planar oracle problem with 1 / q^2 in place of (1 - 1/4) / q^2
-    ground = numkernel.richardson_ground
-    monkeypatch.setattr(numkernel, "richardson_ground", lambda potential, *args: ground(
-        lambda q: potential(q) + 0.25 / q**2, *args))
+    ground = numkernel.RichardsonLadder.ground
+    monkeypatch.setattr(numkernel.RichardsonLadder, "ground", lambda ladder, potential: ground(
+        ladder, lambda q: potential(q) + 0.25 / q**2))
 
 
 def _deadband_above_min_rho(monkeypatch, results):

@@ -222,6 +222,18 @@ class TestPotential:
         assert lines[-1].split(",")[0] == "inf"
 
 
+    @pytest.mark.parametrize("spin", ["0", "1"])
+    def test_large_finite_d_names_d(self, spin, tmp_path, capsys):
+        # (d q)^2 overflows at q = 2 and 3: the scalar weight fell to 0
+        # there, and W read 4 and 9 in place of 4.25 and 9.11
+        out = tmp_path / "w.csv"
+        assert run(["potential", "--spin", spin, "--d", "1e154", "--q", "1:3:1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "d = 1e+154 is too large" in err and "use d = inf" in err
+        assert not out.exists()
+
+
 class TestGamma:
     def test_endpoint_values_csv(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -287,6 +299,20 @@ class TestGamma:
         # the FD value as printed, 1e-5 above its unshifted 3/2
         printed = re.search(r"FD gamma (\S+)", capsys.readouterr().err).group(1)
         assert float(printed) == pytest.approx(1.5 + 1e-5, abs=1e-9)
+
+
+    def test_vast_finite_d(self, tmp_path):
+        # the (1 + x)^2 term overflows, silently, to its limit 0
+        out = tmp_path / "g.csv"
+        assert run(["gamma", "--spin", "0", "--d", "1e80,1e150", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert [r[1] for r in rows] == ["2.11803399"] * 2
+
+    def test_start_underflow_names_the_angular_index(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run(["gamma", "--spin", "0", "--d", "0", "--l", "46",
+                    "--out", str(out)]) == 1
+        assert "shooting cannot start at angular index l = 46" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -421,6 +447,68 @@ class TestRayleigh:
                     "--out", str(tmp_path / "no" / "dir" / "r.json")]) == 1
 
 
+    @pytest.mark.parametrize("d", ["5e153", "1e155"])
+    def test_large_finite_d_names_d(self, d, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["rayleigh", "--case", "spin0", "--d", d, "--out", str(out)]) == 1
+        assert f"d = {float(d):g} is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedRuns:
+    """One process, one parser: runs share no parsed value."""
+
+    def test_reruns_write_identical_files(self, tmp_path, capsys):
+        gamma = ["gamma", "--spin", "1", "--d", "0,1,inf", "--grid-n", "2000",
+                 "--format", "json", "--out"]
+        potential = ["potential", "--spin", "0", "--q", "0.5:2:0.5", "--out"]
+        assert run(gamma + [str(tmp_path / "g1.json")]) == 0
+        assert run(["gamma", "--spin", "1", "--d", "-1"]) == 2
+        assert run(gamma + [str(tmp_path / "g2.json")]) == 0
+        assert run(potential + [str(tmp_path / "w1.csv")]) == 0
+        assert run(potential + [str(tmp_path / "w2.csv")]) == 0
+        for first, second in (("g1.json", "g2.json"), ("w1.csv", "w2.csv")):
+            assert (tmp_path / first).read_bytes() == (tmp_path / second).read_bytes()
+        assert (tmp_path / "w1.csv").read_text().count("\n") == 1 + 5 * 4
+
+    def test_defaults_are_converted_at_every_run(self, monkeypatch, tmp_path):
+        # a command that changes its parsed values leaves the next run's as parsed
+        from relbosons import cli
+
+        seen = []
+
+        def spoiling(args):
+            seen.append((list(args.d), args.q.copy()))
+            args.d.append(7.0)
+            args.q[:] = -1.0
+            return 0
+
+        monkeypatch.setitem(cli._DISPATCH, "potential", spoiling)
+        for _ in range(2):
+            assert run(["potential", "--spin", "0", "--out", str(tmp_path / "w.csv")]) == 0
+        (d1, q1), (d2, q2) = seen
+        assert d1 == d2 == [0.0, 0.5, 1.0, 2.0, math.inf]
+        assert np.array_equal(q1, q2) and q1[0] == 0.05 and len(q1) == 120
+
+    def test_parser_built_on_first_run_only(self, tmp_path):
+        # in a fresh interpreter: importing the CLI builds no parser, and
+        # three runs build one (subparsers carry a longer prog)
+        argv = ["potential", "--spin", "0", "--d", "1", "--out", str(tmp_path / "w.csv")]
+        built = run_fresh(
+            "import argparse, json\n"
+            "progs = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    progs.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from relbosons import cli\n"
+            "on_import = len(progs)\n"
+            f"codes = [cli.run({argv!r}) for _ in range(3)]\n"
+            "print(json.dumps([on_import, progs.count('relbosons'), codes]))")
+        assert built == [0, 1, [0, 0, 0]]
+
+
 def run_fresh(code: str):
     """JSON-decoded last stdout line of ``code`` run in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n"
@@ -470,17 +558,15 @@ class TestImports:
         assert not {m.split(".")[1] for m in loaded if "." in m} & {"optimize", "interpolate",
                                                                    "integrate"}
 
-    def test_lazy_exports_resolve(self):
-        # in a fresh interpreter, where a submodule not yet imported
-        # resolves through the package's __getattr__
-        unlisted, modules = run_fresh(
+    def test_package_import_loads_nothing(self):
+        # the package defines no names beyond its version; each caller
+        # imports the submodule it uses, which the import system resolves
+        loaded, public, cli_name = run_fresh(
             "import json, relbosons\n"
-            "names = [*relbosons._SUBMODULES, *relbosons._EXPORTS]\n"
-            "print(json.dumps([[n for n in names if n not in dir(relbosons)],\n"
-            "                  {n: getattr(relbosons, n).__name__ for n in relbosons._SUBMODULES}]))")
-        assert unlisted == []
-        assert modules == {n: f"relbosons.{n}" for n in relbosons._SUBMODULES}
-        for name, module in relbosons._EXPORTS.items():
-            assert getattr(relbosons, name) is getattr(getattr(relbosons, module), name)
-        with pytest.raises(AttributeError):
-            relbosons.no_such_name
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('relbosons.') or m.split('.')[0] == 'scipy')\n"
+            "public = [n for n in dir(relbosons) if not n.startswith('_')]\n"
+            "from relbosons import cli\n"
+            "print(json.dumps([loaded, public, cli.__name__]))")
+        assert loaded == [] and public == []
+        assert cli_name == "relbosons.cli"

@@ -1,13 +1,13 @@
 """Tests for the radial ground-state solver."""
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 
 import relbosons.eigensolver as es
+from relbosons import numkernel
 from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid, analytic_cases,
                                    closed_form_residual, expectation_q2, gamma_curve,
                                    solve_ground_fd, solve_ground_shooting)
@@ -51,6 +51,20 @@ def shooting_defect(spec, grid):
 
 
 class TestShooting:
+    def test_start_underflow_names_the_angular_index(self, monkeypatch):
+        # 1e-7^(alpha - 1/2) is 0.0 from alpha = 47 on: raised before any sweep
+        monkeypatch.setattr(es, "_numerov_sweep", None)
+        for spec, alpha in ((spec_spin0(0.0, 46), "47"), (spec_spin1(1.0, 46), "47.0215")):
+            with pytest.raises(ValueError, match=rf"angular index l = 46\b.*alpha = {alpha}$"):
+                solve_ground_shooting(spec)
+
+    def test_largest_angular_index_that_starts(self):
+        # l = 45: the start values are subnormal but nonzero, and both
+        # routes agree on the exact level alpha + 1/2
+        (point,) = gamma_curve(spec_spin0(0.0, 45), [0.0])
+        assert point.ok
+        assert point.gamma == pytest.approx(46.5, abs=1e-8)
+
     def test_ground_state_nodeless(self):
         for spec in (spec_spin0(1.0), spec_spin1(0.5), spec_spin0(INFINITY)):
             res = solve_ground_shooting(spec)
@@ -144,8 +158,8 @@ class TestShooting:
         assert hi - lo <= 4.0 * np.finfo(float).eps * lam
 
     def test_nonconvergence_propagates(self, monkeypatch):
-        monkeypatch.setattr(es, "find_root", functools.partial(es.find_root, max_iter=2))
-        with pytest.raises(RuntimeError, match="iteration cap max_iter = 2"):
+        monkeypatch.setattr(numkernel, "_MAX_ROOT_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="iteration cap _MAX_ROOT_ITERATIONS = 2"):
             solve_ground_shooting(spec_spin0(1.0))
 
     def test_bracket_failure_names_bracket(self, monkeypatch):

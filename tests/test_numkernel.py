@@ -10,7 +10,7 @@ import pytest
 from relbosons import verify
 from relbosons.numkernel import (BracketError, MinimizationError, RichardsonLadder,
                                  dirichlet_problem, find_root, gauss_legendre,
-                                 radial_rule, richardson_ground, tridiag_ground)
+                                 radial_rule, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
@@ -229,7 +229,7 @@ class TestTridiagGround:
             return pair
 
         monkeypatch.setattr(numkernel, "tridiag_ground", recording)
-        level = numkernel.richardson_ground(lambda q: q**2, 0.0, 20.0, 2000)
+        level = RichardsonLadder(0.0, 20.0, 2000).ground(lambda q: q**2)
         (_, cold_shift, cold_start, coarse), (h_prob, h_shift, h_start, h), \
             (fine_prob, warm_shift, _, fine) = calls
         assert cold_shift is None and cold_start is None
@@ -255,7 +255,7 @@ class TestTridiagGround:
         cold = tridiag_ground(*oscillator_problem(pot, lo, hi, n))
         lam_h, lam_h2 = cold.value, tridiag_ground(
             *oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1), shift=cold.value).value
-        level = richardson_ground(pot, lo, hi, n)
+        level = RichardsonLadder(lo, hi, n).ground(pot)
         assert abs(level.ground.value - lam_h) <= 1e-10
         assert abs(level.fine.value - lam_h2) <= 1e-10
         assert abs(level.value - (4.0 * lam_h2 - lam_h) / 3.0) <= 1e-10
@@ -344,12 +344,13 @@ class TestRichardsonLadder:
 
     def test_reuse_matches_fresh_ladders(self):
         # one ladder across several d, with a ladder of another size run
-        # in between, gives the bits of a fresh richardson_ground each time
+        # in between, gives the bits of a fresh ladder each time
         ladder, other = RichardsonLadder(0.0, 12.0, 2000), RichardsonLadder(0.0, 12.0, 1000)
         for d in (4.0, 1.0, 0.0, INFINITY, 1.0):
             level = ladder.ground(self.potential(d))
             other.ground(self.potential(d))
-            assert_same_level(level, richardson_ground(self.potential(d), 0.0, 12.0, 2000))
+            fresh = RichardsonLadder(0.0, 12.0, 2000).ground(self.potential(d))
+            assert_same_level(level, fresh)
 
     def test_results_own_their_arrays(self):
         # a later solve in the same ladder leaves an earlier result as it was
@@ -436,15 +437,19 @@ class TestFindRoot:
         with pytest.raises(BracketError, match=r"no sign change on \[2\.000000, 3\.000000\]"):
             find_root(lambda x: x * x + 1.0, 2.0, 3.0, 1e-12)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # a triple root makes zeroin bisect every few steps: 124 evaluations
-        # after the two ends at xtol = 1e-12
+        # after the two ends at xtol = 1e-12, above the cap of 100
+        from relbosons import numkernel
+
         g, calls = self.counted(lambda x: (x - 1.0) ** 3)
-        with pytest.raises(RuntimeError, match="iteration cap max_iter = 20"):
-            find_root(g, 0.0, 3.0, 1e-12, max_iter=20)
+        monkeypatch.setattr(numkernel, "_MAX_ROOT_ITERATIONS", 20)
+        with pytest.raises(RuntimeError, match="iteration cap _MAX_ROOT_ITERATIONS = 20"):
+            find_root(g, 0.0, 3.0, 1e-12)
         assert len(calls) == 22
-        assert find_root(lambda x: (x - 1.0) ** 3, 0.0, 3.0, 1e-12,
-                         max_iter=200).value == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(numkernel, "_MAX_ROOT_ITERATIONS", 200)
+        assert find_root(lambda x: (x - 1.0) ** 3, 0.0, 3.0,
+                         1e-12).value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMinimizeFunctional:

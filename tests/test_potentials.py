@@ -1,6 +1,8 @@
 """Tests for the effective potential construction."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from relbosons.eigensolver import AnalyticCase, closed_form_residual
 from relbosons.potentials import (INFINITY, PotentialSpec, d_parameter,
-                                  effective_potential, limit_profile, origin_behavior,
-                                  spec_spin0, spec_spin1)
+                                  dispersion_weight, effective_potential, limit_profile,
+                                  origin_behavior, spec_spin0, spec_spin1)
 
 GOLDEN_ALPHA = 0.5 * (1.0 + math.sqrt(5.0))
 
@@ -81,6 +83,41 @@ class TestEffectivePotential:
             wb = effective_potential(q, big)
             wl = effective_potential(q, lim)
             assert abs(wb - wl) <= 1e-6 * abs(wl)
+
+
+class TestLargeFiniteD:
+    # the radial FD nodes and the shooting nodes of the default grid
+    Q = np.concatenate((np.linspace(0.0, 12.0, 15999)[1:-1], np.geomspace(1e-7, 12.0, 8000)))
+
+    @pytest.mark.parametrize("spin", [0, 1])
+    @pytest.mark.parametrize("d", [1e80, 1e150])
+    def test_no_warning_and_the_bits_of_the_plain_formula(self, spin, d):
+        # (1 + x)^2 overflows from d q = 1.2e77 on, where its term's limit is 0
+        with np.errstate(over="ignore"):
+            x = (d * self.Q) ** 2
+            tail = d**2 / (2.0 * (1.0 + x) ** 2)
+            plain = (d**2 / (1.0 + x) + tail if spin == 0
+                     else 1.0 / self.Q**2 + 1.0 / (self.Q**2 * (1.0 + x)) + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = dispersion_weight(self.Q, PotentialSpec(spin, d))
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(w.view(np.int64), plain.view(np.int64))
+
+    @pytest.mark.parametrize("spin,d", [(0, 5e153), (1, 5e153), (0, 1e155), (1, 1e155)])
+    def test_overflow_raises_naming_d(self, spin, d):
+        # at 5e153, (d q)^2 overflows from q = 2.7 on and the spin-0 weight
+        # d^2/(1+x) fell to 0 there; from 1.34e154 on d^2 itself overflows
+        message = re.escape(f"d = {d:g} is too large") + ".*use d = inf"
+        with pytest.raises(ValueError, match=message):
+            effective_potential(self.Q, PotentialSpec(spin, d))
+
+    def test_largest_finite_d_at_the_default_grid(self):
+        # d q_max = 1.2e154 at q_max = 12: (d q)^2 is finite and W tends to
+        # the massless limit, to rounding
+        q = np.linspace(0.05, 12.0, 240)
+        assert effective_potential(q, spec_spin0(1e153)) == pytest.approx(
+            effective_potential(q, spec_spin0(INFINITY)), rel=1e-15)
 
 
 class TestLimitProfile:

@@ -272,8 +272,8 @@ class TestTransverseMinimization:
         # enters as its exact 1, so half the planar error is the oracle's
         # whole error, to a few ulp of 2.5
         def planar_error(n):
-            return numkernel.richardson_ground(lambda q: 0.75 / q**2 + q**2,
-                                               0.0, 12.0, n).value - 4.0
+            return numkernel.RichardsonLadder(0.0, 12.0, n).ground(
+                lambda q: 0.75 / q**2 + q**2).value - 4.0
 
         assert planar_error(4000) / planar_error(8000) == pytest.approx(4.0, abs=0.05)
         assert abs(separation_oracle(8000) - 2.5 - 0.5 * planar_error(8000)) <= 4.0 * math.ulp(2.5)
