@@ -34,6 +34,8 @@ from .potentials import INFINITY, PotentialSpec
 
 # points of a --q grid at most; the default grid has 120
 MAX_Q_POINTS = 10**7
+# cells of the planar map at most, (--map-n)^2; the default map has 121^2
+MAX_MAP_CELLS = 10**6
 
 
 def _fmt(x) -> str:
@@ -146,6 +148,9 @@ def parse_map_n(text: str) -> int:
     n = int(text)
     if n < 2:
         raise argparse.ArgumentTypeError("the planar map needs at least 2 points per axis")
+    if n * n > MAX_MAP_CELLS:
+        raise argparse.ArgumentTypeError(f"{n} points per axis make {n * n} cells, more "
+                                         f"than MAX_MAP_CELLS = {MAX_MAP_CELLS}")
     return n
 
 
@@ -348,7 +353,7 @@ def _cmd_rayleigh(args) -> int:
                           right=0.0)
         else:
             f = potentials.limit_profile(grid.q, spec)
-        state = variational.evaluate_state(grid, f, spec)
+        state = variational.radial_state(grid, f, spec)
         if args.case != "trans-nonrel":
             payload["d"] = "inf" if math.isinf(d) else d
         payload["iterations"] = 0

@@ -200,6 +200,11 @@ def energy_density(sample: FieldSample, mass: float):
 _ALIAS_MARGIN = 30.0
 _MAX_DOUBLINGS = 6
 
+# points of the radius lattice r_k = k dr that the transforms span, out to
+# r_max + _ALIAS_MARGIN, at most: 3600 on the default grid; the radii
+# themselves are the first r_max / dr of them
+MAX_LATTICE_POINTS = 10**5
+
 
 def _radius_lattice(radii):
     """(dr, k) with radii = k dr for ascending integers k >= 1.
@@ -364,10 +369,21 @@ def scan_density(params: WavepacketParams, radii) -> DensityField:
 
 
 def default_radii(r_max: float = 6.0, dr: float = 0.01) -> np.ndarray:
-    """The (0, r_max] grid of the density demonstration."""
+    """The (0, r_max] grid of the density demonstration.
+
+    The transforms of its fields span (r_max + _ALIAS_MARGIN) / dr lattice
+    points, which size their work and memory; above
+    ``MAX_LATTICE_POINTS`` the grid is refused before it is built.
+    """
     if not 0.0 < dr <= r_max:
         raise ValueError(f"need 0 < dr <= r_max for a nonempty radius grid, "
                          f"got r_max = {r_max:g} and dr = {dr:g}")
+    points = (r_max + _ALIAS_MARGIN) / dr  # Python floats: inf on overflow
+    if not points <= MAX_LATTICE_POINTS:
+        raise ValueError(f"r_max = {r_max:g} (--rmax) and dr = {dr:g} (--dr) span "
+                         f"{points:.3g} lattice points out to r_max + {_ALIAS_MARGIN:g}, "
+                         f"above MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}: raise --dr "
+                         "or lower --rmax")
     n = int(round(r_max / dr))
     return dr * np.arange(1, n + 1)
 

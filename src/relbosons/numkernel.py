@@ -245,17 +245,12 @@ def _positive(v, scratch) -> np.ndarray:
 
 
 def _dirichlet_grid(lo: float, hi: float, n: int) -> tuple:
-    """(interior nodes, 2 / h^2, -1 / h^2) of :func:`dirichlet_problem`."""
+    """(interior nodes, 2 / h^2, -1 / h^2) of the three-point -u'' + V u on
+    n uniform nodes of [lo, hi] with u = 0 at both ends: its matrix has the
+    diagonal 2 / h^2 + V(nodes) and the constant off-diagonal -1 / h^2."""
     q = np.linspace(lo, hi, n)
     h = q[1] - q[0]
     return q[1:-1], 2.0 / h**2, -1.0 / h**2
-
-
-def dirichlet_problem(potential: Callable, lo: float, hi: float, n: int) -> tuple:
-    """(diagonal, off-diagonal, interior nodes) of the three-point -u'' + V u
-    on n uniform nodes of [lo, hi] with u = 0 at both ends."""
-    nodes, c, off = _dirichlet_grid(lo, hi, n)
-    return c + potential(nodes), np.full(n - 3, off), nodes
 
 
 @dataclass(frozen=True)
@@ -271,8 +266,9 @@ class RichardsonLevel:
 
 
 class RichardsonLadder:
-    """The Richardson-extrapolated lowest level of :func:`dirichlet_problem`
-    on [lo, hi] at n and 2 (n - 1) + 1 nodes, for any number of potentials:
+    """The Richardson-extrapolated lowest level of the three-point Dirichlet
+    matrix of -u'' + V u (:func:`_dirichlet_grid`) on [lo, hi] at n and
+    2 (n - 1) + 1 nodes, for any number of potentials:
     :meth:`ground` returns ``value`` = (4 lam_{h/2} - lam_h) / 3, which
     cancels the stencil's O(h^2) error.  A one-off solve is
     ``RichardsonLadder(lo, hi, n).ground(potential)``.

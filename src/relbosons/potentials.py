@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INFINITY = math.inf
+_FLOAT_MAX = float(np.finfo(float).max)
 
 SPIN0 = 0
 SPIN1 = 1
@@ -93,10 +94,21 @@ def dispersion_weight(q, spec: PotentialSpec):
 
 def effective_potential(q, spec: PotentialSpec):
     """W(q) = w(q; d) + q^2 + l (l + 1)/q^2 in the canonical -u'' + W u = lam u
-    form, w from :func:`dispersion_weight`.  Requires q > 0; vectorized."""
+    form, w from :func:`dispersion_weight`.  Requires q > 0; vectorized.
+
+    Near the origin W ~ c/q^2, c from :func:`origin_behavior`; a q whose
+    c/q^2 reaches half the largest float (q below about 1e-154 sqrt(c))
+    raises ValueError naming q, before any division, rather than giving
+    W = inf.  With c = 0 (spin 0, finite d, l = 0) W has no such term.
+    """
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0):
+    q_min = float(q.min(initial=INFINITY))
+    if not q_min > 0.0:
         raise ValueError("q must be positive")
+    c = origin_behavior(spec).singular_strength
+    if c and not q_min * q_min * _FLOAT_MAX > 2.0 * c:  # Python floats: no warning
+        raise ValueError(f"q = {q_min:g} is too small: the {c:g}/q^2 terms of W overflow "
+                         f"for q below about {math.sqrt(2.0 * c / _FLOAT_MAX):.2g}")
     lterm = spec.angular_index * (spec.angular_index + 1)
     w = dispersion_weight(q, spec) + q**2
     if lterm:

@@ -1,17 +1,17 @@
 """Momentum-space dispersion functionals and their minimization.
 
 The uncertainty product gamma^2 = (Delta q^2)(Delta r_q^2) is evaluated
-for trial states on radial or cylindrical momentum grids, and the grid
-picks the form of the state and the |f|^2 weight that Delta r_q^2 adds
-to |grad f|^2.  A :class:`RadialMomentumGrid` takes one sample array and
-the channel's :class:`relbosons.potentials.PotentialSpec`, whose weight
-is :func:`relbosons.potentials.dispersion_weight`; a
-:class:`CylindricalGrid` takes one factor pair (a, b), standing for the
-separable state a(q_perp) b(q_z), carries the transverse massless weight
-1/q_perp^2 and takes no spec.  All
-functionals here are in rescaled dimensionless form; physical-unit
-quantities appear only in the helpers used by the cross checks against
-:mod:`relbosons.kg_fields`.
+for trial states on radial or cylindrical momentum grids, one evaluator
+per grid, each with its own form of the state and its own |f|^2 weight
+that Delta r_q^2 adds to |grad f|^2.  :func:`radial_state` takes a
+:class:`RadialMomentumGrid`, one sample array and the channel's
+:class:`relbosons.potentials.PotentialSpec`, whose weight is
+:func:`relbosons.potentials.dispersion_weight`; :func:`factor_state`
+takes a :class:`CylindricalGrid` and one factor pair (a, b), standing for
+the separable state a(q_perp) b(q_z), with the transverse massless weight
+1/q_perp^2 and no spec.  All functionals here are in rescaled
+dimensionless form; physical-unit quantities appear only in the helpers
+used by the cross checks against :mod:`relbosons.kg_fields`.
 
 The anisotropic transverse massless case is minimized directly on a
 cylindrical grid.  The product functional is scale invariant there, so
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class DivergentWeightError(ValueError):
 class RadialMomentumGrid:
     """Uniform radial grid q = h, 2h, ..., q_max (measure q^2 dq).
 
-    Its dispersion weight is the channel's: the moments take a
+    Its dispersion weight is the channel's: :func:`radial_state` takes a
     :class:`relbosons.potentials.PotentialSpec` with the samples.
     """
 
@@ -77,10 +77,10 @@ class RadialMomentumGrid:
 class CylindricalGrid:
     """Tensor grid q_perp in (0, q_max], q_z in [-q_max, q_max].
 
-    Its dispersion weight is the transverse massless 1/q_perp^2.  The
-    axis q_perp = 0 is excluded; trial states must vanish there
-    (linearly, like the true minimizer) or that weight diverges.  The
-    measure is 2 pi q_perp dq_perp dq_z.
+    Its dispersion weight is the transverse massless 1/q_perp^2 of
+    :func:`factor_state`.  The axis q_perp = 0 is excluded; trial states
+    must vanish there (linearly, like the true minimizer) or that weight
+    diverges.  The measure is 2 pi q_perp dq_perp dq_z.
     """
 
     q_max: float = 8.0
@@ -107,8 +107,8 @@ class RayleighState:
     """A trial state with its evaluated norm, dispersions and gamma.
 
     ``f_samples`` is one sample array on a :class:`RadialMomentumGrid`
-    and one factor pair (a, b), standing for the outer product a b, on a
-    :class:`CylindricalGrid`.
+    (:func:`radial_state`) and one factor pair (a, b), standing for the
+    outer product a b, on a :class:`CylindricalGrid` (:func:`factor_state`).
     """
 
     geometry: object
@@ -147,35 +147,33 @@ def _centered_diff_squares(x):
     return d * d
 
 
-def _moments(grid, f, spec: Optional[potentials.PotentialSpec] = None):
-    """(N^2, Delta q^2, Delta r_q^2) of the samples f; centered differences.
+def radial_state(grid: RadialMomentumGrid, f, spec: potentials.PotentialSpec) -> RayleighState:
+    """The RayleighState of the samples f on a radial grid; centered differences.
 
-    The grid picks the samples and the weight: a :class:`RadialMomentumGrid`
-    takes one sample array and the channel's ``spec``, and adds
-    ``dispersion_weight(q, spec)``; a :class:`CylindricalGrid` takes a
-    factor pair (a, b), evaluated as the outer product a b without forming
-    it, and adds 1/q_perp^2 with no spec.
+    Integrated with the q^2 dq measure; Delta r_q^2 adds the channel's
+    ``dispersion_weight(q, spec)`` to |f'|^2.
     """
-    if isinstance(grid, RadialMomentumGrid):
-        if spec is None:
-            raise ValueError("a RadialMomentumGrid needs the channel's PotentialSpec")
-        q, h = grid.q, grid.step
-        meas = q * q * h
-        n2 = float(np.sum(f * f * meas))
-        df = np.gradient(f, h)
-        dq2 = float(np.sum(q * q * f * f * meas)) / n2
-        drq2 = float(np.sum(df * df * meas)
-                     + np.sum(potentials.dispersion_weight(q, spec) * f * f * meas)) / n2
-        return n2, dq2, drq2
+    q, h = grid.q, grid.step
+    meas = q * q * h
+    n2 = float(np.sum(f * f * meas))
+    df = np.gradient(f, h)
+    dq2 = float(np.sum(q * q * f * f * meas)) / n2
+    drq2 = float(np.sum(df * df * meas)
+                 + np.sum(potentials.dispersion_weight(q, spec) * f * f * meas)) / n2
+    return RayleighState(grid, f, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
-    if spec is not None or not isinstance(f, tuple):
-        raise ValueError("a CylindricalGrid carries the transverse massless weight "
-                         "1/q_perp^2: it takes a factor pair (a, b) standing for "
-                         "a b, and no PotentialSpec")
+
+def factor_state(grid: CylindricalGrid, a, b) -> RayleighState:
+    """The RayleighState of the separable state a(q_perp) b(q_z) on a
+    cylindrical grid; centered differences.
+
+    Integrated with the cylindrical measure; Delta r_q^2 adds the transverse
+    massless weight 1/q_perp^2, so the state must vanish linearly on the
+    q_perp = 0 axis.  The outer product a b is never formed.
+    """
     # every term is a q_z row sum (of f^2, q_z^2 f^2 and the 4 h^2 |grad|^2
     # of zero-ghost centered differences), a 1-D product for f = a b, and is
     # contracted with the row weight; the axis check reads the first sum
-    a, b = f
     qp, h = grid.q_perp, grid.step
     a2 = a * a
     bb = np.einsum("j,j", b, b)
@@ -185,29 +183,8 @@ def _moments(grid, f, spec: Optional[potentials.PotentialSpec] = None):
     dq2 = _measure_sum(grid, qp**2 * rows + a2 * np.einsum("j,j,j", b, b, grid.q_z**2)) / n2
     d_perp = _centered_diff_squares(a) * bb
     d_z = a2 * np.sum(_centered_diff_squares(b))
-    drq2 = (d_perp + d_z) / (4.0 * h * h) + rows / qp**2
-    return n2, dq2, _measure_sum(grid, drq2) / n2
-
-
-def dispersion_pair(state, spec: Optional[potentials.PotentialSpec] = None):
-    """(Delta q^2, Delta r_q^2) of a (grid, samples) pair; centered differences.
-
-    The samples are one array on a radial grid, integrated with the q^2 dq
-    measure and the weight of the channel ``spec``.  On a cylindrical grid
-    they are one factor pair (a, b) standing for a b; that grid takes no
-    spec, uses the cylindrical measure with the 1/q_perp^2 weight and
-    requires the state to vanish linearly on the q_perp = 0 axis.
-    """
-    return _moments(*state, spec)[1:]
-
-
-def evaluate_state(grid, f_samples,
-                   spec: Optional[potentials.PotentialSpec] = None) -> RayleighState:
-    """Build a RayleighState with its dispersions and gamma filled in;
-    ``f_samples`` (one array on a radial grid, one factor pair (a, b) on
-    a cylindrical grid) and ``spec`` as in :func:`dispersion_pair`."""
-    n2, dq2, drq2 = _moments(grid, f_samples, spec)
-    return RayleighState(grid, f_samples, n2, dq2, drq2, math.sqrt(dq2 * drq2))
+    drq2 = _measure_sum(grid, (d_perp + d_z) / (4.0 * h * h) + rows / qp**2) / n2
+    return RayleighState(grid, (a, b), n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +197,7 @@ class _TransverseOperator:
     The Laplacian is the compact staggered-difference form with zero
     ghosts: the centered stencil's quadratic form is blind to odd-even
     modes and has spurious discrete minima well below the physical one.
-    Evaluation of results still goes through :func:`dispersion_pair`
+    Evaluation of results still goes through :func:`factor_state`
     (centered); the two differ by O(h^2).
 
     W = w_i (row weight 2 pi h^2 q_perp_i), so in g = sqrt(w) f the
@@ -266,11 +243,11 @@ def minimize_transverse_massless(grid: CylindricalGrid = CylindricalGrid()) -> R
     (``grad_norm``), exactly the hypot of the two factor residuals.
     """
     a, b, meta = _lowest_mode(grid)
-    dq2, drq2 = dispersion_pair((grid, (a, b)))
-    s = (dq2 / drq2) ** 0.25
+    nominal = factor_state(grid, a, b)
+    s = (nominal.delta_q2 / nominal.delta_rq2) ** 0.25
     grid = CylindricalGrid(grid.q_max / s, grid.step / s)
     a = a / math.sqrt(_measure_sum(grid, a * a))
-    state = evaluate_state(grid, (a, b))
+    state = factor_state(grid, a, b)
     state.meta.update(meta)
     return state
 
@@ -357,10 +334,10 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
     transverse = qp * np.exp(-1.25 * qp**2)
     report = {}
     # the first two readings separate and are evaluated on their factors
-    report["qperp_times_full_gaussian"] = evaluate_state(
-        grid, (transverse, np.exp(-1.25 * qz**2))).gamma
-    report["qperp_dependence_only"] = evaluate_state(
-        grid, (transverse, np.ones(len(qz)))).gamma
+    report["qperp_times_full_gaussian"] = factor_state(
+        grid, transverse, np.exp(-1.25 * qz**2)).gamma
+    report["qperp_dependence_only"] = factor_state(
+        grid, transverse, np.ones(len(qz))).gamma
     # the spherical reading fails the axis check, which reads only the
     # first two q_z row sums, so only those two rows are built
     q2 = qp[:2, None] ** 2 + qz[None, :] ** 2

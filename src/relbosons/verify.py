@@ -29,8 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import eigensolver, kg_fields, potentials, variational
-from .eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA, RadialGrid
-from .numkernel import dirichlet_problem, tridiag_ground
+from .eigensolver import (ALPHA_GOLDEN, GOLDEN_GAMMA, RadialGrid, solve_ground_fd,
+                          solve_ground_shooting)
+from .numkernel import RichardsonLadder
 from .potentials import INFINITY, spec_spin0, spec_spin1
 
 
@@ -121,10 +122,12 @@ def _show(fmt, *values):
     return values, fmt.format(*values)
 
 
-def _level(name, spec, method, target, tol):
-    """Row: the ground gamma of ``spec`` by one solver route."""
+def _level(name, spec, solve, target, tol):
+    """Row: the ground gamma of ``spec`` by the solver route ``solve``, an
+    ``eigensolver.solve_ground_*`` function named in the row by its route."""
+    method = solve.__name__.removeprefix("solve_ground_")
+
     def compute(run):
-        solve = getattr(eigensolver, f"solve_ground_{method}")
         gamma = solve(spec, RadialGrid(n=run.grid_n)).gamma
         return (gamma,), f"gamma = {gamma:.9f} (target {target:.9f})"
     return Check(f"{name} ({method})", compute, (Target(target, tol),))
@@ -154,15 +157,15 @@ def _shells(run):
 
 
 def _radial_trial(spec):
-    """The closed-form ground state of ``spec`` on the default radial momentum
-    grid, with ``spec``: the (state, spec) arguments of the dispersion pair."""
+    """The evaluated closed-form ground state of ``spec`` on the default
+    radial momentum grid."""
     grid = variational.RadialMomentumGrid()
-    return (grid, potentials.limit_profile(grid.q, spec)), spec
+    return variational.radial_state(grid, potentials.limit_profile(grid.q, spec), spec)
 
 
-def _massless_profile(run):
-    state, spec = _radial_trial(spec_spin0(INFINITY))
-    return _show("gamma = {:.7f}", variational.evaluate_state(*state, spec).gamma)
+def _gaussian_trial(run):
+    state = _radial_trial(spec_spin0(0.0))
+    return _show("({:.7f}, {:.7f})", state.delta_q2, state.delta_rq2)
 
 
 def _position_product(run):
@@ -192,8 +195,8 @@ def _readings(run):
 
 CHECKS = [
     Check("tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
-          lambda run: _show("lambda0 = {:.8f}", tridiag_ground(*dirichlet_problem(
-              lambda q: 1.0 / q**2 + q**2, 0.0, 12.0, 8000)[:2]).value),
+          lambda run: _show("lambda0 = {:.8f}", RichardsonLadder(0.0, 12.0, 8000).ground(
+              lambda q: 1.0 / q**2 + q**2).ground.value),
           (Target(2.0 + math.sqrt(5.0), 1e-4),)),
     Check("longitudinal W(1; d=0) = 3",
           lambda run: _show("W = {:.14f}",
@@ -209,12 +212,13 @@ CHECKS = [
           (Target(2.0, 1e-14),)),
     Check("d -> 0 as mass -> inf at fixed dispersions", _d_falls_with_mass,
           (Bound("<", 0.0), Bound("<", 1e-2))),
-    _level("scalar gamma(d=0) = 3/2", spec_spin0(0.0), "shooting", 1.5, 1e-6),
-    _level("scalar gamma(d=inf) = 1 + sqrt(5)/2", spec_spin0(INFINITY), "shooting",
-           GOLDEN_GAMMA, 1e-6),
-    _level("longitudinal gamma(d=0) = 5/2", spec_spin1(0.0), "shooting", 2.5, 1e-6),
-    _level("longitudinal gamma(d=inf) = 1 + sqrt(5)/2", spec_spin1(INFINITY), "fd",
-           GOLDEN_GAMMA, 1e-6),
+    _level("scalar gamma(d=0) = 3/2", spec_spin0(0.0), solve_ground_shooting, 1.5, 1e-6),
+    _level("scalar gamma(d=inf) = 1 + sqrt(5)/2", spec_spin0(INFINITY),
+           solve_ground_shooting, GOLDEN_GAMMA, 1e-6),
+    _level("longitudinal gamma(d=0) = 5/2", spec_spin1(0.0), solve_ground_shooting,
+           2.5, 1e-6),
+    _level("longitudinal gamma(d=inf) = 1 + sqrt(5)/2", spec_spin1(INFINITY),
+           solve_ground_fd, GOLDEN_GAMMA, 1e-6),
     *(_residual(label, tol) for label, tol in (
         ("spin0 d=0", 1e-6), ("spin0 d=inf", 1e-5), ("spin1 d=0", 1e-6))),
     Check("charge density goes negative for the demonstration packet",
@@ -225,12 +229,11 @@ CHECKS = [
     Check("energy density nonnegative at every sample",
           lambda run: _show("min eps = {:.3e}", float(np.min(run.demo_scan.eps))),
           (Bound(">=", 0.0),)),
-    Check("Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)",
-          lambda run: _show("({:.7f}, {:.7f})", *variational.dispersion_pair(
-              *_radial_trial(spec_spin0(0.0)))),
+    Check("Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)", _gaussian_trial,
           (Target(1.5, 1e-5), Target(1.5, 1e-5))),
     Check("massless-limit profile gives gamma = 1 + sqrt(5)/2",
-          _massless_profile, (Target(GOLDEN_GAMMA, 1e-4),)),
+          lambda run: _show("gamma = {:.7f}", _radial_trial(spec_spin0(INFINITY)).gamma),
+          (Target(GOLDEN_GAMMA, 1e-4),)),
     Check("position-space product tends to 3/2 in the nonrelativistic regime",
           _position_product, (Target(1.5, 2e-4),)),
     Check("transverse massless minimization lands on gamma = 5/2", _transverse,

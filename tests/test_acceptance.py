@@ -106,20 +106,22 @@ def _irregular_origin_root(monkeypatch, results):
 
 def _fencepost_radial_nodes(monkeypatch, results):
     # nodes linspace(0, q_max, n), spaced q_max / (n - 1), while
-    # dispersion_pair differentiates with the step q_max / n
+    # radial_state differentiates with the step q_max / n
     monkeypatch.setattr(variational.RadialMomentumGrid, "q", property(
         lambda grid: np.linspace(0.0, grid.q_max, grid.n)))
 
 
 def _fencepost_dirichlet_step(monkeypatch, results):
     # nodes linspace(lo, hi, n), spaced (hi - lo) / (n - 1), while the
-    # stencil divides by the step (hi - lo) / n
-    def faulty(potential, lo, hi, n):
-        nodes = numkernel.dirichlet_problem(potential, lo, hi, n)[2]
-        h = (hi - lo) / n
-        return 2.0 / h**2 + potential(nodes), np.full(n - 3, -1.0 / h**2), nodes
+    # stencil of every Richardson level divides by the step (hi - lo) / n
+    grid = numkernel._dirichlet_grid
 
-    monkeypatch.setattr(verify, "dirichlet_problem", faulty)
+    def faulty(lo, hi, n):
+        nodes = grid(lo, hi, n)[0]
+        h = (hi - lo) / n
+        return nodes, 2.0 / h**2, -1.0 / h**2
+
+    monkeypatch.setattr(numkernel, "_dirichlet_grid", faulty)
 
 
 def _doubled_axis_weight(monkeypatch, results):
@@ -137,15 +139,9 @@ def _squared_transverse_prefactor(monkeypatch, results):
     # one more factor q_perp in front of the separable readings' Gaussian
     # (the transverse prefactor becomes q_perp^2), which moves the orbit
     # reading off 5/2; the spherical reading only reads the axis check
-    evaluate = variational.evaluate_state
-
-    def faulty(grid, f_samples, spec=None):
-        if isinstance(f_samples, tuple):
-            a, b = f_samples
-            f_samples = (grid.q_perp * a, b)
-        return evaluate(grid, f_samples, spec)
-
-    monkeypatch.setattr(variational, "evaluate_state", faulty)
+    evaluate = variational.factor_state
+    monkeypatch.setattr(variational, "factor_state",
+                        lambda grid, a, b: evaluate(grid, grid.q_perp * a, b))
 
 
 def _full_planar_axis_weight(monkeypatch, results):

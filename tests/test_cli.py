@@ -192,6 +192,25 @@ class TestDensity:
         assert not out.exists()
         assert not shells.exists()
 
+    def test_radius_lattice_above_the_cap_is_refused(self, tmp_path, capsys):
+        # 1e8 radii: refused before the grid is built
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--rmax", "1e6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--rmax" in err and "MAX_LATTICE_POINTS" in err
+        assert not out.exists()
+
+    def test_map_cells_above_the_cap_are_refused(self, tmp_path, capsys):
+        # 1e10 cells: an argparse error before any scan
+        assert parse_map_n("1000") == 1000
+        with pytest.raises(argparse.ArgumentTypeError, match="MAX_MAP_CELLS"):
+            parse_map_n("1001")
+        out, planar = tmp_path / "rho.csv", tmp_path / "map.csv"
+        assert run(["density", "--out", str(out), "--map-out", str(planar),
+                    "--map-n", "100000"]) == 2
+        assert "--map-n" in capsys.readouterr().err
+        assert not out.exists() and not planar.exists()
+
     def test_empty_radius_grid_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "rho.csv"
         assert run(["density", "--rmax", "0.001", "--out", str(out)]) == 1
@@ -232,6 +251,21 @@ class TestPotential:
         err = capsys.readouterr().err
         assert "d = 1e+154 is too large" in err and "use d = inf" in err
         assert not out.exists()
+
+    def test_tiny_q_names_q(self, tmp_path, capsys):
+        # the spin-1 1/q^2 terms overflow at q = 1e-160: W read inf
+        out = tmp_path / "w.csv"
+        assert run(["potential", "--spin", "1", "--d", "1", "--q", "1e-160:2e-160:1e-160",
+                    "--out", str(out)]) == 1
+        assert "q = 1e-160 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_q_spin0_finite_d(self, tmp_path):
+        # the scalar W at finite d has no 1/q^2 term: d^2 (1 + 1/2) at q -> 0
+        out = tmp_path / "w.csv"
+        assert run(["potential", "--spin", "0", "--d", "1", "--q", "1e-160:2e-160:1e-160",
+                    "--out", str(out)]) == 0
+        assert read(out).splitlines() == ["q,W", "1e-160,1.5", "2e-160,1.5"]
 
 
 class TestGamma:

@@ -11,7 +11,7 @@ from relbosons import numkernel
 from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid, analytic_cases,
                                    closed_form_residual, expectation_q2, gamma_curve,
                                    solve_ground_fd, solve_ground_shooting)
-from relbosons.numkernel import BracketError, dirichlet_problem, tridiag_matvec
+from relbosons.numkernel import BracketError, tridiag_matvec
 from relbosons.potentials import (INFINITY, effective_potential, limit_profile,
                                   origin_behavior, spec_spin0, spec_spin1)
 
@@ -200,12 +200,12 @@ class TestFdMatrix:
         # u_samples is the unit kernel vector over sqrt(h): sum(u^2) h = 1
         h = res.q_samples[0]
         assert abs(np.sum(res.u_samples ** 2) * h - 1.0) <= 1e-12
-        # ... and an eigenvector of the step-h matrix at lambda_h
-        diagonal, off_diagonal, nodes = dirichlet_problem(
-            lambda q: effective_potential(q, spec), 0.0, grid.q_max, grid.n)
+        # ... and an eigenvector of the step-h three-point Dirichlet matrix at lambda_h
+        nodes = np.linspace(0.0, grid.q_max, grid.n)[1:-1]
         assert np.array_equal(nodes, res.q_samples)
         v = res.u_samples * math.sqrt(h)
-        r = tridiag_matvec(diagonal, off_diagonal, v) - res.meta["lambda_h"] * v
+        r = (tridiag_matvec(2.0 / h**2 + effective_potential(nodes, spec), -1.0 / h**2, v)
+             - res.meta["lambda_h"] * v)
         assert np.linalg.norm(r) <= 1e-7
 
     def test_richardson_metadata(self):

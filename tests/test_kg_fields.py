@@ -434,3 +434,25 @@ class TestProfilesAndParams:
         for sigma in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 GaussianProfile(sigma)
+
+    def test_cosine_profile_scales_with_the_mass(self):
+        # cos(p/m) / sqrt(m^2 + p^2) at m = 2: 1/m at p = 0, the first zero at m pi/2
+        f = CosineProfile(2.0)
+        assert f(0.0) == 0.5
+        assert abs(f(math.pi)) <= 1e-16
+        assert f(1.0) == pytest.approx(math.cos(0.5) / math.sqrt(5.0), rel=1e-15)
+
+
+class TestDefaultRadii:
+    def test_the_density_grids_fit_under_the_cap(self):
+        # the benchmark's and CI's 2250 radii; 96900 radii span 97e3 lattice points
+        assert len(default_radii(22.5, 0.01)) == 2250
+        assert len(default_radii(969.0, 0.01)) == 96900
+
+    @pytest.mark.parametrize("r_max,dr", [(1e6, 0.01), (971.0, 0.01), (0.1, 1e-6),
+                                          (1e300, 1e-300)])
+    def test_lattice_above_the_cap_is_refused(self, r_max, dr):
+        # 1e8 radii; just past the cap; 1e5 radii but 3e7 lattice points to
+        # r_max + 30; a count that overflows to inf
+        with pytest.raises(ValueError, match="--rmax.*--dr.*MAX_LATTICE_POINTS"):
+            default_radii(r_max, dr)

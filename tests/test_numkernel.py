@@ -9,14 +9,16 @@ import pytest
 
 from relbosons import verify
 from relbosons.numkernel import (BracketError, MinimizationError, RichardsonLadder,
-                                 dirichlet_problem, find_root, gauss_legendre,
-                                 radial_rule, tridiag_ground)
+                                 find_root, gauss_legendre, radial_rule, tridiag_ground)
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
 def oscillator_problem(pot, lo, hi, n):
-    """(diagonal, off-diagonal) of the Dirichlet matrix of -u'' + pot u."""
-    return dirichlet_problem(pot, lo, hi, n)[:2]
+    """(diagonal, off-diagonal) of the three-point Dirichlet matrix of
+    -u'' + pot u on n uniform nodes of [lo, hi], u = 0 at both ends."""
+    q = np.linspace(lo, hi, n)
+    h = q[1] - q[0]
+    return 2.0 / h**2 + pot(q[1:-1]), np.full(n - 3, -1.0 / h**2)
 
 
 def sturm_count(problem, shift):

@@ -120,6 +120,34 @@ class TestLargeFiniteD:
             effective_potential(q, spec_spin0(INFINITY)), rel=1e-15)
 
 
+class TestTinyQ:
+    # W ~ c/q^2 at the origin: with c > 0 its 1/q^2 terms overflow at q = 1e-160
+    Q = np.array([1e-160, 2e-160])
+
+    @pytest.mark.parametrize("spec,c", [(spec_spin1(1.0), 2), (spec_spin1(0.0), 2),
+                                        (spec_spin0(INFINITY), 1), (spec_spin0(1.0, 1), 2)],
+                             ids=["spin1", "spin1_d0", "spin0_inf", "spin0_l1"])
+    def test_overflow_raises_naming_q(self, spec, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"q = 1e-160 is too small: the {c}/q^2 terms of W overflow")):
+                effective_potential(self.Q, spec)
+
+    def test_spin0_finite_d_has_no_inverse_square_term(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(effective_potential(self.Q, spec_spin0(1.0))) == [1.5, 1.5]
+
+    @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
+    def test_smallest_accepted_q_is_finite(self, mk):
+        # just above the stated floor (1.5e-154 for c = 2) W stays finite
+        spec = mk(INFINITY if mk is spec_spin0 else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(effective_potential(1.5e-154, spec))
+
+
 class TestLimitProfile:
     def test_no_closed_form_at_finite_d(self):
         with pytest.raises(ValueError, match="finite d"):

@@ -11,11 +11,11 @@ from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
                                    RadialMomentumGrid, closed_form_readings,
-                                   dispersion_pair, euler_lagrange_residual,
-                                   evaluate_state, minimize_transverse_massless,
-                                   norm_and_dp2, position_dispersion_momentum,
+                                   euler_lagrange_residual, factor_state,
+                                   minimize_transverse_massless, norm_and_dp2,
+                                   position_dispersion_momentum, radial_state,
                                    rescaled_profile, separation_oracle,
-                                   _lowest_mode, _moments, _TransverseOperator)
+                                   _lowest_mode, _TransverseOperator)
 
 
 def wrong_width_gaussian(grid):
@@ -32,7 +32,7 @@ def cylindrical_measure(grid):
 def dense_dispersion_pair(grid, f):
     """(Delta q^2, Delta r_q^2) on the cylindrical grid from the whole 2-D array.
 
-    Reference for the factor evaluation of :func:`dispersion_pair`: the pair
+    Reference for the factor evaluation of :func:`factor_state`: the pair
     ``f`` = (a, b) is formed into a b here; centered differences with zero
     ghosts, every integrand summed against the measure.
     """
@@ -96,75 +96,53 @@ class TestDispersionPair:
         # q_perp Gaussian: separable planar level 2 plus line level 1/2
         grid = CylindricalGrid()
         f = grid.q_perp * np.exp(-grid.q_perp**2 / 2.0), np.exp(-grid.q_z**2 / 2.0)
-        dq2, drq2 = dense_dispersion_pair(grid, f)
-        assert dispersion_pair((grid, f)) == pytest.approx((dq2, drq2), rel=1e-14)
-        assert evaluate_state(grid, f).gamma == pytest.approx(2.5, abs=1e-3)
+        state = factor_state(grid, *f)
+        assert (state.delta_q2, state.delta_rq2) == pytest.approx(
+            dense_dispersion_pair(grid, f), rel=1e-14)
+        assert state.gamma == pytest.approx(2.5, abs=1e-3)
 
     @pytest.mark.parametrize("trial", ["gaussian", "minimizer"])
     def test_row_reductions_match_dense_reference(self, trial, transverse_state):
         grid = transverse_state.geometry
         f = {"gaussian": lambda: wrong_width_gaussian(grid),
              "minimizer": lambda: transverse_state.f_samples}[trial]()
-        got = dispersion_pair((grid, f))
-        assert got == pytest.approx(dense_dispersion_pair(grid, f), rel=1e-14)
+        state = factor_state(grid, *f)
+        assert (state.delta_q2, state.delta_rq2) == pytest.approx(
+            dense_dispersion_pair(grid, f), rel=1e-14)
 
-    @pytest.mark.parametrize("spec", [None, spec_spin0(1.0)],
-                             ids=["spin1_transverse_massless", "spin0"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_factor_pair_matches_outer_product(self, spec, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2],
+                             ids=lambda seed: f"{seed}-spin1_transverse_massless")
+    def test_factor_pair_matches_outer_product(self, seed):
         # random separable states, vanishing ~ q_perp on the axis; grid
         # steps off the default, both q_z ends nonzero
         rng = np.random.default_rng(seed)
         grid = CylindricalGrid(q_max=5.0 + rng.random(), step=0.05 + 0.01 * rng.random())
         a = grid.q_perp * (1.0 + 0.3 * rng.random(len(grid.q_perp)))
         b = rng.standard_normal(len(grid.q_z))
-        if spec is not None:
-            for f in ((a, b), np.outer(a, b)):
-                with pytest.raises(ValueError, match="PotentialSpec"):
-                    _moments(grid, f, spec)
-            return
-        got = _moments(grid, (a, b))
-        assert got[1:] == pytest.approx(dense_dispersion_pair(grid, (a, b)), rel=1e-14)
-        assert dispersion_pair((grid, (a, b))) == pytest.approx(got[1:], rel=0)
+        state = factor_state(grid, a, b)
+        assert (state.delta_q2, state.delta_rq2) == pytest.approx(
+            dense_dispersion_pair(grid, (a, b)), rel=1e-14)
 
     def test_factor_pair_divergent_axis_rejected(self):
         grid = CylindricalGrid(q_max=4.0, step=0.05)
         with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, (np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))))
-
-    def test_cylindrical_grid_rejects_2d_array(self):
-        # a cylindrical state is a factor pair; its outer product is refused
-        grid = CylindricalGrid(q_max=4.0, step=0.1)
-        f = np.outer(*wrong_width_gaussian(grid))
-        for evaluate in (dispersion_pair, lambda state: evaluate_state(*state)):
-            with pytest.raises(ValueError, match="factor pair"):
-                evaluate((grid, f))
+            factor_state(grid, np.ones(len(grid.q_perp)), np.exp(-grid.q_z**2))
 
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
         grid = RadialMomentumGrid()
         q = grid.q
-        dq2, drq2 = dispersion_pair((grid, np.exp(-q * q / 4)), spec_spin0(0.0))
-        assert dq2 == pytest.approx(3.0, abs=1e-4)
-        assert drq2 == pytest.approx(0.75, abs=1e-5)
-        assert math.sqrt(dq2 * drq2) == pytest.approx(1.5, abs=1e-5)
+        state = radial_state(grid, np.exp(-q * q / 4), spec_spin0(0.0))
+        assert state.delta_q2 == pytest.approx(3.0, abs=1e-4)
+        assert state.delta_rq2 == pytest.approx(0.75, abs=1e-5)
+        assert state.gamma == pytest.approx(1.5, abs=1e-5)
 
     def test_excited_trial_exceeds_bound(self):
         grid = RadialMomentumGrid()
         q = grid.q
-        gam = evaluate_state(grid, (1.0 + q * q) * np.exp(-q * q / 2),
-                             spec_spin0(0.0)).gamma
+        gam = radial_state(grid, (1.0 + q * q) * np.exp(-q * q / 2),
+                           spec_spin0(0.0)).gamma
         assert gam > 1.5
-
-    def test_geometry_mismatch_rejected(self):
-        # a radial grid needs the channel's spec, a cylindrical grid takes none
-        grid = RadialMomentumGrid()
-        with pytest.raises(ValueError, match="PotentialSpec"):
-            dispersion_pair((grid, np.exp(-grid.q)))
-        cyl = CylindricalGrid(q_max=4.0, step=0.1)
-        f = wrong_width_gaussian(cyl)
-        with pytest.raises(ValueError, match="PotentialSpec"):
-            dispersion_pair((cyl, f), spec_spin0(0.0))
 
 
 class TestScaleInvariance:
@@ -178,9 +156,9 @@ class TestScaleInvariance:
         base = lambda s: (s * q) ** a * (1.0 + (s * q) ** 2) * np.exp(
             -((s * q) ** 2) / 2.0)
         spec = spec_spin0(d)
-        g1 = evaluate_state(grid, base(1.0), spec).gamma
+        g1 = radial_state(grid, base(1.0), spec).gamma
         for s in (0.8, 1.25):
-            gs = evaluate_state(grid, base(s), spec).gamma
+            gs = radial_state(grid, base(s), spec).gamma
             assert abs(gs - g1) <= 1e-8 * g1
 
     def test_grid_equivariance_transverse(self):
@@ -191,8 +169,8 @@ class TestScaleInvariance:
         f1 = wrong_width_gaussian(g1)
         qp, qz = g2.q_perp / s, g2.q_z / s
         f2 = (qp / s) * np.exp(-qp**2) * s, np.exp(-qz**2)  # same shape function
-        gam1 = evaluate_state(g1, f1).gamma
-        gam2 = evaluate_state(g2, f2).gamma
+        gam1 = factor_state(g1, *f1).gamma
+        gam2 = factor_state(g2, *f2).gamma
         assert gam2 == pytest.approx(gam1, rel=1e-12)
 
     def test_scale_dependence_at_finite_d(self):
@@ -200,8 +178,8 @@ class TestScaleInvariance:
         grid = RadialMomentumGrid()
         q = grid.q
         spec = spec_spin0(1.0)
-        g1 = evaluate_state(grid, np.exp(-q * q / 2.0), spec).gamma
-        g2 = evaluate_state(grid, np.exp(-(2.0 * q) ** 2 / 2.0), spec).gamma
+        g1 = radial_state(grid, np.exp(-q * q / 2.0), spec).gamma
+        g2 = radial_state(grid, np.exp(-(2.0 * q) ** 2 / 2.0), spec).gamma
         assert abs(g2 - g1) > 1e-3
 
 
@@ -213,7 +191,7 @@ class TestVariationalBound:
         trials = [np.exp(-q * q / 4.0), (1.0 + q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 1.7), np.exp(-q) * q]
         for f in trials:
-            assert evaluate_state(grid, f, spec).gamma >= 1.5 - 1e-6
+            assert radial_state(grid, f, spec).gamma >= 1.5 - 1e-6
 
     def test_massless_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
@@ -224,7 +202,7 @@ class TestVariationalBound:
                   q**a * (1.0 + 0.5 * q * q) * np.exp(-q * q / 2.0),
                   q * np.exp(-q * q / 2.0)]
         for f in trials:
-            assert evaluate_state(grid, f, spec).gamma >= GOLDEN_GAMMA - 1e-6
+            assert radial_state(grid, f, spec).gamma >= GOLDEN_GAMMA - 1e-6
 
     def test_longitudinal_trials_bounded_below(self):
         grid = RadialMomentumGrid(q_max=12.0, n=8000)
@@ -232,7 +210,7 @@ class TestVariationalBound:
         spec = spec_spin1(0.0)
         for f in (q * np.exp(-q * q / 2.0), q * np.exp(-q * q / 3.0),
                   q * (1.0 + q) * np.exp(-q * q / 2.0)):
-            assert evaluate_state(grid, f, spec).gamma >= 2.5 - 1e-6
+            assert radial_state(grid, f, spec).gamma >= 2.5 - 1e-6
 
 
 class TestCrossModule:
@@ -252,7 +230,8 @@ class TestCrossModule:
             dr2 = position_dispersion_momentum(f, mass, df, p_max=16.0 * b)
             d = d_parameter(dp2, dr2, mass)
             fq = rescaled_profile(f, mass, d)
-            dq2_r, drq2_r = dispersion_pair((grid, fq(grid.q)), spec_spin0(d))
+            state = radial_state(grid, fq(grid.q), spec_spin0(d))
+            dq2_r, drq2_r = state.delta_q2, state.delta_rq2
             assert drq2_r == pytest.approx((mass * d) ** 2 * dr2, rel=1e-5)
             # the self-consistent rescaling balances the state exactly
             assert dq2_r == pytest.approx(drq2_r, rel=1e-4)
@@ -282,6 +261,13 @@ class TestTransverseMinimization:
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
         # both tridiagonal factors together: 6 + 5 inverse iterations here
         assert transverse_state.meta["iterations"] <= 20
+
+    def test_iterations_count_both_factor_solves(self, transverse_state):
+        # the sum over the two tridiagonals, 6 + 5 here, that verify prints
+        op = _TransverseOperator(CylindricalGrid())
+        perp = numkernel.tridiag_ground(op.d_perp, op.e_perp)
+        along = numkernel.tridiag_ground(op.d_z, np.full(len(op.d_z) - 1, op.e_z))
+        assert transverse_state.meta["iterations"] == perp.iterations + along.iterations
 
     def test_random_positive_init(self, transverse_state):
         # no trial state has a Rayleigh quotient of the reference operator
@@ -341,7 +327,7 @@ class TestTransverseMinimization:
         assert abs(dq2 - drq2) <= 1e-12 * max(dq2, drq2)
         grid = CylindricalGrid()
         a, b, _ = _lowest_mode(grid)
-        unbalanced = evaluate_state(grid, (a, b)).gamma
+        unbalanced = factor_state(grid, a, b).gamma
         assert transverse_state.gamma == pytest.approx(unbalanced, abs=1e-14)
         dense = math.sqrt(np.prod(dense_dispersion_pair(grid, (a, b))))
         assert unbalanced == pytest.approx(dense, rel=1e-14)
@@ -349,8 +335,8 @@ class TestTransverseMinimization:
 
     def test_evaluate_state_matches_minimizer(self, transverse_state):
         # the ragged (a, b) pair of the minimizer evaluates to the same state
-        state = evaluate_state(transverse_state.geometry, transverse_state.f_samples)
-        assert state.f_samples is transverse_state.f_samples
+        state = factor_state(transverse_state.geometry, *transverse_state.f_samples)
+        assert all(x is y for x, y in zip(state.f_samples, transverse_state.f_samples))
         for name in ("norm_N2", "delta_q2", "delta_rq2", "gamma"):
             assert getattr(state, name) == getattr(transverse_state, name), name
 
@@ -418,7 +404,7 @@ class TestTransverseMinimization:
         grid = CylindricalGrid(q_max=4.0, step=0.1)
         bad = (np.ones(len(grid.q_perp)), np.ones(len(grid.q_z)))
         with pytest.raises(DivergentWeightError):
-            dispersion_pair((grid, bad))
+            factor_state(grid, *bad)
 
     def test_two_grid_richardson(self, transverse_state):
         # the gamma error is c h^2 in the nominal step h, so two grids
