@@ -362,9 +362,7 @@ def _cmd_rayleigh(args) -> int:
         payload.update(iterations=state.meta["iterations"],
                        euler_lagrange_residual=variational.euler_lagrange_residual(state),
                        separation_oracle=variational.separation_oracle(),
-                       closed_form_readings={
-                           k: (v if isinstance(v, str) else float(v))
-                           for k, v in variational.closed_form_readings().items()})
+                       closed_form_readings=variational.closed_form_readings())
     payload.update(gamma=state.gamma, delta_q2=state.delta_q2,
                    delta_rq2=state.delta_rq2, norm_N2=state.norm_N2)
     text = json.dumps(payload, indent=2) + "\n"

@@ -105,9 +105,9 @@ def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
     way the result has the same bits.
     """
     if ladder is None:
-        ladder = RichardsonLadder(0.0, grid.q_max, grid.n)
-    elif (ladder.lo, ladder.hi, ladder.n) != (0.0, grid.q_max, grid.n):
-        raise ValueError(f"ladder on [{ladder.lo}, {ladder.hi}] at n = {ladder.n} "
+        ladder = RichardsonLadder(grid.q_max, grid.n)
+    elif (ladder.hi, ladder.n) != (grid.q_max, grid.n):
+        raise ValueError(f"ladder on [0, {ladder.hi}] at n = {ladder.n} "
                          f"is not the FD ladder of {grid}")
     level = ladder.ground(lambda q: effective_potential(q, spec))
     solves = (level.coarse, level.ground, level.fine)
@@ -299,7 +299,7 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
     ds = list(d_values)
     if not all(d >= 0 for d in ds):  # also rejects nan
         raise ValueError("d values must be nonnegative")
-    ladder = RichardsonLadder(0.0, grid.q_max, grid.n)
+    ladder = RichardsonLadder(grid.q_max, grid.n)
 
     def solve_one(d):
         spec = dataclasses.replace(spec_template, d=d)

@@ -110,10 +110,10 @@ class WavepacketParams:
         return np.sqrt(self.mass**2 + np.asarray(p, dtype=float) ** 2)
 
 
-def demo_packet(time_t: float = 0.05, mass: float = 1.0,
-                 damping_a: float = 0.5) -> WavepacketParams:
-    """The parameter set used for the negative-density demonstration."""
-    return WavepacketParams(mass, damping_a, time_t, CosineProfile(mass))
+def demo_packet(time_t: float = 0.05) -> WavepacketParams:
+    """The parameter set used for the negative-density demonstration: the
+    cosine profile at mass 1 and damping a = 0.5."""
+    return WavepacketParams(1.0, 0.5, time_t, CosineProfile(1.0))
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +204,13 @@ _MAX_DOUBLINGS = 6
 # r_max + _ALIAS_MARGIN, at most: 3600 on the default grid; the radii
 # themselves are the first r_max / dr of them
 MAX_LATTICE_POINTS = 10**5
+# p nodes that the last halving of a transform may reach, M 2^_MAX_DOUBLINGS
+# for a first level of M intervals, at most: 2^18 on the default grid.
+# M grows as p_max (r_max + _ALIAS_MARGIN) / pi, and p_max as about 27 / a;
+# 2^23 admits every lattice below MAX_LATTICE_POINTS with dr <= 0.05 at
+# a = 0.5 (p_max = 55), --rmax 970 --dr 0.01 among them, and a >= 0.003 on
+# the default grid
+MAX_TRANSFORM_NODES = 2**23
 
 
 def _radius_lattice(radii):
@@ -255,7 +262,9 @@ def _radial_fields(weight, energy, radii, p_max):
     k = n, each with scipy's factor 2; both indices exist because
     M >= n_max + 1.  So a halving is one size-M DST-II or DCT-II per
     transform on M new samples, where the rule taken afresh is a size-2M
-    DST-I or DCT-I on 2M + 1 samples.
+    DST-I or DCT-I on 2M + 1 samples.  A first level whose last halving
+    would reach more than ``MAX_TRANSFORM_NODES`` nodes raises ValueError
+    before any p grid is built.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
@@ -266,6 +275,12 @@ def _radial_fields(weight, energy, radii, p_max):
     n = k * s
     m_min = max(int(n[-1]) + 1, math.ceil((float(radii[-1]) + _ALIAS_MARGIN) / h))
     m = 1 << (m_min - 1).bit_length()  # the next power of two >= m_min
+    if m << _MAX_DOUBLINGS > MAX_TRANSFORM_NODES:
+        raise ValueError(f"p_max = {p_max:.4g} over r_max + {_ALIAS_MARGIN:g} = "
+                         f"{float(radii[-1]) + _ALIAS_MARGIN:.4g} needs up to "
+                         f"{m << _MAX_DOUBLINGS} transform nodes, above MAX_TRANSFORM_NODES "
+                         f"= {MAX_TRANSFORM_NODES}: p_max grows as 1/a, so raise --a "
+                         "or lower --rmax")
     dp = math.pi / (m * h)
 
     def sample(p):
@@ -311,12 +326,26 @@ def packet_fields(params: WavepacketParams, radii):
 
 
 def _packet_p_max(params: WavepacketParams) -> float:
+    """The p beyond which the packet weight stays below ``_FIELD_ABS_TOL``.
+
+    The envelope |p f(p)| e^{a (p - E)} is scanned on [0, 60 / a] at 257
+    even and 257 geometric points; the geometric ones, from p = 1e-3,
+    resolve a peak at small p (a narrow or weakly damped profile), which
+    the even ones, 60 / (256 a) apart, step over.  The weight falls as
+    e^{-a p} from that peak.  Raises ValueError when no sample rises
+    above ``_FIELD_ABS_TOL`` (p_max <= 0), rather than scan a zero field.
+    """
     a = params.damping_a
-    p = np.linspace(0.0, 60.0 / a, 257)
+    p = np.concatenate((np.linspace(0.0, 60.0 / a, 257), np.geomspace(1e-3, 60.0 / a, 257)))
     env = np.abs(p * np.asarray(params.profile(p))) * np.exp(
         a * (p - params.energy(p)))
     peak = max(float(np.max(env)), 1e-30)
-    return math.log(peak / _FIELD_ABS_TOL) / a + 2.0 / a
+    p_max = math.log(peak / _FIELD_ABS_TOL) / a + 2.0 / a
+    if not p_max > 0.0:
+        raise ValueError(f"the packet's momentum weight stays below _FIELD_ABS_TOL = "
+                         f"{_FIELD_ABS_TOL:g} (envelope peak {peak:.3g}), and so do its "
+                         "fields: widen --sigma or lower --a")
+    return p_max
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +354,7 @@ def _packet_p_max(params: WavepacketParams) -> float:
 
 @dataclass(frozen=True)
 class Shell:
-    """Maximal contiguous radius interval where rho < -deadband."""
+    """Maximal contiguous radius interval where rho < -RHO_DEADBAND."""
 
     r_min: float
     r_max: float
@@ -341,9 +370,9 @@ class DensityField:
     failed_radii: np.ndarray
 
 
-def find_negative_shells(radii, rho, deadband: float = RHO_DEADBAND) -> list:
-    """Contiguous grid runs with rho < -deadband, as Shell intervals."""
-    neg = np.asarray(rho) < -deadband
+def find_negative_shells(radii, rho) -> list:
+    """Contiguous grid runs with rho < -RHO_DEADBAND, as Shell intervals."""
+    neg = np.asarray(rho) < -RHO_DEADBAND
     idx = np.flatnonzero(neg)
     if idx.size == 0:
         return []
@@ -430,17 +459,17 @@ def _radial_integral(radii, density, power, rel_tol, what):
     return total
 
 
-def total_charge(params: WavepacketParams, radii=None, rel_tol: float = 1e-6) -> float:
+def total_charge(params: WavepacketParams, radii=None) -> float:
     """Q = int rho 4 pi r^2 dr over the grid (default reaches r = 45).
 
     Positive for a positive-frequency packet even when rho has negative
     shells.  Emits :class:`TailWarning` when the outer 10% of the grid
-    still contributes more than ``rel_tol`` of the total.
+    still contributes more than 1e-6 of the total.
     """
     if radii is None:
         radii = default_radii(45.0, 0.02)
     rho = charge_density(FieldSample(*packet_fields(params, radii)[:3]))
-    return _radial_integral(radii, rho, 2, rel_tol, "total_charge")
+    return _radial_integral(radii, rho, 2, 1e-6, "total_charge")
 
 
 def _momentum_integral(params: WavepacketParams, power: int) -> float:

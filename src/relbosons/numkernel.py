@@ -244,11 +244,11 @@ def _positive(v, scratch) -> np.ndarray:
     return v * math.copysign(1.0, v[np.argmax(np.abs(v, out=scratch))])
 
 
-def _dirichlet_grid(lo: float, hi: float, n: int) -> tuple:
+def _dirichlet_grid(hi: float, n: int) -> tuple:
     """(interior nodes, 2 / h^2, -1 / h^2) of the three-point -u'' + V u on
-    n uniform nodes of [lo, hi] with u = 0 at both ends: its matrix has the
+    n uniform nodes of [0, hi] with u = 0 at both ends: its matrix has the
     diagonal 2 / h^2 + V(nodes) and the constant off-diagonal -1 / h^2."""
-    q = np.linspace(lo, hi, n)
+    q = np.linspace(0.0, hi, n)
     h = q[1] - q[0]
     return q[1:-1], 2.0 / h**2, -1.0 / h**2
 
@@ -267,11 +267,11 @@ class RichardsonLevel:
 
 class RichardsonLadder:
     """The Richardson-extrapolated lowest level of the three-point Dirichlet
-    matrix of -u'' + V u (:func:`_dirichlet_grid`) on [lo, hi] at n and
+    matrix of -u'' + V u (:func:`_dirichlet_grid`) on [0, hi] at n and
     2 (n - 1) + 1 nodes, for any number of potentials:
     :meth:`ground` returns ``value`` = (4 lam_{h/2} - lam_h) / 3, which
     cancels the stencil's O(h^2) error.  A one-off solve is
-    ``RichardsonLadder(lo, hi, n).ground(potential)``.
+    ``RichardsonLadder(hi, n).ground(potential)``.
 
     The levels are solved as one nested-iteration ladder (A. Brandt, Math.
     Comp. 31 (1977) 333): a coarse level of max(4, (n - 1) // 32 + 1)
@@ -297,14 +297,14 @@ class RichardsonLadder:
     faulting fresh ones in, which nine 125 KiB arrays never do.
     """
 
-    def __init__(self, lo: float, hi: float, n: int):
-        self.lo, self.hi, self.n = lo, hi, n
+    def __init__(self, hi: float, n: int):
+        self.hi, self.n = hi, n
         self._levels = []  # (interior nodes, 2 / h^2, off-diagonal) per level
         for m in (max(4, (n - 1) // 32 + 1), n, 2 * (n - 1) + 1):
-            nodes, c, off = _dirichlet_grid(lo, hi, m)
+            nodes, c, off = _dirichlet_grid(hi, m)
             # the constant off-diagonal as a read-only broadcast: no grid memory
             self._levels.append((nodes, c, np.broadcast_to(off, m - 3)))
-        self._knots = np.concatenate(([lo], self._levels[0][0], [hi]))
+        self._knots = np.concatenate(([0.0], self._levels[0][0], [hi]))
         self._work = _Workspace(len(self._levels[-1][0]), extra=2)
         self._diagonal, self._start = self._work.extra
 

@@ -76,7 +76,9 @@ def dispersion_weight(q, spec: PotentialSpec):
     dispersion adds to |grad f|^2 in rescaled units; vectorized.  At d = INFINITY
     the exact limit 1/q^2 (either spin); at d = 0 exactly 0 (spin 0) and 2/q^2.
     A finite d with d^2 or (d q)^2 = inf raises ValueError, where the spin-0
-    term d^2/(1+x) would drop to 0 instead of tending to 1/q^2."""
+    term d^2/(1+x) would drop to 0 instead of tending to 1/q^2; so does a
+    spin-0 weight that is itself inf (about 1.5 d^2 at d q << 1, from
+    d ~ 1.09e154), where W would be inf."""
     q = np.asarray(q, dtype=float)
     if math.isinf(spec.d):
         return 1.0 / q**2
@@ -87,9 +89,14 @@ def dispersion_weight(q, spec: PotentialSpec):
     x = (spec.d * q) ** 2
     with np.errstate(over="ignore"):  # (1+x)^2 = inf once d q > 1.2e77; the term's limit is 0
         tail = spec.d**2 / (2.0 * (1.0 + x) ** 2)
-    if spec.spin == SPIN0:
-        return spec.d**2 / (1.0 + x) + tail
-    return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + tail
+    if spec.spin == SPIN1:
+        return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + tail
+    with np.errstate(over="ignore"):  # checked below, without a warning first
+        w = spec.d**2 / (1.0 + x) + tail
+    if not np.isfinite(w).all():
+        raise ValueError(f"d = {spec.d:g} is too large: the spin-0 weight, about 1.5 d^2 "
+                         f"at d q << 1, overflows at q = {float(q.min()):g}")
+    return w
 
 
 def effective_potential(q, spec: PotentialSpec):

@@ -274,14 +274,12 @@ def euler_lagrange_residual(state: RayleighState) -> float:
     """|| [dq2 (-Lap + w) + drq2 q^2 - 2 gamma^2] f || / (2 gamma^2 ||f||).
 
     Stationarity measure of the minimized product, in the discrete norm
-    of the cylindrical measure.  The state must carry its factors (a, b).
+    of the cylindrical measure.  The state must carry its factors (a, b)
+    on a :class:`CylindricalGrid`, as :func:`factor_state` makes it.
     """
-    grid, f = state.geometry, state.f_samples
-    if not isinstance(grid, CylindricalGrid) or not isinstance(f, tuple):
-        raise ValueError("Euler-Lagrange residual is defined for a factor pair "
-                         "(a, b) on the cylindrical grid")
-    op = _TransverseOperator(grid)
-    p, b = op.sqrt_w * f[0], f[1]
+    op = _TransverseOperator(state.geometry)
+    a, b = state.f_samples
+    p = op.sqrt_w * a
     dq2, drq2 = state.delta_q2, state.delta_rq2
     # sqrt(w) times the bracket on f, written with H = -Lap + 1/q_perp^2 + q^2,
     # is dq2 H + c q^2 - 2 dq2 drq2 on g = p b, itself a Kronecker sum: it
@@ -300,7 +298,7 @@ def euler_lagrange_residual(state: RayleighState) -> float:
     return math.sqrt(el2 / (pp * bb)) / (2.0 * dq2 * drq2)
 
 
-def separation_oracle(n: int = 8000) -> float:
+def separation_oracle() -> float:
     """Independent value for the transverse massless minimum.
 
     The balanced stationarity equation separates into a planar radial
@@ -310,16 +308,17 @@ def separation_oracle(n: int = 8000) -> float:
     extrapolation.  Its error is a clean O(h^2), not O(h^4): the 0.75/q^2
     singularity leaves the planar eigenvalue (4, twice its level) an h^2
     error that Richardson does not cancel, -7.81e-7, -1.95e-7 and -4.87e-8
-    at n = 2000, 4000 and 8000, and the oracle half of it.  The line half
-    is -u'' + q^2 u, the Hermite oscillator, whose ground eigenvalue is
-    exactly 1 (u = e^{-q^2/2}); it enters as that value, so the planar
-    error is the oracle's only one.
+    at n = 2000, 4000 and 8000 nodes on [0, 12]; the oracle solves it at
+    n = 8000 and carries half of that error.  The line half is -u'' + q^2 u,
+    the Hermite oscillator, whose ground eigenvalue is exactly 1
+    (u = e^{-q^2/2}); it enters as that value, so the planar error is the
+    oracle's only one.
     """
-    planar = numkernel.RichardsonLadder(0.0, 12.0, n).ground(lambda q: 0.75 / q**2 + q**2)
+    planar = numkernel.RichardsonLadder(12.0, 8000).ground(lambda q: 0.75 / q**2 + q**2)
     return 0.5 * planar.value + 0.5
 
 
-def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
+def closed_form_readings() -> dict:
     """gamma under the possible readings of the closed form q e^{-5q^2/4}.
 
     A one-variable closed form for the transverse minimizer is ambiguous
@@ -328,8 +327,10 @@ def closed_form_readings(grid: CylindricalGrid = CylindricalGrid()) -> dict:
     asserting one of them: transverse prefactor with the full-magnitude
     Gaussian (lands exactly on the scaling orbit of the true minimizer),
     transverse dependence only, and a spherically symmetric profile
-    (whose weighted integral diverges and is rejected).
+    (whose weighted integral diverges and is rejected).  All three are
+    sampled on the default :class:`CylindricalGrid`.
     """
+    grid = CylindricalGrid()
     qp, qz = grid.q_perp, grid.q_z
     transverse = qp * np.exp(-1.25 * qp**2)
     report = {}

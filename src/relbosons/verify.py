@@ -195,7 +195,7 @@ def _readings(run):
 
 CHECKS = [
     Check("tridiag ground of -u'' + (1/q^2 + q^2) u = 2 + sqrt(5)",
-          lambda run: _show("lambda0 = {:.8f}", RichardsonLadder(0.0, 12.0, 8000).ground(
+          lambda run: _show("lambda0 = {:.8f}", RichardsonLadder(12.0, 8000).ground(
               lambda q: 1.0 / q**2 + q**2).ground.value),
           (Target(2.0 + math.sqrt(5.0), 1e-4),)),
     Check("longitudinal W(1; d=0) = 3",

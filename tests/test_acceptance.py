@@ -9,7 +9,6 @@ criteria check the endpoints by both solver routes, the shells under
 grid halving and the CLI's figure data.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -112,13 +111,13 @@ def _fencepost_radial_nodes(monkeypatch, results):
 
 
 def _fencepost_dirichlet_step(monkeypatch, results):
-    # nodes linspace(lo, hi, n), spaced (hi - lo) / (n - 1), while the
-    # stencil of every Richardson level divides by the step (hi - lo) / n
+    # nodes linspace(0, hi, n), spaced hi / (n - 1), while the stencil
+    # of every Richardson level divides by the step hi / n
     grid = numkernel._dirichlet_grid
 
-    def faulty(lo, hi, n):
-        nodes = grid(lo, hi, n)[0]
-        h = (hi - lo) / n
+    def faulty(hi, n):
+        nodes = grid(hi, n)[0]
+        h = hi / n
         return nodes, 2.0 / h**2, -1.0 / h**2
 
     monkeypatch.setattr(numkernel, "_dirichlet_grid", faulty)
@@ -153,8 +152,7 @@ def _full_planar_axis_weight(monkeypatch, results):
 
 def _deadband_above_min_rho(monkeypatch, results):
     min_rho = results["charge density goes negative for the demonstration packet"].values[0]
-    monkeypatch.setattr(kg_fields, "find_negative_shells", functools.partial(
-        kg_fields.find_negative_shells, deadband=2.0 * abs(min_rho)))
+    monkeypatch.setattr(kg_fields, "RHO_DEADBAND", 2.0 * abs(min_rho))
 
 
 def _d_without_mass(monkeypatch, results):

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import relbosons
 from relbosons import kg_fields
@@ -200,6 +205,27 @@ class TestDensity:
         assert "--rmax" in err and "MAX_LATTICE_POINTS" in err
         assert not out.exists()
 
+    def test_transform_nodes_above_the_cap_are_refused(self, tmp_path, capsys, monkeypatch):
+        # --a 0.002: 2^24 p nodes after the six halvings; without the check
+        # the first DST would stop the run, with another message
+        def started(*args, **kwargs):
+            raise RuntimeError("the transforms started")
+
+        monkeypatch.setattr(kg_fields, "dst", started)
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--a", "0.002", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "MAX_TRANSFORM_NODES" in err and "--a" in err
+        assert not out.exists()
+
+    def test_gaussian_weight_below_the_tolerance_is_refused(self, tmp_path, capsys):
+        # sigma = 1e-4: the fields would be zeros at every radius
+        out = tmp_path / "rho.csv"
+        assert run(["density", "--profile", "gaussian", "--sigma", "1e-4",
+                    "--out", str(out)]) == 1
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_map_cells_above_the_cap_are_refused(self, tmp_path, capsys):
         # 1e10 cells: an argparse error before any scan
         assert parse_map_n("1000") == 1000
@@ -260,12 +286,61 @@ class TestPotential:
         assert "q = 1e-160 is too small" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spin0_weight_overflow_names_d(self, tmp_path, capsys):
+        # d^2 is finite, but the weight 1.5 d^2 at d q << 1 is not: W read inf
+        out = tmp_path / "w.csv"
+        assert run(["potential", "--spin", "0", "--d", "1.2e154",
+                    "--q", "1e-160:2e-160:1e-160", "--out", str(out)]) == 1
+        assert "d = 1.2e+154 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_q_spin0_finite_d(self, tmp_path):
         # the scalar W at finite d has no 1/q^2 term: d^2 (1 + 1/2) at q -> 0
         out = tmp_path / "w.csv"
         assert run(["potential", "--spin", "0", "--d", "1", "--q", "1e-160:2e-160:1e-160",
                     "--out", str(out)]) == 0
         assert read(out).splitlines() == ["q,W", "1e-160,1.5", "2e-160,1.5"]
+
+
+# d in {0, inf} and 10^[-300, 300]
+D_VALUES = st.one_of(st.sampled_from([0.0, math.inf]),
+                     st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def q_ranges(draw):
+    """A --q range 'min:max:step' from min = 10^[-300, 2], of 1 to 100 points."""
+    lo = 10.0 ** draw(st.floats(-300.0, 2.0))
+    step = lo * 10.0 ** draw(st.floats(-2.0, 1.0))
+    return f"{lo!r}:{lo + step * (draw(st.integers(1, 100)) - 0.5)!r}:{step!r}"
+
+
+class TestPotentialContract:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spin=st.sampled_from([0, 1]), ds=st.lists(D_VALUES, min_size=1, max_size=3),
+           l=st.integers(0, 60), q=q_ranges())
+    # the spin-0 weight overflows while d^2 does not; the spin-1 1/q^2 terms overflow
+    @example(spin=0, ds=[1.2e154], l=0, q="1e-160:2e-160:1e-160")
+    @example(spin=1, ds=[1.0], l=0, q="1e-160:2e-160:1e-160")
+    def test_finite_table_or_a_refusal_naming_its_flag(self, spin, ds, l, q):
+        # either every W is finite (the d column prints inf by design), or
+        # the run exits 1 or 2 naming q, d or l and writes no file
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "w.csv")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(["potential", "--spin", str(spin), "--d", ",".join(map(repr, ds)),
+                            "--l", str(l), "--q", q, "--out", out])
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if code == 0:
+                rows = read(out).splitlines()[1:]
+                assert rows and all(math.isfinite(float(r.split(",")[-1])) for r in rows)
+            else:
+                assert code in (1, 2)
+                assert re.search(r"--q|\bq = |--d|\bd = |--l", err), err
+                assert not os.path.exists(out)
 
 
 class TestGamma:

@@ -317,12 +317,12 @@ class TestGammaCurve:
                             lambda *args: built.append(args) or ladder(*args))
         grid = RadialGrid(n=2000)
         gamma_curve(spec_spin0(0.0), [0.0, 1.0, INFINITY], grid=grid)
-        assert built == [(0.0, grid.q_max, grid.n)]
+        assert built == [(grid.q_max, grid.n)]
 
     def test_fd_rejects_a_ladder_of_another_grid(self):
         with pytest.raises(ValueError, match="not the FD ladder"):
             solve_ground_fd(spec_spin0(1.0), RadialGrid(n=2000),
-                            ladder=es.RichardsonLadder(0.0, 12.0, 1000))
+                            ladder=es.RichardsonLadder(12.0, 1000))
 
     def test_non_finite_mismatch_fails_the_point(self, monkeypatch):
         # zeroin refuses a nan instead of bisecting towards it; the sweep

@@ -456,3 +456,52 @@ class TestDefaultRadii:
         # r_max + 30; a count that overflows to inf
         with pytest.raises(ValueError, match="--rmax.*--dr.*MAX_LATTICE_POINTS"):
             default_radii(r_max, dr)
+
+
+class TestPacketMomentumRange:
+    @pytest.mark.parametrize("params", [
+        WavepacketParams(1.0, 0.5, 0.05, GaussianProfile(0.05)),
+        WavepacketParams(1.0, 0.02, 0.05, GaussianProfile(1.0)),
+    ], ids=["narrow", "weakly_damped"])
+    def test_gaussian_scan_matches_pointwise(self, params):
+        # the envelope peaks near p = sigma, between two even scan points
+        radii = default_radii()
+        rho = scan_density(params, radii).rho
+        for r in (0.5, 2.0):
+            want = charge_density(field_sample(r, params))
+            assert abs(want) > 1e-9
+            assert rho[int(round(r / 0.01)) - 1] == pytest.approx(want, rel=1e-8)
+
+    def test_weight_below_the_tolerance_is_refused(self):
+        # p exp(-p^2 / 2 sigma^2) peaks at 6e-5, e^(-100 E) below 1e-43:
+        # every sample of the weight is below _FIELD_ABS_TOL
+        for params in (WavepacketParams(1.0, 0.5, 0.05, GaussianProfile(1e-4)),
+                       WavepacketParams(1.0, 100.0, 0.05, GaussianProfile(1.0))):
+            with pytest.raises(ValueError, match="--sigma or lower --a"):
+                packet_fields(params, default_radii())
+
+
+class TestTransformCap:
+    class Started(Exception):
+        """Raised by the first DST: the transforms got past their size check."""
+
+    def _stop_at_first_dst(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise self.Started
+
+        monkeypatch.setattr(kg_fields, "dst", started)
+
+    def test_a_just_above_the_cap_is_refused(self, monkeypatch):
+        # a = 0.002: p_max = 1.37e4, a first level of 2^18 nodes (8 MiB of
+        # weights), 2^24 after the six halvings; without the check the
+        # first DST would stop the run
+        self._stop_at_first_dst(monkeypatch)
+        with pytest.raises(ValueError, match="MAX_TRANSFORM_NODES.*--a"):
+            packet_fields(WavepacketParams(1.0, 0.002, 0.05, CosineProfile(1.0)),
+                          default_radii())
+        # the largest admitted first levels, 2^17 nodes, reach 2^23 = the cap
+        for params, radii in ((WavepacketParams(1.0, 0.003, 0.05, CosineProfile(1.0)),
+                               default_radii()),
+                              (demo_packet(), default_radii(970.0, 0.01))):
+            with pytest.raises(self.Started):
+                packet_fields(params, radii)

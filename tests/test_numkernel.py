@@ -13,10 +13,10 @@ from relbosons.numkernel import (BracketError, MinimizationError, RichardsonLadd
 from relbosons.potentials import INFINITY, effective_potential, spec_spin0, spec_spin1
 
 
-def oscillator_problem(pot, lo, hi, n):
+def oscillator_problem(pot, hi, n):
     """(diagonal, off-diagonal) of the three-point Dirichlet matrix of
-    -u'' + pot u on n uniform nodes of [lo, hi], u = 0 at both ends."""
-    q = np.linspace(lo, hi, n)
+    -u'' + pot u on n uniform nodes of [0, hi], u = 0 at both ends."""
+    q = np.linspace(0.0, hi, n)
     h = q[1] - q[0]
     return 2.0 / h**2 + pot(q[1:-1]), np.full(n - 3, -1.0 / h**2)
 
@@ -126,7 +126,7 @@ class TestRadialRule:
 class TestTridiagGround:
     @pytest.mark.parametrize("pot,exact,tol", OSCILLATOR_CASES)
     def test_oscillator_ground_levels(self, pot, exact, tol):
-        prob = oscillator_problem(pot, 0.0, 20.0, 4000)
+        prob = oscillator_problem(pot, 20.0, 4000)
         lam = tridiag_ground(*prob).value
         assert lam == pytest.approx(exact, abs=tol)
 
@@ -134,13 +134,13 @@ class TestTridiagGround:
     def test_matches_stebz_reference(self, n):
         eps = np.finfo(float).eps
         for pot, hi in REFERENCE_CASES:
-            prob = oscillator_problem(pot, 0.0, hi, n)
+            prob = oscillator_problem(pot, hi, n)
             ground = tridiag_ground(*prob)
             assert abs(ground.value - stebz_levels(prob)[0]) <= 4.0 * eps * inf_norm(prob)
 
     def test_enclosure_is_honest(self):
         for pot, hi in REFERENCE_CASES:
-            prob = oscillator_problem(pot, 0.0, hi, 300)
+            prob = oscillator_problem(pot, hi, 300)
             ground = tridiag_ground(*prob)
             upper = ground.value + ground.residual
             assert ground.lower < ground.value
@@ -148,7 +148,7 @@ class TestTridiagGround:
             assert sturm_count(prob, upper + 1e-12 * abs(upper)) == 1
 
     def test_ground_below_reference_levels(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 2000)
         ground = tridiag_ground(*prob)
         # odd levels of the full-line oscillator: 3, 7, 11
         ref = stebz_levels(prob, 3)
@@ -176,13 +176,13 @@ class TestTridiagGround:
     def test_h2_convergence_order(self, pot, exact, _tol):
         errs = []
         for n in (1000, 2000, 4000):
-            lam = tridiag_ground(*oscillator_problem(pot, 0.0, 20.0, n)).value
+            lam = tridiag_ground(*oscillator_problem(pot, 20.0, n)).value
             errs.append(abs(lam - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
 
     def test_sturm_count_matches_lapack(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 300)
         lam = tridiag_ground(*prob).value
         assert sturm_count(prob, lam - 1e-9) == 0
         assert sturm_count(prob, lam + 1e-9) == 1
@@ -191,7 +191,7 @@ class TestTridiagGround:
             assert sturm_count(prob, ref + 1e-9) == k + 1
 
     def test_vector_residual(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 3000)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 3000)
         ground = tridiag_ground(*prob)
         u, lam = ground.vector, ground.value
         diagonal, off_diagonal = prob
@@ -209,7 +209,7 @@ class TestTridiagGround:
         assert w[np.argmax(np.abs(w))] > 0.0
 
     def test_warm_shift_above_ground_is_rejected(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 2000)
         ref = stebz_levels(prob)[0]
         # above lambda_0 = 3; the last also above lambda_1 = 7
         for shift in (ref + 1e-6, ref + 2.0, ref + 5.0):
@@ -231,7 +231,7 @@ class TestTridiagGround:
             return pair
 
         monkeypatch.setattr(numkernel, "tridiag_ground", recording)
-        level = RichardsonLadder(0.0, 20.0, 2000).ground(lambda q: q**2)
+        level = RichardsonLadder(20.0, 2000).ground(lambda q: q**2)
         (_, cold_shift, cold_start, coarse), (h_prob, h_shift, h_start, h), \
             (fine_prob, warm_shift, _, fine) = calls
         assert cold_shift is None and cold_start is None
@@ -245,19 +245,17 @@ class TestTridiagGround:
         assert fine.factorizations < h.factorizations
 
     @pytest.mark.parametrize("n", [5, 33, 100, 2000, 8000])
-    @pytest.mark.parametrize("pot,lo,hi", [
-        (lambda q: q**2, 0.0, 20.0),
-        (lambda q: 0.75 / q**2 + q**2, 0.0, 12.0),
-        (lambda q: q**2, -12.0, 12.0),
-    ], ids=["half-line", "planar", "line"])
-    def test_richardson_ladder_matches_cold_levels(self, pot, lo, hi, n):
+    @pytest.mark.parametrize("pot,hi", [
+        (lambda q: q**2, 20.0),
+        (lambda q: 0.75 / q**2 + q**2, 12.0),
+    ], ids=["half-line", "planar"])
+    def test_richardson_ladder_matches_cold_levels(self, pot, hi, n):
         # the two levels solved from 1 and the Gershgorin shift, the h/2
-        # level at the shift lam_h; the line case is symmetric about 0, with
-        # a centre node at n odd and none at n even
-        cold = tridiag_ground(*oscillator_problem(pot, lo, hi, n))
+        # level at the shift lam_h
+        cold = tridiag_ground(*oscillator_problem(pot, hi, n))
         lam_h, lam_h2 = cold.value, tridiag_ground(
-            *oscillator_problem(pot, lo, hi, 2 * (n - 1) + 1), shift=cold.value).value
-        level = RichardsonLadder(lo, hi, n).ground(pot)
+            *oscillator_problem(pot, hi, 2 * (n - 1) + 1), shift=cold.value).value
+        level = RichardsonLadder(hi, n).ground(pot)
         assert abs(level.ground.value - lam_h) <= 1e-10
         assert abs(level.fine.value - lam_h2) <= 1e-10
         assert abs(level.value - (4.0 * lam_h2 - lam_h) / 3.0) <= 1e-10
@@ -270,12 +268,12 @@ class TestTridiagGround:
     ], ids=["zero", "negative", "one-zero", "one-negative", "nan", "inf",
             "short", "long"])
     def test_bad_start_raises(self, start):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 300)
         with pytest.raises(ValueError, match="start"):
             tridiag_ground(*prob, start=start)
 
     def test_positive_random_start(self):
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 2000)
         start = np.random.default_rng(2718).uniform(0.01, 1.0, len(prob[0]))
         ground = tridiag_ground(*prob, start=start)
         ref, rounding = stebz_levels(prob)[0], 4.0 * np.finfo(float).eps * inf_norm(prob)
@@ -288,7 +286,7 @@ class TestTridiagGround:
         from relbosons import numkernel
 
         monkeypatch.setattr(numkernel, "_MAX_INVERSE_ITERATIONS", 1)
-        prob = oscillator_problem(lambda q: q**2, 0.0, 20.0, 300)
+        prob = oscillator_problem(lambda q: q**2, 20.0, 300)
         with pytest.raises(MinimizationError, match="no convergence in 1 iterations") as err:
             tridiag_ground(*prob)
         assert err.value.state.shape == (298,)
@@ -309,13 +307,13 @@ class TestTridiagGround:
             raise AssertionError("dpttrf called on a non-finite matrix")
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", no_factorization)
-        d, e = (a.copy() for a in oscillator_problem(lambda q: q**2, 0.0, 20.0, 300))
+        d, e = (a.copy() for a in oscillator_problem(lambda q: q**2, 20.0, 300))
         {"diagonal": d, "off_diagonal": e}[which][index] = bad
         with pytest.raises(ValueError, match=r"finite.*\|\|T\|\|_inf = (nan|inf)"):
             tridiag_ground(d, e)
 
     def test_read_only_arguments_are_left_unchanged(self):
-        d, e = oscillator_problem(lambda q: q**2, 0.0, 20.0, 2000)
+        d, e = oscillator_problem(lambda q: q**2, 20.0, 2000)
         start = np.random.default_rng(11).uniform(0.5, 1.0, len(d))
         want = tridiag_ground(d, e, shift=0.5, start=start)
         frozen = [a.copy() for a in (d, e, start)]
@@ -347,16 +345,16 @@ class TestRichardsonLadder:
     def test_reuse_matches_fresh_ladders(self):
         # one ladder across several d, with a ladder of another size run
         # in between, gives the bits of a fresh ladder each time
-        ladder, other = RichardsonLadder(0.0, 12.0, 2000), RichardsonLadder(0.0, 12.0, 1000)
+        ladder, other = RichardsonLadder(12.0, 2000), RichardsonLadder(12.0, 1000)
         for d in (4.0, 1.0, 0.0, INFINITY, 1.0):
             level = ladder.ground(self.potential(d))
             other.ground(self.potential(d))
-            fresh = RichardsonLadder(0.0, 12.0, 2000).ground(self.potential(d))
+            fresh = RichardsonLadder(12.0, 2000).ground(self.potential(d))
             assert_same_level(level, fresh)
 
     def test_results_own_their_arrays(self):
         # a later solve in the same ladder leaves an earlier result as it was
-        ladder = RichardsonLadder(0.0, 12.0, 2000)
+        ladder = RichardsonLadder(12.0, 2000)
         first = ladder.ground(self.potential(1.0))
         arrays = (first.nodes, first.coarse.vector, first.ground.vector, first.fine.vector)
         kept = [a.copy() for a in arrays]

@@ -139,6 +139,18 @@ class TestTinyQ:
             warnings.simplefilter("error")
             assert list(effective_potential(self.Q, spec_spin0(1.0))) == [1.5, 1.5]
 
+    def test_spin0_weight_overflow_names_d(self):
+        # d^2 is finite to 1.34e154, but the weight 1.5 d^2 at d q << 1
+        # overflows from 1.09e154; the same d at q = 1 gives W = 1 + 1
+        spec = spec_spin0(1.2e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "d = 1.2e+154 is too large: the spin-0 weight")):
+                effective_potential(self.Q, spec)
+            assert effective_potential(1.0, spec) == 2.0
+            assert math.isfinite(effective_potential(1e-160, spec_spin0(1.09e154)))
+
     @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
     def test_smallest_accepted_q_is_finite(self, mk):
         # just above the stated floor (1.5e-154 for c = 2) W stays finite

@@ -1,6 +1,5 @@
 """Tests for the dispersion functionals and the transverse minimization."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -251,11 +250,11 @@ class TestTransverseMinimization:
         # enters as its exact 1, so half the planar error is the oracle's
         # whole error, to a few ulp of 2.5
         def planar_error(n):
-            return numkernel.RichardsonLadder(0.0, 12.0, n).ground(
+            return numkernel.RichardsonLadder(12.0, n).ground(
                 lambda q: 0.75 / q**2 + q**2).value - 4.0
 
         assert planar_error(4000) / planar_error(8000) == pytest.approx(4.0, abs=0.05)
-        assert abs(separation_oracle(8000) - 2.5 - 0.5 * planar_error(8000)) <= 4.0 * math.ulp(2.5)
+        assert abs(separation_oracle() - 2.5 - 0.5 * planar_error(8000)) <= 4.0 * math.ulp(2.5)
 
     def test_wrong_width_init(self, transverse_state):
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
@@ -356,12 +355,6 @@ class TestTransverseMinimization:
               - 2.0 * dq2 * drq2 * f)
         dense = math.sqrt(np.sum(W * el * el) / np.sum(W * f * f)) / (2.0 * dq2 * drq2)
         assert abs(euler_lagrange_residual(transverse_state) / dense - 1.0) <= 1e-9
-
-    def test_euler_lagrange_residual_needs_factors(self, transverse_state):
-        unpaired = dataclasses.replace(transverse_state,
-                                       f_samples=np.outer(*transverse_state.f_samples))
-        with pytest.raises(ValueError, match="factor pair"):
-            euler_lagrange_residual(unpaired)
 
     def test_transverse_path_allocates_no_2d_array(self, transverse_state):
         # the minimizer, its EL residual and the closed-form readings stay
