@@ -87,12 +87,13 @@ def dispersion_weight(q, spec: PotentialSpec):
         raise ValueError(f"d = {spec.d:g} is too large: d^2 or (d q)^2 overflows for "
                          "d q above about 1.3e154; use d = inf, the massless limit")
     x = (spec.d * q) ** 2
-    with np.errstate(over="ignore"):  # (1+x)^2 = inf once d q > 1.2e77; the term's limit is 0
+    with np.errstate(over="ignore"):
+        # (1+x)^2 = inf once d q > 1.2e77, and q^2 (1+x) once d q^2 passes
+        # about 1.3e154; each term's limit is then 0
         tail = spec.d**2 / (2.0 * (1.0 + x) ** 2)
-    if spec.spin == SPIN1:
-        return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + tail
-    with np.errstate(over="ignore"):  # checked below, without a warning first
-        w = spec.d**2 / (1.0 + x) + tail
+        if spec.spin == SPIN1:
+            return 1.0 / q**2 + 1.0 / (q**2 * (1.0 + x)) + tail
+        w = spec.d**2 / (1.0 + x) + tail  # checked below, without a warning first
     if not np.isfinite(w).all():
         raise ValueError(f"d = {spec.d:g} is too large: the spin-0 weight, about 1.5 d^2 "
                          f"at d q << 1, overflows at q = {float(q.min()):g}")
@@ -107,11 +108,17 @@ def effective_potential(q, spec: PotentialSpec):
     c/q^2 reaches half the largest float (q below about 1e-154 sqrt(c))
     raises ValueError naming q, before any division, rather than giving
     W = inf.  With c = 0 (spin 0, finite d, l = 0) W has no such term.
+    At the other end, a q whose q^2 overflows (q above about 1.34e154)
+    raises ValueError naming q, before any arithmetic, for the same reason.
     """
     q = np.asarray(q, dtype=float)
     q_min = float(q.min(initial=INFINITY))
     if not q_min > 0.0:
         raise ValueError("q must be positive")
+    q_max = float(q.max(initial=0.0))
+    if math.isinf(q_max * q_max):  # Python floats: inf on overflow, no warning
+        raise ValueError(f"q = {q_max:g} is too large: the q^2 term of W overflows for "
+                         f"q above about {math.sqrt(_FLOAT_MAX):.3g}")
     c = origin_behavior(spec).singular_strength
     if c and not q_min * q_min * _FLOAT_MAX > 2.0 * c:  # Python floats: no warning
         raise ValueError(f"q = {q_min:g} is too small: the {c:g}/q^2 terms of W overflow "

@@ -299,23 +299,22 @@ def euler_lagrange_residual(state: RayleighState) -> float:
 
 
 def separation_oracle() -> float:
-    """Independent value for the transverse massless minimum.
+    """Independent value for the transverse massless minimum: exactly 5/2.
 
     The balanced stationarity equation separates into a planar radial
     oscillator with unit angular weight (level 2) and a one-dimensional
-    oscillator (level 1/2); returns their sum.  The planar half is the
-    tridiagonal eigenvalue problem -u'' + (0.75/q^2 + q^2) u with Richardson
-    extrapolation.  Its error is a clean O(h^2), not O(h^4): the 0.75/q^2
-    singularity leaves the planar eigenvalue (4, twice its level) an h^2
-    error that Richardson does not cancel, -7.81e-7, -1.95e-7 and -4.87e-8
-    at n = 2000, 4000 and 8000 nodes on [0, 12]; the oracle solves it at
-    n = 8000 and carries half of that error.  The line half is -u'' + q^2 u,
-    the Hermite oscillator, whose ground eigenvalue is exactly 1
-    (u = e^{-q^2/2}); it enters as that value, so the planar error is the
-    oracle's only one.
+    oscillator (level 1/2); the value is their sum, and both halves have
+    closed forms.  The planar half is -u'' + (3/(4 q^2) + q^2) u: u =
+    q^alpha e^{-q^2/2} solves it when alpha (alpha - 1) = 3/4, so alpha =
+    3/2, with eigenvalue 2 alpha + 1 = 4 (the rule of
+    :func:`relbosons.eigensolver.limit_bracket`), twice its level 2.  The
+    line half is the Hermite oscillator -u'' + q^2 u, with u = e^{-q^2/2}
+    and eigenvalue 1, twice its level 1/2.  The Richardson ladder on the
+    planar half, with its clean h^2 error from the singular term, is
+    checked against the exact 4 in the tests of
+    :mod:`relbosons.numkernel`.
     """
-    planar = numkernel.RichardsonLadder(12.0, 8000).ground(lambda q: 0.75 / q**2 + q**2)
-    return 0.5 * planar.value + 0.5
+    return 4.0 / 2.0 + 1.0 / 2.0
 
 
 def closed_form_readings() -> dict:

@@ -238,9 +238,6 @@ CHECKS = [
           _position_product, (Target(1.5, 2e-4),)),
     Check("transverse massless minimization lands on gamma = 5/2", _transverse,
           (Target(2.5, 1e-3),)),
-    Check("separation oracle (planar level 2 + line level 1/2) = 5/2",
-          lambda run: _show("oracle = {:.8f}", variational.separation_oracle()),
-          (Target(2.5, 1e-6),)),
     Check("closed-form minimizer readings recorded", _readings,
           (Target(2.5, 1e-3), Bound(">", 2.5), Bound(">", 0.0))),
 ]

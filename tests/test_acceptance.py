@@ -143,13 +143,6 @@ def _squared_transverse_prefactor(monkeypatch, results):
                         lambda grid, a, b: evaluate(grid, grid.q_perp * a, b))
 
 
-def _full_planar_axis_weight(monkeypatch, results):
-    # the planar oracle problem with 1 / q^2 in place of (1 - 1/4) / q^2
-    ground = numkernel.RichardsonLadder.ground
-    monkeypatch.setattr(numkernel.RichardsonLadder, "ground", lambda ladder, potential: ground(
-        ladder, lambda q: potential(q) + 0.25 / q**2))
-
-
 def _deadband_above_min_rho(monkeypatch, results):
     min_rho = results["charge density goes negative for the demonstration packet"].values[0]
     monkeypatch.setattr(kg_fields, "RHO_DEADBAND", 2.0 * abs(min_rho))
@@ -211,7 +204,6 @@ PLANTED_FAULTS = {
     **{f"closed-form eigenfunction residual: {label}": _stiffer_potential
        for label in ("spin0 d=0", "spin0 d=inf", "spin1 d=0")},
     "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
-    "separation oracle (planar level 2 + line level 1/2) = 5/2": _full_planar_axis_weight,
     "closed-form minimizer readings recorded": _squared_transverse_prefactor,
     "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
     "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _fencepost_radial_nodes,

@@ -352,6 +352,17 @@ class TestRichardsonLadder:
             fresh = RichardsonLadder(12.0, 2000).ground(self.potential(d))
             assert_same_level(level, fresh)
 
+    def test_planar_level_error_is_h2(self):
+        # -u'' + (3/(4 q^2) + q^2) u has the exact level 4 (u = q^{3/2} e^{-q^2/2});
+        # the singular term leaves Richardson a clean h^2 error, a quarter
+        # per halving of h: -1.95e-7 at n = 4000, -4.87e-8 at n = 8000
+        def error(n):
+            return RichardsonLadder(12.0, n).ground(lambda q: 0.75 / q**2 + q**2).value - 4.0
+
+        fine = error(8000)
+        assert error(4000) / fine == pytest.approx(4.0, abs=0.05)
+        assert abs(fine) <= 1e-7
+
     def test_results_own_their_arrays(self):
         # a later solve in the same ladder leaves an earlier result as it was
         ladder = RichardsonLadder(12.0, 2000)

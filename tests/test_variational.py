@@ -244,17 +244,9 @@ class TestCrossModule:
 
 
 class TestTransverseMinimization:
-    def test_separation_oracle_error_is_h2(self):
-        # the planar eigenvalue 4 keeps an h^2 error under Richardson (the
-        # 0.75/q^2 singularity): a quarter per halving of h; the line level
-        # enters as its exact 1, so half the planar error is the oracle's
-        # whole error, to a few ulp of 2.5
-        def planar_error(n):
-            return numkernel.RichardsonLadder(12.0, n).ground(
-                lambda q: 0.75 / q**2 + q**2).value - 4.0
-
-        assert planar_error(4000) / planar_error(8000) == pytest.approx(4.0, abs=0.05)
-        assert abs(separation_oracle() - 2.5 - 0.5 * planar_error(8000)) <= 4.0 * math.ulp(2.5)
+    def test_separation_oracle_is_exact(self):
+        # planar level 4/2 plus line level 1/2, both closed forms
+        assert separation_oracle() == 2.5
 
     def test_wrong_width_init(self, transverse_state):
         assert transverse_state.gamma == pytest.approx(2.5, abs=1e-3)
