@@ -166,16 +166,17 @@ def parse_nonnegative_int(text: str) -> int:
 
 
 def parse_grid_n(text: str) -> int:
-    """Nodes of the radial grid of the eigensolvers; their grid owns the floor.
+    """Nodes of the radial grid of the eigensolvers, at least
+    ``eigensolver.MIN_GRID_N``.
 
     Only ``gamma`` and ``verify`` take the flag, and both load the
     eigensolver anyway."""
-    from .eigensolver import RadialGrid
+    from .eigensolver import MIN_GRID_N
 
-    try:
-        return RadialGrid(n=int(text)).n
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    value = int(text)
+    if value < MIN_GRID_N:
+        raise argparse.ArgumentTypeError(f"n must be at least {MIN_GRID_N}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,8 +296,7 @@ def _cmd_gamma(args) -> int:
     from . import eigensolver
 
     template = PotentialSpec(args.spin, 0.0, args.l)
-    grid = eigensolver.RadialGrid(n=args.grid_n)
-    points = eigensolver.gamma_curve(template, args.d, grid)
+    points = eigensolver.gamma_curve(template, args.d, args.grid_n)
     if args.fmt == "csv":
         rows = [(p.d, p.gamma, p.residual, "shooting" if p.ok else f"failed:{p.message}")
                 for p in points]
@@ -309,7 +309,8 @@ def _cmd_gamma(args) -> int:
 
         payload = {
             "spin": args.spin, "channel": template.channel, "angular_index": args.l,
-            "grid": {"q_min": eigensolver.SHOOTING_Q_LO, "q_max": grid.q_max, "n": grid.n},
+            "grid": {"q_min": eigensolver.SHOOTING_Q_LO, "q_max": eigensolver.Q_MAX,
+                     "n": args.grid_n},
             "points": [{"d": ("inf" if math.isinf(p.d) else p.d),
                         "gamma": num(p.gamma), "residual": num(p.residual),
                         "method": "shooting", "gamma_fd": num(p.gamma_fd),

@@ -7,7 +7,9 @@ whose lowest eigenpair is found by certified shifted inverse iteration
 nodes uniform in x = ln q.  With u = sqrt(q) v the equation becomes
 v'' = (q^2 (W - lam) + 1/4) v, whose coefficient is finite at the origin
 (W ~ c/q^2 there), so the regular solution v ~ q^(alpha - 1/2) is smooth
-in x and one recurrence runs from ``SHOOTING_Q_LO`` to q_max.
+in x and one recurrence runs from ``SHOOTING_Q_LO`` to ``Q_MAX``.  Both
+routes end at ``Q_MAX`` and take only their node count n; the CLI
+refuses an n below ``MIN_GRID_N``.
 
 Each Numerov sweep is one lower-triangular banded solve (LAPACK
 ``dtbtrs``, forward substitution without pivoting, so the same
@@ -47,6 +49,13 @@ ALPHA_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))        # origin exponent at d = inf
 # admits an irregular part, which falls as (q / 1e-7)^(1 - 2 alpha) against
 # the regular one on the way out
 SHOOTING_Q_LO = 1e-7
+# the outer end of both radial routes, far inside the Gaussian-decay
+# region: W(Q_MAX) exceeds the top of the shooting bracket by at least 65
+# at every angular index that shooting can start (l <= 45), so the inward
+# sweep starts where the solution decays
+Q_MAX = 12.0
+# the fewest radial nodes that ``--grid-n`` accepts
+MIN_GRID_N = 100
 # shooting and FD must agree this closely at every point of a gamma sweep
 CROSS_METHOD_TOL = 1e-6
 # the bracket width at which the shooting root search stops (plus 4 eps lam)
@@ -59,27 +68,6 @@ _BRACKET_MARGIN = 0.05
 _RESIDUAL_EDGE = 0.2
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Outer end and node count of the two radial routes.
-
-    Each route lays its own n nodes up to ``q_max``: the finite-difference
-    matrix uniformly in q with its Dirichlet wall at q = 0 (the regular
-    solution obeys u(0) = 0 for every channel here), shooting uniformly
-    in x = ln q from ``SHOOTING_Q_LO``.  ``q_max`` must sit far inside
-    the Gaussian-decay region.
-    """
-
-    q_max: float = 12.0
-    n: int = 8000
-
-    def __post_init__(self):
-        if not (SHOOTING_Q_LO < self.q_max):
-            raise ValueError(f"need q_max > SHOOTING_Q_LO = {SHOOTING_Q_LO:g}")
-        if self.n < 100:
-            raise ValueError("n must be at least 100")
-
-
 @dataclass
 class EigenResult:
     gamma: float
@@ -88,27 +76,28 @@ class EigenResult:
     meta: dict = field(default_factory=dict)
 
 
-def solve_ground_fd(spec: PotentialSpec, grid: RadialGrid = RadialGrid(),
+def solve_ground_fd(spec: PotentialSpec, n: int = 8000,
                     ladder: Optional[RichardsonLadder] = None) -> EigenResult:
-    """Lowest eigenvalue via the finite-difference matrix.
+    """Lowest eigenvalue via the finite-difference matrix on n nodes.
 
-    The matrix has Dirichlet walls at 0 and q_max.  ``gamma`` is half the
+    The matrix has Dirichlet walls at 0 and ``Q_MAX``; the regular
+    solution obeys u(0) = 0 for every channel here.  ``gamma`` is half the
     Richardson extrapolation of the h and h/2 levels of
     :meth:`relbosons.numkernel.RichardsonLadder.ground`.  ``meta`` keeps both
     raw levels (``lambda_h``, ``lambda_h_half``) and the inverse
     iterations and factorizations of its (coarse, h, h/2) eigenpairs.
     ``u_samples`` (sum(u^2) h = 1) is the step-h kernel vector.
 
-    ``ladder`` is the :class:`relbosons.numkernel.RichardsonLadder` of
-    ``grid`` (walls 0 and q_max, n nodes), which a sweep builds once and
-    passes to every point; without it the call builds its own.  Either
-    way the result has the same bits.
+    ``ladder`` is the :class:`relbosons.numkernel.RichardsonLadder` on
+    [0, ``Q_MAX``] at n, which a sweep builds once and passes to every
+    point; without it the call builds its own.  Either way the result has
+    the same bits.
     """
     if ladder is None:
-        ladder = RichardsonLadder(grid.q_max, grid.n)
-    elif (ladder.hi, ladder.n) != (grid.q_max, grid.n):
+        ladder = RichardsonLadder(Q_MAX, n)
+    elif (ladder.hi, ladder.n) != (Q_MAX, n):
         raise ValueError(f"ladder on [0, {ladder.hi}] at n = {ladder.n} "
-                         f"is not the FD ladder of {grid}")
+                         f"is not the FD ladder on [0, {Q_MAX}] at n = {n}")
     level = ladder.ground(lambda q: effective_potential(q, spec))
     solves = (level.coarse, level.ground, level.fine)
     meta = {"lambda_h": level.ground.value, "lambda_h_half": level.fine.value,
@@ -183,11 +172,11 @@ def limit_bracket(spec: PotentialSpec) -> tuple:
     return min(levels) - _BRACKET_MARGIN, max(levels) + _BRACKET_MARGIN
 
 
-def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) -> EigenResult:
+def solve_ground_shooting(spec: PotentialSpec, n: int = 8000) -> EigenResult:
     """Ground state by bidirectional Numerov shooting in x = ln q.
 
-    The sweeps of :func:`_numerov_mismatch` run on ``grid.n`` nodes uniform
-    in x from ``SHOOTING_Q_LO`` to ``grid.q_max``; lam is the root of their
+    The sweeps of :func:`_numerov_mismatch` run on n nodes uniform in x
+    from ``SHOOTING_Q_LO`` to ``Q_MAX``; lam is the root of their
     mismatch, found by Brent's zeroin (:func:`relbosons.numkernel.find_root`
     with ``xtol=_SHOOTING_XTOL``) on the closed-form bracket of
     :func:`limit_bracket`.  ``u_samples`` = sqrt(q) v on those nodes, with
@@ -201,34 +190,29 @@ def solve_ground_shooting(spec: PotentialSpec, grid: RadialGrid = RadialGrid()) 
     Raises
     ------
     ValueError
-        Before any sweep, if q^(alpha - 1/2) underflows to 0 (index >= 46).
+        Before anything else, if q^(alpha - 1/2) underflows to 0 (index >= 46).
     BracketError
         If the bracket fails to straddle a sign change: lam(d) is not
         between its d = 0 and d = inf levels.
     RuntimeError
         If the root search reaches its iteration cap.
     """
-    x = np.linspace(math.log(SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+    x = np.linspace(math.log(SHOOTING_Q_LO), math.log(Q_MAX), n)
     step = x[1] - x[0]
     q = np.exp(x)
-    W = effective_potential(q, spec)
-    im = int(np.argmin(W))
-    if q[im] < 0.5 or q[im] > 0.5 * grid.q_max:
-        im = int(np.searchsorted(q, 1.0))
-    im = min(im, grid.n - 3)
-
-    lo, hi = limit_bracket(spec)
-    if W[-1] < hi + 20.0:
-        raise ValueError(
-            f"q_max = {grid.q_max} too small: W(q_max) = {W[-1]:.3f} must "
-            f"exceed the bracket end {hi:.3f} by 20 so the inward sweep "
-            "starts in the Gaussian-decay region")
     head = _shooting_head(spec, q)
     if not head[0] > 0.0:
         alpha = origin_behavior(spec).exponent_alpha
         raise ValueError(f"shooting cannot start at angular index l = {spec.angular_index}: "
                          f"the start value q^(alpha - 1/2) at q = {SHOOTING_Q_LO:g} "
                          f"underflows to 0 for alpha = {alpha:.6g}")
+    W = effective_potential(q, spec)
+    im = int(np.argmin(W))
+    if q[im] < 0.5 or q[im] > 0.5 * Q_MAX:
+        im = int(np.searchsorted(q, 1.0))
+    im = min(im, n - 3)
+
+    lo, hi = limit_bracket(spec)
     best = (math.inf, math.nan, None, None)  # |mismatch|, lam, vL, vR
 
     def mismatch(lam):
@@ -284,8 +268,8 @@ class GammaPoint:
 
 
 def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
-                grid: RadialGrid = RadialGrid()) -> list:
-    """gamma(d) for a family of potentials, shooting with FD cross-check.
+                n: int = 8000) -> list:
+    """gamma(d) for a family of potentials on n nodes, shooting with FD cross-check.
 
     Each point records gamma from shooting and the Richardson FD value.  A
     point whose two values differ by more than ``CROSS_METHOD_TOL``, or
@@ -299,13 +283,13 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
     ds = list(d_values)
     if not all(d >= 0 for d in ds):  # also rejects nan
         raise ValueError("d values must be nonnegative")
-    ladder = RichardsonLadder(grid.q_max, grid.n)
+    ladder = RichardsonLadder(Q_MAX, n)
 
     def solve_one(d):
         spec = dataclasses.replace(spec_template, d=d)
         try:
-            fd = solve_ground_fd(spec, grid, ladder=ladder).gamma
-            sh = solve_ground_shooting(spec, grid).gamma
+            fd = solve_ground_fd(spec, n, ladder=ladder).gamma
+            sh = solve_ground_shooting(spec, n).gamma
         except Exception as exc:  # recorded, sweep continues
             return GammaPoint(d, message=str(exc) or type(exc).__name__)
         point = GammaPoint(d, sh, fd)
@@ -347,7 +331,7 @@ def closed_form_residual(case: AnalyticCase, n: int = 8000) -> float:
     The d = inf case starts at an origin offset, where u'''' is bounded;
     the residual decreases as h^2 under grid refinement.
     """
-    q = np.linspace(case.q_min, RadialGrid.q_max, n)
+    q = np.linspace(case.q_min, Q_MAX, n)
     lam = 2.0 * case.gamma
     return _discrete_residual(q, q * limit_profile(q, case.spec),
                               effective_potential(q, case.spec) - lam, lam)

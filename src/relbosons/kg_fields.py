@@ -48,6 +48,8 @@ from .numkernel import QuadratureError
 # tolerances of the radial transforms behind every field scan
 _FIELD_ABS_TOL = 1e-11
 _FIELD_REL_TOL = 1e-9
+# share of position_dispersion_direct's r^4 eps integral its outer 10% may hold
+_DISPERSION_TAIL_TOL = 1e-7
 
 # tolerances of the pointwise QUADPACK references
 _QUAD_ABS_TOL = 1e-12
@@ -542,17 +544,19 @@ def energy_position_space(f: Callable, mass: float) -> float:
 
 
 def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
-                               p_max: float = 60.0, rel_tol: float = 1e-7) -> float:
+                               p_max: float = 60.0) -> float:
     """Delta r^2 = (1/N^2) int r^2 eps d^3r by position-space quadrature.
 
     The independent oracle for the momentum-space dispersion formula
     (see :func:`relbosons.variational.position_dispersion_momentum`);
     N^2 is evaluated in momentum space by
     :func:`relbosons.numkernel.radial_rule`.  The radii are spaced 0.01
-    out to ``r_max``.  Warns on unconverged tails.
+    out to ``r_max``.  Warns when the outer 10% of the radii holds more
+    than ``_DISPERSION_TAIL_TOL`` of the integral.
     """
     radii = default_radii(r_max, 0.01)
     eps = energy_density(FieldSample(*state_fields_from_momentum(f, mass, radii, p_max)), mass)
-    num = _radial_integral(radii, eps, 4, rel_tol, "position_dispersion_direct")
+    num = _radial_integral(radii, eps, 4, _DISPERSION_TAIL_TOL,
+                           "position_dispersion_direct")
     p, w = numkernel.radial_rule(p_max)
     return num / float(np.sum(w * np.asarray(f(p)) ** 2))

@@ -29,8 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import eigensolver, kg_fields, potentials, variational
-from .eigensolver import (ALPHA_GOLDEN, GOLDEN_GAMMA, RadialGrid, solve_ground_fd,
-                          solve_ground_shooting)
+from .eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
 from .numkernel import RichardsonLadder
 from .potentials import INFINITY, spec_spin0, spec_spin1
 
@@ -122,15 +121,14 @@ def _show(fmt, *values):
     return values, fmt.format(*values)
 
 
-def _level(name, spec, solve, target, tol):
-    """Row: the ground gamma of ``spec`` by the solver route ``solve``, an
-    ``eigensolver.solve_ground_*`` function named in the row by its route."""
-    method = solve.__name__.removeprefix("solve_ground_")
+def _level(name, spec, route, target, tol):
+    """Row: the ground gamma of ``spec`` by ``eigensolver.solve_ground_<route>``,
+    looked up when the row runs."""
 
     def compute(run):
-        gamma = solve(spec, RadialGrid(n=run.grid_n)).gamma
+        gamma = getattr(eigensolver, f"solve_ground_{route}")(spec, run.grid_n).gamma
         return (gamma,), f"gamma = {gamma:.9f} (target {target:.9f})"
-    return Check(f"{name} ({method})", compute, (Target(target, tol),))
+    return Check(f"{name} ({route})", compute, (Target(target, tol),))
 
 
 def _residual(label, tol):
@@ -212,13 +210,12 @@ CHECKS = [
           (Target(2.0, 1e-14),)),
     Check("d -> 0 as mass -> inf at fixed dispersions", _d_falls_with_mass,
           (Bound("<", 0.0), Bound("<", 1e-2))),
-    _level("scalar gamma(d=0) = 3/2", spec_spin0(0.0), solve_ground_shooting, 1.5, 1e-6),
-    _level("scalar gamma(d=inf) = 1 + sqrt(5)/2", spec_spin0(INFINITY),
-           solve_ground_shooting, GOLDEN_GAMMA, 1e-6),
-    _level("longitudinal gamma(d=0) = 5/2", spec_spin1(0.0), solve_ground_shooting,
-           2.5, 1e-6),
-    _level("longitudinal gamma(d=inf) = 1 + sqrt(5)/2", spec_spin1(INFINITY),
-           solve_ground_fd, GOLDEN_GAMMA, 1e-6),
+    _level("scalar gamma(d=0) = 3/2", spec_spin0(0.0), "shooting", 1.5, 1e-6),
+    _level("scalar gamma(d=inf) = 1 + sqrt(5)/2", spec_spin0(INFINITY), "shooting",
+           GOLDEN_GAMMA, 1e-6),
+    _level("longitudinal gamma(d=0) = 5/2", spec_spin1(0.0), "shooting", 2.5, 1e-6),
+    _level("longitudinal gamma(d=inf) = 1 + sqrt(5)/2", spec_spin1(INFINITY), "fd",
+           GOLDEN_GAMMA, 1e-6),
     *(_residual(label, tol) for label, tol in (
         ("spin0 d=0", 1e-6), ("spin0 d=inf", 1e-5), ("spin1 d=0", 1e-6))),
     Check("charge density goes negative for the demonstration packet",

@@ -16,7 +16,7 @@ import pytest
 
 from relbosons import eigensolver, kg_fields, numkernel, potentials, variational, verify
 from relbosons.cli import run
-from relbosons.eigensolver import GOLDEN_GAMMA, RadialGrid
+from relbosons.eigensolver import GOLDEN_GAMMA
 from relbosons.potentials import INFINITY, spec_spin0, spec_spin1
 
 GOLD_TOL = 1e-6
@@ -228,6 +228,20 @@ def test_planted_fault_turns_row_red(name, monkeypatch, verify_results):
     assert line.startswith("[FAIL]")
 
 
+def test_solver_rows_call_the_solver_when_they_run(monkeypatch):
+    # the row looks its route up in eigensolver as it runs, so a patched
+    # solver (or a tracer's wrapper) is the one it calls
+    fd = eigensolver.solve_ground_fd
+
+    def shifted_fd(spec, n, ladder=None):
+        res = fd(spec, n, ladder)
+        res.gamma += 1e-3
+        return res
+
+    monkeypatch.setattr(eigensolver, "solve_ground_fd", shifted_fd)
+    assert not verify.evaluate(ROWS["longitudinal gamma(d=inf) = 1 + sqrt(5)/2 (fd)"]).passed
+
+
 # ----------------------------------------------------------------------
 # the shared demonstration scan
 # ----------------------------------------------------------------------
@@ -314,5 +328,5 @@ def test_criterion_10_figure_data_emission(tmp_path, sweep_curves):
             assert abs(p.gamma - GOLDEN_GAMMAS[(spin, p.d)]) <= 1e-6, (spin, p.d)
     for spin, mk in ((0, spec_spin0), (1, spec_spin1)):
         for d in (0.5, 1.0, 2.0):
-            g2 = eigensolver.solve_ground_shooting(mk(d), RadialGrid(n=12000)).gamma
+            g2 = eigensolver.solve_ground_shooting(mk(d), 12000).gamma
             assert abs(GOLDEN_GAMMAS[(spin, d)] - g2) <= 1e-6, (spin, d)

@@ -393,8 +393,8 @@ class TestGamma:
 
         fd = es.solve_ground_fd
 
-        def shifted_fd(spec, grid, ladder=None):
-            res = fd(spec, grid, ladder)
+        def shifted_fd(spec, n, ladder=None):
+            res = fd(spec, n, ladder)
             res.gamma += 1e-5
             return res
 
@@ -421,10 +421,14 @@ class TestGamma:
         assert [r[1] for r in rows] == ["2.11803399"] * 2
 
     def test_start_underflow_names_the_angular_index(self, tmp_path, capsys):
+        # shooting starts at l <= 45 only; l = 144 lies far past that
         out = tmp_path / "g.csv"
-        assert run(["gamma", "--spin", "0", "--d", "0", "--l", "46",
-                    "--out", str(out)]) == 1
-        assert "shooting cannot start at angular index l = 46" in capsys.readouterr().err
+        for d, l in (("0", "46"), ("1", "144")):
+            assert run(["gamma", "--spin", "0", "--d", d, "--l", l,
+                        "--out", str(out)]) == 1
+            message = f"shooting cannot start at angular index l = {l}"
+            assert message in capsys.readouterr().err
+            assert message in read(out)
 
 
 class TestVerify:

@@ -8,25 +8,25 @@ import pytest
 
 import relbosons.eigensolver as es
 from relbosons import numkernel
-from relbosons.eigensolver import (GOLDEN_GAMMA, RadialGrid, analytic_cases,
-                                   closed_form_residual, expectation_q2, gamma_curve,
+from relbosons.eigensolver import (GOLDEN_GAMMA, Q_MAX, analytic_cases, closed_form_residual,
+                                   expectation_q2, gamma_curve, limit_bracket,
                                    solve_ground_fd, solve_ground_shooting)
 from relbosons.numkernel import BracketError, tridiag_matvec
 from relbosons.potentials import (INFINITY, effective_potential, limit_profile,
                                   origin_behavior, spec_spin0, spec_spin1)
 
 
-def log_nodes(grid):
-    """The shooting nodes q, uniform in x = ln q, and their x spacing."""
-    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+def log_nodes():
+    """The default shooting nodes q, uniform in x = ln q, and their x spacing."""
+    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(Q_MAX), 8000)
     return np.exp(x), x[1] - x[0]
 
 
-def reference_sweeps(spec, grid, lam, W, im):
+def reference_sweeps(spec, lam, W, im):
     """The Numerov recurrence for v = u / sqrt(q) as a plain loop over the
     log nodes, outward from q^(alpha - 1/2) and inward from the Gaussian."""
-    q, h = log_nodes(grid)
-    n, f = grid.n, h ** 2 / 12.0
+    q, h = log_nodes()
+    n, f = len(q), h ** 2 / 12.0
     T = q * q * (W - lam) + 0.25
     vL = np.empty(im + 2)
     vL[:2] = q[:2] ** (origin_behavior(spec).exponent_alpha - 0.5)
@@ -41,10 +41,10 @@ def reference_sweeps(spec, grid, lam, W, im):
     return vL, vR[im - 1:]
 
 
-def shooting_defect(spec, grid):
+def shooting_defect(spec, n):
     """The three-point defect in x = ln q of the shooting solution v = u / sqrt(q)."""
-    res = solve_ground_shooting(spec, grid)
-    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+    res = solve_ground_shooting(spec, n)
+    x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(Q_MAX), n)
     q, lam = res.q_samples, 2.0 * res.gamma
     T = q * q * (effective_potential(q, spec) - lam) + 0.25
     return es._discrete_residual(x, res.u_samples / np.sqrt(q), T, lam)
@@ -52,8 +52,10 @@ def shooting_defect(spec, grid):
 
 class TestShooting:
     def test_start_underflow_names_the_angular_index(self, monkeypatch):
-        # 1e-7^(alpha - 1/2) is 0.0 from alpha = 47 on: raised before any sweep
+        # 1e-7^(alpha - 1/2) is 0.0 from alpha = 47 on: raised before W is
+        # evaluated or any sweep runs
         monkeypatch.setattr(es, "_numerov_sweep", None)
+        monkeypatch.setattr(es, "effective_potential", None)
         for spec, alpha in ((spec_spin0(0.0, 46), "47"), (spec_spin1(1.0, 46), "47.0215")):
             with pytest.raises(ValueError, match=rf"angular index l = 46\b.*alpha = {alpha}$"):
                 solve_ground_shooting(spec)
@@ -74,7 +76,7 @@ class TestShooting:
     def test_normalization(self):
         # int u^2 dq on nodes uniform in x = ln q, where dq = q dx
         res = solve_ground_shooting(spec_spin0(0.7))
-        q, h = log_nodes(RadialGrid())
+        q, h = log_nodes()
         assert np.array_equal(res.q_samples, q)
         assert np.sum(q * res.u_samples**2) * h == pytest.approx(1.0, rel=1e-10)
 
@@ -83,20 +85,19 @@ class TestShooting:
         # small at the default grid, and divided by 4 when dx is halved
         for spec in (spec_spin0(0.0), spec_spin0(32.0), spec_spin0(INFINITY),
                      spec_spin1(1.0)):
-            coarse, fine = (shooting_defect(spec, RadialGrid(n=n)) for n in (4000, 8000))
+            coarse, fine = (shooting_defect(spec, n) for n in (4000, 8000))
             assert fine <= 1e-5, spec
             assert coarse / fine == pytest.approx(4.0, abs=0.1), spec
 
     @pytest.mark.parametrize("spec", [spec_spin0(1.0), spec_spin1(1.0)],
                              ids=["spin0-regular", "spin1-singular"])
     def test_banded_sweep_matches_loop(self, spec):
-        grid = RadialGrid()
-        q, h = log_nodes(grid)
+        q, h = log_nodes()
         W = effective_potential(q, spec)
         im = int(np.searchsorted(q, 1.0))
-        lam = 2.0 * solve_ground_fd(spec, grid).gamma + 0.01
+        lam = 2.0 * solve_ground_fd(spec).gamma + 0.01
         g, uL, uR = es._numerov_mismatch(es._shooting_head(spec, q), q, h, lam, W, im)
-        refL, refR = reference_sweeps(spec, grid, lam, W, im)
+        refL, refR = reference_sweeps(spec, lam, W, im)
         assert np.max(np.abs(uL - refL)) <= 1e-11 * np.max(np.abs(refL))
         assert np.max(np.abs(uR - refR)) <= 1e-11 * np.max(np.abs(refR))
         ref_g = refL[im] * refR[2] - refL[im + 1] * refR[1]
@@ -195,13 +196,13 @@ class TestFdMatrix:
         assert abs(fd.gamma - sh.gamma) <= 1e-6
 
     def test_matrix_residual_small(self):
-        spec, grid = spec_spin1(2.0), RadialGrid()
-        res = solve_ground_fd(spec, grid)
+        spec = spec_spin1(2.0)
+        res = solve_ground_fd(spec)
         # u_samples is the unit kernel vector over sqrt(h): sum(u^2) h = 1
         h = res.q_samples[0]
         assert abs(np.sum(res.u_samples ** 2) * h - 1.0) <= 1e-12
         # ... and an eigenvector of the step-h three-point Dirichlet matrix at lambda_h
-        nodes = np.linspace(0.0, grid.q_max, grid.n)[1:-1]
+        nodes = np.linspace(0.0, Q_MAX, 8000)[1:-1]
         assert np.array_equal(nodes, res.q_samples)
         v = res.u_samples * math.sqrt(h)
         r = (tridiag_matvec(2.0 / h**2 + effective_potential(nodes, spec), -1.0 / h**2, v)
@@ -269,28 +270,27 @@ class TestGammaCurve:
     def test_cross_method_disagreement_marks_point(self, monkeypatch):
         fd = es.solve_ground_fd
 
-        def shifted_fd(spec, grid, ladder=None):
-            res = fd(spec, grid, ladder)
+        def shifted_fd(spec, n, ladder=None):
+            res = fd(spec, n, ladder)
             res.gamma += 2.0 * es.CROSS_METHOD_TOL
             return res
 
         monkeypatch.setattr(es, "solve_ground_fd", shifted_fd)
-        (p,) = gamma_curve(spec_spin0(0.0), [0.0], grid=RadialGrid(n=4000))
+        (p,) = gamma_curve(spec_spin0(0.0), [0.0], n=4000)
         assert not p.ok
         assert f"{p.gamma:.12g}" in p.message
         assert f"{p.gamma_fd:.12g}" in p.message
 
     def test_failures_recorded_not_raised(self):
-        # q_max = 4 is too short for the decay contract: each point fails
-        # on its own, and the sweep still returns both of them
-        curve = gamma_curve(spec_spin0(0.0), [0.0, 1.0],
-                            grid=RadialGrid(q_max=4.0, n=2000))
+        # shooting cannot start at l = 46: each point fails on its own,
+        # and the sweep still returns both of them
+        curve = gamma_curve(spec_spin0(0.0, 46), [0.0, 1.0], n=2000)
         assert [p.d for p in curve] == [0.0, 1.0]
         for p in curve:
-            assert not p.ok and "q_max" in p.message
+            assert not p.ok and "angular index l = 46" in p.message
 
     def test_empty_exception_message_names_the_type(self, monkeypatch):
-        def failing(spec, grid, ladder=None):
+        def failing(spec, n, ladder=None):
             raise RuntimeError()
 
         monkeypatch.setattr(es, "solve_ground_fd", failing)
@@ -315,21 +315,19 @@ class TestGammaCurve:
         ladder = es.RichardsonLadder
         monkeypatch.setattr(es, "RichardsonLadder",
                             lambda *args: built.append(args) or ladder(*args))
-        grid = RadialGrid(n=2000)
-        gamma_curve(spec_spin0(0.0), [0.0, 1.0, INFINITY], grid=grid)
-        assert built == [(grid.q_max, grid.n)]
+        gamma_curve(spec_spin0(0.0), [0.0, 1.0, INFINITY], n=2000)
+        assert built == [(Q_MAX, 2000)]
 
     def test_fd_rejects_a_ladder_of_another_grid(self):
         with pytest.raises(ValueError, match="not the FD ladder"):
-            solve_ground_fd(spec_spin0(1.0), RadialGrid(n=2000),
-                            ladder=es.RichardsonLadder(12.0, 1000))
+            solve_ground_fd(spec_spin0(1.0), 2000, ladder=es.RichardsonLadder(Q_MAX, 1000))
 
     def test_non_finite_mismatch_fails_the_point(self, monkeypatch):
         # zeroin refuses a nan instead of bisecting towards it; the sweep
         # records the refusal, naming the point, as that d's failure
         monkeypatch.setattr(es, "_numerov_mismatch",
                             lambda head, q, step, lam, W, im: (math.nan, None, None))
-        (p,) = gamma_curve(spec_spin0(0.0), [1.0], grid=RadialGrid(n=2000))
+        (p,) = gamma_curve(spec_spin0(0.0), [1.0], n=2000)
         assert not p.ok and math.isnan(p.gamma)
         assert "is not finite" in p.message and "f(" in p.message
 
@@ -364,7 +362,7 @@ class TestAnalyticLimits:
         for case in analytic_cases():
             errs = []
             for n in (2000, 4000):
-                res = solve_ground_fd(case.spec, RadialGrid(n=n))
+                res = solve_ground_fd(case.spec, n)
                 errs.append(abs(res.meta["lambda_h"] / 2.0 - case.gamma))
             assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
 
@@ -399,15 +397,15 @@ class TestInvariants:
         scaled = dataclasses.replace(res, u_samples=3.0 * res.u_samples)
         assert expectation_q2(scaled) == pytest.approx(expectation_q2(res), rel=1e-12)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="SHOOTING_Q_LO"):
-            RadialGrid(q_max=es.SHOOTING_Q_LO)
-        with pytest.raises(ValueError):
-            RadialGrid(n=50)
-        with pytest.raises(ValueError, match="SHOOTING_Q_LO"):
-            RadialGrid(q_max=-1.0)
-
-    def test_rejects_grid_outside_decay_region(self):
-        # W(q_max) must clear the level estimate by 20
-        with pytest.raises(ValueError, match="q_max"):
-            solve_ground_shooting(spec_spin0(0.0), RadialGrid(q_max=4.0, n=2000))
+    @pytest.mark.parametrize("mk", [spec_spin0, spec_spin1], ids=["spin0", "spin1"])
+    def test_q_max_deep_in_the_decay_region(self, mk):
+        # the inward sweep starts in the Gaussian-decay region, which asks
+        # W(Q_MAX) to exceed the top of the shooting bracket by 20; at every
+        # index shooting can start it does by at least 65.  W is monotone
+        # in d^2 and the bracket does not depend on d, so d = 0 and d = inf
+        # bound the margin at every d
+        for d in (0.0, INFINITY):
+            for l in range(46):
+                spec = mk(d, l)
+                margin = effective_potential(Q_MAX, spec) - limit_bracket(spec)[1]
+                assert margin >= 65.0, (d, l, margin)

@@ -413,8 +413,7 @@ class TestPositionDispersion:
         out = []
         for w in widths:
             f = lambda p: np.exp(-((np.asarray(p) - 2.0) ** 2) / (2.0 * w * w))
-            out.append(position_dispersion_direct(f, mass=1.0, r_max=80.0,
-                                                  p_max=8.0, rel_tol=1e-4))
+            out.append(position_dispersion_direct(f, mass=1.0, r_max=80.0, p_max=8.0))
         assert out[0] < out[1] < out[2]
 
 

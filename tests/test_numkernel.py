@@ -412,8 +412,7 @@ class TestFindRoot:
 
         from relbosons import eigensolver as es
 
-        grid = es.RadialGrid()
-        x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(grid.q_max), grid.n)
+        x = np.linspace(math.log(es.SHOOTING_Q_LO), math.log(es.Q_MAX), 8000)
         q = np.exp(x)
         W = effective_potential(q, spec)
         im = int(np.searchsorted(q, 1.0))
