@@ -347,14 +347,7 @@ def _cmd_rayleigh(args) -> int:
         # weight, so trans-nonrel is the scalar d = 0 channel and its ground state
         d = (args.d or [0.0])[0]
         spec = PotentialSpec(1 if args.case == "long" else 0, d)
-        grid = variational.RadialMomentumGrid()
-        if 0.0 < d < INFINITY:
-            res = eigensolver.solve_ground_fd(spec)
-            f = np.interp(grid.q, res.q_samples, res.u_samples / res.q_samples,
-                          right=0.0)
-        else:
-            f = potentials.limit_profile(grid.q, spec)
-        state = variational.radial_state(grid, f, spec)
+        state = variational.fd_state(eigensolver.solve_ground_fd(spec))
         if args.case != "trans-nonrel":
             payload["d"] = "inf" if math.isinf(d) else d
         payload["iterations"] = 0

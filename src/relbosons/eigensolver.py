@@ -8,8 +8,8 @@ nodes uniform in x = ln q.  With u = sqrt(q) v the equation becomes
 v'' = (q^2 (W - lam) + 1/4) v, whose coefficient is finite at the origin
 (W ~ c/q^2 there), so the regular solution v ~ q^(alpha - 1/2) is smooth
 in x and one recurrence runs from ``SHOOTING_Q_LO`` to ``Q_MAX``.  Both
-routes end at ``Q_MAX`` and take only their node count n; the CLI
-refuses an n below ``MIN_GRID_N``.
+routes end at ``Q_MAX`` and take only their node count n, which both,
+like :func:`gamma_curve` and the CLI, refuse below ``MIN_GRID_N``.
 
 Each Numerov sweep is one lower-triangular banded solve (LAPACK
 ``dtbtrs``, forward substitution without pivoting, so the same
@@ -54,7 +54,7 @@ SHOOTING_Q_LO = 1e-7
 # at every angular index that shooting can start (l <= 45), so the inward
 # sweep starts where the solution decays
 Q_MAX = 12.0
-# the fewest radial nodes that ``--grid-n`` accepts
+# the fewest radial nodes that the solvers and ``--grid-n`` accept
 MIN_GRID_N = 100
 # shooting and FD must agree this closely at every point of a gamma sweep
 CROSS_METHOD_TOL = 1e-6
@@ -66,6 +66,12 @@ _BRACKET_MARGIN = 0.05
 # closed-form residuals of origin-singular eigenfunctions are reported
 # away from the coordinate singularity, where u'''' is bounded
 _RESIDUAL_EDGE = 0.2
+
+
+def _require_grid_n(n: int) -> None:
+    """Refuse a node count below ``MIN_GRID_N``, in the words of ``--grid-n``."""
+    if n < MIN_GRID_N:
+        raise ValueError(f"n must be at least {MIN_GRID_N}")
 
 
 @dataclass
@@ -91,8 +97,9 @@ def solve_ground_fd(spec: PotentialSpec, n: int = 8000,
     ``ladder`` is the :class:`relbosons.numkernel.RichardsonLadder` on
     [0, ``Q_MAX``] at n, which a sweep builds once and passes to every
     point; without it the call builds its own.  Either way the result has
-    the same bits.
+    the same bits.  An n below ``MIN_GRID_N`` raises ValueError first.
     """
+    _require_grid_n(n)
     if ladder is None:
         ladder = RichardsonLadder(Q_MAX, n)
     elif (ladder.hi, ladder.n) != (Q_MAX, n):
@@ -190,13 +197,15 @@ def solve_ground_shooting(spec: PotentialSpec, n: int = 8000) -> EigenResult:
     Raises
     ------
     ValueError
-        Before anything else, if q^(alpha - 1/2) underflows to 0 (index >= 46).
+        Before anything else, if n is below ``MIN_GRID_N``; next, before W is
+        evaluated, if q^(alpha - 1/2) underflows to 0 (index >= 46).
     BracketError
         If the bracket fails to straddle a sign change: lam(d) is not
         between its d = 0 and d = inf levels.
     RuntimeError
         If the root search reaches its iteration cap.
     """
+    _require_grid_n(n)
     x = np.linspace(math.log(SHOOTING_Q_LO), math.log(Q_MAX), n)
     step = x[1] - x[0]
     q = np.exp(x)
@@ -273,13 +282,16 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
 
     Each point records gamma from shooting and the Richardson FD value.  A
     point whose two values differ by more than ``CROSS_METHOD_TOL``, or
-    whose solve raises, is marked failed with a message.  Failures are
+    whose solve raises, is marked failed with a message; shooting runs
+    first, so a point it refuses costs no FD solve.  Failures are
     recorded per point and the sweep continues; returns the
     :class:`GammaPoint` list ordered by d.  The FD solves of all points
     share one :class:`relbosons.numkernel.RichardsonLadder`, built here and
     dropped on return, so the sweep makes its grid-sized work arrays once;
-    each point's values are those of a sweep over that d alone.
+    each point's values are those of a sweep over that d alone.  An n
+    below ``MIN_GRID_N`` raises ValueError before any point is solved.
     """
+    _require_grid_n(n)
     ds = list(d_values)
     if not all(d >= 0 for d in ds):  # also rejects nan
         raise ValueError("d values must be nonnegative")
@@ -288,8 +300,8 @@ def gamma_curve(spec_template: PotentialSpec, d_values: Sequence[float],
     def solve_one(d):
         spec = dataclasses.replace(spec_template, d=d)
         try:
-            fd = solve_ground_fd(spec, n, ladder=ladder).gamma
             sh = solve_ground_shooting(spec, n).gamma
+            fd = solve_ground_fd(spec, n, ladder=ladder).gamma
         except Exception as exc:  # recorded, sweep continues
             return GammaPoint(d, message=str(exc) or type(exc).__name__)
         point = GammaPoint(d, sh, fd)

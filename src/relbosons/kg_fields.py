@@ -547,8 +547,9 @@ def position_dispersion_direct(f: Callable, mass: float, r_max: float = 45.0,
                                p_max: float = 60.0) -> float:
     """Delta r^2 = (1/N^2) int r^2 eps d^3r by position-space quadrature.
 
-    The independent oracle for the momentum-space dispersion formula
-    (see :func:`relbosons.variational.position_dispersion_momentum`);
+    The independent oracle for the momentum-space dispersion formula,
+    the ``delta_rq2`` of :func:`relbosons.variational.radial_state` at
+    ``spec_spin0(1 / mass)``;
     N^2 is evaluated in momentum space by
     :func:`relbosons.numkernel.radial_rule`.  The radii are spaced 0.01
     out to ``r_max``.  Warns when the outer 10% of the radii holds more

@@ -1,17 +1,19 @@
 """Momentum-space dispersion functionals and their minimization.
 
 The uncertainty product gamma^2 = (Delta q^2)(Delta r_q^2) is evaluated
-for trial states on radial or cylindrical momentum grids, one evaluator
-per grid, each with its own form of the state and its own |f|^2 weight
-that Delta r_q^2 adds to |grad f|^2.  :func:`radial_state` takes a
-:class:`RadialMomentumGrid`, one sample array and the channel's
-:class:`relbosons.potentials.PotentialSpec`, whose weight is
-:func:`relbosons.potentials.dispersion_weight`; :func:`factor_state`
-takes a :class:`CylindricalGrid` and one factor pair (a, b), standing for
-the separable state a(q_perp) b(q_z), with the transverse massless weight
+for radial and for cylindrical states, each with its own |f|^2 weight
+that Delta r_q^2 adds to |grad f|^2.  A radial profile f, given with its
+derivative, goes to :func:`radial_state`, which integrates on
+:func:`relbosons.numkernel.radial_rule` with the channel's weight
+:func:`relbosons.potentials.dispersion_weight`; a radial FD ground state
+goes to :func:`fd_state`, which reads the same moments off the eigenpair
+on the solver's own nodes.  :func:`factor_state` takes a
+:class:`CylindricalGrid` and one factor pair (a, b), standing for the
+separable state a(q_perp) b(q_z), with the transverse massless weight
 1/q_perp^2 and no spec.  All functionals here are in rescaled
-dimensionless form; physical-unit quantities appear only in the helpers
-used by the cross checks against :mod:`relbosons.kg_fields`.
+dimensionless form; at the spin-0 spec of d = 1/m and q = p,
+:func:`radial_state` gives the physical Delta p^2 and Delta r^2 of the
+cross checks against :mod:`relbosons.kg_fields`.
 
 The anisotropic transverse massless case is minimized directly on a
 cylindrical grid.  The product functional is scale invariant there, so
@@ -54,26 +56,6 @@ class DivergentWeightError(ValueError):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialMomentumGrid:
-    """Uniform radial grid q = h, 2h, ..., q_max (measure q^2 dq).
-
-    Its dispersion weight is the channel's: :func:`radial_state` takes a
-    :class:`relbosons.potentials.PotentialSpec` with the samples.
-    """
-
-    q_max: float = 10.0
-    n: int = 4000
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.step * np.arange(1, self.n + 1)
-
-    @property
-    def step(self) -> float:
-        return self.q_max / self.n
-
-
-@dataclass(frozen=True)
 class CylindricalGrid:
     """Tensor grid q_perp in (0, q_max], q_z in [-q_max, q_max].
 
@@ -106,9 +88,10 @@ class CylindricalGrid:
 class RayleighState:
     """A trial state with its evaluated norm, dispersions and gamma.
 
-    ``f_samples`` is one sample array on a :class:`RadialMomentumGrid`
-    (:func:`radial_state`) and one factor pair (a, b), standing for the
-    outer product a b, on a :class:`CylindricalGrid` (:func:`factor_state`).
+    A radial state (:func:`radial_state`, :func:`fd_state`) has its nodes q
+    as ``geometry`` and f at those nodes as ``f_samples``; a cylindrical
+    one (:func:`factor_state`) has its :class:`CylindricalGrid` and one
+    factor pair (a, b), standing for the outer product a b.
     """
 
     geometry: object
@@ -147,20 +130,40 @@ def _centered_diff_squares(x):
     return d * d
 
 
-def radial_state(grid: RadialMomentumGrid, f, spec: potentials.PotentialSpec) -> RayleighState:
-    """The RayleighState of the samples f on a radial grid; centered differences.
+def radial_state(f: Callable, df: Callable, spec: potentials.PotentialSpec,
+                 p_max: float = 60.0) -> RayleighState:
+    """The RayleighState of the radial profile f, with derivative ``df``.
 
-    Integrated with the q^2 dq measure; Delta r_q^2 adds the channel's
-    ``dispersion_weight(q, spec)`` to |f'|^2.
+    Integrated on :func:`relbosons.numkernel.radial_rule` up to ``p_max``,
+    so ``norm_N2`` is int |f|^2 d^3q; Delta r_q^2 adds the channel's
+    ``dispersion_weight(q, spec)`` to |f'|^2.  At ``spec_spin0(1 / m)`` and
+    q = p this is the physical Delta r^2 = (1/N^2) int [|f'|^2 + (m^2/(2E^4)
+    + 1/E^2) |f|^2] d^3p of a real profile at t = 0, and Delta q^2 is Delta p^2.
     """
-    q, h = grid.q, grid.step
-    meas = q * q * h
-    n2 = float(np.sum(f * f * meas))
-    df = np.gradient(f, h)
-    dq2 = float(np.sum(q * q * f * f * meas)) / n2
-    drq2 = float(np.sum(df * df * meas)
-                 + np.sum(potentials.dispersion_weight(q, spec) * f * f * meas)) / n2
-    return RayleighState(grid, f, n2, dq2, drq2, math.sqrt(dq2 * drq2))
+    q, w = numkernel.radial_rule(p_max)
+    fv = np.asarray(f(q), dtype=float)
+    dfv = np.asarray(df(q), dtype=float)
+    n2 = float(np.sum(w * fv * fv))
+    dq2 = float(np.sum(w * q * q * fv * fv)) / n2
+    drq2 = float(np.sum(w * (dfv * dfv + potentials.dispersion_weight(q, spec) * fv * fv))) / n2
+    return RayleighState(q, fv, n2, dq2, drq2, math.sqrt(dq2 * drq2))
+
+
+def fd_state(result) -> RayleighState:
+    """The RayleighState of an angular-index-0 ground state of
+    :func:`relbosons.eigensolver.solve_ground_fd`, on its own step-h nodes.
+
+    With u = q f, ``norm_N2`` = sum(u^2) h (1 to rounding) and Delta q^2 =
+    sum(q^2 u^2) h / N^2.  At index 0, W = w + q^2, so the step-h level
+    ``lambda_h``, the Rayleigh quotient of -D^2 + W at u, is exactly
+    Delta q^2 + Delta r_q^2: Delta r_q^2 is their difference.
+    """
+    q, u = result.q_samples, result.u_samples
+    h = q[0]  # the first interior node of the wall at 0
+    n2 = float(np.sum(u * u)) * h
+    dq2 = float(np.sum(q * q * u * u)) * h / n2
+    drq2 = result.meta["lambda_h"] - dq2
+    return RayleighState(q, u / q, n2, dq2, drq2, math.sqrt(dq2 * drq2))
 
 
 def factor_state(grid: CylindricalGrid, a, b) -> RayleighState:
@@ -353,29 +356,6 @@ def closed_form_readings() -> dict:
 # ----------------------------------------------------------------------
 # physical-unit helpers (cross checks against kg_fields)
 # ----------------------------------------------------------------------
-
-def norm_and_dp2(f: Callable, p_max: float = 60.0):
-    """N^2 = int |f|^2 d^3p and Delta p^2 = <p^2> for a radial profile."""
-    p, w = numkernel.radial_rule(p_max)
-    fv = np.asarray(f(p), dtype=float)
-    n2 = float(np.sum(w * fv * fv))
-    return n2, float(np.sum(w * p * p * fv * fv)) / n2
-
-
-def position_dispersion_momentum(f: Callable, mass: float, df: Callable,
-                                 p_max: float = 60.0) -> float:
-    """Delta r^2 in physical units from the momentum-space formula.
-
-    Delta r^2 = (1/N^2) int [ |f'|^2 + (m^2/(2E^4) + 1/E^2) |f|^2 ] d^3p
-    for a radial, real profile at t = 0 with derivative ``df``: the
-    spin-0 dispersion weight at d = 1/m and q = p.
-    """
-    p, w = numkernel.radial_rule(p_max)
-    fv = np.asarray(f(p), dtype=float)
-    dfv = np.asarray(df(p), dtype=float)
-    weight = potentials.dispersion_weight(p, potentials.spec_spin0(1.0 / mass))
-    return float(np.sum(w * (dfv * dfv + weight * fv * fv))) / float(np.sum(w * fv * fv))
-
 
 def rescaled_profile(f: Callable, mass: float, d: float) -> Callable:
     """f expressed in the dimensionless momentum q = p / (m d)."""

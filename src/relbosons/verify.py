@@ -155,10 +155,12 @@ def _shells(run):
 
 
 def _radial_trial(spec):
-    """The evaluated closed-form ground state of ``spec`` on the default
-    radial momentum grid."""
-    grid = variational.RadialMomentumGrid()
-    return variational.radial_state(grid, potentials.limit_profile(grid.q, spec), spec)
+    """The evaluated closed-form ground state f = q^(alpha - 1) e^(-q^2/2) of
+    ``spec``, with its derivative ((alpha - 1)/q - q) f."""
+    alpha = potentials.origin_behavior(spec).exponent_alpha
+    f = functools.partial(potentials.limit_profile, spec=spec)
+    return variational.radial_state(f, lambda q: ((alpha - 1.0) / q - q) * f(q), spec,
+                                    p_max=10.0)
 
 
 def _gaussian_trial(run):
@@ -169,7 +171,8 @@ def _gaussian_trial(run):
 def _position_product(run):
     f = kg_fields.GaussianProfile(sigma=1.0)
     dr2 = kg_fields.position_dispersion_direct(f, mass=200.0, r_max=30.0, p_max=12.0)
-    _, dp2 = variational.norm_and_dp2(f, p_max=12.0)
+    dp2 = variational.radial_state(f, lambda p: -p * f(p), spec_spin0(1.0 / 200.0),
+                                   p_max=12.0).delta_q2
     return _show("gamma = {:.6f}", math.sqrt(dp2 * dr2))
 
 

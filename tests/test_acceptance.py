@@ -103,11 +103,16 @@ def _irregular_origin_root(monkeypatch, results):
     monkeypatch.setattr(potentials, "origin_behavior", faulty)
 
 
-def _fencepost_radial_nodes(monkeypatch, results):
-    # nodes linspace(0, q_max, n), spaced q_max / (n - 1), while
-    # radial_state differentiates with the step q_max / n
-    monkeypatch.setattr(variational.RadialMomentumGrid, "q", property(
-        lambda grid: np.linspace(0.0, grid.q_max, grid.n)))
+def _planar_radial_measure(monkeypatch, results):
+    # the radial rule with the measure p dp in place of p^2 dp: the
+    # Gaussian trial reads (1, 1)
+    rule = numkernel.radial_rule
+
+    def faulty(p_max):
+        p, w = rule(p_max)
+        return p, w / p
+
+    monkeypatch.setattr(numkernel, "radial_rule", faulty)
 
 
 def _fencepost_dirichlet_step(monkeypatch, results):
@@ -206,7 +211,7 @@ PLANTED_FAULTS = {
     "transverse massless minimization lands on gamma = 5/2": _doubled_axis_weight,
     "closed-form minimizer readings recorded": _squared_transverse_prefactor,
     "negative-density region forms at least one spherical shell": _deadband_above_min_rho,
-    "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _fencepost_radial_nodes,
+    "Gaussian trial: (Delta q^2, Delta r_q^2) = (3/2, 3/2)": _planar_radial_measure,
     "d -> 0 as mass -> inf at fixed dispersions": _d_without_mass,
     "charge density goes negative for the demonstration packet": _absolute_charge,
     "energy density nonnegative at every sample": _real_square_time_term,

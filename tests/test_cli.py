@@ -483,8 +483,18 @@ class TestRayleigh:
         assert run(["rayleigh", "--case", "long", "--d", "1",
                     "--out", str(out)]) == 0
         payload = json.loads(read(out))
-        # the trial built from the ground state stays inside the bounds
+        # the product of the FD ground state stays inside the bounds
         assert 2.118 < payload["gamma"] < 2.51
+
+    def test_moments_of_the_fd_eigenvector_on_its_own_nodes(self, tmp_path):
+        # the unit FD eigenvector, read on the solver's own nodes: no
+        # interpolation moves its norm off 1
+        out = tmp_path / "r.json"
+        assert run(["rayleigh", "--case", "spin0", "--d", "1", "--out", str(out)]) == 0
+        payload = json.loads(read(out))
+        assert abs(payload["norm_N2"] - 1.0) <= 1e-12
+        assert payload["gamma"] == pytest.approx(
+            math.sqrt(payload["delta_q2"] * payload["delta_rq2"]), rel=1e-15)
 
     def test_trans_nonrel(self, tmp_path):
         out = tmp_path / "r.json"
@@ -580,7 +590,7 @@ class TestRayleighContract:
     @given(case=st.sampled_from(["spin0", "long"]), d=D_VALUES)
     def test_finite_trial_in_the_bracket_or_a_refusal_naming_d(self, case, d):
         # either every number is finite and gamma lies within 1e-5 of the
-        # channel's endpoint interval (the trial at d = 0 reads 1.49999922),
+        # channel's endpoint interval (the FD product at d = 0 reads 1.49999965),
         # or the run exits 1 naming d and writes no file
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "r.json")

@@ -289,6 +289,30 @@ class TestGammaCurve:
         for p in curve:
             assert not p.ok and "angular index l = 46" in p.message
 
+    def test_refused_point_runs_no_fd_solve(self, monkeypatch):
+        # shooting runs first and refuses l = 46 before the FD ladder is used
+        fd, calls = es.solve_ground_fd, []
+
+        def counting(spec, n, ladder=None):
+            calls.append(spec)
+            return fd(spec, n, ladder)
+
+        monkeypatch.setattr(es, "solve_ground_fd", counting)
+        curve = gamma_curve(spec_spin0(0.0, 46), [0.0, 1.0], n=2000)
+        assert not any(p.ok for p in curve)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
+    def test_too_few_nodes_refused_before_any_grid(self, n, monkeypatch):
+        # the --grid-n wording, raised before a ladder or node array is made
+        monkeypatch.setattr(es, "RichardsonLadder", None)
+        monkeypatch.setattr(es, "effective_potential", None)
+        for solve in (lambda: solve_ground_fd(spec_spin0(1.0), n),
+                      lambda: solve_ground_shooting(spec_spin0(1.0), n),
+                      lambda: gamma_curve(spec_spin0(0.0), [0.0, 1.0], n)):
+            with pytest.raises(ValueError, match=r"^n must be at least 100$"):
+                solve()
+
     def test_empty_exception_message_names_the_type(self, monkeypatch):
         def failing(spec, n, ladder=None):
             raise RuntimeError()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct, dst
 
-from relbosons import kg_fields, variational
+from relbosons import kg_fields, numkernel, variational
 from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
                                  TailWarning, WavepacketParams,
                                  charge_density, charge_momentum_space, default_radii,
@@ -18,6 +18,7 @@ from relbosons.kg_fields import (FieldSample, GaussianProfile, CosineProfile,
                                  position_dispersion_direct, scan_density, shells_json,
                                  state_fields_from_momentum)
 from relbosons.numkernel import QuadratureError
+from relbosons.potentials import spec_spin0
 
 
 class TestFieldSample:
@@ -345,7 +346,8 @@ class TestEnergyNorm:
         params = demo_packet(time_t=0.0)
         ftil = packet_momentum_profile(params)
         e_pos = energy_position_space(ftil, params.mass)
-        n2_mom = variational.norm_and_dp2(ftil)[0]
+        p, w = numkernel.radial_rule(60.0)
+        n2_mom = float(np.sum(w * ftil(p) ** 2))
         assert e_pos == pytest.approx(n2_mom, rel=1e-6)
         assert n2_mom == pytest.approx(energy_momentum_space(params), rel=1e-8)
 
@@ -385,7 +387,8 @@ class TestPositionDispersion:
         df = lambda p: -np.asarray(p) / sigma**2 * f(p)
         direct = position_dispersion_direct(f, mass, r_max=30.0,
                                             p_max=14.0 * sigma)
-        mom = variational.position_dispersion_momentum(f, mass, df, p_max=14.0 * sigma)
+        mom = variational.radial_state(f, df, spec_spin0(1.0 / mass),
+                                       p_max=14.0 * sigma).delta_rq2
         assert direct == pytest.approx(mom, rel=1e-6)
 
     def test_five_random_profiles_match_momentum_route(self):
@@ -405,7 +408,8 @@ class TestPositionDispersion:
             df = lambda p: (2.0 * a - (1.0 + a * np.asarray(p) ** 2) / b**2) * np.asarray(
                 p) * np.exp(-np.asarray(p) ** 2 / (2.0 * b**2))
             direct = position_dispersion_direct(f, mass, r_max=40.0, p_max=16.0 * b)
-            mom = variational.position_dispersion_momentum(f, mass, df, p_max=16.0 * b)
+            mom = variational.radial_state(f, df, spec_spin0(1.0 / mass),
+                                           p_max=16.0 * b).delta_rq2
             assert direct == pytest.approx(mom, rel=1e-5)
 
     def test_narrow_peak_dispersion_grows(self):

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from relbosons import kg_fields, numkernel
-from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA
-from relbosons.potentials import INFINITY, d_parameter, spec_spin0, spec_spin1
+from relbosons import kg_fields, numkernel, potentials
+from relbosons.eigensolver import ALPHA_GOLDEN, GOLDEN_GAMMA, solve_ground_fd
+from relbosons.potentials import (INFINITY, d_parameter, origin_behavior, spec_spin0,
+                                  spec_spin1)
 from relbosons.variational import (CylindricalGrid, DivergentWeightError,
-                                   RadialMomentumGrid, closed_form_readings,
-                                   euler_lagrange_residual, factor_state,
-                                   minimize_transverse_massless, norm_and_dp2,
-                                   position_dispersion_momentum, radial_state,
-                                   rescaled_profile, separation_oracle,
+                                   closed_form_readings, euler_lagrange_residual,
+                                   factor_state, fd_state, minimize_transverse_massless,
+                                   radial_state, rescaled_profile, separation_oracle,
                                    _lowest_mode, _TransverseOperator)
 
 
@@ -129,17 +128,15 @@ class TestDispersionPair:
 
     def test_wrong_width_gaussian_keeps_product(self):
         # scale invariance of the d = 0 product: (3, 3/4) multiply to (3/2)^2
-        grid = RadialMomentumGrid()
-        q = grid.q
-        state = radial_state(grid, np.exp(-q * q / 4), spec_spin0(0.0))
+        f = lambda q: np.exp(-q * q / 4)
+        state = radial_state(f, lambda q: -0.5 * q * f(q), spec_spin0(0.0))
         assert state.delta_q2 == pytest.approx(3.0, abs=1e-4)
         assert state.delta_rq2 == pytest.approx(0.75, abs=1e-5)
         assert state.gamma == pytest.approx(1.5, abs=1e-5)
 
     def test_excited_trial_exceeds_bound(self):
-        grid = RadialMomentumGrid()
-        q = grid.q
-        gam = radial_state(grid, (1.0 + q * q) * np.exp(-q * q / 2),
+        gam = radial_state(lambda q: (1.0 + q * q) * np.exp(-q * q / 2),
+                           lambda q: q * (1.0 - q * q) * np.exp(-q * q / 2),
                            spec_spin0(0.0)).gamma
         assert gam > 1.5
 
@@ -147,18 +144,19 @@ class TestDispersionPair:
 class TestScaleInvariance:
     @pytest.mark.parametrize("d", [0.0, INFINITY])
     def test_invariant_for_homogeneous_weights(self, d):
-        grid = RadialMomentumGrid(q_max=12.0, n=48000)
-        q = grid.q
         # the d = inf trial carries the origin power of that channel so
         # the weighted integrand vanishes at q = 0 as it must physically
         a = 0.0 if d == 0.0 else ALPHA_GOLDEN - 1.0
-        base = lambda s: (s * q) ** a * (1.0 + (s * q) ** 2) * np.exp(
-            -((s * q) ** 2) / 2.0)
+        g = lambda x: x ** a * (1.0 + x * x) * np.exp(-x * x / 2.0)
+        dg = lambda x: x ** (a - 1.0) * (a * (1.0 + x * x) + x * x * (1.0 - x * x)) * np.exp(
+            -x * x / 2.0)
         spec = spec_spin0(d)
-        g1 = radial_state(grid, base(1.0), spec).gamma
+
+        def gamma(s):
+            return radial_state(lambda q: g(s * q), lambda q: s * dg(s * q), spec).gamma
+        g1 = gamma(1.0)
         for s in (0.8, 1.25):
-            gs = radial_state(grid, base(s), spec).gamma
-            assert abs(gs - g1) <= 1e-8 * g1
+            assert abs(gamma(s) - g1) <= 1e-8 * g1
 
     def test_grid_equivariance_transverse(self):
         # exact discrete equivariance: scaling state and grid together
@@ -174,49 +172,94 @@ class TestScaleInvariance:
 
     def test_scale_dependence_at_finite_d(self):
         # d fixes the scale: the product must move under rescaling
-        grid = RadialMomentumGrid()
-        q = grid.q
         spec = spec_spin0(1.0)
-        g1 = radial_state(grid, np.exp(-q * q / 2.0), spec).gamma
-        g2 = radial_state(grid, np.exp(-(2.0 * q) ** 2 / 2.0), spec).gamma
+        g1 = radial_state(lambda q: np.exp(-q * q / 2.0),
+                          lambda q: -q * np.exp(-q * q / 2.0), spec).gamma
+        g2 = radial_state(lambda q: np.exp(-2.0 * q * q),
+                          lambda q: -4.0 * q * np.exp(-2.0 * q * q), spec).gamma
         assert abs(g2 - g1) > 1e-3
+
+
+def gaussian_times(c, dc, k):
+    """(f, df) for f = c(q) exp(-k q^2), given c and its derivative dc."""
+    return (lambda q: c(q) * np.exp(-k * q * q),
+            lambda q: (dc(q) - 2.0 * k * q * c(q)) * np.exp(-k * q * q))
 
 
 class TestVariationalBound:
     def test_nonrelativistic_trials_bounded_below(self):
-        grid = RadialMomentumGrid(q_max=12.0, n=8000)
-        q = grid.q
         spec = spec_spin0(0.0)
-        trials = [np.exp(-q * q / 4.0), (1.0 + q * q) * np.exp(-q * q / 2.0),
-                  q * np.exp(-q * q / 1.7), np.exp(-q) * q]
-        for f in trials:
-            assert radial_state(grid, f, spec).gamma >= 1.5 - 1e-6
+        trials = [gaussian_times(lambda q: 1.0, lambda q: 0.0, 0.25),
+                  gaussian_times(lambda q: 1.0 + q * q, lambda q: 2.0 * q, 0.5),
+                  gaussian_times(lambda q: q, lambda q: 1.0, 1.0 / 1.7),
+                  (lambda q: q * np.exp(-q), lambda q: (1.0 - q) * np.exp(-q))]
+        for f, df in trials:
+            assert radial_state(f, df, spec).gamma >= 1.5 - 1e-6
 
     def test_massless_trials_bounded_below(self):
-        grid = RadialMomentumGrid(q_max=12.0, n=8000)
-        q = grid.q
         spec = spec_spin0(INFINITY)
         a = ALPHA_GOLDEN - 1.0
-        trials = [q**a * np.exp(-q * q / 2.0), q**a * np.exp(-q * q / 3.0),
-                  q**a * (1.0 + 0.5 * q * q) * np.exp(-q * q / 2.0),
-                  q * np.exp(-q * q / 2.0)]
-        for f in trials:
-            assert radial_state(grid, f, spec).gamma >= GOLDEN_GAMMA - 1e-6
+        power = lambda q: q**a
+        dpower = lambda q: a * q ** (a - 1.0)
+        trials = [gaussian_times(power, dpower, 0.5), gaussian_times(power, dpower, 1.0 / 3.0),
+                  gaussian_times(lambda q: q**a * (1.0 + 0.5 * q * q),
+                                 lambda q: q ** (a - 1.0) * (a + (0.5 * a + 1.0) * q * q), 0.5),
+                  gaussian_times(lambda q: q, lambda q: 1.0, 0.5)]
+        for f, df in trials:
+            assert radial_state(f, df, spec).gamma >= GOLDEN_GAMMA - 1e-6
 
     def test_longitudinal_trials_bounded_below(self):
-        grid = RadialMomentumGrid(q_max=12.0, n=8000)
-        q = grid.q
         spec = spec_spin1(0.0)
-        for f in (q * np.exp(-q * q / 2.0), q * np.exp(-q * q / 3.0),
-                  q * (1.0 + q) * np.exp(-q * q / 2.0)):
-            assert radial_state(grid, f, spec).gamma >= 2.5 - 1e-6
+        for f, df in (gaussian_times(lambda q: q, lambda q: 1.0, 0.5),
+                      gaussian_times(lambda q: q, lambda q: 1.0, 1.0 / 3.0),
+                      gaussian_times(lambda q: q * (1.0 + q), lambda q: 1.0 + 2.0 * q, 0.5)):
+            assert radial_state(f, df, spec).gamma >= 2.5 - 1e-6
+
+    def test_trial_derivatives_match_difference_quotients(self):
+        # gaussian_times' product rule and the hand-written prefactor
+        # derivatives above, against a centered difference of f
+        q = np.linspace(0.3, 4.0, 9)
+        a = ALPHA_GOLDEN - 1.0
+        pairs = [gaussian_times(lambda q: 1.0 + q * q, lambda q: 2.0 * q, 0.5),
+                 gaussian_times(lambda q: q**a * (1.0 + 0.5 * q * q),
+                                lambda q: q ** (a - 1.0) * (a + (0.5 * a + 1.0) * q * q), 0.5),
+                 gaussian_times(lambda q: q * (1.0 + q), lambda q: 1.0 + 2.0 * q, 0.5)]
+        for f, df in pairs:
+            central = (f(q + 1e-6) - f(q - 1e-6)) / 2e-6
+            assert np.allclose(df(q), central, rtol=1e-7, atol=1e-9)
+
+
+class TestFdState:
+    @pytest.mark.parametrize("spec", [spec_spin0(0.0), spec_spin0(INFINITY),
+                                      spec_spin1(0.0), spec_spin1(INFINITY)],
+                             ids=["spin0-0", "spin0-inf", "spin1-0", "spin1-inf"])
+    def test_limit_moments_converge_as_h2(self, spec):
+        # the ground state q^(alpha - 1) e^(-q^2/2) has <q^2> = alpha + 1/2
+        exact = origin_behavior(spec).exponent_alpha + 0.5
+        errors = [fd_state(solve_ground_fd(spec, n)).delta_q2 - exact for n in (4000, 8000)]
+        assert abs(errors[1]) <= 2e-6
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.1)
+
+    @pytest.mark.parametrize("spec", [spec_spin0(1.0), spec_spin1(1.0)], ids=["spin0", "spin1"])
+    def test_position_dispersion_is_the_discrete_functional(self, spec):
+        # Delta r_q^2 = lambda_h - Delta q^2 is the step-h functional
+        # sum((u[k+1] - u[k])^2) / h + sum(w u^2) h, walls u = 0 at both ends
+        res = solve_ground_fd(spec)
+        state = fd_state(res)
+        q, u = res.q_samples, res.u_samples
+        h = q[0]
+        du = np.diff(np.concatenate(([0.0], u, [0.0])))
+        direct = np.sum(du * du) / h + np.sum(potentials.dispersion_weight(q, spec) * u * u) * h
+        assert state.delta_rq2 == pytest.approx(direct, rel=1e-10)
+        assert state.norm_N2 == pytest.approx(1.0, abs=1e-12)
+        # the Rayleigh product lies below the level's mean lambda_h / 2
+        assert state.gamma < 0.5 * res.meta["lambda_h"]
 
 
 class TestCrossModule:
     def test_rescaled_dispersion_matches_position_space(self):
         # Delta r_q^2 of the rescaled profile = (m d)^2 Delta r^2(physical)
         rng = np.random.default_rng(3)
-        grid = RadialMomentumGrid(q_max=14.0, n=12000)
         for _ in range(3):
             b = rng.uniform(0.6, 1.4)
             a = rng.uniform(0.0, 1.0)
@@ -225,11 +268,12 @@ class TestCrossModule:
                 -np.asarray(p) ** 2 / (2.0 * b * b))
             df = lambda p: (2.0 * a - (1.0 + a * np.asarray(p) ** 2) / (b * b)) * np.asarray(
                 p) * np.exp(-np.asarray(p) ** 2 / (2.0 * b * b))
-            _, dp2 = norm_and_dp2(f, p_max=16.0 * b)
-            dr2 = position_dispersion_momentum(f, mass, df, p_max=16.0 * b)
+            physical = radial_state(f, df, spec_spin0(1.0 / mass), p_max=16.0 * b)
+            dp2, dr2 = physical.delta_q2, physical.delta_rq2
             d = d_parameter(dp2, dr2, mass)
-            fq = rescaled_profile(f, mass, d)
-            state = radial_state(grid, fq(grid.q), spec_spin0(d))
+            s = mass * d
+            state = radial_state(rescaled_profile(f, mass, d),
+                                 lambda q: s * df(s * q), spec_spin0(d), p_max=14.0)
             dq2_r, drq2_r = state.delta_q2, state.delta_rq2
             assert drq2_r == pytest.approx((mass * d) ** 2 * dr2, rel=1e-5)
             # the self-consistent rescaling balances the state exactly
@@ -238,8 +282,8 @@ class TestCrossModule:
     def test_position_route_validates_momentum_weight(self):
         f = lambda p: np.exp(-np.asarray(p) ** 2 / 2.0)
         direct = kg_fields.position_dispersion_direct(f, 1.3, r_max=30.0, p_max=12.0)
-        mom = position_dispersion_momentum(f, 1.3, lambda p: -np.asarray(p) * f(p),
-                                           p_max=12.0)
+        mom = radial_state(f, lambda p: -np.asarray(p) * f(p), spec_spin0(1.0 / 1.3),
+                           p_max=12.0).delta_rq2
         assert direct == pytest.approx(mom, rel=1e-6)
 
 
